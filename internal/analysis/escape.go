@@ -95,6 +95,10 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/bt.Protocol).NextUpload",
 	"(*MOD/internal/bt.Protocol).recomputeChokes",
 	"(*MOD/internal/bt.Protocol).rarestNeeded",
+	// shared swarm core on both engines' per-transfer path
+	"(*MOD/internal/swarm.Core).Deliver",
+	"(*MOD/internal/swarm.Core).Resolve",
+	"(*MOD/internal/swarm.Peers).Alive",
 	// asynchronous engine + its randomized protocol
 	"(*MOD/internal/asim.engine).loop",
 	"(*MOD/internal/asim.engine).tryStartUpload",

@@ -58,6 +58,8 @@ import (
 	"barterdist/internal/bitset"
 	"barterdist/internal/checkpoint"
 	"barterdist/internal/fault"
+	"barterdist/internal/swarm"
+	"barterdist/internal/trace"
 )
 
 // Unlimited download ports.
@@ -162,16 +164,8 @@ func (c *Config) Validate() error {
 	if c.MaxTime < 0 || math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
 		return fmt.Errorf("asim: MaxTime = %v must be finite and >= 0", c.MaxTime)
 	}
-	if c.Arrivals != nil {
-		if c.Nodes < 2 {
-			return fmt.Errorf("asim: open-system mode needs Nodes >= 2 (capacity for at least one arrival)")
-		}
-		if c.Fault != nil {
-			return fmt.Errorf("asim: Arrivals cannot combine with Fault (open-system churn owns the liveness mask)")
-		}
-		if c.Adversary != nil {
-			return fmt.Errorf("asim: Arrivals cannot combine with Adversary (open-system completion semantics differ)")
-		}
+	if bad := swarm.PlanConflicts(c.Nodes, c.Fault, c.Adversary, c.Arrivals); bad != nil {
+		return fmt.Errorf("asim: %s", bad[0])
 	}
 	return nil
 }
@@ -194,41 +188,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State exposes read-only ownership and progress to protocols.
+// State exposes read-only ownership and progress to protocols: the
+// shared swarm view plus the engine's clock and in-flight transfers.
 type State struct {
-	n, k     int
-	have     []*bitset.Set
+	*swarm.Peers
 	inFlight []map[int32]*event // blocks currently being received, per node
-	complete int
 	now      float64
-
-	// Fault-layer view; nil/zero without a fault plan.
-	alive         []bool
-	aliveClients  int
-	pendingRejoin int
-
-	// Adversary-layer view; nil/zero without an adversary plan.
-	honest              []bool
-	honestClients       int
-	completeHonest      int
-	aliveHonest         int
-	pendingRejoinHonest int
 }
-
-// N returns the node count.
-func (s *State) N() int { return s.n }
-
-// K returns the block count.
-func (s *State) K() int { return s.k }
 
 // Now returns the current simulation time.
 func (s *State) Now() float64 { return s.now }
-
-// Has reports whether v holds block b.
-func (s *State) Has(v, b int) bool { return s.have[v].Has(b) }
-
-// Blocks returns v's block set (read-only).
-func (s *State) Blocks(v int) *bitset.Set { return s.have[v] }
 
 // InFlightTo reports whether block b is currently being received by v.
 func (s *State) InFlightTo(v, b int) bool {
@@ -238,45 +207,6 @@ func (s *State) InFlightTo(v, b int) bool {
 
 // InFlightCount returns the number of blocks currently arriving at v.
 func (s *State) InFlightCount(v int) int { return len(s.inFlight[v]) }
-
-// Alive reports whether node v is currently up. Without a fault plan
-// every node is always alive.
-func (s *State) Alive(v int) bool { return s.alive == nil || s.alive[v] }
-
-// AliveClients returns the number of clients currently up (n-1 without
-// a fault plan).
-func (s *State) AliveClients() int {
-	if s.alive == nil {
-		return s.n - 1
-	}
-	return s.aliveClients
-}
-
-// Adversarial reports whether an adversary plan is active — the cue
-// for defensive protocols to build their quarantine tables.
-func (s *State) Adversarial() bool { return s.honest != nil }
-
-// Honest reports whether node v plays by the protocol. Without an
-// adversary plan every node is honest.
-func (s *State) Honest(v int) bool { return s.honest == nil || s.honest[v] }
-
-// AllClientsComplete reports completion: every client still part of the
-// system holds the whole file (permanently departed nodes are excluded;
-// nodes scheduled to rejoin count as pending). Under an adversary plan
-// only *honest* clients count — a free-rider that starves under barter
-// must not hold the swarm hostage.
-func (s *State) AllClientsComplete() bool {
-	if s.honest != nil {
-		if s.alive == nil {
-			return s.completeHonest == s.honestClients
-		}
-		return s.completeHonest == s.aliveHonest && s.pendingRejoinHonest == 0
-	}
-	if s.alive == nil {
-		return s.complete == s.n-1
-	}
-	return s.complete == s.aliveClients && s.pendingRejoin == 0
-}
 
 // Upload is a protocol's answer to "what should this node send next".
 type Upload struct {
@@ -484,21 +414,16 @@ func Run(cfg Config, p Protocol) (*Result, error) {
 
 // newEngine builds the engine for an already-validated, defaulted
 // config: state, result, plans acquired, timers and the first crash
-// arrival scheduled. The caller kicks the nodes (fresh run) or restores
-// a snapshot (resume).
+// and arrival events scheduled. The caller kicks the nodes (fresh run)
+// or restores a snapshot (resume).
 func newEngine(c Config, p Protocol) (*engine, error) {
-	st := &State{
-		n:        c.Nodes,
-		k:        c.Blocks,
-		have:     make([]*bitset.Set, c.Nodes),
-		inFlight: make([]map[int32]*event, c.Nodes),
+	sw, err := swarm.New(c.Nodes, c.Blocks, c.Fault, c.Adversary, c.Arrivals, false)
+	if err != nil {
+		return nil, err
 	}
-	for v := range st.have {
-		st.have[v] = bitset.New(c.Blocks)
+	st := &State{Peers: sw.Peers, inFlight: make([]map[int32]*event, c.Nodes)}
+	for v := range st.inFlight {
 		st.inFlight[v] = make(map[int32]*event)
-	}
-	for b := 0; b < c.Blocks; b++ {
-		st.have[0].Add(b)
 	}
 	res := &Result{ClientCompletion: make([]float64, c.Nodes)}
 	if c.RecordTrace {
@@ -511,51 +436,21 @@ func newEngine(c Config, p Protocol) (*engine, error) {
 	eng := &engine{
 		cfg:       c,
 		st:        st,
+		sw:        sw,
 		proto:     p,
 		res:       res,
+		fates:     sw.Adv != nil || sw.Fault != nil && sw.Fault.Lossy(),
 		uploading: make([]bool, c.Nodes),
 		parked:    make([]bool, c.Nodes),
 		curUpload: make([]*event, c.Nodes),
 	}
-	if c.Fault != nil {
-		if err := c.Fault.Acquire(); err != nil {
-			return nil, err
-		}
+	if sw.Fault != nil || sw.Open != nil {
 		eng.faultAware, _ = p.(FaultAware)
-		st.alive = make([]bool, c.Nodes)
-		for i := range st.alive {
-			st.alive[i] = true
-		}
-		st.aliveClients = c.Nodes - 1
 	}
-	if c.Arrivals != nil {
-		if err := c.Arrivals.Acquire(); err != nil {
-			return nil, err
-		}
-		eng.faultAware, _ = p.(FaultAware)
-		eng.oa = newAsimArrivals(c.Arrivals, c)
-		// Only the persistent server is present at time 0; clients
-		// appear through the arrival stream with fresh ids.
-		st.alive = make([]bool, c.Nodes)
-		st.alive[0] = true
-	}
-	if c.Adversary != nil {
-		if c.Adversary.N() != c.Nodes {
-			return nil, fmt.Errorf("asim: adversary plan built for %d nodes, config has %d", c.Adversary.N(), c.Nodes)
-		}
-		if err := c.Adversary.Acquire(); err != nil {
-			return nil, err
-		}
-		eng.adv = c.Adversary
+	if sw.Adv != nil {
 		eng.advAware, _ = p.(AdversaryAware)
 		eng.advWakePending = make([]bool, c.Nodes)
-		st.honest = make([]bool, c.Nodes)
-		for v := range st.honest {
-			st.honest[v] = c.Adversary.Honest(v)
-		}
-		st.honestClients = c.Nodes - 1 - c.Adversary.Count()
-		st.aliveHonest = st.honestClients
-		res.Strategies = c.Adversary.Strategies()
+		res.Strategies = sw.Adv.Strategies()
 	}
 	heap.Init(&eng.queue)
 	for i, period := range p.Wakeups() {
@@ -566,36 +461,52 @@ func newEngine(c Config, p Protocol) (*engine, error) {
 		tev.at, tev.kind, tev.timer = period, evTimer, i
 		eng.schedule(tev)
 	}
-	if c.Fault != nil {
+	if sw.Fault != nil {
 		eng.scheduleNextCrash()
 	}
-	if c.Arrivals != nil {
+	if sw.Open != nil {
 		eng.scheduleNextArrival()
 	}
 	return eng, nil
 }
 
-// finish stamps the completion time and, under RecordTrace, the final
-// ownership and liveness snapshots.
-func (e *engine) finish() *Result {
-	c, st, res := e.cfg, e.st, e.res
-	res.CompletionTime = st.now
-	if c.RecordTrace {
-		res.FinalHave = make([]*bitset.Set, c.Nodes)
-		for v := range res.FinalHave {
-			res.FinalHave[v] = st.have[v].Clone()
-		}
-		if st.alive != nil {
-			res.FinalAlive = append([]bool(nil), st.alive...)
-		}
+// finish ends the run at the current time: it stamps the completion
+// time, copies the swarm's event log and tally into the result,
+// snapshots the final state under RecordTrace, and seals an open run's
+// verdict.
+func (e *engine) finish(v arrival.Verdict, reason arrival.Reason) *Result {
+	res, sw := e.res, e.sw
+	res.CompletionTime = e.st.now
+	res.FaultLog = sw.Log
+	tl := &sw.Tally
+	res.Transfers = tl.Useful
+	res.Lost, res.Corrupt = tl.Drops[trace.KindFault], tl.Drops[trace.KindFaultCorrupt]
+	res.AdvStalled, res.AdvCorrupt = tl.Drops[trace.KindStalled], tl.Drops[trace.KindGarbage]
+	res.HonestUseful, res.HonestWasted = tl.HonestUseful, tl.HonestWasted
+	if e.cfg.RecordTrace {
+		res.FinalHave, res.FinalAlive = sw.Final()
+	}
+	if sw.Open != nil {
+		res.Open = sw.Seal(v, reason, func(u int) float64 { return res.ClientCompletion[u] }, e.cfg.RecordTrace)
 	}
 	return res
+}
+
+// incomplete reports a closed run that stopped short of completion.
+func (e *engine) incomplete(where string) error {
+	st := e.st
+	if st.Adversarial() {
+		return fmt.Errorf("%w (%s, honest clients complete: %d/%d)",
+			ErrMaxTime, where, st.HonestClientsComplete(), st.HonestClients())
+	}
+	return fmt.Errorf("%w (%s, clients complete: %d/%d)",
+		ErrMaxTime, where, st.ClientsComplete(), e.cfg.Nodes-1)
 }
 
 // loop drains the event queue to completion, checkpointing at handled-
 // event boundaries when configured.
 func (e *engine) loop() (*Result, error) {
-	eng, c, st, p := e, e.cfg, e.st, e.proto
+	eng, c, st, sw, p := e, e.cfg, e.st, e.sw, e.proto
 	for eng.queue.Len() > 0 {
 		ev := heap.Pop(&eng.queue).(*event)
 		if ev.cancelled {
@@ -605,36 +516,25 @@ func (e *engine) loop() (*Result, error) {
 			continue
 		}
 		if ev.at > c.MaxTime {
-			if eng.oa != nil {
+			if sw.Open != nil {
 				// Bounded-run truncation: an open run that outlives its
 				// budget is reported as Unstable, never as an error.
-				return eng.finishOpen(arrival.VerdictUnstable, arrival.ReasonBudget), nil
+				return eng.finish(arrival.VerdictUnstable, arrival.ReasonBudget), nil
 			}
-			if st.honest != nil {
-				return nil, fmt.Errorf("%w (t=%.2f, honest clients complete: %d/%d)",
-					ErrMaxTime, ev.at, st.completeHonest, st.honestClients)
-			}
-			return nil, fmt.Errorf("%w (t=%.2f, clients complete: %d/%d)",
-				ErrMaxTime, ev.at, st.complete, c.Nodes-1)
+			return nil, eng.incomplete(fmt.Sprintf("t=%.2f", ev.at))
 		}
 		st.now = ev.at
+		var err error
 		switch ev.kind {
 		case evComplete:
-			if err := eng.finishTransfer(ev); err != nil {
-				return nil, err
-			}
-			if eng.oa == nil && st.AllClientsComplete() {
-				return eng.finish(), nil
-			}
+			err = eng.finishTransfer(ev)
 		case evTimer:
 			p.OnTimer(ev.timer, st)
 			// A choke rotation can create work anywhere: wake everyone
 			// parked. Timers are sparse, so this stays cheap.
-			for v := 0; v < c.Nodes; v++ {
+			for v := 0; v < c.Nodes && err == nil; v++ {
 				if eng.parked[v] {
-					if err := eng.tryStartUpload(v); err != nil {
-						return nil, err
-					}
+					err = eng.tryStartUpload(v)
 				}
 			}
 			period := p.Wakeups()[ev.timer]
@@ -642,48 +542,42 @@ func (e *engine) loop() (*Result, error) {
 			tev.at, tev.kind, tev.timer = st.now+period, evTimer, ev.timer
 			eng.schedule(tev)
 		case evCrash:
-			c.Fault.TakeCrash()
-			if err := eng.applyCrash(); err != nil {
-				return nil, err
-			}
-			// Removing the last incomplete client can finish the run.
-			if st.AllClientsComplete() {
-				return eng.finish(), nil
-			}
+			sw.Fault.TakeCrash()
+			err = eng.applyCrash()
 			eng.scheduleNextCrash()
 		case evRejoin:
-			if err := eng.applyRejoin(ev.node); err != nil {
-				return nil, err
+			wiped := sw.Fault.RejoinWipes()
+			sw.Rejoin(ev.node, st.now, wiped)
+			if wiped {
+				eng.res.ClientCompletion[ev.node] = 0
 			}
-			if st.AllClientsComplete() {
-				return eng.finish(), nil
-			}
+			err = eng.joined(ev.node, wiped)
 		case evAdvWake:
 			eng.advWakePending[ev.node] = false
-			if err := eng.tryStartUpload(ev.node); err != nil {
-				return nil, err
-			}
+			err = eng.tryStartUpload(ev.node)
 		case evArrive:
-			c.Arrivals.TakeArrival()
-			if err := eng.applyArrive(); err != nil {
-				return nil, err
-			}
+			err = eng.joined(sw.Admit(st.now), true)
 			eng.scheduleNextArrival()
 		case evDepart:
-			if err := eng.applyDepart(ev.node); err != nil {
-				return nil, err
-			}
+			err = eng.applyDepart(ev.node)
 		}
-		if eng.oa != nil {
+		if err != nil {
+			return nil, err
+		}
+		if sw.Open != nil {
 			// Open runs end in a verdict: the watchdog truncates a
 			// diverging or starving swarm, and the drain check requires
 			// the arrival pool to be exhausted first.
-			if reason := eng.oa.observe(st); reason != arrival.ReasonNone {
-				return eng.finishOpen(arrival.VerdictUnstable, reason), nil
+			if reason := sw.Observe(st.now); reason != arrival.ReasonNone {
+				return eng.finish(arrival.VerdictUnstable, reason), nil
 			}
-			if eng.oa.drained(st) {
-				return eng.finishOpen(arrival.VerdictDrained, arrival.ReasonNone), nil
+			if sw.Drained() {
+				return eng.finish(arrival.VerdictDrained, arrival.ReasonNone), nil
 			}
+		} else if st.AllClientsComplete() {
+			// A delivery, or a crash removing the last incomplete
+			// client, finishes a closed run.
+			return eng.finish(arrival.VerdictNone, arrival.ReasonNone), nil
 		}
 		// Fully handled; nothing retains the event past this point.
 		eng.release(ev)
@@ -692,32 +586,28 @@ func (e *engine) loop() (*Result, error) {
 			return nil, err
 		}
 	}
-	if eng.oa != nil {
+	if sw.Open != nil {
 		// The queue can drain through cancelled events (a departure
 		// aborting the last in-flight transfers), so re-check the drain
 		// criterion before ruling the run stuck.
 		switch {
-		case eng.oa.drained(st):
-			return eng.finishOpen(arrival.VerdictDrained, arrival.ReasonNone), nil
-		case eng.oa.truncated:
-			return eng.finishOpen(arrival.VerdictUnstable, arrival.ReasonBudget), nil
+		case sw.Drained():
+			return eng.finish(arrival.VerdictDrained, arrival.ReasonNone), nil
+		case sw.ArrivalsTruncated():
+			return eng.finish(arrival.VerdictUnstable, arrival.ReasonBudget), nil
 		default:
 			// Peers are present and incomplete but no event will ever
 			// fire again: permanent protocol starvation.
-			return eng.finishOpen(arrival.VerdictUnstable, arrival.ReasonStarvation), nil
+			return eng.finish(arrival.VerdictUnstable, arrival.ReasonStarvation), nil
 		}
 	}
-	if st.honest != nil {
-		return nil, fmt.Errorf("%w (event queue drained, honest clients complete: %d/%d)",
-			ErrMaxTime, st.completeHonest, st.honestClients)
-	}
-	return nil, fmt.Errorf("%w (event queue drained, clients complete: %d/%d)",
-		ErrMaxTime, st.complete, c.Nodes-1)
+	return nil, eng.incomplete("event queue drained")
 }
 
 type engine struct {
 	cfg   Config
 	st    *State
+	sw    *swarm.Core
 	proto Protocol
 	res   *Result
 	queue eventQueue
@@ -725,14 +615,15 @@ type engine struct {
 	// handled counts fully processed (non-cancelled) events; checkpoints
 	// fire at multiples of Config.Checkpoint.Every.
 	handled int
+	// fates is set when a delivery can fail: an adversary plan or a
+	// lossy fault plan is active.
+	fates bool
 
 	uploading  []bool   // upload port busy
 	parked     []bool   // NextUpload returned false; awaiting a wake event
 	curUpload  []*event // pending completion event of each node's upload
 	faultAware FaultAware
-	oa         *asimArrivals // open-system bookkeeping; nil in closed runs
 
-	adv            *adversary.Plan
 	advAware       AdversaryAware
 	advWakePending []bool // an evAdvWake is already queued for this node
 
@@ -770,7 +661,7 @@ func (e *engine) schedule(ev *event) {
 // engine event. Arrivals beyond MaxTime are discarded — they could
 // never take effect and must not trip the timeout check.
 func (e *engine) scheduleNextCrash() {
-	at, ok := e.cfg.Fault.NextCrash()
+	at, ok := e.sw.Fault.NextCrash()
 	if !ok || at > e.cfg.MaxTime {
 		return
 	}
@@ -779,28 +670,35 @@ func (e *engine) scheduleNextCrash() {
 	e.schedule(ev)
 }
 
-// applyCrash picks a victim and tears it down: the node goes dark, its
-// outgoing upload and every transfer in flight toward it are aborted,
-// and the ports and bandwidth those transfers held are restored. Peers
-// whose options changed (freed senders, freed download ports) are
-// re-woken.
+// scheduleNextArrival turns the open-system plan's pending arrival into
+// an engine event, mirroring scheduleNextCrash. The plan's position is
+// consumed when the event is handled, so a checkpoint can cross-check
+// the queued event against the plan. An arrival beyond MaxTime marks
+// the stream as budget-truncated instead of being scheduled.
+func (e *engine) scheduleNextArrival() {
+	at, ok := e.sw.NextArrival()
+	if !ok {
+		return
+	}
+	if at > e.cfg.MaxTime {
+		e.sw.TruncateArrivals()
+		return
+	}
+	ev := e.newEvent()
+	ev.at, ev.kind = at, evArrive
+	e.schedule(ev)
+}
+
+// applyCrash picks a victim and tears it down. Its rejoin, when the
+// plan brings crashed nodes back, becomes an engine event.
 func (e *engine) applyCrash() error {
-	st := e.st
-	v := e.cfg.Fault.PickVictim(st.n,
-		func(v int) bool { return st.alive[v] },
-		func(v int) int { return st.have[v].Count() })
+	st, sw := e.st, e.sw
+	v := sw.PickVictim()
 	if v < 0 {
 		return nil // nobody left to kill
 	}
 	wakeSenders, freedReceiver := e.teardown(v)
-
-	ev := fault.Event{Time: st.now, Node: int32(v), Kind: fault.Crash}
-	e.res.FaultLog = append(e.res.FaultLog, ev)
-	if delay, ok := e.cfg.Fault.Rejoins(); ok {
-		st.pendingRejoin++
-		if st.honest != nil && st.honest[v] {
-			st.pendingRejoinHonest++
-		}
+	if delay, ok := sw.Crash(v, st.now); ok {
 		rev := e.newEvent()
 		rev.at, rev.kind, rev.node = st.now+delay, evRejoin, v
 		e.schedule(rev)
@@ -808,43 +706,28 @@ func (e *engine) applyCrash() error {
 	if e.faultAware != nil {
 		e.faultAware.OnCrash(v, st)
 	}
-
-	// Re-wake with the state fully consistent. Freed senders first (in
-	// ascending order for determinism), then the in-neighbors of the
-	// receiver whose download port was released.
-	for _, u := range wakeSenders {
-		if err := e.tryStartUpload(u); err != nil {
-			return err
-		}
-	}
-	if freedReceiver >= 0 && st.alive[freedReceiver] {
-		if err := e.wakeInNeighbors(freedReceiver); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.rewake(wakeSenders, freedReceiver)
 }
 
-// teardown takes node v out of the swarm — shared by crashes and
-// open-system departures. The node goes dark, its outgoing upload and
-// every transfer in flight toward it are aborted, and the ports those
-// transfers held are restored. It returns the senders whose upload
-// ports freed (sorted ascending) and the receiver whose download port
-// freed (-1 if none); the caller re-wakes them once its own
-// bookkeeping is consistent.
+// applyDepart removes open-system peer v for good: the crash teardown
+// without a rejoin. FaultAware protocols see it as a crash.
+func (e *engine) applyDepart(v int) error {
+	wakeSenders, freedReceiver := e.teardown(v)
+	e.sw.Depart(v, e.st.now)
+	if e.faultAware != nil {
+		e.faultAware.OnCrash(v, e.st)
+	}
+	return e.rewake(wakeSenders, freedReceiver)
+}
+
+// teardown aborts node v's transfers — shared by crashes and
+// open-system departures: its outgoing upload and every transfer in
+// flight toward it are cancelled, and the ports those transfers held are
+// restored. It returns the senders whose upload ports freed (sorted
+// ascending) and the receiver whose download port freed (-1 if none);
+// the caller re-wakes them once the swarm has marked v absent.
 func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 	st := e.st
-	st.alive[v] = false
-	st.aliveClients--
-	if st.have[v].Full() {
-		st.complete--
-	}
-	if st.honest != nil && st.honest[v] {
-		st.aliveHonest--
-		if st.have[v].Full() {
-			st.completeHonest--
-		}
-	}
 	e.parked[v] = false
 
 	freedReceiver = -1
@@ -871,38 +754,32 @@ func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 	return wakeSenders, freedReceiver
 }
 
-// applyRejoin brings a crashed node back, optionally with an empty
-// cache, and re-wakes it plus the peers that may now serve it.
-func (e *engine) applyRejoin(v int) error {
-	st := e.st
-	st.alive[v] = true
-	st.aliveClients++
-	st.pendingRejoin--
-	if st.honest != nil && st.honest[v] {
-		st.aliveHonest++
-		st.pendingRejoinHonest--
-	}
-	wiped := e.cfg.Fault.RejoinWipes()
-	if wiped {
-		st.have[v].Clear()
-		e.res.ClientCompletion[v] = 0
-	} else if st.have[v].Full() {
-		st.complete++
-		if st.honest != nil && st.honest[v] {
-			st.completeHonest++
+// rewake re-polls the peers a teardown freed, with the state fully
+// consistent: freed senders first (ascending, for determinism), then the
+// in-neighbors of the receiver whose download port was released.
+func (e *engine) rewake(wakeSenders []int, freedReceiver int) error {
+	for _, u := range wakeSenders {
+		if err := e.tryStartUpload(u); err != nil {
+			return err
 		}
 	}
-	e.res.FaultLog = append(e.res.FaultLog, fault.Event{
-		Time: st.now, Node: int32(v), Kind: fault.Rejoin, Wiped: wiped,
-	})
+	if freedReceiver >= 0 && e.st.Alive(freedReceiver) {
+		return e.wakeInNeighbors(freedReceiver)
+	}
+	return nil
+}
+
+// joined wakes node v after it rejoined or, in an open run, arrived (a
+// wiped rejoin of a never-before-seen node): FaultAware protocols hear
+// of it, v polls, and peers parked for lack of targets may now serve it
+// — every download port at v is free.
+func (e *engine) joined(v int, wiped bool) error {
 	if e.faultAware != nil {
-		e.faultAware.OnRejoin(v, wiped, st)
+		e.faultAware.OnRejoin(v, wiped, e.st)
 	}
 	if err := e.tryStartUpload(v); err != nil {
 		return err
 	}
-	// Every download port at v is free again: peers parked for lack of
-	// targets may now have one.
 	return e.wakeInNeighbors(v)
 }
 
@@ -919,7 +796,7 @@ func (e *engine) wakeInNeighbors(v int) error {
 		}
 		return nil
 	}
-	for u := 0; u < e.st.n; u++ {
+	for u := 0; u < e.st.N(); u++ {
 		if e.parked[u] {
 			if err := e.tryStartUpload(u); err != nil {
 				return err
@@ -934,19 +811,20 @@ func (e *engine) tryStartUpload(u int) error {
 	if e.uploading[u] {
 		return nil
 	}
-	if e.st.alive != nil && !e.st.alive[u] {
+	if !e.st.Alive(u) {
 		return nil // dead nodes neither poll nor park
 	}
-	if e.st.have[u].Count() == 0 {
+	if e.st.CountOf(u) == 0 {
 		e.parked[u] = true
 		return nil
 	}
-	if e.adv != nil && e.adv.Refuses(u, e.st.now) {
+	adv := e.sw.Adv
+	if adv != nil && adv.Refuses(u, e.st.now) {
 		// The node's own strategy declines to upload; the protocol is
 		// not even polled. A throttler is re-woken when its window
 		// reopens; free-riders and completed defectors park for good.
 		e.parked[u] = true
-		if at := e.adv.RetryAt(u); !math.IsInf(at, 1) && !e.advWakePending[u] {
+		if at := adv.RetryAt(u); !math.IsInf(at, 1) && !e.advWakePending[u] {
 			e.advWakePending[u] = true
 			wev := e.newEvent()
 			wev.at, wev.kind, wev.node = at, evAdvWake, u
@@ -962,8 +840,8 @@ func (e *engine) tryStartUpload(u int) error {
 	if err := e.validate(u, up); err != nil {
 		return err
 	}
-	if e.adv != nil {
-		e.adv.NoteUpload(u, e.st.now)
+	if adv != nil {
+		adv.NoteUpload(u, e.st.now)
 	}
 	e.parked[u] = false
 	e.uploading[u] = true
@@ -986,24 +864,23 @@ func (e *engine) tryStartUpload(u int) error {
 }
 
 func (e *engine) validate(u int, up Upload) error {
+	st := e.st
 	switch {
-	case up.To < 0 || up.To >= e.st.n:
+	case up.To < 0 || up.To >= st.N():
 		return fmt.Errorf("asim: node %d uploads to out-of-range node %d", u, up.To)
 	case up.To == u:
 		return fmt.Errorf("asim: node %d uploads to itself", u)
-	case up.Block < 0 || up.Block >= e.st.k:
+	case up.Block < 0 || up.Block >= st.K():
 		return fmt.Errorf("asim: node %d uploads out-of-range block %d", u, up.Block)
-	case !e.st.have[u].Has(up.Block):
+	case !st.Has(u, up.Block):
 		return fmt.Errorf("asim: node %d does not hold block %d", u, up.Block)
-	case e.st.have[up.To].Has(up.Block):
+	case st.Has(up.To, up.Block):
 		return fmt.Errorf("asim: node %d already holds block %d", up.To, up.Block)
-	case e.st.InFlightTo(up.To, up.Block):
+	case st.InFlightTo(up.To, up.Block):
 		return fmt.Errorf("asim: block %d already in flight to node %d", up.Block, up.To)
-	}
-	if e.st.alive != nil && !e.st.alive[up.To] {
+	case !st.Alive(up.To):
 		return fmt.Errorf("asim: node %d uploads to dead node %d", u, up.To)
-	}
-	if e.cfg.DownloadPorts != Unlimited && len(e.st.inFlight[up.To]) >= e.cfg.DownloadPorts {
+	case e.cfg.DownloadPorts != Unlimited && len(st.inFlight[up.To]) >= e.cfg.DownloadPorts:
 		return fmt.Errorf("asim: node %d has no free download port", up.To)
 	}
 	return nil
@@ -1015,64 +892,33 @@ func (e *engine) validate(u int, up Upload) error {
 // in-neighbors (a download port at the receiver just freed). A node
 // parked for lack of interested neighbors needs no other wake-up:
 // neighbors' needs only shrink, so its answer can change only when it
-// gains a block itself — and then it is the receiver. Under a fault
-// plan, the delivery may instead be sampled as lost or corrupt: the
-// ports are restored, no block lands, and the same wake-ups apply.
+// gains a block itself — and then it is the receiver. When the sender's
+// strategy or the fault plan drops the delivery instead, the ports are
+// restored, no block lands, and the same wake-ups apply.
 func (e *engine) finishTransfer(ev *event) error {
-	st := e.st
+	st, sw := e.st, e.sw
 	delete(st.inFlight[ev.to], int32(ev.block))
 	e.uploading[ev.from] = false
 	e.curUpload[ev.from] = nil
 
-	if e.adv != nil {
-		// The sender's strategy rules first: a block that stalled or
-		// failed verification was never delivered, so the fault layer
-		// has nothing left to drop.
-		if fate := e.adv.DeliveryFate(ev.from); fate != adversary.Deliver {
-			corrupt := fate == adversary.Garbage
-			if corrupt {
-				e.res.AdvCorrupt++
-			} else {
-				e.res.AdvStalled++
-			}
-			if st.honest[ev.to] {
-				e.res.HonestWasted++
-			}
-			if e.cfg.RecordTrace {
-				e.res.Trace = append(e.res.Trace, TransferRecord{
-					Start: ev.start, End: ev.at,
-					From: int32(ev.from), To: int32(ev.to), Block: int32(ev.block),
-					Lost: true, Corrupt: corrupt, Adversary: true,
-				})
-			}
-			if e.advAware != nil {
-				e.advAware.OnAdversaryDrop(ev.from, ev.to, ev.block, corrupt, st)
-			}
-			if err := e.tryStartUpload(ev.from); err != nil {
-				return err
-			}
-			// The receiver's port freed and the block is no longer in
-			// flight: parked in-neighbors may now retry it.
-			return e.wakeInNeighbors(ev.to)
+	if e.fates {
+		af := adversary.Deliver
+		if sw.Adv != nil {
+			af = sw.Adv.DeliveryFate(ev.from)
 		}
-	}
-
-	if e.cfg.Fault != nil && e.cfg.Fault.Lossy() {
-		lost, corrupt := e.cfg.Fault.Drop()
-		if lost || corrupt {
-			if corrupt {
-				e.res.Corrupt++
-			} else {
-				e.res.Lost++
-			}
+		if kind, dropped := sw.Resolve(ev.to, af); dropped {
+			corrupt, byAdv := swarm.Corrupt(kind), swarm.ByAdversary(kind)
 			if e.cfg.RecordTrace {
 				e.res.Trace = append(e.res.Trace, TransferRecord{
 					Start: ev.start, End: ev.at,
 					From: int32(ev.from), To: int32(ev.to), Block: int32(ev.block),
-					Lost: true, Corrupt: corrupt,
+					Lost: true, Corrupt: corrupt, Adversary: byAdv,
 				})
 			}
-			if e.faultAware != nil {
+			switch {
+			case byAdv && e.advAware != nil:
+				e.advAware.OnAdversaryDrop(ev.from, ev.to, ev.block, corrupt, st)
+			case !byAdv && e.faultAware != nil:
 				e.faultAware.OnLoss(ev.from, ev.to, ev.block, corrupt, st)
 			}
 			if err := e.tryStartUpload(ev.from); err != nil {
@@ -1084,23 +930,19 @@ func (e *engine) finishTransfer(ev *event) error {
 		}
 	}
 
-	if st.have[ev.to].Add(ev.block) {
-		e.res.Transfers++
-		if e.adv != nil && st.honest[ev.to] {
-			e.res.HonestUseful++
-		}
-		if ev.to != 0 && st.have[ev.to].Full() {
-			st.complete++
+	if useful, completed := sw.Deliver(ev.to, ev.block); useful {
+		if completed {
 			e.res.ClientCompletion[ev.to] = st.now
-			if st.honest != nil && st.honest[ev.to] {
-				st.completeHonest++
-			}
-			if e.adv != nil {
-				e.adv.NoteComplete(ev.to)
+			if sw.Adv != nil {
+				sw.Adv.NoteComplete(ev.to)
 			}
 		}
-		if e.oa != nil && ev.to != 0 {
-			e.noteOpenDelivery(ev.to)
+		if sw.Open != nil && ev.to != 0 {
+			if delay, ok := sw.DepartAfter(ev.to); ok {
+				dev := e.newEvent()
+				dev.at, dev.kind, dev.node = st.now+delay, evDepart, ev.to
+				e.schedule(dev)
+			}
 		}
 	}
 	if e.cfg.RecordTrace {

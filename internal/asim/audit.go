@@ -6,11 +6,10 @@ import (
 	"math"
 	"sort"
 
-	"barterdist/internal/adversary"
-	"barterdist/internal/arrival"
 	"barterdist/internal/bitset"
 	"barterdist/internal/fault"
 	"barterdist/internal/parallel"
+	"barterdist/internal/swarm"
 )
 
 // ErrAudit wraps every RunAudit failure so callers can distinguish a
@@ -72,31 +71,23 @@ func aBetter(a, b *aPoint) *aPoint {
 
 // eventIndex answers the auditor's two liveness queries — aliveAt and
 // eventDuring — in O(log e) per call from per-node sorted event lists,
-// replacing the sequential auditor's O(e) scan of the whole fault log
-// per trace record. When the log is out of order or carries NaN times
-// (only a doctored log can), the index falls back to the sequential
-// auditor's exact global linear scan so the verdict stays identical.
+// replacing a scan of the whole fault log per trace record. The index
+// assumes a time-ordered log; an unordered one (only a doctored log can
+// be) fails the fault-log sanity check, whose phase-0 finding outranks
+// every finding the index feeds.
 type eventIndex struct {
-	times  [][]float64 // per-node event times, log order
-	up     [][]bool    // per-node resulting liveness after each event
-	log    []fault.Event
-	open   bool
-	linear bool
+	times [][]float64 // per-node event times, log order
+	up    [][]bool    // per-node resulting liveness after each event
+	open  bool
 }
 
 func buildEventIndex(log []fault.Event, open bool, nodes int) *eventIndex {
 	ix := &eventIndex{
 		times: make([][]float64, nodes),
 		up:    make([][]bool, nodes),
-		log:   log,
 		open:  open,
 	}
-	prev := math.Inf(-1)
 	for _, ev := range log {
-		if math.IsNaN(ev.Time) || ev.Time < prev {
-			ix.linear = true
-		}
-		prev = ev.Time
 		v := int(ev.Node)
 		if v < 0 || v >= nodes {
 			continue // sanity (phase 0) reports this; keep the index safe
@@ -112,22 +103,10 @@ func buildEventIndex(log []fault.Event, open bool, nodes int) *eventIndex {
 // transfer boundaries do not occur in engine-produced runs). In open
 // mode clients are absent until their Arrive event.
 func (ix *eventIndex) aliveAt(v int, t float64) bool {
-	up := v == 0 || !ix.open
-	if ix.linear {
-		for _, ev := range ix.log {
-			if ev.Time > t {
-				break
-			}
-			if int(ev.Node) == v {
-				up = ev.Kind == fault.Rejoin || ev.Kind == fault.Arrive
-			}
-		}
-		return up
-	}
 	times := ix.times[v]
 	i := sort.Search(len(times), func(i int) bool { return times[i] > t })
 	if i == 0 {
-		return up
+		return v == 0 || !ix.open
 	}
 	return ix.up[v][i-1]
 }
@@ -135,17 +114,6 @@ func (ix *eventIndex) aliveAt(v int, t float64) bool {
 // eventDuring reports a fault event touching v strictly inside
 // (start, end) — any such event must have aborted the transfer.
 func (ix *eventIndex) eventDuring(v int, start, end float64) bool {
-	if ix.linear {
-		for _, ev := range ix.log {
-			if ev.Time >= end {
-				break
-			}
-			if ev.Time > start && int(ev.Node) == v {
-				return true
-			}
-		}
-		return false
-	}
 	times := ix.times[v]
 	i := sort.Search(len(times), func(i int) bool { return times[i] > start })
 	return i < len(times) && times[i] < end
@@ -325,6 +293,9 @@ func auditReplay(c Config, res *Result, honest []bool, adversarial, open bool) *
 		if v <= 0 || v >= c.Nodes {
 			return sanity(i, auditErr("fault log: event %d targets invalid node %d", i, v))
 		}
+		if math.IsNaN(ev.Time) || ev.Time < 0 {
+			return sanity(i, auditErr("fault log: event %d has time %v", i, ev.Time))
+		}
 		if i > 0 && ev.Time < res.FaultLog[i-1].Time {
 			return sanity(i, auditErr("fault log: event %d goes back in time (%v after %v)",
 				i, ev.Time, res.FaultLog[i-1].Time))
@@ -466,49 +437,22 @@ func auditReplay(c Config, res *Result, honest []bool, adversarial, open bool) *
 	// The run must have finished under the engine's criterion: every
 	// alive client — every alive *honest* client under an adversary
 	// plan — holds the whole file. An open run instead ends on its
-	// verdict: Drained requires an exhausted pool and no peer
-	// mid-download; Unstable is a bounded truncation with no completion
-	// requirement, but the starvation audit below still must account
-	// for every peer that entered.
+	// verdict, checked with the starvation identity (swarm.AuditOpen).
 	if open {
-		o := res.Open
-		arrived := nextArrive - 1
-		occupancy := 0
-		comp := 0
+		r := swarm.OpenCounts{Arrived: nextArrive - 1, Departed: departed, EarlyExits: earlyExits}
 		for v := 1; v < c.Nodes; v++ {
-			if alive[v] && !have[v].Full() {
-				occupancy++
+			if alive[v] {
+				r.Present++
+				if have[v].Full() {
+					r.Complete++
+				}
 			}
 			if completion[v] != 0 {
-				comp++
+				r.Completed++
 			}
 		}
-		switch o.Verdict {
-		case arrival.VerdictDrained:
-			if arrived != c.Nodes-1 {
-				return agg(auditErr("drained verdict with %d/%d arrivals replayed", arrived, c.Nodes-1))
-			}
-			if occupancy != 0 {
-				return agg(auditErr("drained verdict but %d present clients incomplete", occupancy))
-			}
-		case arrival.VerdictUnstable:
-			// Bounded truncation: nothing further to require.
-		default:
-			return agg(auditErr("open result carries verdict %v", o.Verdict))
-		}
-		if o.Arrived != arrived || o.Departed != departed || o.EarlyExits != earlyExits {
-			return agg(auditErr("replay counts %d arrived / %d departed / %d early exits, result reports %d / %d / %d",
-				arrived, departed, earlyExits, o.Arrived, o.Departed, o.EarlyExits))
-		}
-		if o.Completed != comp {
-			return agg(auditErr("replay counts %d completions, open result reports %d", comp, o.Completed))
-		}
-		if o.FinalOccupancy != occupancy {
-			return agg(auditErr("replay leaves %d peers mid-download, open result reports %d", occupancy, o.FinalOccupancy))
-		}
-		if o.Arrived != o.Completed+o.EarlyExits+o.FinalOccupancy {
-			return agg(auditErr("open run starves silently: %d arrived != %d completed + %d early exits + %d still present",
-				o.Arrived, o.Completed, o.EarlyExits, o.FinalOccupancy))
+		if err := swarm.AuditOpen(res.Open, c.Nodes, r); err != nil {
+			return agg(auditErr("%v", err))
 		}
 	} else {
 		for v := 1; v < c.Nodes; v++ {
@@ -615,32 +559,11 @@ func RunAudit(cfg Config, res *Result) error {
 	if c.Nodes == 1 {
 		return nil // vacuous run
 	}
-	if res.FinalHave == nil {
-		return auditErr("result has no FinalHave snapshot; run with RecordTrace")
+	honest, err := swarm.CheckArtifacts(c.Nodes, res.FinalHave, len(res.ClientCompletion), res.FinalAlive, res.Strategies)
+	if err != nil {
+		return auditErr("%v", err)
 	}
-	if len(res.FinalHave) != c.Nodes {
-		return auditErr("FinalHave has %d entries for %d nodes", len(res.FinalHave), c.Nodes)
-	}
-	if len(res.ClientCompletion) != c.Nodes {
-		return auditErr("ClientCompletion has %d entries for %d nodes", len(res.ClientCompletion), c.Nodes)
-	}
-	if res.FinalAlive != nil && len(res.FinalAlive) != c.Nodes {
-		return auditErr("FinalAlive has %d entries for %d nodes", len(res.FinalAlive), c.Nodes)
-	}
-	adversarial := res.Strategies != nil
-	var honest []bool
-	if adversarial {
-		if len(res.Strategies) != c.Nodes {
-			return auditErr("Strategies has %d entries for %d nodes", len(res.Strategies), c.Nodes)
-		}
-		if res.Strategies[0] != adversary.Honest {
-			return auditErr("node 0 (the server) is recorded as %v; it must stay honest", res.Strategies[0])
-		}
-		honest = make([]bool, c.Nodes)
-		for v, sg := range res.Strategies {
-			honest[v] = sg == adversary.Honest
-		}
-	}
+	adversarial := honest != nil
 	open := res.Open != nil
 	ix := buildEventIndex(res.FaultLog, open, c.Nodes)
 

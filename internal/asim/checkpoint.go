@@ -25,16 +25,13 @@ type CheckpointableProtocol interface {
 	RestoreState(dec *checkpoint.Decoder, s *State) error
 }
 
-// Section names of an asynchronous-engine snapshot.
+// Section names of an asynchronous-engine snapshot; the population,
+// event log, and plan positions live in the swarm core's sections.
 const (
-	asecMeta      = "asim/meta"
-	asecState     = "asim/state"
-	asecResult    = "asim/result"
-	asecEngine    = "asim/engine"
-	asecFault     = "asim/fault"
-	asecAdversary = "asim/adversary"
-	asecArrival   = "asim/arrival"
-	asecProtocol  = "asim/protocol"
+	asecMeta     = "asim/meta"
+	asecState    = "asim/state"
+	asecEngine   = "asim/engine"
+	asecProtocol = "asim/protocol"
 )
 
 // snapshot captures the engine's full state between two handled events.
@@ -48,70 +45,38 @@ func (e *engine) snapshot() (*checkpoint.Snapshot, error) {
 		return nil, fmt.Errorf("asim: protocol %T does not support checkpointing", e.proto)
 	}
 	snap := &checkpoint.Snapshot{}
-	c := e.cfg
-
-	me := checkpoint.NewEncoder(64 + 16*c.Nodes)
-	me.Int(c.Nodes)
-	me.Int(c.Blocks)
-	me.F64s(c.UploadRate)
-	me.F64s(c.DownloadRate)
-	me.Int(c.DownloadPorts)
-	me.F64(c.MaxTime)
-	me.Bool(c.RecordTrace)
-	me.Bool(c.Fault != nil)
-	me.Bool(e.adv != nil)
-	me.Bool(e.oa != nil)
-	snap.Add(asecMeta, me.Bytes())
-
-	st := e.st
-	se := checkpoint.NewEncoder(64 + c.Nodes*(c.Blocks/8+16))
-	se.F64(st.now)
-	se.Int(st.complete)
-	for _, h := range st.have {
-		se.Uint64s(h.Words())
-	}
-	se.Bool(st.alive != nil)
-	if st.alive != nil {
-		se.Bools(st.alive)
-		se.Int(st.aliveClients)
-		se.Int(st.pendingRejoin)
-	}
-	se.Bool(st.honest != nil)
-	if st.honest != nil {
-		se.Int(st.completeHonest)
-		se.Int(st.aliveHonest)
-		se.Int(st.pendingRejoinHonest)
-	}
-	snap.Add(asecState, se.Bytes())
-
-	res := e.res
-	re := checkpoint.NewEncoder(256 + 32*len(res.Trace))
-	re.F64s(res.ClientCompletion)
-	re.Int(res.Transfers)
-	re.Int(res.Lost)
-	re.Int(res.Corrupt)
-	re.Int(len(res.FaultLog))
-	for _, ev := range res.FaultLog {
-		encodeFaultEvent(re, ev)
-	}
-	re.Int(res.AdvStalled)
-	re.Int(res.AdvCorrupt)
-	re.Int(res.HonestUseful)
-	re.Int(res.HonestWasted)
-	if c.RecordTrace {
-		re.Int(len(res.Trace))
-		for _, tr := range res.Trace {
-			re.F64(tr.Start)
-			re.F64(tr.End)
-			re.U32(uint32(tr.From))
-			re.U32(uint32(tr.To))
-			re.U32(uint32(tr.Block))
-			re.Bool(tr.Lost)
-			re.Bool(tr.Corrupt)
-			re.Bool(tr.Adversary)
+	c, st, res, sw := e.cfg, e.st, e.res, e.sw
+	snap.Put(asecMeta, 64+16*c.Nodes, func(me *checkpoint.Encoder) {
+		me.Int(c.Nodes)
+		me.Int(c.Blocks)
+		me.F64s(c.UploadRate)
+		me.F64s(c.DownloadRate)
+		me.Int(c.DownloadPorts)
+		me.F64(c.MaxTime)
+		me.Bool(c.RecordTrace)
+		me.Bool(sw.Fault != nil)
+		me.Bool(sw.Adv != nil)
+		me.Bool(sw.Open != nil)
+	})
+	sw.Snapshot(snap)
+	snap.Put(asecState, 64+8*c.Nodes+32*len(res.Trace), func(se *checkpoint.Encoder) {
+		se.F64(st.now)
+		se.F64s(res.ClientCompletion)
+		if !c.RecordTrace {
+			return
 		}
-	}
-	snap.Add(asecResult, re.Bytes())
+		se.Int(len(res.Trace))
+		for _, tr := range res.Trace {
+			se.F64(tr.Start)
+			se.F64(tr.End)
+			se.U32(uint32(tr.From))
+			se.U32(uint32(tr.To))
+			se.U32(uint32(tr.Block))
+			se.Bool(tr.Lost)
+			se.Bool(tr.Corrupt)
+			se.Bool(tr.Adversary)
+		}
+	})
 
 	pend := make([]*event, 0, len(e.queue))
 	for _, ev := range e.queue {
@@ -125,47 +90,31 @@ func (e *engine) snapshot() (*checkpoint.Snapshot, error) {
 		}
 		return pend[i].seq < pend[j].seq
 	})
-	ee := checkpoint.NewEncoder(64 + 40*len(pend))
-	ee.Int(e.seq)
-	ee.Int(e.handled)
-	ee.Bools(e.parked)
-	ee.Int(len(pend))
-	for _, ev := range pend {
-		ee.F64(ev.at)
-		ee.Int(ev.seq)
-		ee.U8(uint8(ev.kind))
-		switch ev.kind {
-		case evComplete:
-			ee.U32(uint32(ev.from))
-			ee.U32(uint32(ev.to))
-			ee.U32(uint32(ev.block))
-			ee.F64(ev.start)
-		case evTimer:
-			ee.Int(ev.timer)
-		case evCrash, evArrive:
-			// The event time says it all; cross-checked against the
-			// restored fault/arrival plan position on resume.
-		case evRejoin, evAdvWake, evDepart:
-			ee.U32(uint32(ev.node))
+	snap.Put(asecEngine, 64+40*len(pend), func(ee *checkpoint.Encoder) {
+		ee.Int(e.seq)
+		ee.Int(e.handled)
+		ee.Bools(e.parked)
+		ee.Int(len(pend))
+		for _, ev := range pend {
+			ee.F64(ev.at)
+			ee.Int(ev.seq)
+			ee.U8(uint8(ev.kind))
+			switch ev.kind {
+			case evComplete:
+				ee.U32(uint32(ev.from))
+				ee.U32(uint32(ev.to))
+				ee.U32(uint32(ev.block))
+				ee.F64(ev.start)
+			case evTimer:
+				ee.Int(ev.timer)
+			case evCrash, evArrive:
+				// The event time says it all; cross-checked against the
+				// restored fault/arrival plan position on resume.
+			case evRejoin, evAdvWake, evDepart:
+				ee.U32(uint32(ev.node))
+			}
 		}
-	}
-	snap.Add(asecEngine, ee.Bytes())
-
-	if c.Fault != nil {
-		fe := checkpoint.NewEncoder(128)
-		c.Fault.Snapshot(fe)
-		snap.Add(asecFault, fe.Bytes())
-	}
-	if e.adv != nil {
-		ae := checkpoint.NewEncoder(64 + 16*c.Nodes)
-		e.adv.Snapshot(ae)
-		snap.Add(asecAdversary, ae.Bytes())
-	}
-	if e.oa != nil {
-		oe := checkpoint.NewEncoder(256 + 16*c.Nodes)
-		e.oa.snapshot(oe)
-		snap.Add(asecArrival, oe.Bytes())
-	}
+	})
 
 	pe := checkpoint.NewEncoder(1024)
 	if err := cp.SnapshotState(pe); err != nil {
@@ -186,171 +135,68 @@ func (e *engine) restore(snap *checkpoint.Snapshot) error {
 	if !ok {
 		return fmt.Errorf("asim: protocol %T does not support checkpointing", e.proto)
 	}
-	c := e.cfg
-
-	mp, err := snap.Section(asecMeta)
-	if err != nil {
-		return err
-	}
-	md := checkpoint.NewDecoder(mp)
-	nodes, blocks := md.Int(), md.Int()
-	upRate := md.F64s()
-	downRate := md.F64s()
-	ports := md.Int()
-	maxTime := md.F64()
-	recTrace, hasFault, hasAdv := md.Bool(), md.Bool(), md.Bool()
-	hasOpen := md.Bool()
-	if err := md.Finish(); err != nil {
-		return err
-	}
-	if nodes != c.Nodes || blocks != c.Blocks || ports != c.DownloadPorts ||
-		maxTime != c.MaxTime || recTrace != c.RecordTrace ||
-		hasFault != (c.Fault != nil) || hasAdv != (e.adv != nil) ||
-		hasOpen != (e.oa != nil) ||
-		!equalF64s(upRate, c.UploadRate) || !equalF64s(downRate, c.DownloadRate) {
-		return fmt.Errorf("asim: snapshot taken under a different config (snapshot n=%d k=%d ports=%d maxTime=%v trace=%v fault=%v adv=%v open=%v)",
-			nodes, blocks, ports, maxTime, recTrace, hasFault, hasAdv, hasOpen)
-	}
-
-	sp, err := snap.Section(asecState)
-	if err != nil {
-		return err
-	}
-	sd := checkpoint.NewDecoder(sp)
-	st := e.st
-	now := sd.F64()
-	complete := sd.Int()
-	if sd.Err() == nil && (math.IsNaN(now) || math.IsInf(now, 0) || now < 0 ||
-		complete < 0 || complete > c.Nodes-1) {
-		return checkpoint.Corruptf("asim: time %v / complete %d out of range", now, complete)
-	}
-	for v := range st.have {
-		words := sd.Uint64s()
-		if err := sd.Err(); err != nil {
+	c, st, res, sw := e.cfg, e.st, e.res, e.sw
+	if err := snap.Get(asecMeta, func(md *checkpoint.Decoder) error {
+		nodes, blocks := md.Int(), md.Int()
+		upRate, downRate := md.F64s(), md.F64s()
+		ports, maxTime := md.Int(), md.F64()
+		recTrace, hasFault, hasAdv, hasOpen := md.Bool(), md.Bool(), md.Bool(), md.Bool()
+		if err := md.Err(); err != nil {
 			return err
 		}
-		if err := st.have[v].SetWords(words); err != nil {
-			return checkpoint.Corruptf("asim: node %d blocks: %v", v, err)
+		if nodes != c.Nodes || blocks != c.Blocks || ports != c.DownloadPorts ||
+			maxTime != c.MaxTime || recTrace != c.RecordTrace ||
+			hasFault != (sw.Fault != nil) || hasAdv != (sw.Adv != nil) || hasOpen != (sw.Open != nil) ||
+			!equalF64s(upRate, c.UploadRate) || !equalF64s(downRate, c.DownloadRate) {
+			return fmt.Errorf("asim: snapshot taken under a different config (snapshot n=%d k=%d ports=%d maxTime=%v trace=%v fault=%v adv=%v open=%v)",
+				nodes, blocks, ports, maxTime, recTrace, hasFault, hasAdv, hasOpen)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	if !st.have[0].Full() {
-		return checkpoint.Corruptf("asim: server no longer holds the full file")
-	}
-	if sd.Bool() != (st.alive != nil) {
-		if sd.Err() == nil {
-			return checkpoint.Corruptf("asim: fault-state presence mismatch")
-		}
-	}
-	if st.alive != nil {
-		alive := sd.Bools()
-		aliveClients := sd.Int()
-		pendingRejoin := sd.Int()
-		if err := sd.Err(); err != nil {
+
+	if err := snap.Get(asecState, func(d *checkpoint.Decoder) error {
+		now := d.F64()
+		cc := d.F64s()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if len(alive) != c.Nodes || !alive[0] {
-			return checkpoint.Corruptf("asim: invalid alive mask")
+		if math.IsNaN(now) || math.IsInf(now, 0) || now < 0 {
+			return checkpoint.Corruptf("asim: time %v out of range", now)
 		}
-		n := 0
-		for _, a := range alive[1:] {
-			if a {
-				n++
+		if len(cc) != c.Nodes {
+			return checkpoint.Corruptf("asim: completion slice sized %d for %d nodes", len(cc), c.Nodes)
+		}
+		for v, t := range cc {
+			if math.IsNaN(t) || t < 0 || t > now {
+				return checkpoint.Corruptf("asim: node %d completion time %v out of range", v, t)
 			}
 		}
-		if aliveClients != n || pendingRejoin < 0 || pendingRejoin > c.Nodes-1 {
-			return checkpoint.Corruptf("asim: alive/rejoin counters inconsistent with mask")
+		st.now = now
+		copy(res.ClientCompletion, cc)
+		if !c.RecordTrace {
+			return nil
 		}
-		copy(st.alive, alive)
-		st.aliveClients = aliveClients
-		st.pendingRejoin = pendingRejoin
-	}
-	if sd.Bool() != (st.honest != nil) {
-		if sd.Err() == nil {
-			return checkpoint.Corruptf("asim: adversary-state presence mismatch")
-		}
-	}
-	if st.honest != nil {
-		st.completeHonest = sd.Int()
-		st.aliveHonest = sd.Int()
-		st.pendingRejoinHonest = sd.Int()
-	}
-	if err := sd.Finish(); err != nil {
-		return err
-	}
-	st.now = now
-	st.complete = complete
-	if err := e.checkProgressCounters(); err != nil {
-		return err
-	}
-
-	rp, err := snap.Section(asecResult)
-	if err != nil {
-		return err
-	}
-	rd := checkpoint.NewDecoder(rp)
-	res := e.res
-	cc := rd.F64s()
-	transfers := rd.Int()
-	lost := rd.Int()
-	corrupt := rd.Int()
-	nEvents := rd.Int()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if len(cc) != c.Nodes {
-		return checkpoint.Corruptf("asim: completion slice sized %d for %d nodes", len(cc), c.Nodes)
-	}
-	for v, t := range cc {
-		if math.IsNaN(t) || t < 0 || t > now {
-			return checkpoint.Corruptf("asim: node %d completion time %v out of range", v, t)
-		}
-	}
-	if transfers < 0 || lost < 0 || corrupt < 0 || nEvents < 0 || nEvents > rd.Remaining() {
-		return checkpoint.Corruptf("asim: negative result counters")
-	}
-	copy(res.ClientCompletion, cc)
-	res.Transfers, res.Lost, res.Corrupt = transfers, lost, corrupt
-	res.FaultLog = nil
-	prevT := 0.0
-	for i := 0; i < nEvents; i++ {
-		ev, err := decodeFaultEvent(rd, st.n)
-		if err != nil {
+		nTrace := d.Int()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if ev.Time < prevT || ev.Time > now {
-			return checkpoint.Corruptf("asim: fault log entry %d out of order", i)
-		}
-		prevT = ev.Time
-		res.FaultLog = append(res.FaultLog, ev)
-	}
-	res.AdvStalled = rd.Int()
-	res.AdvCorrupt = rd.Int()
-	res.HonestUseful = rd.Int()
-	res.HonestWasted = rd.Int()
-	if rd.Err() == nil && (res.AdvStalled < 0 || res.AdvCorrupt < 0 ||
-		res.HonestUseful < 0 || res.HonestWasted < 0) {
-		return checkpoint.Corruptf("asim: negative adversary counters")
-	}
-	if c.RecordTrace {
-		nTrace := rd.Int()
-		if err := rd.Err(); err != nil {
-			return err
-		}
-		if nTrace < 0 || nTrace > rd.Remaining() {
+		if nTrace < 0 || nTrace > d.Remaining() {
 			return checkpoint.Corruptf("asim: trace length %d invalid", nTrace)
 		}
 		res.Trace = res.Trace[:0]
 		prevEnd := 0.0
 		for i := 0; i < nTrace; i++ {
 			var tr TransferRecord
-			tr.Start, tr.End = rd.F64(), rd.F64()
-			tr.From, tr.To, tr.Block = int32(rd.U32()), int32(rd.U32()), int32(rd.U32())
-			tr.Lost, tr.Corrupt, tr.Adversary = rd.Bool(), rd.Bool(), rd.Bool()
-			if err := rd.Err(); err != nil {
+			tr.Start, tr.End = d.F64(), d.F64()
+			tr.From, tr.To, tr.Block = int32(d.U32()), int32(d.U32()), int32(d.U32())
+			tr.Lost, tr.Corrupt, tr.Adversary = d.Bool(), d.Bool(), d.Bool()
+			if err := d.Err(); err != nil {
 				return err
 			}
-			if tr.From < 0 || int(tr.From) >= st.n || tr.To < 0 || int(tr.To) >= st.n ||
-				tr.From == tr.To || tr.Block < 0 || int(tr.Block) >= st.k {
+			if tr.From < 0 || int(tr.From) >= c.Nodes || tr.To < 0 || int(tr.To) >= c.Nodes ||
+				tr.From == tr.To || tr.Block < 0 || int(tr.Block) >= c.Blocks {
 				return checkpoint.Corruptf("asim: trace record %d out of range", i)
 			}
 			if math.IsNaN(tr.Start) || tr.Start < 0 || tr.End < tr.Start ||
@@ -363,78 +209,30 @@ func (e *engine) restore(snap *checkpoint.Snapshot) error {
 			prevEnd = tr.End
 			res.Trace = append(res.Trace, tr)
 		}
-	}
-	if err := rd.Finish(); err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
-
-	if c.Fault != nil {
-		fp, err := snap.Section(asecFault)
-		if err != nil {
-			return err
-		}
-		fd := checkpoint.NewDecoder(fp)
-		if err := c.Fault.RestoreState(fd); err != nil {
-			return err
-		}
-		if err := fd.Finish(); err != nil {
-			return err
-		}
-	}
-	if e.adv != nil {
-		ap, err := snap.Section(asecAdversary)
-		if err != nil {
-			return err
-		}
-		ad := checkpoint.NewDecoder(ap)
-		if err := e.adv.RestoreState(ad); err != nil {
-			return err
-		}
-		if err := ad.Finish(); err != nil {
-			return err
-		}
-	}
-
-	if e.oa != nil {
-		op, err := snap.Section(asecArrival)
-		if err != nil {
-			return err
-		}
-		od := checkpoint.NewDecoder(op)
-		if err := e.oa.restore(od, st); err != nil {
-			return err
-		}
-		if err := od.Finish(); err != nil {
-			return err
-		}
-	}
-
-	if err := e.restoreQueue(snap); err != nil {
+	if err := sw.Restore(snap, st.now); err != nil {
 		return err
 	}
-
-	pp, err := snap.Section(asecProtocol)
-	if err != nil {
+	if err := snap.Get(asecEngine, e.restoreQueue); err != nil {
 		return err
 	}
-	pd := checkpoint.NewDecoder(pp)
-	if err := cp.RestoreState(pd, st); err != nil {
-		return fmt.Errorf("asim: protocol restore: %w", err)
-	}
-	return pd.Finish()
+	return snap.Get(asecProtocol, func(d *checkpoint.Decoder) error {
+		if err := cp.RestoreState(d, st); err != nil {
+			return fmt.Errorf("asim: protocol restore: %w", err)
+		}
+		return nil
+	})
 }
 
 // restoreQueue decodes the pending events and rebuilds every structure
 // derived from them: inFlight maps, upload ports, curUpload references,
-// and advWakePending flags. It must run after the state and plan
-// sections are restored — event validation reads both.
-func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
-	c, st := e.cfg, e.st
-	ep, err := snap.Section(asecEngine)
-	if err != nil {
-		return err
-	}
-	ed := checkpoint.NewDecoder(ep)
+// and advWakePending flags. It must run after the swarm sections are
+// restored — event validation reads the population and plan positions.
+func (e *engine) restoreQueue(ed *checkpoint.Decoder) error {
+	c, st, sw := e.cfg, e.st, e.sw
 	seq := ed.Int()
 	handled := ed.Int()
 	parked := ed.Bools()
@@ -449,19 +247,13 @@ func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
 		return checkpoint.Corruptf("asim: pending event count %d invalid", nPend)
 	}
 
-	// Drop whatever newEngine scheduled (initial timers, first crash):
-	// the snapshot's queue replaces it wholesale.
+	// Drop whatever newEngine scheduled (initial timers, first crash and
+	// arrival): the snapshot's queue replaces it wholesale.
 	e.queue = e.queue[:0]
-	nTimers := len(e.proto.Wakeups())
-	timerSeen := make([]bool, nTimers)
-	rejoinSeen := make([]bool, c.Nodes)
-	rejoins, rejoinsHonest := 0, 0
-	crashSeen := false
-	crashAt := 0.0
-	arriveSeen := false
-	arriveAt := 0.0
-	departSeen := make([]bool, c.Nodes)
-	departs := 0
+	timerSeen := make([]bool, len(e.proto.Wakeups()))
+	var population []fault.Event // queued rejoins and departures, in due order
+	crashSeen, arriveSeen := false, false
+	crashAt, arriveAt := 0.0, 0.0
 	prevAt, prevSeq := math.Inf(-1), 0
 	for i := 0; i < nPend; i++ {
 		at := ed.F64()
@@ -489,20 +281,20 @@ func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
 			if err := ed.Err(); err != nil {
 				return err
 			}
-			if from < 0 || from >= st.n || to < 0 || to >= st.n || from == to ||
-				block < 0 || block >= st.k {
+			if from < 0 || from >= c.Nodes || to < 0 || to >= c.Nodes || from == to ||
+				block < 0 || block >= c.Blocks {
 				return checkpoint.Corruptf("asim: transfer event %d out of range", i)
 			}
 			if !st.Alive(from) || !st.Alive(to) {
 				return checkpoint.Corruptf("asim: transfer event %d touches a dead node", i)
 			}
-			if !st.have[from].Has(block) || st.have[to].Has(block) {
+			if !st.Has(from, block) || st.Has(to, block) {
 				return checkpoint.Corruptf("asim: transfer event %d inconsistent with ownership", i)
 			}
 			if e.curUpload[from] != nil {
 				return checkpoint.Corruptf("asim: node %d has two uploads in flight", from)
 			}
-			if _, dup := st.inFlight[to][int32(block)]; dup {
+			if st.InFlightTo(to, block) {
 				return checkpoint.Corruptf("asim: block %d twice in flight to node %d", block, to)
 			}
 			if c.DownloadPorts != Unlimited && len(st.inFlight[to]) >= c.DownloadPorts {
@@ -524,64 +316,43 @@ func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
 			if err := ed.Err(); err != nil {
 				return err
 			}
-			if tm < 0 || tm >= nTimers || timerSeen[tm] {
+			if tm < 0 || tm >= len(timerSeen) || timerSeen[tm] {
 				return checkpoint.Corruptf("asim: timer event %d invalid or duplicated", tm)
 			}
 			timerSeen[tm] = true
 			ev.timer = tm
 		case evCrash:
-			if c.Fault == nil || crashSeen {
+			if sw.Fault == nil || crashSeen {
 				return checkpoint.Corruptf("asim: unexpected crash event")
 			}
 			crashSeen, crashAt = true, at
-		case evRejoin:
-			node := int(ed.U32())
-			if err := ed.Err(); err != nil {
-				return err
-			}
-			if c.Fault == nil || node < 1 || node >= st.n || st.alive[node] || rejoinSeen[node] {
-				return checkpoint.Corruptf("asim: rejoin event for node %d invalid", node)
-			}
-			rejoinSeen[node] = true
-			rejoins++
-			if st.honest != nil && st.honest[node] {
-				rejoinsHonest++
-			}
-			ev.node = node
-		case evAdvWake:
-			node := int(ed.U32())
-			if err := ed.Err(); err != nil {
-				return err
-			}
-			if e.adv == nil || node < 0 || node >= st.n || e.advWakePending[node] {
-				return checkpoint.Corruptf("asim: throttle wake for node %d invalid", node)
-			}
-			e.advWakePending[node] = true
-			ev.node = node
 		case evArrive:
-			if e.oa == nil || arriveSeen {
+			if sw.Open == nil || arriveSeen {
 				return checkpoint.Corruptf("asim: unexpected arrival event")
 			}
 			arriveSeen, arriveAt = true, at
-		case evDepart:
+		case evRejoin, evDepart, evAdvWake:
 			node := int(ed.U32())
 			if err := ed.Err(); err != nil {
 				return err
 			}
-			if e.oa == nil || node < 1 || node >= st.n || !st.alive[node] ||
-				!e.oa.departScheduled[node] || departSeen[node] {
-				return checkpoint.Corruptf("asim: departure event for node %d invalid", node)
-			}
-			departSeen[node] = true
-			departs++
 			ev.node = node
+			if kind != evAdvWake {
+				fk := fault.Rejoin
+				if kind == evDepart {
+					fk = fault.Depart
+				}
+				population = append(population, fault.Event{Time: at, Node: int32(node), Kind: fk})
+				break
+			}
+			if sw.Adv == nil || node < 0 || node >= c.Nodes || e.advWakePending[node] {
+				return checkpoint.Corruptf("asim: throttle wake for node %d invalid", node)
+			}
+			e.advWakePending[node] = true
 		default:
 			return checkpoint.Corruptf("asim: unknown event kind %d", kind)
 		}
 		e.queue = append(e.queue, ev)
-	}
-	if err := ed.Finish(); err != nil {
-		return err
 	}
 	heap.Init(&e.queue)
 
@@ -590,33 +361,24 @@ func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
 			return checkpoint.Corruptf("asim: a protocol timer has no pending event")
 		}
 	}
-	if c.Fault != nil {
-		if st.pendingRejoin != rejoins || st.pendingRejoinHonest != rejoinsHonest {
-			return checkpoint.Corruptf("asim: %d queued rejoins for %d pending", rejoins, st.pendingRejoin)
-		}
-		at, ok := c.Fault.NextCrash()
+	if err := sw.CheckPending(population, st.now); err != nil {
+		return err
+	}
+	if sw.Fault != nil {
+		at, ok := sw.Fault.NextCrash()
 		expect := ok && at <= c.MaxTime
 		if expect != crashSeen || (expect && crashAt != at) {
 			return checkpoint.Corruptf("asim: crash event inconsistent with fault plan position")
 		}
 	}
-	if e.oa != nil {
+	if sw.Open != nil {
 		// Exactly one arrival event is pending unless the pool is
 		// exhausted or the stream was cut by MaxTime, and its time is
 		// the restored plan's next draw.
-		expect := int(e.oa.nextID) < c.Nodes && !e.oa.truncated
-		if expect != arriveSeen || (expect && arriveAt != c.Arrivals.NextArrival()) {
+		at, ok := sw.NextArrival()
+		expect := ok && !sw.ArrivalsTruncated()
+		if expect != arriveSeen || (expect && arriveAt != at) {
 			return checkpoint.Corruptf("asim: arrival event inconsistent with arrival plan position")
-		}
-		// Every scheduled-but-alive departure has exactly one event.
-		want := 0
-		for v := 1; v < st.n; v++ {
-			if e.oa.departScheduled[v] && st.alive[v] {
-				want++
-			}
-		}
-		if departs != want {
-			return checkpoint.Corruptf("asim: %d queued departures for %d scheduled", departs, want)
 		}
 	}
 	for v, p := range parked {
@@ -627,139 +389,6 @@ func (e *engine) restoreQueue(snap *checkpoint.Snapshot) error {
 	copy(e.parked, parked)
 	e.seq = seq
 	e.handled = handled
-	return nil
-}
-
-// checkProgressCounters recounts completion from the restored ownership
-// and liveness masks and rejects snapshots whose running counters
-// disagree — the cheap end-to-end check that the sections belong
-// together.
-func (e *engine) checkProgressCounters() error {
-	st := e.st
-	complete, completeHonest, aliveHonest := 0, 0, 0
-	for v := 1; v < st.n; v++ {
-		if st.alive != nil && !st.alive[v] {
-			continue
-		}
-		honest := st.honest == nil || st.honest[v]
-		if honest {
-			aliveHonest++
-		}
-		if st.have[v].Full() {
-			complete++
-			if honest {
-				completeHonest++
-			}
-		}
-	}
-	if st.complete != complete {
-		return checkpoint.Corruptf("asim: %d complete clients recorded, mask says %d", st.complete, complete)
-	}
-	if st.honest != nil {
-		wantAlive := aliveHonest
-		if st.alive == nil {
-			wantAlive = st.honestClients
-		}
-		if st.completeHonest != completeHonest || st.aliveHonest != wantAlive {
-			return checkpoint.Corruptf("asim: honest progress counters inconsistent with masks")
-		}
-	}
-	return nil
-}
-
-func encodeFaultEvent(e *checkpoint.Encoder, ev fault.Event) {
-	e.F64(ev.Time)
-	e.U32(uint32(ev.Node))
-	e.U8(uint8(ev.Kind))
-	e.Bool(ev.Wiped)
-}
-
-func decodeFaultEvent(d *checkpoint.Decoder, n int) (fault.Event, error) {
-	ev := fault.Event{
-		Time: d.F64(),
-		Node: int32(d.U32()),
-		Kind: fault.Kind(d.U8()),
-	}
-	ev.Wiped = d.Bool()
-	if err := d.Err(); err != nil {
-		return fault.Event{}, err
-	}
-	if ev.Node < 1 || int(ev.Node) >= n {
-		return fault.Event{}, checkpoint.Corruptf("asim: fault event node %d out of range", ev.Node)
-	}
-	switch ev.Kind {
-	case fault.Crash, fault.Rejoin, fault.Arrive, fault.Depart:
-	default:
-		return fault.Event{}, checkpoint.Corruptf("asim: fault event kind %d invalid", ev.Kind)
-	}
-	return ev, nil
-}
-
-// snapshot appends the open-system bookkeeping: the arrival plan and
-// watchdog positions plus every per-peer array the verdict and sojourn
-// statistics are computed from.
-func (oa *asimArrivals) snapshot(e *checkpoint.Encoder) {
-	oa.plan.Snapshot(e)
-	oa.wd.Snapshot(e)
-	e.U32(uint32(oa.nextID))
-	e.F64s(oa.arrivedAt)
-	e.Int32s(oa.exitAfter)
-	e.Bools(oa.departScheduled)
-	e.Int(oa.departed)
-	e.Int(oa.earlyExits)
-	e.Int(oa.peak)
-	e.U32(uint32(oa.oldest))
-	e.Bool(oa.truncated)
-}
-
-// restore rewinds the open-system bookkeeping. Must run before
-// restoreQueue: the queued arrival and departure events are validated
-// against the restored plan position and departScheduled mask.
-func (oa *asimArrivals) restore(d *checkpoint.Decoder, st *State) error {
-	if err := oa.plan.RestoreState(d); err != nil {
-		return err
-	}
-	if err := oa.wd.RestoreState(d); err != nil {
-		return err
-	}
-	nextID := int32(d.U32())
-	arrivedAt := d.F64s()
-	exitAfter := d.Int32s()
-	departScheduled := d.Bools()
-	departed, earlyExits, peak := d.Int(), d.Int(), d.Int()
-	oldest := int32(d.U32())
-	truncated := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nextID < 1 || nextID > int32(st.n) {
-		return checkpoint.Corruptf("asim: arrival nextID %d out of range", nextID)
-	}
-	if len(arrivedAt) != st.n || len(exitAfter) != st.n || len(departScheduled) != st.n {
-		return checkpoint.Corruptf("asim: arrival arrays sized %d/%d/%d for %d nodes",
-			len(arrivedAt), len(exitAfter), len(departScheduled), st.n)
-	}
-	for v := 1; v < int(nextID); v++ {
-		if math.IsNaN(arrivedAt[v]) || arrivedAt[v] < 0 || arrivedAt[v] > st.now {
-			return checkpoint.Corruptf("asim: node %d arrival time %v out of range", v, arrivedAt[v])
-		}
-		if exitAfter[v] < 0 || int(exitAfter[v]) >= st.k {
-			return checkpoint.Corruptf("asim: node %d exit threshold %d out of range", v, exitAfter[v])
-		}
-	}
-	if departed < 0 || earlyExits < 0 || earlyExits > departed || peak < 0 {
-		return checkpoint.Corruptf("asim: arrival counters %d/%d/%d invalid", departed, earlyExits, peak)
-	}
-	if oldest < 1 || oldest > nextID {
-		return checkpoint.Corruptf("asim: oldest pointer %d outside [1, %d]", oldest, nextID)
-	}
-	oa.nextID = nextID
-	copy(oa.arrivedAt, arrivedAt)
-	copy(oa.exitAfter, exitAfter)
-	copy(oa.departScheduled, departScheduled)
-	oa.departed, oa.earlyExits, oa.peak = departed, earlyExits, peak
-	oa.oldest = oldest
-	oa.truncated = truncated
 	return nil
 }
 

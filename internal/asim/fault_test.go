@@ -2,6 +2,7 @@ package asim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"barterdist/internal/bitset"
@@ -168,6 +169,15 @@ func TestAuditCatchesDoctoredTrace(t *testing.T) {
 		{"forged final state", func(r *Result) { r.FinalHave[3].Remove(2) }},
 		{"shifted client completion", func(r *Result) { r.ClientCompletion[5] += 0.25 }},
 		{"understated completion time", func(r *Result) { r.CompletionTime /= 2 }},
+		// Fault logs on a closed, fault-free run: a NaN-timed event
+		// compares false against every neighbor, so only an explicit
+		// time check keeps it from slipping past the order check.
+		{"NaN-timed fault event", func(r *Result) {
+			r.FaultLog = []fault.Event{{Time: math.NaN(), Node: 3, Kind: fault.Crash}}
+		}},
+		{"fault log back in time", func(r *Result) {
+			r.FaultLog = []fault.Event{{Time: 2, Node: 3, Kind: fault.Crash}, {Time: 1, Node: 3, Kind: fault.Rejoin}}
+		}},
 	}
 	for _, tc := range cases {
 		res := fresh()

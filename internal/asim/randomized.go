@@ -93,28 +93,20 @@ func (a *AsyncRandomized) ensure(s *State) {
 	}
 }
 
-// recomputeFreq rebuilds the replication counts from the alive nodes'
-// holdings; crashes, wiped rejoins, and losses all invalidate the
-// incremental statistics at once, and the rebuild is cheap relative to
-// how rarely faults fire.
-func (a *AsyncRandomized) recomputeFreq(s *State) {
+// OnCrash implements FaultAware: the victim's blocks no longer serve
+// the swarm, so they leave the replication counts. Departures in an open
+// run arrive here too.
+func (a *AsyncRandomized) OnCrash(v int, s *State) {
 	a.ensure(s)
-	for b := range a.freq {
-		a.freq[b] = 0
-	}
-	for v := 0; v < s.N(); v++ {
-		if s.Alive(v) {
-			s.Blocks(v).AccumulateCounts(a.freq, 1)
-		}
-	}
+	s.Blocks(v).AccumulateCounts(a.freq, -1)
 }
 
-// OnCrash implements FaultAware: the victim's blocks no longer serve
-// the swarm, so rarity statistics are rebuilt over the survivors.
-func (a *AsyncRandomized) OnCrash(_ int, s *State) { a.recomputeFreq(s) }
-
-// OnRejoin implements FaultAware.
-func (a *AsyncRandomized) OnRejoin(_ int, _ bool, s *State) { a.recomputeFreq(s) }
+// OnRejoin implements FaultAware: the node's blocks count again — none
+// after a wipe, and none for an open-system arrival.
+func (a *AsyncRandomized) OnRejoin(v int, _ bool, s *State) {
+	a.ensure(s)
+	s.Blocks(v).AccumulateCounts(a.freq, 1)
+}
 
 // OnLoss implements FaultAware: the block never arrived, so the count
 // OnDeliver would have added is simply never added — nothing to undo.

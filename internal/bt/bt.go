@@ -295,28 +295,20 @@ func (p *Protocol) NextUpload(u int, s *asim.State) (asim.Upload, bool) {
 	return asim.Upload{}, false
 }
 
-// recomputeFreq rebuilds rarity statistics over the alive population.
-func (p *Protocol) recomputeFreq(s *asim.State) {
-	p.ensure(s)
-	for b := range p.freq {
-		p.freq[b] = 0
-	}
-	for v := 0; v < s.N(); v++ {
-		if s.Alive(v) {
-			s.Blocks(v).AccumulateCounts(p.freq, 1)
-		}
-	}
-}
-
 // OnCrash implements asim.FaultAware: drop the victim's holdings from
 // the rarity statistics. Its choke state is left in place — NextUpload
 // and the choke timers already route around dead peers — and the recv
 // credit it earned simply ages out at the next choke window.
-func (p *Protocol) OnCrash(_ int, s *asim.State) { p.recomputeFreq(s) }
+func (p *Protocol) OnCrash(v int, s *asim.State) {
+	p.ensure(s)
+	s.Blocks(v).AccumulateCounts(p.freq, -1)
+}
 
-// OnRejoin implements asim.FaultAware.
+// OnRejoin implements asim.FaultAware: the returning peer's holdings
+// (none after a wipe) count again.
 func (p *Protocol) OnRejoin(v int, _ bool, s *asim.State) {
-	p.recomputeFreq(s)
+	p.ensure(s)
+	s.Blocks(v).AccumulateCounts(p.freq, 1)
 	// The returning peer starts from a clean slate: everything choked
 	// except a fresh optimistic unchoke, exactly like a cold start.
 	p.unchoked[v] = p.unchoked[v][:0]

@@ -107,6 +107,29 @@ func (s *Snapshot) Section(name string) ([]byte, error) {
 	return nil, fmt.Errorf("checkpoint: snapshot has no %q section", name)
 }
 
+// Put encodes a section with fn into an encoder of the given initial
+// capacity and appends it.
+func (s *Snapshot) Put(name string, capacity int, fn func(*Encoder)) {
+	e := NewEncoder(capacity)
+	fn(e)
+	s.Add(name, e.Bytes())
+}
+
+// Get decodes the named section with fn and requires fn to consume it
+// exactly: a missing section, fn's error, a sticky decode error, and
+// trailing bytes all fail.
+func (s *Snapshot) Get(name string, fn func(*Decoder) error) error {
+	p, err := s.Section(name)
+	if err != nil {
+		return err
+	}
+	d := NewDecoder(p)
+	if err := fn(d); err != nil {
+		return err
+	}
+	return d.Finish()
+}
+
 // Has reports whether a section with the given name exists.
 func (s *Snapshot) Has(name string) bool {
 	_, err := s.Section(name)

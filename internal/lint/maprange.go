@@ -29,6 +29,9 @@ var mapIterScope = []string{
 	// watchdog or departure structure would leak straight into the
 	// trace.
 	"internal/arrival",
+	// The swarm core is both engines' population state, fate rulings,
+	// and checkpoint sections: engine code in all but name.
+	"internal/swarm",
 }
 
 // MapIterationAnalyzer flags `for ... range m` over a map in scheduler

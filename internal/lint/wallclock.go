@@ -29,6 +29,9 @@ var wallClockScope = []string{
 	// consume tick by tick; a wall-clock read there would decorrelate
 	// the Poisson schedule from the seed.
 	"internal/arrival",
+	// The swarm core is both engines' population state, fate rulings,
+	// and checkpoint sections: engine code in all but name.
+	"internal/swarm",
 }
 
 // wallClockFuncs are the package time entry points that observe or

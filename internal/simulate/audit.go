@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"math"
 
-	"barterdist/internal/adversary"
-	"barterdist/internal/arrival"
 	"barterdist/internal/bitset"
 	"barterdist/internal/fault"
 	"barterdist/internal/parallel"
+	"barterdist/internal/swarm"
 	"barterdist/internal/trace"
 )
 
@@ -595,11 +594,9 @@ func RunAudit(cfg Config, res *Result) error {
 	if c.Nodes == 1 {
 		return nil // vacuous run, nothing recorded
 	}
-	if res.FinalHave == nil {
-		return auditErr("result has no FinalHave snapshot; run with RecordTrace")
-	}
-	if len(res.FinalHave) != c.Nodes {
-		return auditErr("FinalHave has %d entries for %d nodes", len(res.FinalHave), c.Nodes)
+	honest, err := swarm.CheckArtifacts(c.Nodes, res.FinalHave, len(res.ClientCompletion), res.FinalAlive, res.Strategies)
+	if err != nil {
+		return auditErr("%v", err)
 	}
 	if res.Trace == nil {
 		return auditErr("result has no trace; run with RecordTrace")
@@ -608,30 +605,14 @@ func RunAudit(cfg Config, res *Result) error {
 		return auditErr("CompletionTime %d does not match trace length %d",
 			res.CompletionTime, res.Trace.Ticks())
 	}
-	if len(res.ClientCompletion) != c.Nodes {
-		return auditErr("ClientCompletion has %d entries for %d nodes", len(res.ClientCompletion), c.Nodes)
-	}
-	if res.FinalAlive != nil && len(res.FinalAlive) != c.Nodes {
-		return auditErr("FinalAlive has %d entries for %d nodes", len(res.FinalAlive), c.Nodes)
-	}
-
 	open := res.Open != nil
 	faulty := len(res.FaultLog) > 0 || res.FinalAlive != nil
 	tracked := open || faulty
-	adversarial := res.Strategies != nil
-	var honest []bool
+	adversarial := honest != nil
 	honestClients := 0
 	if adversarial {
-		if len(res.Strategies) != c.Nodes {
-			return auditErr("Strategies has %d entries for %d nodes", len(res.Strategies), c.Nodes)
-		}
-		if res.Strategies[0] != adversary.Honest {
-			return auditErr("node 0 (the server) is recorded as %v; it must stay honest", res.Strategies[0])
-		}
-		honest = make([]bool, c.Nodes)
-		for v, sg := range res.Strategies {
-			honest[v] = sg == adversary.Honest
-			if v > 0 && honest[v] {
+		for _, h := range honest[1:] {
+			if h {
 				honestClients++
 			}
 		}
@@ -674,38 +655,11 @@ func RunAudit(cfg Config, res *Result) error {
 
 	// The run must actually have finished under the engine's criterion.
 	if open {
-		// Open-system verdict and starvation audit: every peer that
-		// entered must be accounted for — completed, left early, or
-		// still present — including the peers that departed before
-		// completing.
-		o := res.Open
-		arrived := pre.arrived
-		switch o.Verdict {
-		case arrival.VerdictDrained:
-			if arrived != c.Nodes-1 {
-				return auditErr("drained verdict with %d/%d arrivals replayed", arrived, c.Nodes-1)
-			}
-			if sums.complete != sums.aliveClients {
-				return auditErr("drained verdict but %d/%d present clients complete", sums.complete, sums.aliveClients)
-			}
-		case arrival.VerdictUnstable:
-			// Bounded truncation: no completion requirement.
-		default:
-			return auditErr("open result carries verdict %v", o.Verdict)
-		}
-		if o.Arrived != arrived || o.Departed != pre.departed || o.EarlyExits != sums.earlyExits {
-			return auditErr("replay counts %d arrived / %d departed / %d early exits, result reports %d / %d / %d",
-				arrived, pre.departed, sums.earlyExits, o.Arrived, o.Departed, o.EarlyExits)
-		}
-		if o.Completed != sums.comp {
-			return auditErr("replay counts %d completions, open result reports %d", sums.comp, o.Completed)
-		}
-		if occ := sums.aliveClients - sums.complete; o.FinalOccupancy != occ {
-			return auditErr("replay leaves %d peers mid-download, open result reports %d", occ, o.FinalOccupancy)
-		}
-		if o.Arrived != o.Completed+o.EarlyExits+o.FinalOccupancy {
-			return auditErr("open run starves silently: %d arrived != %d completed + %d early exits + %d still present",
-				o.Arrived, o.Completed, o.EarlyExits, o.FinalOccupancy)
+		if err := swarm.AuditOpen(res.Open, c.Nodes, swarm.OpenCounts{
+			Arrived: pre.arrived, Departed: pre.departed, EarlyExits: sums.earlyExits,
+			Completed: sums.comp, Present: sums.aliveClients, Complete: sums.complete,
+		}); err != nil {
+			return auditErr("%v", err)
 		}
 	} else {
 		// st.AllClientsComplete() over the merged lane counters (the

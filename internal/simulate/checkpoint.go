@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"barterdist/internal/checkpoint"
-	"barterdist/internal/fault"
+	"barterdist/internal/swarm"
 	"barterdist/internal/trace"
 )
 
@@ -47,15 +47,12 @@ func (f SchedulerFunc) SnapshotState(*checkpoint.Encoder) error { return nil }
 // RestoreState implements CheckpointableScheduler (nothing to restore).
 func (f SchedulerFunc) RestoreState(*checkpoint.Decoder, *State) error { return nil }
 
-// Section names of a synchronous-engine snapshot.
+// Section names of a synchronous-engine snapshot; the population, event
+// log, and plan positions live in the swarm core's sections.
 const (
 	secMeta      = "sim/meta"
 	secState     = "sim/state"
-	secResult    = "sim/result"
 	secTrace     = "sim/trace"
-	secFault     = "sim/fault"
-	secAdversary = "sim/adversary"
-	secArrival   = "sim/arrival"
 	secScheduler = "sim/scheduler"
 )
 
@@ -67,86 +64,30 @@ func (r *runner) snapshot() (*checkpoint.Snapshot, error) {
 		return nil, fmt.Errorf("simulate: scheduler %T does not support checkpointing", r.sched)
 	}
 	snap := &checkpoint.Snapshot{}
-
-	meta := checkpoint.NewEncoder(64)
-	c := r.c
-	meta.Int(c.Nodes)
-	meta.Int(c.Blocks)
-	meta.Int(c.UploadCap)
-	meta.Int(c.ServerUploadCap)
-	meta.Int(c.DownloadCap)
-	meta.Bool(c.RecordTrace)
-	meta.Bool(r.sf != nil)
-	meta.Bool(r.adv != nil)
-	meta.Bool(r.oa != nil)
-	snap.Add(secMeta, meta.Bytes())
-
-	st := r.st
-	se := checkpoint.NewEncoder(64 + c.Nodes*(c.Blocks/8+16))
-	se.Int(st.tick)
-	se.Int(st.complete)
-	for _, h := range st.have {
-		se.Uint64s(h.Words())
-	}
-	se.Bool(st.alive != nil)
-	if st.alive != nil {
-		se.Bools(st.alive)
-		se.Int(st.aliveClients)
-		se.Int(st.pendingRejoin)
-	}
-	se.Bool(st.honest != nil)
-	if st.honest != nil {
-		se.Int(st.completeHonest)
-		se.Int(st.aliveHonest)
-		se.Int(st.pendingRejoinHonest)
-	}
-	encodeLost(se, st.lost)
-	snap.Add(secState, se.Bytes())
-
-	res := r.res
-	re := checkpoint.NewEncoder(256)
-	re.Ints(res.ClientCompletion)
-	re.Int(res.TotalTransfers)
-	re.Int(res.UsefulTransfers)
-	re.Ints(res.UploadsPerTick)
-	re.Int(len(res.FaultLog))
-	for _, ev := range res.FaultLog {
-		encodeEvent(re, ev)
-	}
-	re.Int(res.LostTransfers)
-	re.Int(res.CorruptTransfers)
-	re.Int(res.AdvRefused)
-	re.Int(res.AdvStalled)
-	re.Int(res.AdvCorrupt)
-	re.Int(res.HonestUseful)
-	re.Int(res.HonestWasted)
-	snap.Add(secResult, re.Bytes())
-
+	c, st, res, sw := r.c, r.st, r.res, r.sw
+	snap.Put(secMeta, 64, func(e *checkpoint.Encoder) {
+		e.Int(c.Nodes)
+		e.Int(c.Blocks)
+		e.Int(c.UploadCap)
+		e.Int(c.ServerUploadCap)
+		e.Int(c.DownloadCap)
+		e.Bool(c.RecordTrace)
+		e.Bool(sw.Fault != nil)
+		e.Bool(sw.Adv != nil)
+		e.Bool(sw.Open != nil)
+	})
+	sw.Snapshot(snap)
+	snap.Put(secState, 256+8*c.Nodes, func(e *checkpoint.Encoder) {
+		e.Int(st.tick)
+		encodeLost(e, st.lost)
+		swarm.EncodeEvents(e, r.pending)
+		e.Ints(res.ClientCompletion)
+		e.Int(res.TotalTransfers)
+		e.Ints(res.UploadsPerTick)
+	})
 	if c.RecordTrace {
-		te := checkpoint.NewEncoder(64 + 16*res.Trace.Len())
-		res.Trace.Snapshot(te)
-		snap.Add(secTrace, te.Bytes())
+		snap.Put(secTrace, 64+16*res.Trace.Len(), res.Trace.Snapshot)
 	}
-	if r.sf != nil {
-		fe := checkpoint.NewEncoder(128)
-		r.sf.plan.Snapshot(fe)
-		fe.Int(len(r.sf.rejoins))
-		for _, ev := range r.sf.rejoins {
-			encodeEvent(fe, ev)
-		}
-		snap.Add(secFault, fe.Bytes())
-	}
-	if r.adv != nil {
-		ae := checkpoint.NewEncoder(64 + 16*c.Nodes)
-		r.adv.Snapshot(ae)
-		snap.Add(secAdversary, ae.Bytes())
-	}
-	if r.oa != nil {
-		oe := checkpoint.NewEncoder(256 + 12*c.Nodes)
-		r.oa.snapshot(oe)
-		snap.Add(secArrival, oe.Bytes())
-	}
-
 	sche := checkpoint.NewEncoder(1024)
 	if err := cs.SnapshotState(sche); err != nil {
 		return nil, fmt.Errorf("simulate: scheduler snapshot: %w", err)
@@ -164,219 +105,95 @@ func (r *runner) restore(snap *checkpoint.Snapshot) error {
 	if !ok {
 		return fmt.Errorf("simulate: scheduler %T does not support checkpointing", r.sched)
 	}
-
-	mp, err := snap.Section(secMeta)
-	if err != nil {
-		return err
-	}
-	md := checkpoint.NewDecoder(mp)
-	c := r.c
-	nodes, blocks := md.Int(), md.Int()
-	upCap, srvCap, downCap := md.Int(), md.Int(), md.Int()
-	recTrace, hasFault, hasAdv := md.Bool(), md.Bool(), md.Bool()
-	hasOpen := md.Bool()
-	if err := md.Finish(); err != nil {
-		return err
-	}
-	if nodes != c.Nodes || blocks != c.Blocks || upCap != c.UploadCap ||
-		srvCap != c.ServerUploadCap || downCap != c.DownloadCap ||
-		recTrace != c.RecordTrace || hasFault != (r.sf != nil) || hasAdv != (r.adv != nil) ||
-		hasOpen != (r.oa != nil) {
-		return fmt.Errorf("simulate: snapshot taken under a different config (snapshot n=%d k=%d U=%d/%d D=%d trace=%v fault=%v adv=%v open=%v)",
-			nodes, blocks, upCap, srvCap, downCap, recTrace, hasFault, hasAdv, hasOpen)
-	}
-
-	sp, err := snap.Section(secState)
-	if err != nil {
-		return err
-	}
-	sd := checkpoint.NewDecoder(sp)
-	st := r.st
-	tick := sd.Int()
-	complete := sd.Int()
-	if sd.Err() == nil && (tick < 1 || complete < 0 || complete > c.Nodes-1) {
-		return checkpoint.Corruptf("simulate: tick %d / complete %d out of range", tick, complete)
-	}
-	for v := range st.have {
-		words := sd.Uint64s()
-		if err := sd.Err(); err != nil {
+	c, st, res, sw := r.c, r.st, r.res, r.sw
+	if err := snap.Get(secMeta, func(d *checkpoint.Decoder) error {
+		nodes, blocks := d.Int(), d.Int()
+		upCap, srvCap, downCap := d.Int(), d.Int(), d.Int()
+		recTrace, hasFault, hasAdv, hasOpen := d.Bool(), d.Bool(), d.Bool(), d.Bool()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if err := st.have[v].SetWords(words); err != nil {
-			return checkpoint.Corruptf("simulate: node %d blocks: %v", v, err)
+		if nodes != c.Nodes || blocks != c.Blocks || upCap != c.UploadCap ||
+			srvCap != c.ServerUploadCap || downCap != c.DownloadCap || recTrace != c.RecordTrace ||
+			hasFault != (sw.Fault != nil) || hasAdv != (sw.Adv != nil) || hasOpen != (sw.Open != nil) {
+			return fmt.Errorf("simulate: snapshot taken under a different config (snapshot n=%d k=%d U=%d/%d D=%d trace=%v fault=%v adv=%v open=%v)",
+				nodes, blocks, upCap, srvCap, downCap, recTrace, hasFault, hasAdv, hasOpen)
 		}
-	}
-	if sd.Bool() != (st.alive != nil) {
-		if sd.Err() == nil {
-			return checkpoint.Corruptf("simulate: fault-state presence mismatch")
-		}
-	}
-	if st.alive != nil {
-		alive := sd.Bools()
-		st.aliveClients = sd.Int()
-		st.pendingRejoin = sd.Int()
-		if sd.Err() == nil {
-			if len(alive) != c.Nodes {
-				return checkpoint.Corruptf("simulate: alive mask sized %d for %d nodes", len(alive), c.Nodes)
-			}
-			copy(st.alive, alive)
-		}
-	}
-	if sd.Bool() != (st.honest != nil) {
-		if sd.Err() == nil {
-			return checkpoint.Corruptf("simulate: adversary-state presence mismatch")
-		}
-	}
-	if st.honest != nil {
-		st.completeHonest = sd.Int()
-		st.aliveHonest = sd.Int()
-		st.pendingRejoinHonest = sd.Int()
-	}
-	lost, err := decodeLost(sd, st.n, st.k)
-	if err != nil {
+		return nil
+	}); err != nil {
 		return err
 	}
-	st.lost = lost
-	if err := sd.Finish(); err != nil {
-		return err
-	}
-	st.tick = tick
-	st.complete = complete
 
-	rp, err := snap.Section(secResult)
-	if err != nil {
-		return err
-	}
-	rd := checkpoint.NewDecoder(rp)
-	res := r.res
-	cc := rd.Ints()
-	res.TotalTransfers = rd.Int()
-	res.UsefulTransfers = rd.Int()
-	upt := rd.Ints()
-	nEvents := rd.Int()
-	if rd.Err() == nil {
-		if len(cc) != c.Nodes {
-			return checkpoint.Corruptf("simulate: completion slice sized %d for %d nodes", len(cc), c.Nodes)
+	if err := snap.Get(secState, func(d *checkpoint.Decoder) error {
+		tick := d.Int()
+		if err := d.Err(); err != nil {
+			return err
 		}
-		if len(upt) != tick {
-			return checkpoint.Corruptf("simulate: %d per-tick upload counts after %d ticks", len(upt), tick)
+		if tick < 1 {
+			return checkpoint.Corruptf("simulate: tick %d out of range", tick)
 		}
-		if nEvents < 0 {
-			return checkpoint.Corruptf("simulate: negative fault-log length")
-		}
-	}
-	copy(res.ClientCompletion, cc)
-	res.UploadsPerTick = append(res.UploadsPerTick[:0], upt...)
-	res.FaultLog = nil
-	for i := 0; i < nEvents && rd.Err() == nil; i++ {
-		ev, err := decodeEvent(rd, st.n)
+		lost, err := decodeLost(d, c.Nodes, c.Blocks)
 		if err != nil {
 			return err
 		}
-		res.FaultLog = append(res.FaultLog, ev)
+		pending, err := swarm.DecodeEvents(d, c.Nodes)
+		if err != nil {
+			return err
+		}
+		cc, total, upt := d.Ints(), d.Int(), d.Ints()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if len(cc) != c.Nodes || len(upt) != tick || total < 0 {
+			return checkpoint.Corruptf("simulate: %d completion ticks, %d per-tick upload counts after %d ticks",
+				len(cc), len(upt), tick)
+		}
+		for v, ct := range cc {
+			if ct < 0 || ct > tick {
+				return checkpoint.Corruptf("simulate: node %d completion tick %d out of range", v, ct)
+			}
+		}
+		st.tick, st.lost, r.pending = tick, lost, pending
+		copy(res.ClientCompletion, cc)
+		res.TotalTransfers = total
+		res.UploadsPerTick = append(res.UploadsPerTick[:0], upt...)
+		return nil
+	}); err != nil {
+		return err
 	}
-	res.LostTransfers = rd.Int()
-	res.CorruptTransfers = rd.Int()
-	res.AdvRefused = rd.Int()
-	res.AdvStalled = rd.Int()
-	res.AdvCorrupt = rd.Int()
-	res.HonestUseful = rd.Int()
-	res.HonestWasted = rd.Int()
-	if err := rd.Finish(); err != nil {
+	now := float64(st.tick)
+	if err := sw.Restore(snap, now); err != nil {
+		return err
+	}
+	if err := sw.CheckPending(r.pending, now); err != nil {
 		return err
 	}
 
 	if c.RecordTrace {
-		tp, err := snap.Section(secTrace)
-		if err != nil {
-			return err
-		}
-		td := checkpoint.NewDecoder(tp)
-		log, err := trace.Restore(td)
-		if err != nil {
-			return err
-		}
-		if err := td.Finish(); err != nil {
-			return err
-		}
-		if log.Kinded() != res.Trace.Kinded() {
-			return checkpoint.Corruptf("simulate: trace kindedness mismatch")
-		}
-		if log.Ticks() != tick {
-			return checkpoint.Corruptf("simulate: trace holds %d ticks, state at tick %d", log.Ticks(), tick)
-		}
-		res.Trace = log
-	}
-
-	if r.sf != nil {
-		fp, err := snap.Section(secFault)
-		if err != nil {
-			return err
-		}
-		fd := checkpoint.NewDecoder(fp)
-		if err := r.sf.plan.RestoreState(fd); err != nil {
-			return err
-		}
-		nRejoins := fd.Int()
-		if fd.Err() == nil && nRejoins < 0 {
-			return checkpoint.Corruptf("simulate: negative rejoin count")
-		}
-		r.sf.rejoins = nil
-		prev := 0.0
-		for i := 0; i < nRejoins && fd.Err() == nil; i++ {
-			ev, err := decodeEvent(fd, st.n)
+		if err := snap.Get(secTrace, func(d *checkpoint.Decoder) error {
+			log, err := trace.Restore(d)
 			if err != nil {
 				return err
 			}
-			if ev.Kind != fault.Rejoin || ev.Time < prev {
-				return checkpoint.Corruptf("simulate: rejoin queue entry %d invalid", i)
+			if log.Kinded() != res.Trace.Kinded() {
+				return checkpoint.Corruptf("simulate: trace kindedness mismatch")
 			}
-			prev = ev.Time
-			r.sf.rejoins = append(r.sf.rejoins, ev)
-		}
-		if err := fd.Finish(); err != nil {
-			return err
-		}
-	}
-	if r.adv != nil {
-		ap, err := snap.Section(secAdversary)
-		if err != nil {
-			return err
-		}
-		ad := checkpoint.NewDecoder(ap)
-		if err := r.adv.RestoreState(ad); err != nil {
-			return err
-		}
-		if err := ad.Finish(); err != nil {
-			return err
-		}
-	}
-	if r.oa != nil {
-		op, err := snap.Section(secArrival)
-		if err != nil {
-			return err
-		}
-		od := checkpoint.NewDecoder(op)
-		if err := r.oa.restore(od, st, tick); err != nil {
-			return err
-		}
-		if err := od.Finish(); err != nil {
+			if log.Ticks() != st.tick {
+				return checkpoint.Corruptf("simulate: trace holds %d ticks, state at tick %d", log.Ticks(), st.tick)
+			}
+			res.Trace = log
+			return nil
+		}); err != nil {
 			return err
 		}
 	}
 
-	shp, err := snap.Section(secScheduler)
-	if err != nil {
-		return err
-	}
-	shd := checkpoint.NewDecoder(shp)
-	if err := cs.RestoreState(shd, st); err != nil {
-		return fmt.Errorf("simulate: scheduler restore: %w", err)
-	}
-	if err := shd.Finish(); err != nil {
-		return err
-	}
-	return nil
+	return snap.Get(secScheduler, func(d *checkpoint.Decoder) error {
+		if err := cs.RestoreState(d, st); err != nil {
+			return fmt.Errorf("simulate: scheduler restore: %w", err)
+		}
+		return nil
+	})
 }
 
 func encodeLost(e *checkpoint.Encoder, lost []LostTransfer) {
@@ -415,131 +232,6 @@ func decodeLost(d *checkpoint.Decoder, n, k int) ([]LostTransfer, error) {
 		})
 	}
 	return lost, nil
-}
-
-func encodeEvent(e *checkpoint.Encoder, ev fault.Event) {
-	e.F64(ev.Time)
-	e.U32(uint32(ev.Node))
-	e.U8(uint8(ev.Kind))
-	e.Bool(ev.Wiped)
-}
-
-func decodeEvent(d *checkpoint.Decoder, n int) (fault.Event, error) {
-	ev := fault.Event{
-		Time: d.F64(),
-		Node: int32(d.U32()),
-		Kind: fault.Kind(d.U8()),
-	}
-	ev.Wiped = d.Bool()
-	if err := d.Err(); err != nil {
-		return fault.Event{}, err
-	}
-	if ev.Node < 1 || int(ev.Node) >= n {
-		return fault.Event{}, checkpoint.Corruptf("simulate: fault event node %d out of range", ev.Node)
-	}
-	switch ev.Kind {
-	case fault.Crash, fault.Rejoin, fault.Arrive, fault.Depart:
-	default:
-		return fault.Event{}, checkpoint.Corruptf("simulate: fault event kind %d invalid", ev.Kind)
-	}
-	return ev, nil
-}
-
-// snapshot appends the open-system bookkeeping: the arrival plan and
-// watchdog positions, the departure queue, and every per-peer array the
-// verdict and sojourn statistics are computed from.
-func (oa *simArrivals) snapshot(e *checkpoint.Encoder) {
-	oa.plan.Snapshot(e)
-	oa.wd.Snapshot(e)
-	e.U32(uint32(oa.nextID))
-	e.Int(len(oa.departs))
-	for _, ev := range oa.departs {
-		encodeEvent(e, ev)
-	}
-	e.Int32s(oa.arrivedAt)
-	e.Int32s(oa.exitAfter)
-	e.Bools(oa.departScheduled)
-	e.Int(oa.departed)
-	e.Int(oa.earlyExits)
-	e.Int(oa.peak)
-	e.U32(uint32(oa.oldest))
-	e.Bool(oa.occupancy != nil)
-	if oa.occupancy != nil {
-		e.Int32s(oa.occupancy)
-	}
-}
-
-// restore rewinds the open-system bookkeeping from a snapshot taken at
-// the end of tick. The watchdog's windows, the departure queue, and the
-// occupancy trajectory must all be internally consistent or the
-// snapshot is rejected as corrupt.
-func (oa *simArrivals) restore(d *checkpoint.Decoder, st *State, tick int) error {
-	if err := oa.plan.RestoreState(d); err != nil {
-		return err
-	}
-	if err := oa.wd.RestoreState(d); err != nil {
-		return err
-	}
-	nextID := int32(d.U32())
-	if d.Err() == nil && (nextID < 1 || nextID > int32(st.n)) {
-		return checkpoint.Corruptf("simulate: arrival nextID %d out of range", nextID)
-	}
-	nDeparts := d.Int()
-	if d.Err() == nil && (nDeparts < 0 || nDeparts > st.n) {
-		return checkpoint.Corruptf("simulate: departure queue length %d invalid", nDeparts)
-	}
-	oa.departs = nil
-	prev := 0.0
-	for i := 0; i < nDeparts && d.Err() == nil; i++ {
-		ev, err := decodeEvent(d, st.n)
-		if err != nil {
-			return err
-		}
-		if ev.Kind != fault.Depart || ev.Time < prev {
-			return checkpoint.Corruptf("simulate: departure queue entry %d invalid", i)
-		}
-		prev = ev.Time
-		oa.departs = append(oa.departs, ev)
-	}
-	arrivedAt := d.Int32s()
-	exitAfter := d.Int32s()
-	departScheduled := d.Bools()
-	departed, earlyExits, peak := d.Int(), d.Int(), d.Int()
-	oldest := int32(d.U32())
-	hasOcc := d.Bool()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(arrivedAt) != st.n || len(exitAfter) != st.n || len(departScheduled) != st.n {
-		return checkpoint.Corruptf("simulate: arrival arrays sized %d/%d/%d for %d nodes",
-			len(arrivedAt), len(exitAfter), len(departScheduled), st.n)
-	}
-	if departed < 0 || earlyExits < 0 || earlyExits > departed || peak < 0 {
-		return checkpoint.Corruptf("simulate: arrival counters %d/%d/%d invalid", departed, earlyExits, peak)
-	}
-	if oldest < 1 || oldest > nextID {
-		return checkpoint.Corruptf("simulate: oldest pointer %d outside [1, %d]", oldest, nextID)
-	}
-	if hasOcc != (oa.occupancy != nil) {
-		return checkpoint.Corruptf("simulate: occupancy trajectory presence mismatch")
-	}
-	if hasOcc {
-		occ := d.Int32s()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if len(occ) != tick {
-			return checkpoint.Corruptf("simulate: occupancy trajectory holds %d ticks, state at tick %d", len(occ), tick)
-		}
-		oa.occupancy = append(oa.occupancy[:0], occ...)
-	}
-	oa.nextID = nextID
-	copy(oa.arrivedAt, arrivedAt)
-	copy(oa.exitAfter, exitAfter)
-	copy(oa.departScheduled, departScheduled)
-	oa.departed, oa.earlyExits, oa.peak = departed, earlyExits, peak
-	oa.oldest = oldest
-	return nil
 }
 
 // maybeCheckpoint writes a snapshot if the policy asks for one at the

@@ -287,7 +287,7 @@ func TestAuditCatchesCheatingScheduler(t *testing.T) {
 		have[0].Add(b)
 	}
 	res := &Result{ClientCompletion: make([]int, cfg.Nodes), Trace: trace.New(false)}
-	st := &State{n: cfg.Nodes, k: cfg.Blocks, have: have}
+	st := &State{} // the forging scheduler never reads it
 	complete := func() int {
 		c := 0
 		for v := 1; v < cfg.Nodes; v++ {

@@ -55,6 +55,7 @@ import (
 	"barterdist/internal/bitset"
 	"barterdist/internal/checkpoint"
 	"barterdist/internal/fault"
+	"barterdist/internal/swarm"
 	"barterdist/internal/trace"
 )
 
@@ -175,17 +176,7 @@ func (c *Config) Validate() error {
 	if c.DownloadCap < 0 {
 		bad = append(bad, fmt.Sprintf("DownloadCap = %d, need >= 0", c.DownloadCap))
 	}
-	if c.Arrivals != nil {
-		if c.Nodes < 2 {
-			bad = append(bad, "open-system mode needs Nodes >= 2 (capacity for at least one arrival)")
-		}
-		if c.Fault != nil {
-			bad = append(bad, "Arrivals cannot combine with Fault (open-system churn owns the liveness mask)")
-		}
-		if c.Adversary != nil {
-			bad = append(bad, "Arrivals cannot combine with Adversary (open-system completion semantics differ)")
-		}
-	}
+	bad = append(bad, swarm.PlanConflicts(c.Nodes, c.Fault, c.Adversary, c.Arrivals)...)
 	if c.AuditWorkers < 0 {
 		bad = append(bad, fmt.Sprintf("AuditWorkers = %d, need >= 0", c.AuditWorkers))
 	}
@@ -220,74 +211,20 @@ func (c Config) withDefaults() Config {
 }
 
 // State is the global block-ownership state exposed read-only to
-// schedulers.
+// schedulers. The population view — block sets, liveness, honesty,
+// completion counters — is the shared swarm core's; the engine adds the
+// tick clock and the per-tick fault and loss feedback.
 type State struct {
-	n, k     int
-	have     []*bitset.Set
-	complete int // alive clients (not server) holding all k blocks
-	tick     int // last completed tick
+	*swarm.Peers
+	tick int // last completed tick
 
-	// Fault-layer view; all nil/zero without a fault plan.
-	alive         []bool
-	aliveClients  int
-	pendingRejoin int
-	events        []fault.Event  // applied at the start of the current tick
-	lost          []LostTransfer // dropped in the previous tick
-
-	// Adversary-layer view; all nil/zero without an adversary plan.
-	adv                 *adversary.Plan // engine runs only; nil in audit replays
-	honest              []bool          // honest[v]: node v plays by the protocol
-	honestClients       int             // honest clients (server excluded)
-	completeHonest      int             // alive honest clients holding all k blocks
-	aliveHonest         int             // honest clients currently up
-	pendingRejoinHonest int             // honest clients scheduled to rejoin
+	events []fault.Event  // applied at the start of the current tick
+	lost   []LostTransfer // dropped in the previous tick
+	adv    *adversary.Plan
 }
-
-func newState(n, k int) *State {
-	s := &State{n: n, k: k, have: make([]*bitset.Set, n)}
-	for i := range s.have {
-		s.have[i] = bitset.New(k)
-	}
-	for b := 0; b < k; b++ {
-		s.have[0].Add(b)
-	}
-	if n == 1 {
-		s.complete = 0
-	}
-	return s
-}
-
-// N returns the node count (server included).
-func (s *State) N() int { return s.n }
-
-// K returns the block count.
-func (s *State) K() int { return s.k }
 
 // Tick returns the index of the last completed tick (0 before the first).
 func (s *State) Tick() int { return s.tick }
-
-// Has reports whether node v currently holds block b.
-func (s *State) Has(v, b int) bool { return s.have[v].Has(b) }
-
-// Blocks returns node v's block set. Callers must treat it as read-only;
-// mutating it corrupts the simulation.
-func (s *State) Blocks(v int) *bitset.Set { return s.have[v] }
-
-// CountOf returns how many blocks node v holds.
-func (s *State) CountOf(v int) int { return s.have[v].Count() }
-
-// Alive reports whether node v is currently up. Without a fault plan
-// every node is always alive.
-func (s *State) Alive(v int) bool { return s.alive == nil || s.alive[v] }
-
-// AliveClients returns the number of clients currently up (n-1 without
-// a fault plan).
-func (s *State) AliveClients() int {
-	if s.alive == nil {
-		return s.n - 1
-	}
-	return s.aliveClients
-}
 
 // FaultEvents returns the crash/rejoin events applied at the start of
 // the current tick, in application order. Schedulers use it to
@@ -302,53 +239,12 @@ func (s *State) FaultEvents() []fault.Event { return s.events }
 // is reused across ticks; treat it as read-only and do not retain it.
 func (s *State) LostLastTick() []LostTransfer { return s.lost }
 
-// ClientsComplete returns the number of alive clients holding the
-// entire file.
-func (s *State) ClientsComplete() int { return s.complete }
-
-// Adversarial reports whether an adversary plan is active — the cue
-// for defensive schedulers to build their quarantine tables.
-func (s *State) Adversarial() bool { return s.honest != nil }
-
-// Honest reports whether node v plays by the protocol. Without an
-// adversary plan every node is honest.
-func (s *State) Honest(v int) bool { return s.honest == nil || s.honest[v] }
-
-// HonestClientsComplete returns the number of alive honest clients
-// holding the entire file (equal to ClientsComplete without an
-// adversary plan).
-func (s *State) HonestClientsComplete() int {
-	if s.honest == nil {
-		return s.complete
-	}
-	return s.completeHonest
-}
-
 // Refuses reports whether node u's own strategy refuses uploads in the
 // current tick. A node knows its *own* strategy — schedulers may use
 // this to model a misbehaving node declining to offer, but learn other
 // nodes' strategies only through observed stalls and garbage.
 func (s *State) Refuses(u int) bool {
 	return s.adv != nil && s.adv.Refuses(u, float64(s.tick+1))
-}
-
-// AllClientsComplete reports whether dissemination has finished: every
-// client that is still part of the system holds the whole file. Under a
-// fault plan, permanently departed nodes are excluded and nodes that
-// are scheduled to rejoin still count as pending. Under an adversary
-// plan only *honest* clients count — a free-rider that starves under
-// barter must not hold the swarm hostage.
-func (s *State) AllClientsComplete() bool {
-	if s.honest != nil {
-		if s.alive == nil {
-			return s.completeHonest == s.honestClients
-		}
-		return s.completeHonest == s.aliveHonest && s.pendingRejoinHonest == 0
-	}
-	if s.alive == nil {
-		return s.complete == s.n-1
-	}
-	return s.complete == s.aliveClients && s.pendingRejoin == 0
 }
 
 // Scheduler proposes each tick's transfers.
@@ -462,12 +358,6 @@ func (r *Result) Efficiency(n int) float64 {
 // configured budget — typically a livelocked or deadlocked protocol.
 var ErrMaxTicks = errors.New("simulate: exceeded MaxTicks before completion")
 
-// simFaults carries the engine-side fault bookkeeping for one run.
-type simFaults struct {
-	plan    *fault.Plan
-	rejoins []fault.Event // pending rejoins, sorted by Time ascending
-}
-
 // rejoinTick converts a crash applied at tick t with rejoin delay d
 // into the tick at which the node returns: the first tick boundary at
 // least d after the crash, and never the crash tick itself.
@@ -479,89 +369,6 @@ func rejoinTick(t int, delay float64) int {
 	return rt
 }
 
-// beginTick applies every fault event scheduled for the start of tick t
-// and exposes them through the State. It returns an error only on
-// internal inconsistencies.
-func (sf *simFaults) beginTick(t int, st *State, res *Result) {
-	st.events = st.events[:0]
-	// Rejoins first: a slot freed by an old crash refills before new
-	// crashes are drawn, so a same-tick crash can hit the rejoined node.
-	for len(sf.rejoins) > 0 && sf.rejoins[0].Time <= float64(t) {
-		ev := sf.rejoins[0]
-		sf.rejoins = sf.rejoins[1:]
-		ev.Time = float64(t)
-		sf.applyRejoin(ev, st, res)
-	}
-	for {
-		at, ok := sf.plan.NextCrash()
-		if !ok || at > float64(t) {
-			break
-		}
-		sf.plan.TakeCrash()
-		v := sf.plan.PickVictim(st.n,
-			func(v int) bool { return st.alive[v] },
-			func(v int) int { return st.have[v].Count() })
-		if v < 0 {
-			continue // nobody left to kill
-		}
-		sf.applyCrash(t, v, st, res)
-	}
-}
-
-func (sf *simFaults) applyCrash(t, v int, st *State, res *Result) {
-	st.alive[v] = false
-	st.aliveClients--
-	if st.have[v].Full() {
-		st.complete--
-	}
-	if st.honest != nil && st.honest[v] {
-		st.aliveHonest--
-		if st.have[v].Full() {
-			st.completeHonest--
-		}
-	}
-	ev := fault.Event{Time: float64(t), Node: int32(v), Kind: fault.Crash}
-	st.events = append(st.events, ev)
-	res.FaultLog = append(res.FaultLog, ev)
-	if delay, ok := sf.plan.Rejoins(); ok {
-		st.pendingRejoin++
-		if st.honest != nil && st.honest[v] {
-			st.pendingRejoinHonest++
-		}
-		sf.rejoins = append(sf.rejoins, fault.Event{
-			Time:  float64(rejoinTick(t, delay)),
-			Node:  int32(v),
-			Kind:  fault.Rejoin,
-			Wiped: sf.plan.RejoinWipes(),
-		})
-		sort.SliceStable(sf.rejoins, func(i, j int) bool {
-			return sf.rejoins[i].Time < sf.rejoins[j].Time
-		})
-	}
-}
-
-func (sf *simFaults) applyRejoin(ev fault.Event, st *State, res *Result) {
-	v := int(ev.Node)
-	st.alive[v] = true
-	st.aliveClients++
-	st.pendingRejoin--
-	if st.honest != nil && st.honest[v] {
-		st.aliveHonest++
-		st.pendingRejoinHonest--
-	}
-	if ev.Wiped {
-		st.have[v].Clear()
-		res.ClientCompletion[v] = 0
-	} else if st.have[v].Full() {
-		st.complete++
-		if st.honest != nil && st.honest[v] {
-			st.completeHonest++
-		}
-	}
-	st.events = append(st.events, ev)
-	res.FaultLog = append(res.FaultLog, ev)
-}
-
 // runner carries everything one run needs across ticks. All per-tick
 // scratch lives here so that a steady-state tick allocates nothing:
 // the transfer buffer, the drop-index and drop-kind staging slices,
@@ -571,11 +378,16 @@ func (sf *simFaults) applyRejoin(ev fault.Event, st *State, res *Result) {
 type runner struct {
 	c     Config
 	st    *State
+	sw    *swarm.Core
 	res   *Result
 	sched Scheduler
-	sf    *simFaults
-	adv   *adversary.Plan
-	oa    *simArrivals
+	// fates is set when a transfer can fail: an adversary plan or a
+	// lossy fault plan is active.
+	fates bool
+	// pending holds the population events not yet due — rejoins under a
+	// fault plan, departures in an open run (the two never mix) — sorted
+	// by Time.
+	pending []fault.Event
 
 	caps         *capScratch
 	buf          []Transfer
@@ -626,62 +438,35 @@ func (cs *capScratch) addDown(v int) int32 {
 	return cs.down[v]
 }
 
-// newRunner validates the config, acquires the fault and adversary
-// plans, and sets up state and scratch. The caller drives step.
+// newRunner validates the config, builds the swarm core (acquiring the
+// fault, adversary, and arrival plans), and sets up state and scratch.
+// The caller drives step.
 func newRunner(cfg Config, sched Scheduler) (*runner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	c := cfg.withDefaults()
-	st := newState(c.Nodes, c.Blocks)
-	res := &Result{ClientCompletion: make([]int, c.Nodes)}
-	r := &runner{c: c, st: st, res: res, sched: sched}
+	fp, adv, ap := c.Fault, c.Adversary, c.Arrivals
 	if c.Nodes == 1 {
-		return r, nil // no clients: vacuously complete at t=0
+		fp, adv, ap = nil, nil, nil // no clients: vacuously complete at t=0
 	}
-
-	if c.Fault != nil {
-		if err := c.Fault.Acquire(); err != nil {
-			return nil, err
-		}
-		r.sf = &simFaults{plan: c.Fault}
-		st.alive = make([]bool, c.Nodes)
-		for i := range st.alive {
-			st.alive[i] = true
-		}
-		st.aliveClients = c.Nodes - 1
+	sw, err := swarm.New(c.Nodes, c.Blocks, fp, adv, ap, c.RecordTrace)
+	if err != nil {
+		return nil, err
 	}
-	if c.Arrivals != nil {
-		if err := c.Arrivals.Acquire(); err != nil {
-			return nil, err
-		}
-		r.oa = newSimArrivals(c.Arrivals, c)
-		// Only the persistent server is present at tick 0; clients
-		// appear through the arrival stream with fresh ids.
-		st.alive = make([]bool, c.Nodes)
-		st.alive[0] = true
+	res := &Result{ClientCompletion: make([]int, c.Nodes)}
+	r := &runner{c: c, st: &State{Peers: sw.Peers, adv: adv}, sw: sw, res: res, sched: sched}
+	if c.Nodes == 1 {
+		return r, nil
 	}
-	if adv := c.Adversary; adv != nil {
-		if adv.N() != c.Nodes {
-			return nil, fmt.Errorf("simulate: adversary plan built for %d nodes, config has %d", adv.N(), c.Nodes)
-		}
-		if err := adv.Acquire(); err != nil {
-			return nil, err
-		}
-		r.adv = adv
-		st.adv = adv
-		st.honest = make([]bool, c.Nodes)
-		for v := range st.honest {
-			st.honest[v] = adv.Honest(v)
-		}
-		st.honestClients = c.Nodes - 1 - adv.Count()
-		st.aliveHonest = st.honestClients
+	r.fates = adv != nil || fp != nil && fp.Lossy()
+	if adv != nil {
 		res.Strategies = adv.Strategies()
 	}
 
 	r.caps = newCapScratch(c.Nodes)
 	if c.RecordTrace {
-		res.Trace = trace.New(r.adv != nil)
+		res.Trace = trace.New(adv != nil)
 		// Size hints from the completion bound: a full run delivers
 		// exactly (n-1)·k useful blocks, so the transfer columns hold at
 		// least that; the cooperative bound k-1+⌈log₂n⌉ plus generous
@@ -689,7 +474,7 @@ func newRunner(cfg Config, sched Scheduler) (*runner, error) {
 		// Result is dropped; undershoot falls back to append doubling.
 		transfers := (c.Nodes - 1) * c.Blocks
 		ticks := c.Blocks + 2*logCeil(c.Nodes) + 64
-		if r.oa != nil {
+		if ap != nil {
 			// Open-system runs have no fixed completion bound: (n-1)·k
 			// becomes an upper estimate (early exits and truncation
 			// deliver less), and the run lasts at least as long as the
@@ -698,7 +483,7 @@ func newRunner(cfg Config, sched Scheduler) (*runner, error) {
 			// trace.Reserve's documented append-doubling grow path when
 			// the estimates undershoot (e.g. an Unstable run idling to
 			// its budget), so sizing here is a hint, never a cap.
-			ticks += int(float64(c.Nodes-1)/c.Arrivals.Options().Rate) + 1
+			ticks += int(float64(c.Nodes-1)/ap.Options().Rate) + 1
 		}
 		res.Trace.Reserve(transfers, ticks, 0)
 		res.UploadsPerTick = make([]int, 0, ticks)
@@ -715,51 +500,117 @@ func logCeil(n int) int {
 	return l
 }
 
-// finish stamps the completion tick and snapshots the final state.
-func (r *runner) finish(t int) *Result {
-	res, st, c := r.res, r.st, r.c
+// finish ends the run at the end of tick t: it stamps the completion
+// tick, copies the swarm's event log and tally into the result,
+// snapshots the final state under RecordTrace, and seals an open run's
+// verdict.
+func (r *runner) finish(t int, v arrival.Verdict, reason arrival.Reason) {
+	res, sw := r.res, r.sw
 	res.CompletionTime = t
-	if c.RecordTrace {
-		res.FinalHave = make([]*bitset.Set, c.Nodes)
-		for v := range res.FinalHave {
-			res.FinalHave[v] = st.have[v].Clone()
-		}
-		if st.alive != nil {
-			res.FinalAlive = append([]bool(nil), st.alive...)
-		}
-		if res.Trace != nil {
-			// Recording is over: trim the trace to its compressed
-			// footprint so MemSize and long-lived RSS reflect the
-			// sealed frames, not append-path headroom.
-			res.Trace.Compact()
-		}
+	res.FaultLog = sw.Log
+	tl := &sw.Tally
+	res.UsefulTransfers = tl.Useful
+	res.LostTransfers = tl.Drops[LostKindFault]
+	res.CorruptTransfers = tl.Drops[LostKindFaultCorrupt]
+	res.AdvRefused = tl.Drops[LostKindRefused]
+	res.AdvStalled = tl.Drops[LostKindStalled]
+	res.AdvCorrupt = tl.Drops[LostKindGarbage]
+	res.HonestUseful, res.HonestWasted = tl.HonestUseful, tl.HonestWasted
+	if r.c.RecordTrace {
+		res.FinalHave, res.FinalAlive = sw.Final()
+		// Recording is over: trim the trace to its compressed footprint
+		// so MemSize and long-lived RSS reflect the sealed frames, not
+		// append-path headroom.
+		res.Trace.Compact()
 	}
-	return res
+	if sw.Open != nil {
+		res.Open = sw.Seal(v, reason, func(u int) float64 { return float64(res.ClientCompletion[u]) }, r.c.RecordTrace)
+	}
 }
 
-// step executes tick t: fault events, one scheduler call, validation,
-// simultaneous application, and trace recording. It returns done=true
-// when the run completed at the end of this tick (or, under churn, at
-// the end of the previous one — a crash can finish the run before any
-// transfer is scheduled).
-func (r *runner) step(t int) (done bool, err error) {
-	st, res, c, sf, adv := r.st, r.res, r.c, r.sf, r.adv
-	if sf != nil {
-		sf.beginTick(t, st, res)
-		// A crash can finish the run by removing the last incomplete
-		// client; the state is then that of the end of tick t-1.
-		if st.AllClientsComplete() {
-			r.finish(t - 1)
-			return true, nil
+// over reports whether the run ends at the current tick boundary: an
+// open run when it drained, a closed one when every client still in the
+// system holds the file.
+func (r *runner) over() bool {
+	if r.sw.Open != nil {
+		return r.sw.Drained()
+	}
+	return r.st.AllClientsComplete()
+}
+
+// queue adds a pending population event. Appends arrive in
+// non-decreasing current-tick order, but a rejoin delay or a completion
+// linger can leapfrog an earlier entry, so the queue is re-sorted
+// (stably: same-time entries keep their scheduling order).
+func (r *runner) queue(ev fault.Event) {
+	r.pending = append(r.pending, ev)
+	sort.SliceStable(r.pending, func(i, j int) bool {
+		return r.pending[i].Time < r.pending[j].Time
+	})
+}
+
+// beginTick applies the population events due at the start of tick t
+// and exposes them through the State. Pending rejoins or departures
+// drain first: a slot freed by an old crash refills before new crashes
+// are drawn (a same-tick crash can hit the rejoined node), and a freshly
+// admitted peer can never be torn down by a stale departure in the same
+// tick. Then the fault plan's crashes, or the arrival plan's arrivals,
+// due by t apply in order.
+func (r *runner) beginTick(t int) {
+	sw, now := r.sw, float64(t)
+	mark := len(sw.Log)
+	for len(r.pending) > 0 && r.pending[0].Time <= now {
+		ev := r.pending[0]
+		r.pending = r.pending[1:]
+		v := int(ev.Node)
+		if ev.Kind == fault.Depart {
+			sw.Depart(v, now)
+			continue
+		}
+		sw.Rejoin(v, now, ev.Wiped)
+		if ev.Wiped {
+			r.res.ClientCompletion[v] = 0
 		}
 	}
-	if r.oa != nil {
-		r.oa.beginTick(t, st, res)
-		// A departure can drain the swarm before any transfer is
-		// scheduled; the state is then that of the end of tick t-1.
-		if r.oa.drained(st) {
-			r.finish(t - 1)
-			r.oa.seal(res, st, arrival.VerdictDrained, arrival.ReasonNone)
+	if sw.Fault != nil {
+		for {
+			at, ok := sw.Fault.NextCrash()
+			if !ok || at > now {
+				break
+			}
+			sw.Fault.TakeCrash()
+			v := sw.PickVictim()
+			if v < 0 {
+				continue // nobody left to kill
+			}
+			if delay, ok := sw.Crash(v, now); ok {
+				r.queue(fault.Event{Time: float64(rejoinTick(t, delay)), Node: int32(v),
+					Kind: fault.Rejoin, Wiped: sw.Fault.RejoinWipes()})
+			}
+		}
+	} else {
+		for {
+			at, ok := sw.NextArrival()
+			if !ok || at > now {
+				break
+			}
+			sw.Admit(now)
+		}
+	}
+	r.st.events = sw.Log[mark:len(sw.Log):len(sw.Log)]
+}
+
+// step executes tick t: population events, one scheduler call,
+// validation, simultaneous application, and trace recording. It returns
+// done=true when the run completed at the end of this tick (or, under
+// churn, at the end of the previous one — a crash or a departure can
+// finish the run before any transfer is scheduled).
+func (r *runner) step(t int) (done bool, err error) {
+	st, res, c, sw := r.st, r.res, r.c, r.sw
+	if sw.Fault != nil || sw.Open != nil {
+		r.beginTick(t)
+		if r.over() {
+			r.finish(t-1, arrival.VerdictDrained, arrival.ReasonNone)
 			return true, nil
 		}
 	}
@@ -781,122 +632,76 @@ func (r *runner) step(t int) (done bool, err error) {
 	r.dropKinds = r.dropKinds[:0]
 	r.nextLost = r.nextLost[:0]
 	r.completedNow = r.completedNow[:0]
-	// Apply simultaneously. The adversary rules on each transfer
-	// first (apply order is the deterministic draw order); only
-	// transfers it lets through reach the fault layer.
+	// Apply simultaneously, in the deterministic apply order the
+	// adversary and fault dice are drawn in.
 	for i, tr := range buf {
-		if adv != nil {
-			if fate := adv.TransferFate(int(tr.From), float64(t)); fate != adversary.Deliver {
+		res.TotalTransfers++ // a dropped transfer still spent its slots
+		if r.fates {
+			af := adversary.Deliver
+			if sw.Adv != nil {
+				af = sw.Adv.TransferFate(int(tr.From), float64(t))
+			}
+			if kind, dropped := sw.Resolve(int(tr.To), af); dropped {
 				r.nextLost = append(r.nextLost, LostTransfer{
 					Transfer:  tr,
-					Corrupt:   fate == adversary.Garbage,
-					Adversary: true,
+					Corrupt:   swarm.Corrupt(kind),
+					Adversary: swarm.ByAdversary(kind),
 				})
-				var kind uint8
-				switch fate {
-				case adversary.Refused:
-					res.AdvRefused++
-					kind = LostKindRefused
-				case adversary.Stalled:
-					res.AdvStalled++
-					kind = LostKindStalled
-				default:
-					res.AdvCorrupt++
-					kind = LostKindGarbage
-				}
-				if st.honest[tr.To] {
-					res.HonestWasted++
-				}
 				if c.RecordTrace {
 					r.dropIdx = append(r.dropIdx, int32(i))
-					r.dropKinds = append(r.dropKinds, kind)
-				}
-				res.TotalTransfers++ // the receiver's slot was spent
-				continue
-			}
-		}
-		if sf != nil && sf.plan.Lossy() {
-			lost, corrupt := sf.plan.Drop()
-			if lost || corrupt {
-				r.nextLost = append(r.nextLost, LostTransfer{Transfer: tr, Corrupt: corrupt})
-				if corrupt {
-					res.CorruptTransfers++
-				} else {
-					res.LostTransfers++
-				}
-				if c.RecordTrace {
-					r.dropIdx = append(r.dropIdx, int32(i))
-					if adv != nil {
-						if corrupt {
-							r.dropKinds = append(r.dropKinds, LostKindFaultCorrupt)
-						} else {
-							r.dropKinds = append(r.dropKinds, LostKindFault)
-						}
+					if sw.Adv != nil {
+						r.dropKinds = append(r.dropKinds, kind)
 					}
 				}
-				res.TotalTransfers++ // the upload slot was spent
 				continue
 			}
 		}
-		if st.have[tr.To].Add(int(tr.Block)) {
-			res.UsefulTransfers++
-			if adv != nil && st.honest[tr.To] {
-				res.HonestUseful++
-			}
-			if int(tr.To) != 0 && st.have[tr.To].Full() {
-				st.complete++
-				res.ClientCompletion[tr.To] = t
-				if st.honest != nil && st.honest[tr.To] {
-					st.completeHonest++
-				}
-				if adv != nil {
-					r.completedNow = append(r.completedNow, tr.To)
-				}
-				if r.oa != nil {
-					r.oa.noteComplete(int(tr.To), t)
-				}
-			} else if r.oa != nil && int(tr.To) != 0 {
-				r.oa.noteDelivery(int(tr.To), t, st)
+		v := int(tr.To)
+		useful, completed := sw.Deliver(v, int(tr.Block))
+		if !useful || v == 0 {
+			continue
+		}
+		if completed {
+			res.ClientCompletion[v] = t
+			if sw.Adv != nil {
+				r.completedNow = append(r.completedNow, tr.To)
 			}
 		}
-		res.TotalTransfers++
+		if sw.Open != nil {
+			if delay, ok := sw.DepartAfter(v); ok {
+				r.queue(fault.Event{Time: float64(t + 1 + int(delay)), Node: tr.To, Kind: fault.Depart})
+			}
+		}
 	}
-	if adv != nil {
+	if sw.Adv != nil {
 		// Latch defectors only after the whole tick has landed:
 		// blocks arrive simultaneously at the boundary, so a
 		// defector's own tick-t uploads were sent before it knew it
 		// was done.
 		for _, v := range r.completedNow {
-			adv.NoteComplete(int(v))
+			sw.Adv.NoteComplete(int(v))
 		}
 	}
 	res.UploadsPerTick = append(res.UploadsPerTick, len(buf))
 	if c.RecordTrace {
 		res.Trace.AppendTick(buf, r.dropIdx, r.dropKinds)
 	}
-	if sf != nil || adv != nil {
+	if sw.Fault != nil || sw.Adv != nil {
 		// Expose this tick's drops to the scheduler next tick.
 		st.lost, r.nextLost = r.nextLost, st.lost
 	}
 	st.tick = t
-	if r.oa != nil {
+	if sw.Open != nil {
 		// Open runs end in a verdict, not a closed-batch completion:
 		// the watchdog truncates a diverging or starving swarm, and the
 		// drain check requires the arrival pool to be exhausted first.
-		if reason := r.oa.endTick(t, st); reason != arrival.ReasonNone {
-			r.finish(t)
-			r.oa.seal(res, st, arrival.VerdictUnstable, reason)
+		if reason := sw.Observe(float64(t)); reason != arrival.ReasonNone {
+			r.finish(t, arrival.VerdictUnstable, reason)
 			return true, nil
 		}
-		if r.oa.drained(st) {
-			r.finish(t)
-			r.oa.seal(res, st, arrival.VerdictDrained, arrival.ReasonNone)
-			return true, nil
-		}
-		return false, nil
 	}
-	if st.AllClientsComplete() {
-		r.finish(t)
+	if r.over() {
+		r.finish(t, arrival.VerdictDrained, arrival.ReasonNone)
 		return true, nil
 	}
 	return false, nil
@@ -934,43 +739,37 @@ func (r *runner) loop(start int) (*Result, error) {
 		}
 	}
 	st, c := r.st, r.c
-	if r.oa != nil {
+	if r.sw.Open != nil {
 		// Bounded-run truncation: an open run that outlives its budget
 		// is reported as Unstable, never as an error — the verdict is
 		// the result.
-		r.finish(c.MaxTicks)
-		r.oa.seal(r.res, st, arrival.VerdictUnstable, arrival.ReasonBudget)
+		r.finish(c.MaxTicks, arrival.VerdictUnstable, arrival.ReasonBudget)
 		return r.res, nil
 	}
-	if st.honest != nil {
+	if st.Adversarial() {
 		return nil, fmt.Errorf("%w (MaxTicks=%d, honest clients complete: %d/%d)",
-			ErrMaxTicks, c.MaxTicks, st.completeHonest, st.honestClients)
+			ErrMaxTicks, c.MaxTicks, st.HonestClientsComplete(), st.HonestClients())
 	}
 	return nil, fmt.Errorf("%w (MaxTicks=%d, clients complete: %d/%d)",
-		ErrMaxTicks, c.MaxTicks, st.complete, c.Nodes-1)
+		ErrMaxTicks, c.MaxTicks, st.ClientsComplete(), c.Nodes-1)
 }
 
 func validate(tr Transfer, st *State, c Config, caps *capScratch) error {
 	from, to, b := int(tr.From), int(tr.To), int(tr.Block)
 	switch {
-	case from < 0 || from >= st.n:
+	case from < 0 || from >= st.N():
 		return fmt.Errorf("sender %d out of range", from)
-	case to < 0 || to >= st.n:
+	case to < 0 || to >= st.N():
 		return fmt.Errorf("receiver %d out of range", to)
 	case from == to:
 		return fmt.Errorf("node %d transfers to itself", from)
-	case b < 0 || b >= st.k:
+	case b < 0 || b >= st.K():
 		return fmt.Errorf("block %d out of range", b)
-	}
-	if st.alive != nil {
-		if !st.alive[from] {
-			return fmt.Errorf("dead node %d cannot upload", from)
-		}
-		if !st.alive[to] {
-			return fmt.Errorf("dead node %d cannot download", to)
-		}
-	}
-	if !st.have[from].Has(b) {
+	case !st.Alive(from):
+		return fmt.Errorf("dead node %d cannot upload", from)
+	case !st.Alive(to):
+		return fmt.Errorf("dead node %d cannot download", to)
+	case !st.Has(from, b):
 		return fmt.Errorf("store-and-forward violation: node %d does not hold block %d", from, b)
 	}
 	upCap := c.UploadCap
