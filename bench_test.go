@@ -289,18 +289,17 @@ var cannedScaleRun = sync.OnceValue(func() *barterdist.Result {
 
 // BenchmarkAuditReplay is the full verification pass over the canned
 // 20k-peer trace: the engine-invariant replay (simulate.RunAudit) plus
-// the credit s=1 mechanism check, at audit worker widths 1 and 8. The
-// verdicts are byte-identical across widths — only wall-clock moves —
-// so the sub-benchmarks diff the parallel pipeline's speedup directly.
+// the credit s=1 mechanism check. The replay is one sequential pass;
+// the width (1 or 8) is the credit verifier's pair-lane worker count.
+// The verdicts are byte-identical across widths — only wall-clock
+// moves — so the sub-benchmarks diff the pair lanes' speedup directly.
 func BenchmarkAuditReplay(b *testing.B) {
 	res := cannedScaleRun()
 	for _, w := range []int{1, 8} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			sc := res.SimConfig
-			sc.AuditWorkers = w
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := simulate.RunAudit(sc, res.Sim); err != nil {
+				if err := simulate.RunAudit(res.SimConfig, res.Sim); err != nil {
 					b.Fatal(err)
 				}
 				if err := mechanism.VerifyCreditLimitedLog(res.Sim.Trace, false, 1, w); err != nil {

@@ -22,6 +22,12 @@
 // the repository root other than the output file; -baseline "" skips
 // the comparison.
 //
+// A snapshot records the core count (nproc) beside GOMAXPROCS. A
+// speedup measured with more workers than cores shows contention, not
+// parallel scaling, so cdbench prints "n/a (W workers on C cores)" in
+// its place and records none. A benchmark's worker count is the N of a
+// /wN sub-benchmark, else the -shardworkers width.
+//
 // -cpuprofile/-memprofile are forwarded to the underlying `go test`
 // invocation on the FINAL repetition only, so profile collection never
 // perturbs the reps that feed the medians. -compare skips running
@@ -34,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,6 +63,9 @@ type report struct {
 	Date       string `json:"date"`
 	GoVersion  string `json:"go_version"`
 	GoMaxProcs int    `json:"gomaxprocs"`
+	// NumCPU is runtime.NumCPU on the measuring host; 0 in snapshots
+	// that predate it.
+	NumCPU int `json:"nproc,omitempty"`
 	// ShardWorkers is the tick-core worker width the suite ran under
 	// (the BARTERDIST_SHARD_WORKERS the shard-sensitive benchmarks
 	// read); shard-scaling numbers are only interpretable next to it
@@ -78,7 +88,8 @@ type result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// SpeedupVsBaseline is baseline_ns / ns for the same benchmark
-	// name; 0 when no baseline entry exists.
+	// name; 0 when no baseline entry exists or the benchmark ran with
+	// more workers than cores.
 	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
 }
 
@@ -164,26 +175,27 @@ func main() {
 	if basePath == "auto" {
 		basePath = newestSnapshot(".", outPath)
 	}
-	if basePath != "" {
-		base, err := loadSnapshot(basePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cdbench: baseline %s: %v\n", basePath, err)
-			os.Exit(1)
-		}
-		applyBaseline(results, base)
-	}
 
 	rep := report{
 		Schema:       benchSchema,
 		Date:         time.Now().Format("2006-01-02"),
 		GoVersion:    runtime.Version(),
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
 		ShardWorkers: *shardW,
 		BenchArgs:    args,
 		Reps:         *reps,
 		Baseline:     basePath,
 		Warnings:     warnings,
 		Results:      results,
+	}
+	if basePath != "" {
+		base, err := loadSnapshot(basePath)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cdbench: baseline %s: %v\n", basePath, err)
+			os.Exit(1)
+		}
+		rep.applyBaseline(base)
 	}
 	for _, w := range warnings {
 		fmt.Fprintf(os.Stderr, "cdbench: warning: %s\n", w)
@@ -198,7 +210,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cdbench:", err)
 		os.Exit(1)
 	}
-	printSummary(os.Stdout, results, basePath)
+	printSummary(os.Stdout, &rep)
 	fmt.Fprintf(os.Stderr, "cdbench: wrote %s (%d benchmarks)\n", outPath, len(results))
 }
 
@@ -255,7 +267,7 @@ func hostWarnings(runs [][]result, reps int) []string {
 // snapshots. Both v1 (single-run) and v2 (median) schemas are accepted;
 // the table keys on benchmark name and follows the new snapshot's
 // order, with old-only benchmarks appended at the end.
-func compareSnapshots(w *os.File, oldPath, newPath string) error {
+func compareSnapshots(w io.Writer, oldPath, newPath string) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return fmt.Errorf("old snapshot %s: %w", oldPath, err)
@@ -281,9 +293,7 @@ func compareSnapshots(w *os.File, oldPath, newPath string) error {
 	}
 	fmt.Fprintf(w, "%s (%s) -> %s (%s)\n", filepath.Base(oldPath), oldRep.Schema, filepath.Base(newPath), newRep.Schema)
 	for _, rep := range []*report{oldRep, newRep} {
-		if rep.ShardWorkers > 0 {
-			fmt.Fprintf(w, "  %s: gomaxprocs=%d shardworkers=%d\n", rep.Date, rep.GoMaxProcs, rep.ShardWorkers)
-		}
+		fmt.Fprintf(w, "  %s: %s\n", rep.Date, rep.hostLine())
 		for _, warn := range rep.Warnings {
 			fmt.Fprintf(w, "  warning: %s\n", warn)
 		}
@@ -303,9 +313,15 @@ func compareSnapshots(w *os.File, oldPath, newPath string) error {
 			fmt.Fprintf(w, "%-*s  %17.0f (new)\n", width, n.Name, n.NsPerOp)
 			continue
 		}
+		nsDelta := delta(o.NsPerOp, n.NsPerOp)
+		for _, rep := range []*report{oldRep, newRep} {
+			if note := rep.oversubscribed(n.Name); note != "" {
+				nsDelta = note
+			}
+		}
 		fmt.Fprintf(w, "%-*s  %8.0f->%-8.0f %s  %7d->%-7d %s  %5d->%-5d %s\n",
 			width, n.Name,
-			o.NsPerOp, n.NsPerOp, delta(o.NsPerOp, n.NsPerOp),
+			o.NsPerOp, n.NsPerOp, nsDelta,
 			o.BytesPerOp, n.BytesPerOp, delta(float64(o.BytesPerOp), float64(n.BytesPerOp)),
 			o.AllocsPerOp, n.AllocsPerOp, delta(float64(o.AllocsPerOp), float64(n.AllocsPerOp)))
 	}
@@ -462,25 +478,75 @@ func loadSnapshot(path string) (map[string]float64, error) {
 	return base, nil
 }
 
-func applyBaseline(results []result, base map[string]float64) {
-	for i := range results {
-		if b, ok := base[results[i].Name]; ok && results[i].NsPerOp > 0 {
-			results[i].SpeedupVsBaseline = b / results[i].NsPerOp
+// cores is how many cores the suite could use at once: the smaller of
+// the core count and GOMAXPROCS. Snapshots without nproc fall back to
+// GOMAXPROCS.
+func (r *report) cores() int {
+	if r.NumCPU > 0 && r.NumCPU < r.GoMaxProcs {
+		return r.NumCPU
+	}
+	return r.GoMaxProcs
+}
+
+// workers is the worker count benchmark name ran at: the N of a /wN
+// sub-benchmark, else the suite's shard width (0 = the benchmark's own
+// default).
+func (r *report) workers(name string) int {
+	for _, part := range strings.Split(name, "/")[1:] {
+		if n, ok := strings.CutPrefix(part, "w"); ok {
+			if w, err := strconv.Atoi(n); err == nil {
+				return w
+			}
+		}
+	}
+	return r.ShardWorkers
+}
+
+// oversubscribed returns "n/a (W workers on C cores)" when benchmark
+// name ran with more workers than cores — its speedup would measure
+// contention — and "" otherwise.
+func (r *report) oversubscribed(name string) string {
+	if w, c := r.workers(name), r.cores(); w > c {
+		return fmt.Sprintf("n/a (%d workers on %d cores)", w, c)
+	}
+	return ""
+}
+
+// hostLine is the snapshot's host header: GOMAXPROCS, core count, and
+// shard width.
+func (r *report) hostLine() string {
+	nproc := "?"
+	if r.NumCPU > 0 {
+		nproc = strconv.Itoa(r.NumCPU)
+	}
+	return fmt.Sprintf("gomaxprocs=%d nproc=%s shardworkers=%d", r.GoMaxProcs, nproc, r.ShardWorkers)
+}
+
+// applyBaseline sets each result's speedup against the baseline's
+// ns/op, except where the benchmark ran with more workers than cores.
+func (r *report) applyBaseline(base map[string]float64) {
+	for i := range r.Results {
+		res := &r.Results[i]
+		if b, ok := base[res.Name]; ok && res.NsPerOp > 0 && r.oversubscribed(res.Name) == "" {
+			res.SpeedupVsBaseline = b / res.NsPerOp
 		}
 	}
 }
 
-func printSummary(w *os.File, results []result, basePath string) {
+func printSummary(w io.Writer, rep *report) {
+	fmt.Fprintf(w, "# %s %s\n", rep.GoVersion, rep.hostLine())
 	width := 0
-	for _, r := range results {
+	for _, r := range rep.Results {
 		if len(r.Name) > width {
 			width = len(r.Name)
 		}
 	}
-	for _, r := range results {
+	for _, r := range rep.Results {
 		fmt.Fprintf(w, "%-*s  %14.0f ns/op  %8d allocs/op", width, r.Name, r.NsPerOp, r.AllocsPerOp)
-		if r.SpeedupVsBaseline > 0 {
-			fmt.Fprintf(w, "  %5.2fx vs %s", r.SpeedupVsBaseline, filepath.Base(basePath))
+		if note := rep.oversubscribed(r.Name); note != "" && rep.Baseline != "" {
+			fmt.Fprintf(w, "  %s", note)
+		} else if r.SpeedupVsBaseline > 0 {
+			fmt.Fprintf(w, "  %5.2fx vs %s", r.SpeedupVsBaseline, filepath.Base(rep.Baseline))
 		}
 		fmt.Fprintln(w)
 	}

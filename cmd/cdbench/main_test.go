@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -45,7 +48,7 @@ PASS
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
-	applyBaseline(results, map[string]float64{"BenchmarkA": 4000})
+	(&report{GoMaxProcs: 8, NumCPU: 8, Results: results}).applyBaseline(map[string]float64{"BenchmarkA": 4000})
 	if results[0].SpeedupVsBaseline != 2 {
 		t.Errorf("speedup = %v, want 2", results[0].SpeedupVsBaseline)
 	}
@@ -104,5 +107,112 @@ func TestNewestSnapshot(t *testing.T) {
 	}
 	if newestSnapshot(t.TempDir(), "x.json") != "" {
 		t.Error("empty dir should yield no baseline")
+	}
+}
+
+// TestWorkersAndCores pins how a benchmark's worker count and the
+// host's usable cores are derived, including snapshots without nproc.
+func TestWorkersAndCores(t *testing.T) {
+	rep := &report{GoMaxProcs: 8, NumCPU: 2, ShardWorkers: 4}
+	if c := rep.cores(); c != 2 {
+		t.Errorf("cores = %d, want min(nproc, gomaxprocs) = 2", c)
+	}
+	if c := (&report{GoMaxProcs: 1, NumCPU: 2}).cores(); c != 1 {
+		t.Errorf("cores = %d, want 1 under GOMAXPROCS=1", c)
+	}
+	if c := (&report{GoMaxProcs: 4}).cores(); c != 4 {
+		t.Errorf("cores without nproc = %d, want gomaxprocs 4", c)
+	}
+	for name, want := range map[string]int{
+		"BenchmarkAuditReplay/w8":    8,
+		"BenchmarkAuditReplay/w1":    1,
+		"BenchmarkScale20kCredit":    4, // the suite's shard width
+		"BenchmarkX/wide":            4,
+		"Benchmarkw3":                4,
+		"BenchmarkNested/size/w2/ok": 2,
+	} {
+		if got := rep.workers(name); got != want {
+			t.Errorf("workers(%q) = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestOversubscribedSpeedupIsNA: a speedup whose worker count exceeds
+// the core count is neither recorded nor printed; the summary says
+// "n/a (W workers on C cores)" instead, and the header carries nproc
+// beside gomaxprocs.
+func TestOversubscribedSpeedupIsNA(t *testing.T) {
+	rep := &report{
+		GoVersion: "go1.x", GoMaxProcs: 2, NumCPU: 2, Baseline: "BENCH_old.json",
+		Results: []result{
+			{Name: "BenchmarkAuditReplay/w1", NsPerOp: 100},
+			{Name: "BenchmarkAuditReplay/w8", NsPerOp: 50},
+		},
+	}
+	rep.applyBaseline(map[string]float64{
+		"BenchmarkAuditReplay/w1": 300, "BenchmarkAuditReplay/w8": 300,
+	})
+	if s := rep.Results[0].SpeedupVsBaseline; s != 3 {
+		t.Errorf("w1 speedup = %v, want 3", s)
+	}
+	if s := rep.Results[1].SpeedupVsBaseline; s != 0 {
+		t.Errorf("w8 on 2 cores recorded speedup %v, want none", s)
+	}
+	var buf bytes.Buffer
+	printSummary(&buf, rep)
+	out := buf.String()
+	for _, want := range []string{
+		"# go1.x gomaxprocs=2 nproc=2 shardworkers=0\n",
+		"3.00x vs BENCH_old.json",
+		"n/a (8 workers on 2 cores)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("summary missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Count(out, "x vs ") != 1 {
+		t.Errorf("summary prints a speedup for the oversubscribed benchmark:\n%s", out)
+	}
+	if got := (&report{GoMaxProcs: 2}).hostLine(); got != "gomaxprocs=2 nproc=? shardworkers=0" {
+		t.Errorf("host line without nproc = %q", got)
+	}
+}
+
+// TestCompareMarksOversubscribedDeltas: -compare prints each snapshot's
+// host line and replaces the ns/op delta of a benchmark that either
+// side ran with more workers than cores.
+func TestCompareMarksOversubscribedDeltas(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, rep report) string {
+		rep.Schema = benchSchema
+		buf, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	results := []result{{Name: "BenchmarkA/w1", NsPerOp: 100}, {Name: "BenchmarkA/w8", NsPerOp: 100}}
+	oldPath := write("old.json", report{Date: "d1", GoMaxProcs: 1, Results: results})
+	newPath := write("new.json", report{Date: "d2", GoMaxProcs: 2, NumCPU: 2, Results: results})
+	var buf bytes.Buffer
+	if err := compareSnapshots(&buf, oldPath, newPath); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"d1: gomaxprocs=1 nproc=? shardworkers=0",
+		"d2: gomaxprocs=2 nproc=2 shardworkers=0",
+		"n/a (8 workers on 2 cores)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output missing %q:\n%s", want, out)
+		}
+	}
+	if !strings.Contains(out, "+0.0%") {
+		t.Errorf("w1 delta missing:\n%s", out)
 	}
 }

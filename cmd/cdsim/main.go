@@ -61,7 +61,7 @@ func main() {
 		reps    = flag.Int("reps", 1, "independent replicates with derived seeds (> 1 prints aggregate stats)")
 		workers = flag.Int("workers", 0, "worker pool size for -reps (0 = GOMAXPROCS); output identical for any value >= 1")
 		shardW  = flag.Int("shardworkers", 0, "worker pool width for the sharded tick core (0 = GOMAXPROCS, capped at 8 lanes); output identical for any value")
-		auditW  = flag.Int("auditworkers", 0, "worker pool width for -verify audit replay (0 or 1 = sequential; verdicts identical for any value)")
+		auditW  = flag.Int("auditworkers", 0, "worker pool width for the -verify mechanism verifier's pair lanes (0 or 1 = sequential; verdicts identical for any value)")
 		adv     = flag.String("adversary", "", "adversary mix, e.g. 'freerider=0.2,corrupter=0.1,seed=9' (keys: freerider, throttler, falseadv, corrupter, defector, seed, period, claimrate, corruptrate); completion then means every honest client completed")
 		arrRate = flag.Float64("arrivals", 0, "open-system mode: Poisson peer arrival rate λ in peers/tick (> 0 enables; -n becomes the cumulative-arrival capacity and the run ends in a verdict)")
 		departP = flag.Float64("depart", 0, "probability an arriving peer is selfish and departs before completing (requires -arrivals)")
@@ -157,6 +157,10 @@ func main() {
 	// -checkpoint composes with -resume: a resumed run keeps writing
 	// fresh snapshots, so repeatedly crashed runs resume from the latest.
 	if *ckpt != "" {
+		if *ckevery < 1 {
+			fmt.Fprintf(os.Stderr, "cdsim: -ckevery %d must be >= 1 with -checkpoint (0 would never write a snapshot)\n", *ckevery)
+			os.Exit(2)
+		}
 		cfg.Checkpoint = &barterdist.CheckpointPolicy{Path: *ckpt, Every: *ckevery}
 	}
 

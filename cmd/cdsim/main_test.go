@@ -160,6 +160,28 @@ func TestOpenFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCheckpointIntervalValidation: -checkpoint with an interval below
+// 1 would never write a snapshot, so it is a usage error (exit 2).
+func TestCheckpointIntervalValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, every := range []string{"0", "-5"} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		_, stderr, err := runHelper(t, "-n 16 -k 8 -checkpoint "+path+" -ckevery "+every)
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Fatalf("-ckevery %s: err %v, want exit status 2", every, err)
+		}
+		if !strings.Contains(stderr, "-ckevery "+every+" must be >= 1") {
+			t.Errorf("-ckevery %s: stderr %q", every, stderr)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("-ckevery %s: snapshot file exists (stat: %v)", every, err)
+		}
+	}
+}
+
 // TestKillAndResumeOpen extends the crash-safety bar to open-system
 // runs: SIGKILL mid-flash-crowd (arrival stream, departure queue, and
 // watchdog state all live), resume from the surviving snapshot, and

@@ -47,7 +47,7 @@ func main() {
 	kset := flag.String("kset", "4,8,11,16", "comma-separated block counts")
 	churn := flag.Bool("churn", true, "also audit fault-injected runs")
 	adv := flag.Bool("adversary", true, "also audit adversarial runs (free-riders, liars, corrupters)")
-	auditW := flag.Int("auditworkers", 0, "worker pool width for audit replay and mechanism verification (0 or 1 = sequential; verdicts identical for any value)")
+	auditW := flag.Int("auditworkers", 0, "worker pool width for the mechanism verifiers' pair lanes; the simulate.RunAudit replay is sequential (0 or 1 = sequential; verdicts identical for any value)")
 	flag.Parse()
 	auditWorkers = *auditW
 
@@ -202,10 +202,11 @@ func auditAdversaries() int {
 }
 
 // auditWorkers is the -auditworkers flag: the worker pool width every
-// audit and mechanism verification in this tool runs at. Verdicts are
-// byte-identical for any value — that is the parallel auditor's
-// determinism contract, exercised directly by running this tool at
-// different widths and diffing the output.
+// mechanism verification in this tool runs at (the simulate.RunAudit
+// replay is sequential). Verdicts are byte-identical for any value —
+// that is the pair-lane verifiers' determinism contract, exercised
+// directly by running this tool at different widths and diffing the
+// output.
 var auditWorkers int
 
 func stepFor(n int) int {

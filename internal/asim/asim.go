@@ -167,6 +167,9 @@ func (c *Config) Validate() error {
 	if bad := swarm.PlanConflicts(c.Nodes, c.Fault, c.Adversary, c.Arrivals); bad != nil {
 		return fmt.Errorf("asim: %s", bad[0])
 	}
+	if err := c.Checkpoint.Validate(); err != nil {
+		return fmt.Errorf("asim: %w", err)
+	}
 	return nil
 }
 

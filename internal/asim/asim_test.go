@@ -3,9 +3,11 @@ package asim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"barterdist/internal/analysis"
+	"barterdist/internal/checkpoint"
 	"barterdist/internal/graph"
 	"barterdist/internal/xrand"
 )
@@ -25,6 +27,15 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg, p); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+}
+
+// TestConfigRejectsCheckpointWithoutInterval: a snapshot path with an
+// interval below 1 would never write, so Validate rejects it.
+func TestConfigRejectsCheckpointWithoutInterval(t *testing.T) {
+	cfg := Config{Nodes: 4, Blocks: 2, Checkpoint: &checkpoint.Policy{Path: "run.ckpt", Every: -1}}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Every = -1") {
+		t.Fatalf("Validate = %v, want the interval rejected", err)
 	}
 }
 

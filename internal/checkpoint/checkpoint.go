@@ -67,9 +67,20 @@ type Policy struct {
 	// snapshot or none, never a torn file.
 	Path string
 	// Every is the checkpoint interval in engine-defined units
-	// (ticks or handled events). Zero or negative disables
-	// checkpointing.
+	// (ticks or handled events). It must be >= 1 whenever Path is set;
+	// Validate rejects anything else rather than silently never
+	// writing.
 	Every int
+}
+
+// Validate rejects a policy that names a snapshot file but could never
+// write it. A nil policy, or one without a Path, is valid and disables
+// checkpointing.
+func (p *Policy) Validate() error {
+	if p != nil && p.Path != "" && p.Every < 1 {
+		return fmt.Errorf("checkpoint: Every = %d with Path %q, need >= 1", p.Every, p.Path)
+	}
+	return nil
 }
 
 // Enabled reports whether the policy asks for periodic snapshots.

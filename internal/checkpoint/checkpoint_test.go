@@ -2,9 +2,11 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -244,6 +246,23 @@ func TestReadFileCorrupt(t *testing.T) {
 	}
 	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("ReadFile on garbage: %v", err)
+	}
+}
+
+// TestPolicyValidate: a policy that names a file must write it; an
+// interval below 1 is an error, not a silent opt-out.
+func TestPolicyValidate(t *testing.T) {
+	var nilPolicy *Policy
+	for _, ok := range []*Policy{nilPolicy, {}, {Every: 0}, {Path: "x", Every: 1}} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("%+v: %v", ok, err)
+		}
+	}
+	for _, every := range []int{0, -3} {
+		err := (&Policy{Path: "x", Every: every}).Validate()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("Every = %d", every)) {
+			t.Errorf("Every = %d: %v, want a rejection naming it", every, err)
+		}
 	}
 }
 

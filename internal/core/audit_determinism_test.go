@@ -10,10 +10,12 @@ import (
 	"barterdist/internal/simulate"
 )
 
-// auditWorkerWidths is the worker matrix every audit verdict must be
-// byte-identical across — the parallel auditor's determinism contract.
-// Width 1 is the inline sequential path, so agreement across the matrix
-// also proves agreement with sequential replay.
+// auditWorkerWidths is the worker matrix every mechanism verdict must
+// be byte-identical across — the pair-lane verifiers' determinism
+// contract. Width 1 is the inline sequential path, so agreement across
+// the matrix also proves agreement with sequential replay.
+// simulate.RunAudit is a single sequential pass with no width; its
+// reference is the golden corpus of TestRunAuditGoldenErrors.
 var auditWorkerWidths = []int{1, 2, 8}
 
 func errString(err error) string {
@@ -23,10 +25,9 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// auditVerdicts is everything the audit surface reports for one
-// recorded run at one worker width.
+// auditVerdicts is everything the mechanism verifiers report for one
+// recorded trace at one worker width.
 type auditVerdicts struct {
-	replay  string // simulate.RunAudit
 	strict  string // mechanism.VerifyStrictBarterLog (released view)
 	credit  string // mechanism.VerifyCreditLimitedLog s=1 (released view)
 	minimal int    // mechanism.MinimalCreditLimitLog (full view)
@@ -34,10 +35,7 @@ type auditVerdicts struct {
 }
 
 func collectVerdicts(res *Result, w int) auditVerdicts {
-	sc := res.SimConfig
-	sc.AuditWorkers = w
 	v := auditVerdicts{
-		replay:  errString(simulate.RunAudit(sc, res.Sim)),
 		strict:  errString(mechanism.VerifyStrictBarterLog(res.Sim.Trace, true, w)),
 		credit:  errString(mechanism.VerifyCreditLimitedLog(res.Sim.Trace, true, 1, w)),
 		minimal: mechanism.MinimalCreditLimitLog(res.Sim.Trace, false, w),
@@ -48,12 +46,12 @@ func collectVerdicts(res *Result, w int) auditVerdicts {
 	return v
 }
 
-// TestAuditWorkerInvarianceMatrix runs the full audit surface — trace
-// replay plus every mechanism verifier — at AuditWorkers 1, 2, and 8
-// over churny, adversarial, credit-limited, and open-system traces and
-// requires byte-identical verdicts and error text everywhere. The
-// cursor-based sequential verifiers are held to the same string, so
-// the parallel Log forms can never drift from the reference.
+// TestAuditWorkerInvarianceMatrix runs every mechanism verifier at
+// AuditWorkers 1, 2, and 8 over churny, adversarial, credit-limited,
+// and open-system traces and requires byte-identical verdicts and
+// error text everywhere. The cursor-based sequential verifiers are
+// held to the same string, so the parallel Log forms can never drift
+// from the reference.
 func TestAuditWorkerInvarianceMatrix(t *testing.T) {
 	scenarios := map[string]Config{
 		"churn": {
@@ -126,53 +124,32 @@ func TestAuditWorkerInvarianceMatrix(t *testing.T) {
 }
 
 // TestAuditWorkerInvarianceDoctored doctors a churny recorded run six
-// ways and requires the audit to fail with the exact same error text
-// at every worker width — the lowest-key merge must reproduce the
-// sequential first error even on broken traces, where spurious
-// downstream findings abound.
+// ways and requires the mechanism verifiers to return the exact same
+// verdicts at every worker width — the lowest-key merge must reproduce
+// the sequential first violation even on broken traces, where spurious
+// downstream findings abound. The doctored runs' simulate.RunAudit
+// errors are pinned by TestRunAuditGoldenErrors.
 func TestAuditWorkerInvarianceDoctored(t *testing.T) {
-	cfg := Config{
-		Nodes: 24, Blocks: 16, Algorithm: AlgoRandomized, Seed: 7, RecordTrace: true,
-		Fault: &fault.Options{
-			Seed: 1001, CrashRate: 0.02, MaxCrashes: 4,
-			RejoinDelay: 8, RejoinLosesBlocks: true, LossRate: 0.05,
-		},
-	}
-	tamper := map[string]func(r *simulate.Result){
-		"inflated useful count":      func(r *simulate.Result) { r.UsefulTransfers++ },
-		"understated total count":    func(r *simulate.Result) { r.TotalTransfers-- },
-		"claimed earlier completion": func(r *simulate.Result) { r.Trace.TruncateTicks(r.Trace.Ticks() - 1) },
-		"swapped block id": func(r *simulate.Result) {
-			start, _ := r.Trace.TickSpan(1)
-			tr := r.Trace.At(start)
-			tr.Block = int32(cfg.Blocks - 1)
-			r.Trace.Set(start, tr)
-		},
-		"forged transfer target": func(r *simulate.Result) {
-			start, _ := r.Trace.TickSpan(2)
-			tr := r.Trace.At(start)
-			tr.To = tr.From
-			r.Trace.Set(start, tr)
-		},
-		"shifted client completion": func(r *simulate.Result) { r.ClientCompletion[3]++ },
-	}
-	for name, mut := range tamper {
+	cfg := goldenScenarios["churn"]
+	for _, name := range []string{
+		"inflated useful count", "understated total count", "claimed earlier completion",
+		"swapped block id", "forged transfer target", "shifted client completion",
+	} {
 		t.Run(name, func(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mut(res.Sim)
-			sc := res.SimConfig
-			sc.AuditWorkers = 1
-			base := errString(simulate.RunAudit(sc, res.Sim))
-			if base == "<nil>" {
+			if !goldenTampers[name](res.Sim, res.SimConfig) {
+				t.Fatalf("tamper %q does not apply", name)
+			}
+			if simulate.RunAudit(res.SimConfig, res.Sim) == nil {
 				t.Fatalf("doctored run passed the audit")
 			}
+			base := collectVerdicts(res, 1)
 			for _, w := range auditWorkerWidths[1:] {
-				sc.AuditWorkers = w
-				if got := errString(simulate.RunAudit(sc, res.Sim)); got != base {
-					t.Errorf("AuditWorkers=%d error %q, sequential %q", w, got, base)
+				if got := collectVerdicts(res, w); got != base {
+					t.Errorf("AuditWorkers=%d verdicts diverge from sequential:\n got %+v\nwant %+v", w, got, base)
 				}
 			}
 		})

@@ -129,11 +129,13 @@ type Config struct {
 	// wall-clock for cores.
 	ShardWorkers int
 
-	// AuditWorkers is how many OS workers the post-run audits use:
-	// simulate.RunAudit's fixed tick-chunk/node-lane partition and the
-	// mechanism verifiers' pair lanes. 0 and 1 both mean inline
-	// sequential replay. Verdicts and error text are byte-identical for
-	// every value; the knob only trades wall-clock for cores.
+	// AuditWorkers is how many OS workers the mechanism verifiers'
+	// pair lanes use (Verify and the minimal-credit scan). The engine
+	// replay, simulate.RunAudit, is one sequential pass with no width;
+	// the asynchronous engine's replay takes asim.Config.AuditWorkers.
+	// 0 and 1 both mean inline sequential verification. Verdicts and
+	// error text are byte-identical for every value; the knob only
+	// trades wall-clock for cores.
 	AuditWorkers int
 
 	// DownloadCap is the per-node download capacity D. 0 lets Run choose
@@ -246,6 +248,9 @@ func (c *Config) Validate() error {
 	if c.AuditWorkers < 0 {
 		return fmt.Errorf("core: AuditWorkers = %d is invalid", c.AuditWorkers)
 	}
+	if err := c.Checkpoint.Validate(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if c.Arrivals != nil {
 		if err := c.Arrivals.Validate(); err != nil {
 			return fmt.Errorf("core: %w", err)
@@ -321,13 +326,12 @@ func prepare(cfg *Config) (simulate.Config, simulate.Scheduler, string, error) {
 		cfg.Algorithm = AlgoBinomialPipeline
 	}
 	simCfg := simulate.Config{
-		Nodes:        cfg.Nodes,
-		Blocks:       cfg.Blocks,
-		DownloadCap:  cfg.DownloadCap,
-		MaxTicks:     cfg.MaxTicks,
-		RecordTrace:  cfg.RecordTrace || cfg.Verify != MechanismNone,
-		AuditWorkers: cfg.AuditWorkers,
-		Checkpoint:   cfg.Checkpoint,
+		Nodes:       cfg.Nodes,
+		Blocks:      cfg.Blocks,
+		DownloadCap: cfg.DownloadCap,
+		MaxTicks:    cfg.MaxTicks,
+		RecordTrace: cfg.RecordTrace || cfg.Verify != MechanismNone,
+		Checkpoint:  cfg.Checkpoint,
 	}
 	if cfg.DownloadCap == DownloadUnlimited {
 		simCfg.DownloadCap = simulate.Unlimited

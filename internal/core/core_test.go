@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"barterdist/internal/checkpoint"
 
 	"barterdist/internal/randomized"
 )
@@ -20,6 +23,15 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestRunRejectsCheckpointWithoutInterval: a snapshot path with an
+// interval below 1 would never write, so Run refuses the config.
+func TestRunRejectsCheckpointWithoutInterval(t *testing.T) {
+	cfg := Config{Nodes: 4, Blocks: 2, Checkpoint: &checkpoint.Policy{Path: filepath.Join(t.TempDir(), "run.ckpt")}}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "Every = 0") {
+		t.Fatalf("Run = %v, want the interval rejected", err)
 	}
 }
 

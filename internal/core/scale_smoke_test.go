@@ -49,12 +49,7 @@ func TestLargeSwarmSmoke(t *testing.T) {
 	if err := mechanism.VerifyCreditLimited(res.Sim.Trace.Cursor(), cfg.CreditLimit); err != nil {
 		t.Fatalf("VerifyCreditLimited: %v", err)
 	}
-	// The same audit through the parallel pipeline at width 8 must agree.
-	sc := res.SimConfig
-	sc.AuditWorkers = 8
-	if err := simulate.RunAudit(sc, res.Sim); err != nil {
-		t.Fatalf("RunAudit(AuditWorkers=8): %v", err)
-	}
+	// The credit check through the parallel pair lanes at width 8 must agree.
 	if err := mechanism.VerifyCreditLimitedLog(res.Sim.Trace, false, cfg.CreditLimit, 8); err != nil {
 		t.Fatalf("VerifyCreditLimitedLog(workers=8): %v", err)
 	}

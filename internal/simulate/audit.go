@@ -3,11 +3,9 @@ package simulate
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"barterdist/internal/bitset"
 	"barterdist/internal/fault"
-	"barterdist/internal/parallel"
 	"barterdist/internal/swarm"
 	"barterdist/internal/trace"
 )
@@ -20,531 +18,277 @@ func auditErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrAudit, fmt.Sprintf(format, args...))
 }
 
-// auditTasks is the fixed partition width of the parallel audit: the
-// tick axis is cut into auditTasks contiguous chunks (capacity and
-// validity checks) and the node axis into auditTasks residue lanes
-// (liveness, store-and-forward, delivery, completion, events). The
-// partition never depends on AuditWorkers — workers only pick up
-// pre-cut tasks — which is what makes verdicts worker-count-invariant.
-const auditTasks = 8
+// replay is RunAudit's re-derivation of a recorded run: the population
+// state the engine held, rebuilt tick by tick from the trace and the
+// fault log, plus the whole-run tallies the Result must match.
+type replay struct {
+	c      Config
+	res    *Result
+	open   bool
+	honest []bool // nil for compliant runs
 
-// auditPoint pinpoints one invariant violation found during replay.
-// Points are ordered by (tick, phase, pos, prio); the minimum over all
-// tasks is exactly the error a single sequential replay would have hit
-// first, because each task scans its own slice of the work in that
-// order and every check site has a fixed priority matching the
-// sequential check order.
-type auditPoint struct {
-	tick  int   // 1-based tick (for fault events: effective application tick)
-	phase uint8 // 0 fault-log events, 1 validation, 2 delivery
-	pos   int   // global transfer index, or fault-log event index
-	prio  uint8 // check order within (tick, phase, pos)
-	err   error
-}
+	have       []*bitset.Set
+	completion []int
+	alive      []bool // nil unless a fault log or arrival plan drives liveness
+	caps       *capScratch
 
-// better returns the smaller of two points (nil = no error found).
-func better(a, b *auditPoint) *auditPoint {
-	switch {
-	case a == nil:
-		return b
-	case b == nil:
-		return a
-	case a.tick != b.tick:
-		if a.tick < b.tick {
-			return a
-		}
-		return b
-	case a.phase != b.phase:
-		if a.phase < b.phase {
-			return a
-		}
-		return b
-	case a.pos != b.pos:
-		if a.pos < b.pos {
-			return a
-		}
-		return b
-	case a.prio <= b.prio:
-		return a
-	}
-	return b
-}
+	// wins is the decode window: one Win per frame a single tick can
+	// span (two for any tick shorter than a frame), picked by frame
+	// index. A tick's delivery half re-reads exactly the frames its
+	// validation half decoded, and the next tick starts in the last of
+	// them, so every sealed frame is decoded once per replay.
+	wins      []trace.Win
+	dropIdx   []int32
+	dropKinds []uint8
 
-// auditSums is one lane's contribution to the whole-run aggregates the
-// sequential auditor accumulated in a single pass. Sums are only
-// consulted when no replay point fired, so lanes that bail early on an
-// error may leave them partial.
-type auditSums struct {
+	ei         int // fault-log cursor
+	nextArrive int // open runs: ids arrive in order
+
 	useful, total, lost         int
 	kind                        [trace.NumKinds]int
 	honestUseful, honestWasted  int
 	complete, aliveClients      int
+	honestClients               int
 	completeHonest, aliveHonest int
-	earlyExits                  int
-	comp                        int // clients whose completion tick is set
+	departed, earlyExits        int
 }
 
-func (s *auditSums) add(o *auditSums) {
-	s.useful += o.useful
-	s.total += o.total
-	s.lost += o.lost
-	for k := range s.kind {
-		s.kind[k] += o.kind[k]
+func newReplay(c Config, res *Result, honest []bool, open, tracked bool) *replay {
+	n, k := c.Nodes, c.Blocks
+	rp := &replay{
+		c: c, res: res, open: open, honest: honest,
+		have:       make([]*bitset.Set, n),
+		completion: make([]int, n),
+		caps:       newCapScratch(n),
+		nextArrive: 1,
 	}
-	s.honestUseful += o.honestUseful
-	s.honestWasted += o.honestWasted
-	s.complete += o.complete
-	s.aliveClients += o.aliveClients
-	s.completeHonest += o.completeHonest
-	s.aliveHonest += o.aliveHonest
-	s.earlyExits += o.earlyExits
-	s.comp += o.comp
-}
-
-// auditOut is one task's result: the earliest replay point it found,
-// its earliest final-state mismatches (checked only after a clean
-// replay), and its aggregate sums.
-type auditOut struct {
-	pt   *auditPoint // phases 0-2 (events / validation / delivery)
-	fin3 *auditPoint // final per-node have/completion mismatch (pos = node)
-	fin4 *auditPoint // final per-node liveness mismatch (pos = node)
-	sums auditSums
-}
-
-// auditPre is the sequential O(events) pre-pass over the fault log: it
-// assigns every event the tick at which the sequential replay applies
-// it (the log cursor only moves forward, so a time regression inherits
-// its predecessor's tick), performs the order- and mode-checks that
-// need no per-node state, and counts the global arrival/departure
-// tallies.
-type auditPre struct {
-	eff      []int // effective application tick; leftover events keep ticks+2
-	pt       *auditPoint
-	leftover int
-	departed int
-	arrived  int
-}
-
-func auditPrepass(c Config, res *Result, open, tracked bool) auditPre {
-	ticks := res.Trace.Ticks()
-	pre := auditPre{eff: make([]int, len(res.FaultLog))}
-	record := func(i int, prio uint8, err error) {
-		pre.pt = better(pre.pt, &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: prio, err: err})
+	for v := range rp.have {
+		rp.have[v] = bitset.New(k)
 	}
-	nextArrive := 1
-	prev := 1
-	for i, ev := range res.FaultLog {
-		// The sequential cursor stops for good at the first event with
-		// Time beyond the last replayed tick (NaN compares false, so it
-		// also stops there): everything from that index on is leftover.
-		if !(ev.Time <= float64(ticks+1)) {
-			pre.leftover = len(res.FaultLog) - i
-			for j := i; j < len(res.FaultLog); j++ {
-				pre.eff[j] = ticks + 2
+	rp.have[0].Fill()
+	if tracked {
+		rp.alive = make([]bool, n)
+		rp.alive[0] = true
+		if !open {
+			for v := range rp.alive {
+				rp.alive[v] = true
 			}
-			break
 		}
-		e := int(math.Ceil(ev.Time))
-		if e < 1 {
-			e = 1
+	}
+	if !open {
+		rp.aliveClients = n - 1
+	}
+	if honest != nil {
+		for _, h := range honest[1:] {
+			if h {
+				rp.honestClients++
+			}
 		}
-		if e < prev {
-			e = prev
-		}
-		pre.eff[i] = e
-		prev = e
+		rp.aliveHonest = rp.honestClients
+	}
 
+	l := res.Trace
+	span := 1
+	for t := 0; t < l.Ticks(); t++ {
+		if start, end := l.TickSpan(t); end > start {
+			span = max(span, trace.FrameOf(end-1)-trace.FrameOf(start)+1)
+		}
+	}
+	rp.wins = make([]trace.Win, span)
+	return rp
+}
+
+// window returns the decoded columns around transfer i; see wins.
+func (rp *replay) window(i int) (from, to, block []uint32, base, end int) {
+	return rp.res.Trace.Window(&rp.wins[trace.FrameOf(i)%len(rp.wins)], i)
+}
+
+// events applies the fault-log events due at the start of tick t, in
+// log order. The cursor only moves forward and stops at the first event
+// later than t, so a time regression applies with its predecessor.
+func (rp *replay) events(t int) error {
+	log := rp.res.FaultLog
+	for rp.ei < len(log) && log[rp.ei].Time <= float64(t) {
+		ev := log[rp.ei]
+		rp.ei++
 		v := int(ev.Node)
-		if v <= 0 || v >= c.Nodes {
-			record(i, 0, auditErr("fault log: event %v targets invalid node %d", ev.Kind, v))
-			continue
+		if v <= 0 || v >= rp.c.Nodes {
+			return auditErr("fault log: event %v targets invalid node %d", ev.Kind, v)
 		}
-		if !tracked {
-			record(i, 1, auditErr("fault log present but result reports a fault-free run"))
-			continue
-		}
+		honest := rp.honest != nil && rp.honest[v]
+		full := rp.have[v].Full()
 		switch ev.Kind {
 		case fault.Arrive:
-			if !open {
-				record(i, 2, auditErr("tick %v: arrival event in a closed-system run", ev.Time))
-				continue
+			if !rp.open {
+				return auditErr("tick %v: arrival event in a closed-system run", ev.Time)
 			}
-			if v != nextArrive {
-				record(i, 3, auditErr("tick %v: node %d arrives out of order (expected %d)", ev.Time, v, nextArrive))
-				continue
+			if v != rp.nextArrive {
+				return auditErr("tick %v: node %d arrives out of order (expected %d)", ev.Time, v, rp.nextArrive)
 			}
-			nextArrive++
+			if rp.alive[v] {
+				return auditErr("tick %v: node %d arrives while present", ev.Time, v)
+			}
+			if rp.have[v].Count() != 0 {
+				return auditErr("tick %v: node %d arrives holding blocks", ev.Time, v)
+			}
+			rp.nextArrive++
+			rp.alive[v] = true
+			rp.aliveClients++
 		case fault.Depart:
-			if !open {
-				record(i, 2, auditErr("tick %v: departure event in a closed-system run", ev.Time))
-				continue
+			if !rp.open {
+				return auditErr("tick %v: departure event in a closed-system run", ev.Time)
 			}
-			pre.departed++
+			if !rp.alive[v] {
+				return auditErr("tick %v: node %d departs while absent", ev.Time, v)
+			}
+			rp.alive[v] = false
+			rp.aliveClients--
+			rp.departed++
+			if full {
+				rp.complete--
+			} else {
+				rp.earlyExits++
+			}
 		case fault.Crash:
-			if open {
-				record(i, 2, auditErr("tick %v: crash event in an open-system run", ev.Time))
+			if rp.open {
+				return auditErr("tick %v: crash event in an open-system run", ev.Time)
+			}
+			if !rp.alive[v] {
+				return auditErr("tick %v: node %d crashes while already dead", ev.Time, v)
+			}
+			rp.alive[v] = false
+			rp.aliveClients--
+			if full {
+				rp.complete--
+			}
+			if honest {
+				rp.aliveHonest--
+				if full {
+					rp.completeHonest--
+				}
 			}
 		case fault.Rejoin:
-			if open {
-				record(i, 2, auditErr("tick %v: rejoin event in an open-system run", ev.Time))
+			if rp.open {
+				return auditErr("tick %v: rejoin event in an open-system run", ev.Time)
+			}
+			if rp.alive[v] {
+				return auditErr("tick %v: node %d rejoins while alive", ev.Time, v)
+			}
+			rp.alive[v] = true
+			rp.aliveClients++
+			if honest {
+				rp.aliveHonest++
+			}
+			if ev.Wiped {
+				rp.have[v].Clear()
+				rp.completion[v] = 0
+			} else if full {
+				rp.complete++
+				if honest {
+					rp.completeHonest++
+				}
 			}
 		default:
-			record(i, 2, auditErr("fault log: unknown event kind %d", uint8(ev.Kind)))
-		}
-	}
-	pre.arrived = nextArrive - 1
-	return pre
-}
-
-// auditChunk replays one contiguous tick range and checks the
-// state-free validation invariants: index ranges, self-transfers, and
-// the per-tick upload/download capacity counters. These checks carry
-// validation priorities 0-3 and 7-8; the state-dependent priorities
-// 4-6 (liveness, store-and-forward) belong to the node lanes, and the
-// point merge restores the sequential per-transfer check order.
-//
-// Capacity counting here is a superset of the sequential auditor's
-// (which stops counting at a transfer's first failed check): the extra
-// counts can only produce a spurious cap point *after* a genuine
-// lane/structural point in the same tick, which the minimum-point
-// reduction discards.
-func auditChunk(c Config, res *Result, ci int) *auditPoint {
-	l := res.Trace
-	T := l.Ticks()
-	lo, hi := 1+ci*T/auditTasks, (ci+1)*T/auditTasks
-	if lo > hi {
-		return nil
-	}
-	caps := newCapScratch(c.Nodes)
-	var w trace.Win
-	n, k := c.Nodes, c.Blocks
-	for t := lo; t <= hi; t++ {
-		start, end := l.TickSpan(t - 1)
-		caps.reset(t)
-		for i := start; i < end; {
-			from, to, block, base, wend := l.Window(&w, i)
-			stop := end
-			if wend < stop {
-				stop = wend
-			}
-			for ; i < stop; i++ {
-				j := i - base
-				f := int(int32(from[j]))
-				v := int(int32(to[j]))
-				b := int(int32(block[j]))
-				var inner error
-				var prio uint8
-				switch {
-				case f < 0 || f >= n:
-					inner, prio = fmt.Errorf("sender %d out of range", f), 0
-				case v < 0 || v >= n:
-					inner, prio = fmt.Errorf("receiver %d out of range", v), 1
-				case f == v:
-					inner, prio = fmt.Errorf("node %d transfers to itself", f), 2
-				case b < 0 || b >= k:
-					inner, prio = fmt.Errorf("block %d out of range", b), 3
-				default:
-					upCap := c.UploadCap
-					if f == 0 {
-						upCap = c.ServerUploadCap
-					}
-					if int(caps.addUp(f)) > upCap {
-						inner, prio = fmt.Errorf("node %d exceeds upload cap %d", f, upCap), 7
-					} else if used := caps.addDown(v); c.DownloadCap != Unlimited && int(used) > c.DownloadCap {
-						inner, prio = fmt.Errorf("node %d exceeds download cap %d", v, c.DownloadCap), 8
-					}
-				}
-				if inner != nil {
-					return &auditPoint{tick: t, phase: 1, pos: i, prio: prio, err: auditErr("tick %d: %v", t, inner)}
-				}
-			}
+			return auditErr("fault log: unknown event kind %d", uint8(ev.Kind))
 		}
 	}
 	return nil
 }
 
-// auditLane replays the whole trace for the nodes of one residue lane
-// (node v belongs to lane v % auditTasks). A lane is self-contained:
-// every check and every piece of state it touches — liveness, block
-// sets, completion ticks, per-receiver delivery accounting, the
-// per-node fault-event preconditions — depends only on events and
-// deliveries targeting its own nodes, so lanes never communicate. The
-// lane scans ticks, and positions within a tick, in ascending order
-// with fixed per-site priorities, so its first hit is its minimal
-// point and it can stop early.
-func auditLane(c Config, res *Result, pre *auditPre, honest []bool, open, tracked bool, lane int) auditOut {
-	l := res.Trace
-	T := l.Ticks()
-	n, k := c.Nodes, c.Blocks
-	adversarial := honest != nil
+// check validates one scheduled transfer against the start-of-tick
+// state, in the engine's check order and with its error text.
+func (rp *replay) check(f, v, b int) error {
+	n := rp.c.Nodes
+	switch {
+	case f < 0 || f >= n:
+		return fmt.Errorf("sender %d out of range", f)
+	case v < 0 || v >= n:
+		return fmt.Errorf("receiver %d out of range", v)
+	case f == v:
+		return fmt.Errorf("node %d transfers to itself", f)
+	case b < 0 || b >= rp.c.Blocks:
+		return fmt.Errorf("block %d out of range", b)
+	case rp.alive != nil && !rp.alive[f]:
+		return fmt.Errorf("dead node %d cannot upload", f)
+	case rp.alive != nil && !rp.alive[v]:
+		return fmt.Errorf("dead node %d cannot download", v)
+	case !rp.have[f].Has(b):
+		return fmt.Errorf("store-and-forward violation: node %d does not hold block %d", f, b)
+	}
+	upCap := rp.c.UploadCap
+	if f == 0 {
+		upCap = rp.c.ServerUploadCap
+	}
+	if int(rp.caps.addUp(f)) > upCap {
+		return fmt.Errorf("node %d exceeds upload cap %d", f, upCap)
+	}
+	if used := rp.caps.addDown(v); rp.c.DownloadCap != Unlimited && int(used) > rp.c.DownloadCap {
+		return fmt.Errorf("node %d exceeds download cap %d", v, rp.c.DownloadCap)
+	}
+	return nil
+}
 
-	slots := 0
-	if lane < n {
-		slots = (n - lane + auditTasks - 1) / auditTasks
-	}
-	have := make([]*bitset.Set, slots)
-	completion := make([]int, slots)
-	var alive []bool
-	if tracked {
-		alive = make([]bool, slots)
-	}
-	var out auditOut
-	sums := &out.sums
-	for v := lane; v < n; v += auditTasks {
-		s := v >> 3
-		have[s] = bitset.New(k)
-		if v == 0 {
-			for b := 0; b < k; b++ {
-				have[s].Add(b)
-			}
-		}
-		if tracked {
-			if open {
-				alive[s] = v == 0
-			} else {
-				alive[s] = true
-				if v > 0 {
-					sums.aliveClients++
-				}
-			}
-		}
-	}
-	if adversarial {
-		// The sequential auditor starts aliveHonest at the full honest
-		// client count (adversary plans do not compose with arrivals).
-		for v := lane; v < n; v += auditTasks {
-			if v > 0 && honest[v] {
-				sums.aliveHonest++
+// tick replays tick t in two halves: every transfer is validated
+// against the start-of-tick state, then the drop-aware delivery lands
+// the ones that arrived.
+func (rp *replay) tick(t int) error {
+	l := rp.res.Trace
+	start, end := l.TickSpan(t - 1)
+	rp.caps.reset(t)
+	for i := start; i < end; {
+		from, to, block, base, wend := rp.window(i)
+		for stop := min(end, wend); i < stop; i++ {
+			j := i - base
+			if err := rp.check(int(int32(from[j])), int(int32(to[j])), int(int32(block[j]))); err != nil {
+				return auditErr("tick %d: %v", t, err)
 			}
 		}
 	}
 
-	ei := 0
-	applyEvents := func(t int) *auditPoint {
-		for ei < len(pre.eff) && pre.eff[ei] <= t {
-			i := ei
-			ev := res.FaultLog[i]
-			ei++
-			v := int(ev.Node)
-			if v <= 0 || v >= n || v%auditTasks != lane || !tracked {
-				continue // out of range / foreign lane: prepass owns those checks
-			}
-			s := v >> 3
-			switch ev.Kind {
-			case fault.Arrive:
-				if !open {
-					continue // mode mismatch: prepass point, lower prio
-				}
-				if alive[s] {
-					return &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: 4,
-						err: auditErr("tick %v: node %d arrives while present", ev.Time, v)}
-				}
-				if have[s].Count() != 0 {
-					return &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: 5,
-						err: auditErr("tick %v: node %d arrives holding blocks", ev.Time, v)}
-				}
-				alive[s] = true
-				sums.aliveClients++
-			case fault.Depart:
-				if !open {
-					continue
-				}
-				if !alive[s] {
-					return &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: 4,
-						err: auditErr("tick %v: node %d departs while absent", ev.Time, v)}
-				}
-				alive[s] = false
-				sums.aliveClients--
-				if have[s].Full() {
-					sums.complete--
-				} else {
-					sums.earlyExits++
-				}
-			case fault.Crash:
-				if open {
-					continue
-				}
-				if !alive[s] {
-					return &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: 4,
-						err: auditErr("tick %v: node %d crashes while already dead", ev.Time, v)}
-				}
-				alive[s] = false
-				sums.aliveClients--
-				if have[s].Full() {
-					sums.complete--
-				}
-				if adversarial && honest[v] {
-					sums.aliveHonest--
-					if have[s].Full() {
-						sums.completeHonest--
-					}
-				}
-			case fault.Rejoin:
-				if open {
-					continue
-				}
-				if alive[s] {
-					return &auditPoint{tick: pre.eff[i], phase: 0, pos: i, prio: 4,
-						err: auditErr("tick %v: node %d rejoins while alive", ev.Time, v)}
-				}
-				alive[s] = true
-				sums.aliveClients++
-				if adversarial && honest[v] {
-					sums.aliveHonest++
-				}
-				if ev.Wiped {
-					have[s].Clear()
-					completion[s] = 0
-				} else if have[s].Full() {
-					sums.complete++
-					if adversarial && honest[v] {
-						sums.completeHonest++
-					}
-				}
-			}
-		}
-		return nil
-	}
-
-	var w trace.Win
-	var dropIdx []int32
-	var dropKinds []uint8
-	for t := 1; t <= T; t++ {
-		if out.pt = applyEvents(t); out.pt != nil {
-			return out
-		}
-		start, end := l.TickSpan(t - 1)
-		// Validation half-tick: liveness and store-and-forward against
-		// the start-of-tick state, before any delivery lands.
-		for i := start; i < end; {
-			from, to, block, base, wend := l.Window(&w, i)
-			stop := end
-			if wend < stop {
-				stop = wend
-			}
-			for ; i < stop; i++ {
-				j := i - base
-				f := int(int32(from[j]))
-				v := int(int32(to[j]))
-				fOwn := f >= 0 && f < n && f%auditTasks == lane
-				vOwn := v >= 0 && v < n && v%auditTasks == lane
-				if !fOwn && !vOwn {
-					continue
-				}
-				if fOwn && tracked && !alive[f>>3] {
-					out.pt = &auditPoint{tick: t, phase: 1, pos: i, prio: 4,
-						err: auditErr("tick %d: %v", t, fmt.Errorf("dead node %d cannot upload", f))}
-					return out
-				}
-				if vOwn && tracked && !alive[v>>3] {
-					out.pt = &auditPoint{tick: t, phase: 1, pos: i, prio: 5,
-						err: auditErr("tick %d: %v", t, fmt.Errorf("dead node %d cannot download", v))}
-					return out
-				}
-				if fOwn {
-					if b := int(int32(block[j])); b >= 0 && b < k && !have[f>>3].Has(b) {
-						out.pt = &auditPoint{tick: t, phase: 1, pos: i, prio: 6,
-							err: auditErr("tick %d: %v", t, fmt.Errorf("store-and-forward violation: node %d does not hold block %d", f, b))}
-						return out
-					}
-				}
-			}
-		}
-		// Delivery half-tick: drop-aware accounting for owned receivers.
-		dropIdx, dropKinds = l.AppendTickDrops(t-1, dropIdx[:0], dropKinds[:0])
-		dp := 0
-		for i := start; i < end; {
-			_, to, block, base, wend := l.Window(&w, i)
-			stop := end
-			if wend < stop {
-				stop = wend
-			}
-			for ; i < stop; i++ {
-				j := i - base
-				dropped := false
+	rp.dropIdx, rp.dropKinds = l.AppendTickDrops(t-1, rp.dropIdx[:0], rp.dropKinds[:0])
+	dp := 0
+	for i := start; i < end; {
+		_, to, block, base, wend := rp.window(i)
+		for stop := min(end, wend); i < stop; i++ {
+			j := i - base
+			v := int(int32(to[j]))
+			rp.total++
+			if dp < len(rp.dropIdx) && int(rp.dropIdx[dp]) == i-start {
 				kind := LostKindFault
-				if dp < len(dropIdx) && int(dropIdx[dp]) == i-start {
-					dropped = true
-					if dp < len(dropKinds) {
-						kind = dropKinds[dp]
+				if dp < len(rp.dropKinds) {
+					kind = rp.dropKinds[dp]
+				}
+				dp++
+				if rp.honest != nil {
+					if int(kind) >= len(rp.kind) {
+						return auditErr("tick %d: unknown drop kind %d", t, kind)
 					}
-					dp++
-				}
-				v := int(int32(to[j]))
-				if v < 0 || v >= n || v%auditTasks != lane {
-					continue
-				}
-				if dropped {
-					if adversarial {
-						if int(kind) >= len(sums.kind) {
-							out.pt = &auditPoint{tick: t, phase: 2, pos: i, prio: 0,
-								err: auditErr("tick %d: unknown drop kind %d", t, kind)}
-							return out
-						}
-						sums.kind[kind]++
-						if kind != LostKindFault && kind != LostKindFaultCorrupt && honest[v] {
-							sums.honestWasted++
-						}
-					}
-					sums.lost++
-					sums.total++
-					continue
-				}
-				b := int(int32(block[j]))
-				if b < 0 || b >= k {
-					continue // structurally invalid: the tick chunk owns the point
-				}
-				if have[v>>3].Add(b) {
-					sums.useful++
-					if adversarial && honest[v] {
-						sums.honestUseful++
-					}
-					if v != 0 && have[v>>3].Full() {
-						sums.complete++
-						completion[v>>3] = t
-						if adversarial && honest[v] {
-							sums.completeHonest++
-						}
+					rp.kind[kind]++
+					if kind != LostKindFault && kind != LostKindFaultCorrupt && rp.honest[v] {
+						rp.honestWasted++
 					}
 				}
-				sums.total++
+				rp.lost++ // the lost/corrupt split is checked in aggregate
+				continue
+			}
+			if !rp.have[v].Add(int(int32(block[j]))) {
+				continue
+			}
+			honest := rp.honest != nil && rp.honest[v]
+			rp.useful++
+			if honest {
+				rp.honestUseful++
+			}
+			if v != 0 && rp.have[v].Full() {
+				rp.complete++
+				rp.completion[v] = t
+				if honest {
+					rp.completeHonest++
+				}
 			}
 		}
 	}
-	if out.pt = applyEvents(T + 1); out.pt != nil {
-		return out
-	}
-
-	// Final-state comparison, in ascending node order within the lane;
-	// the cross-lane merge restores the global ascending order.
-	for v := lane; v < n; v += auditTasks {
-		s := v >> 3
-		if !have[s].Equal(res.FinalHave[v]) {
-			out.fin3 = &auditPoint{tick: 0, phase: 3, pos: v, prio: 0,
-				err: auditErr("node %d final block set differs from recorded snapshot", v)}
-			break
-		}
-		if completion[s] != res.ClientCompletion[v] {
-			out.fin3 = &auditPoint{tick: 0, phase: 3, pos: v, prio: 1,
-				err: auditErr("node %d completion tick: replay %d, result %d", v, completion[s], res.ClientCompletion[v])}
-			break
-		}
-	}
-	if res.FinalAlive != nil && tracked {
-		for v := lane; v < n && v < len(res.FinalAlive); v += auditTasks {
-			if alive[v>>3] != res.FinalAlive[v] {
-				out.fin4 = &auditPoint{tick: 0, phase: 4, pos: v, prio: 0,
-					err: auditErr("node %d final liveness: replay %v, result %v", v, alive[v>>3], res.FinalAlive[v])}
-				break
-			}
-		}
-	}
-	for v := lane; v < n; v += auditTasks {
-		if v > 0 && completion[v>>3] != 0 {
-			sums.comp++
-		}
-	}
-	return out
+	return nil
 }
 
 // RunAudit replays a recorded run from scratch and verifies that every
@@ -573,13 +317,11 @@ func auditLane(c Config, res *Result, pre *auditPre, honest []bool, open, tracke
 // completion criterion and honest stall accounting are re-derived from
 // the trace.
 //
-// The replay is partitioned into fixed tick chunks (capacity and
-// validity) and fixed node-residue lanes (liveness, store-and-forward,
-// delivery, completion, fault events) executed on cfg.AuditWorkers
-// workers. The partition is independent of the worker count and every
-// check site carries a priority mirroring the sequential check order,
-// so the verdict — and the error text — is byte-identical for any
-// AuditWorkers value.
+// The replay is one sequential pass that decodes each sealed trace
+// frame once. It reports the first violation in replay order: a tick's
+// fault events, then its transfers' validation in trace order, then
+// their delivery; after the last tick the counts, the completion rule,
+// and the final per-node state in ascending node order.
 func RunAudit(cfg Config, res *Result) error {
 	cfg.Fault = nil
 	cfg.Adversary = nil
@@ -601,130 +343,97 @@ func RunAudit(cfg Config, res *Result) error {
 	if res.Trace == nil {
 		return auditErr("result has no trace; run with RecordTrace")
 	}
-	if res.CompletionTime != res.Trace.Ticks() {
-		return auditErr("CompletionTime %d does not match trace length %d",
-			res.CompletionTime, res.Trace.Ticks())
+	ticks := res.Trace.Ticks()
+	if res.CompletionTime != ticks {
+		return auditErr("CompletionTime %d does not match trace length %d", res.CompletionTime, ticks)
 	}
 	open := res.Open != nil
-	faulty := len(res.FaultLog) > 0 || res.FinalAlive != nil
-	tracked := open || faulty
+	tracked := open || len(res.FaultLog) > 0 || res.FinalAlive != nil
 	adversarial := honest != nil
-	honestClients := 0
-	if adversarial {
-		for _, h := range honest[1:] {
-			if h {
-				honestClients++
-			}
-		}
-		if !res.Trace.Kinded() {
-			return auditErr("adversarial result's trace records no drop kinds")
-		}
+	if adversarial && !res.Trace.Kinded() {
+		return auditErr("adversarial result's trace records no drop kinds")
 	}
 
-	pre := auditPrepass(c, res, open, tracked)
-
-	workers := c.AuditWorkers
-	if workers <= 0 {
-		workers = 1
-	}
-	outs, perr := parallel.Map(workers, 2*auditTasks, func(i int) (auditOut, error) {
-		if i < auditTasks {
-			return auditOut{pt: auditChunk(c, res, i)}, nil
+	rp := newReplay(c, res, honest, open, tracked)
+	for t := 1; t <= ticks; t++ {
+		if err := rp.events(t); err != nil {
+			return err
 		}
-		return auditLane(c, res, &pre, honest, open, tracked, i-auditTasks), nil
-	})
-	if perr != nil {
-		return perr // a panicking task, surfaced at the lowest index
+		if err := rp.tick(t); err != nil {
+			return err
+		}
 	}
-
-	pt := pre.pt
-	var fin3, fin4 *auditPoint
-	var sums auditSums
-	for i := range outs {
-		pt = better(pt, outs[i].pt)
-		fin3 = better(fin3, outs[i].fin3)
-		fin4 = better(fin4, outs[i].fin4)
-		sums.add(&outs[i].sums)
+	// Events that fired after the last scheduled tick (a crash that
+	// finished the run by removing the last incomplete client).
+	if err := rp.events(ticks + 1); err != nil {
+		return err
 	}
-	if pt != nil {
-		return pt.err
-	}
-	if pre.leftover > 0 {
-		return auditErr("fault log has %d events beyond the recorded run", pre.leftover)
+	if left := len(res.FaultLog) - rp.ei; left > 0 {
+		return auditErr("fault log has %d events beyond the recorded run", left)
 	}
 
 	// The run must actually have finished under the engine's criterion.
 	if open {
+		comp := 0
+		for _, done := range rp.completion[1:] {
+			if done != 0 {
+				comp++
+			}
+		}
 		if err := swarm.AuditOpen(res.Open, c.Nodes, swarm.OpenCounts{
-			Arrived: pre.arrived, Departed: pre.departed, EarlyExits: sums.earlyExits,
-			Completed: sums.comp, Present: sums.aliveClients, Complete: sums.complete,
+			Arrived: rp.nextArrive - 1, Departed: rp.departed, EarlyExits: rp.earlyExits,
+			Completed: comp, Present: rp.aliveClients, Complete: rp.complete,
 		}); err != nil {
 			return auditErr("%v", err)
 		}
-	} else {
-		// st.AllClientsComplete() over the merged lane counters (the
-		// replay never schedules rejoins, so none are pending).
-		done := false
-		if adversarial {
-			if !tracked {
-				done = sums.completeHonest == honestClients
-			} else {
-				done = sums.completeHonest == sums.aliveHonest
-			}
-		} else if !tracked {
-			done = sums.complete == c.Nodes-1
-		} else {
-			done = sums.complete == sums.aliveClients
+	} else if adversarial {
+		// The replay never schedules rejoins, so none are pending.
+		if rp.completeHonest != rp.aliveHonest {
+			return auditErr("replayed trace does not reach honest completion (%d/%d honest clients complete)",
+				rp.completeHonest, rp.honestClients)
 		}
-		if !done {
-			if adversarial {
-				return auditErr("replayed trace does not reach honest completion (%d/%d honest clients complete)",
-					sums.completeHonest, honestClients)
-			}
-			aliveClients := c.Nodes - 1
-			if tracked {
-				aliveClients = sums.aliveClients
-			}
-			return auditErr("replayed trace does not reach completion (%d/%d alive clients complete, %d rejoins pending)",
-				sums.complete, aliveClients, 0)
-		}
+	} else if rp.complete != rp.aliveClients {
+		return auditErr("replayed trace does not reach completion (%d/%d alive clients complete, %d rejoins pending)",
+			rp.complete, rp.aliveClients, 0)
 	}
-	if sums.useful != res.UsefulTransfers {
-		return auditErr("replay counts %d useful transfers, result reports %d", sums.useful, res.UsefulTransfers)
+	if rp.useful != res.UsefulTransfers {
+		return auditErr("replay counts %d useful transfers, result reports %d", rp.useful, res.UsefulTransfers)
 	}
-	if sums.total != res.TotalTransfers {
-		return auditErr("replay counts %d total transfers, result reports %d", sums.total, res.TotalTransfers)
+	if rp.total != res.TotalTransfers {
+		return auditErr("replay counts %d total transfers, result reports %d", rp.total, res.TotalTransfers)
 	}
 	corrupt := res.CorruptTransfers
 	if adversarial {
-		if sums.kind[LostKindFault] != res.LostTransfers || sums.kind[LostKindFaultCorrupt] != corrupt {
+		if rp.kind[LostKindFault] != res.LostTransfers || rp.kind[LostKindFaultCorrupt] != corrupt {
 			return auditErr("replay counts %d lost + %d corrupt fault drops, result reports %d + %d",
-				sums.kind[LostKindFault], sums.kind[LostKindFaultCorrupt], res.LostTransfers, corrupt)
+				rp.kind[LostKindFault], rp.kind[LostKindFaultCorrupt], res.LostTransfers, corrupt)
 		}
-		if sums.kind[LostKindRefused] != res.AdvRefused ||
-			sums.kind[LostKindStalled] != res.AdvStalled ||
-			sums.kind[LostKindGarbage] != res.AdvCorrupt {
+		if rp.kind[LostKindRefused] != res.AdvRefused ||
+			rp.kind[LostKindStalled] != res.AdvStalled ||
+			rp.kind[LostKindGarbage] != res.AdvCorrupt {
 			return auditErr("replay counts %d refused / %d stalled / %d garbage adversary drops, result reports %d / %d / %d",
-				sums.kind[LostKindRefused], sums.kind[LostKindStalled], sums.kind[LostKindGarbage],
+				rp.kind[LostKindRefused], rp.kind[LostKindStalled], rp.kind[LostKindGarbage],
 				res.AdvRefused, res.AdvStalled, res.AdvCorrupt)
 		}
-		if sums.honestUseful != res.HonestUseful || sums.honestWasted != res.HonestWasted {
+		if rp.honestUseful != res.HonestUseful || rp.honestWasted != res.HonestWasted {
 			return auditErr("replay counts %d honest-useful / %d honest-wasted, result reports %d / %d",
-				sums.honestUseful, sums.honestWasted, res.HonestUseful, res.HonestWasted)
+				rp.honestUseful, rp.honestWasted, res.HonestUseful, res.HonestWasted)
 		}
-	} else if sums.lost != res.LostTransfers+corrupt {
+	} else if rp.lost != res.LostTransfers+corrupt {
 		return auditErr("replay counts %d dropped transfers, result reports %d lost + %d corrupt",
-			sums.lost, res.LostTransfers, res.CorruptTransfers)
+			rp.lost, res.LostTransfers, res.CorruptTransfers)
 	}
-	if fin3 != nil {
-		return fin3.err
-	}
-	if res.FinalAlive != nil {
-		if !tracked {
-			return auditErr("result records a liveness mask but no fault log")
+	for v := 0; v < c.Nodes; v++ {
+		if !rp.have[v].Equal(res.FinalHave[v]) {
+			return auditErr("node %d final block set differs from recorded snapshot", v)
 		}
-		if fin4 != nil {
-			return fin4.err
+		if rp.completion[v] != res.ClientCompletion[v] {
+			return auditErr("node %d completion tick: replay %d, result %d", v, rp.completion[v], res.ClientCompletion[v])
+		}
+	}
+	for v, a := range res.FinalAlive {
+		if rp.alive[v] != a {
+			return auditErr("node %d final liveness: replay %v, result %v", v, rp.alive[v], a)
 		}
 	}
 	return nil

@@ -139,11 +139,10 @@ type Config struct {
 	// closed engine unchanged. Single-use, and mutually exclusive with
 	// Fault and Adversary for now.
 	Arrivals *arrival.Plan
-	// AuditWorkers is how many OS workers RunAudit spreads its fixed
-	// tick-chunk and node-lane partition over. 0 and 1 both mean inline
-	// sequential replay. Verdicts — including error text — are
-	// byte-identical for every value; the knob only trades wall-clock
-	// for cores.
+	// AuditWorkers is ignored: RunAudit is one sequential pass.
+	//
+	// Deprecated: the field remains only so existing callers compile;
+	// mechanism verifiers and asim.RunAudit take their own widths.
 	AuditWorkers int
 	// Checkpoint enables periodic crash-safe snapshots of the full
 	// engine state: every Checkpoint.Every ticks the engine atomically
@@ -177,8 +176,8 @@ func (c *Config) Validate() error {
 		bad = append(bad, fmt.Sprintf("DownloadCap = %d, need >= 0", c.DownloadCap))
 	}
 	bad = append(bad, swarm.PlanConflicts(c.Nodes, c.Fault, c.Adversary, c.Arrivals)...)
-	if c.AuditWorkers < 0 {
-		bad = append(bad, fmt.Sprintf("AuditWorkers = %d, need >= 0", c.AuditWorkers))
+	if err := c.Checkpoint.Validate(); err != nil {
+		bad = append(bad, err.Error())
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("simulate: invalid config: %s", strings.Join(bad, "; "))

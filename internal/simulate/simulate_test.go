@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"barterdist/internal/checkpoint"
 )
 
 // naivePipeline sends block by block down the chain 0->1->...->n-1: node v
@@ -62,6 +64,15 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := Run(cfg, ok); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestConfigRejectsCheckpointWithoutInterval: a snapshot path with an
+// interval below 1 would never write, so Validate rejects it.
+func TestConfigRejectsCheckpointWithoutInterval(t *testing.T) {
+	cfg := Config{Nodes: 4, Blocks: 2, Checkpoint: &checkpoint.Policy{Path: "run.ckpt", Every: 0}}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "Every = 0") {
+		t.Fatalf("Validate = %v, want the interval rejected", err)
 	}
 }
 

@@ -423,6 +423,10 @@ func (l *Log) reencodeFrame(f int, w *Win) {
 	l.frames[f] = frame{data: data, off: off}
 }
 
+// FrameOf returns the index of the frame that holds transfer i. A
+// reader that keeps several Wins open picks one per frame with it.
+func FrameOf(i int) int { return i >> frameShift }
+
 // sealedLen returns the number of transfers held in sealed frames.
 func (l *Log) sealedLen() int { return len(l.frames) << frameShift }
 
