@@ -15,12 +15,16 @@ import (
 
 	"barterdist"
 	"barterdist/internal/analysis"
+	"barterdist/internal/asim"
+	"barterdist/internal/bt"
 	"barterdist/internal/experiment"
 	"barterdist/internal/fault"
+	"barterdist/internal/graph"
 	"barterdist/internal/lint"
 	"barterdist/internal/mechanism"
 	"barterdist/internal/simulate"
 	"barterdist/internal/trace"
+	"barterdist/internal/xrand"
 )
 
 // Benchmarks run the generators with Workers: 1 so that ns/op measures
@@ -308,6 +312,50 @@ func BenchmarkAuditReplay(b *testing.B) {
 			}
 		})
 	}
+}
+
+// cannedTableDCell records both runs of one Table D cell ONCE per
+// process — BitTorrent, then async rarest-first, on one random-regular
+// graph (n=1024, k=512, degree 30, the cell's rep-0 seed) — so
+// BenchmarkAsimAudit measures pure verification cost, not simulation.
+var cannedTableDCell = sync.OnceValue(func() [2]*asim.Result {
+	const n, k, d = 1024, 512, 30
+	seed := uint64(9000 + n*31)
+	g, err := graph.RandomRegular(n, d, xrand.New(seed))
+	if err != nil {
+		panic(err)
+	}
+	proto, err := bt.New(bt.Options{Graph: g, DownloadPorts: 1, Seed: seed})
+	if err != nil {
+		panic(err)
+	}
+	var cell [2]*asim.Result
+	for i, p := range []asim.Protocol{proto, asim.NewAsyncRandomized(g, true, 1, seed)} {
+		if cell[i], err = asim.Run(cannedTableDConfig, p); err != nil {
+			panic(err)
+		}
+	}
+	return cell
+})
+
+var cannedTableDConfig = asim.Config{Nodes: 1024, Blocks: 512, DownloadPorts: 1, RecordTrace: true}
+
+// BenchmarkAsimAudit is the asynchronous engine's auditor: asim.RunAudit
+// over both recorded runs of the canned Table D cell. transfers/s
+// counts the trace records (deliveries and drops) replayed per second.
+func BenchmarkAsimAudit(b *testing.B) {
+	cell := cannedTableDCell()
+	records := len(cell[0].Trace) + len(cell[1].Trace)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, res := range cell {
+			if err := asim.RunAudit(cannedTableDConfig, res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
 }
 
 // BenchmarkTraceAppend is the recording hot path: append one synthetic
