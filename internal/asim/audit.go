@@ -185,7 +185,8 @@ func (a *auditor) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
 		return auditErr("trace record %d: block %d out of range", i, b)
 	case to == 0:
 		return auditErr("trace record %d: upload to the server", i)
-	case tr.Start < 0 || tr.End <= tr.Start:
+	case !(tr.Start >= 0 && tr.End > tr.Start) || math.IsInf(tr.End, 0):
+		// Negated, so NaN times (false in every comparison) fail too.
 		return auditErr("trace record %d: degenerate interval [%v, %v]", i, tr.Start, tr.End)
 	case tr.Corrupt && !tr.Lost:
 		return auditErr("trace record %d: corrupt but not marked lost", i)

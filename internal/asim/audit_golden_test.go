@@ -205,6 +205,12 @@ var goldenTampers = map[string]goldenTamper{
 		return true
 	},
 	"negative start": func(r *Result, _ Config) bool { r.Trace[0].Start = -0.5; return true },
+	"NaN start":      func(r *Result, _ Config) bool { r.Trace[len(r.Trace)/2].Start = math.NaN(); return true },
+	"NaN interval": func(r *Result, _ Config) bool {
+		tr := &r.Trace[len(r.Trace)/2]
+		tr.Start, tr.End = math.NaN(), math.NaN()
+		return true
+	},
 	"corrupt but delivered": func(r *Result, _ Config) bool {
 		return editFromMid(r, func(tr *TransferRecord) bool {
 			if tr.Lost {
