@@ -88,9 +88,9 @@ type Config struct {
 	// per-shard streams (see AsyncRandomized), keeping the RNG
 	// derivation identical across both engines.
 	ShardWorkers int
-	// AuditWorkers is the worker pool width RunAudit replays the
-	// recorded trace at. 0 and 1 both mean inline sequential replay; the
-	// audit verdict and error text are byte-identical for every value.
+	// AuditWorkers is ignored: RunAudit is one sequential pass.
+	//
+	// Deprecated: the field remains only so existing callers compile.
 	AuditWorkers int
 	// MaxTime aborts runaway protocols. 0 selects a generous default.
 	MaxTime float64
@@ -157,9 +157,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("asim: ShardWorkers = %d, need >= 0", c.ShardWorkers)
-	}
-	if c.AuditWorkers < 0 {
-		return fmt.Errorf("asim: AuditWorkers = %d, need >= 0", c.AuditWorkers)
 	}
 	if c.MaxTime < 0 || math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
 		return fmt.Errorf("asim: MaxTime = %v must be finite and >= 0", c.MaxTime)

@@ -130,9 +130,9 @@ type Config struct {
 	ShardWorkers int
 
 	// AuditWorkers is how many OS workers the mechanism verifiers'
-	// pair lanes use (Verify and the minimal-credit scan). The engine
-	// replay, simulate.RunAudit, is one sequential pass with no width;
-	// the asynchronous engine's replay takes asim.Config.AuditWorkers.
+	// pair lanes use (Verify and the minimal-credit scan) — the only
+	// audit work with a width. Both engines' replays, simulate.RunAudit
+	// and asim.RunAudit, are one sequential pass each.
 	// 0 and 1 both mean inline sequential verification. Verdicts and
 	// error text are byte-identical for every value; the knob only
 	// trades wall-clock for cores.

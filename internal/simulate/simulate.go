@@ -142,7 +142,8 @@ type Config struct {
 	// AuditWorkers is ignored: RunAudit is one sequential pass.
 	//
 	// Deprecated: the field remains only so existing callers compile;
-	// mechanism verifiers and asim.RunAudit take their own widths.
+	// the mechanism verifiers take their width from
+	// core.Config.AuditWorkers.
 	AuditWorkers int
 	// Checkpoint enables periodic crash-safe snapshots of the full
 	// engine state: every Checkpoint.Every ticks the engine atomically
