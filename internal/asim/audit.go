@@ -70,8 +70,10 @@ func (ix *eventIndex) eventDuring(v int, start, end float64) bool {
 	return i < len(times) && times[i] < end
 }
 
-// auditor is one RunAudit call's replay state.
-type auditor struct {
+// replay is RunAudit's re-derivation of a recorded run: the population
+// the fault log implies, the block sets rebuilt record by record from
+// the trace, and the whole-run tallies the Result must match.
+type replay struct {
 	c           Config
 	res         *Result
 	honest      []bool // nil for compliant runs
@@ -84,8 +86,8 @@ type auditor struct {
 	nextArrive int
 	departed   int
 
-	// Replay state. arrivedAt[v][b] is when v last acquired b (+Inf =
-	// not held); have mirrors it as a bitset for the final comparison.
+	// arrivedAt[v][b] is when v last acquired b (+Inf = not held); have
+	// mirrors it as a bitset for the final comparison.
 	have                       []*bitset.Set
 	arrivedAt                  [][]float64
 	completion                 []float64
@@ -97,23 +99,39 @@ type auditor struct {
 	logCursor                  int
 }
 
+func newReplay(c Config, res *Result, honest []bool) *replay {
+	rp := &replay{
+		c: c, res: res, honest: honest, adversarial: honest != nil, open: res.Open != nil,
+		alive:      make([]bool, c.Nodes),
+		nextArrive: 1,
+		have:       make([]*bitset.Set, c.Nodes),
+		arrivedAt:  make([][]float64, c.Nodes),
+		completion: make([]float64, c.Nodes),
+	}
+	for v := range rp.have {
+		rp.alive[v] = v == 0 || !rp.open
+		rp.have[v] = bitset.New(c.Blocks)
+		rp.arrivedAt[v] = make([]float64, c.Blocks)
+		at := math.Inf(1)
+		if v == 0 {
+			at = 0
+		}
+		for b := range rp.arrivedAt[v] {
+			rp.arrivedAt[v][b] = at
+		}
+	}
+	rp.have[0].Fill()
+	return rp
+}
+
 // checkFaultLog is the fault-log sanity pass: time-ordered, clients
 // only, alternating states. Open-system logs instead hold Arrive/Depart
 // events: the swarm starts empty (server only), ids are handed out in
 // arrival order, and departures are permanent. It leaves the final
-// population in a.alive.
-func (a *auditor) checkFaultLog() error {
-	c, open := a.c, a.open
-	a.alive = make([]bool, c.Nodes)
-	a.alive[0] = true
-	if !open {
-		for i := range a.alive {
-			a.alive[i] = true
-		}
-	}
-	alive := a.alive
-	a.nextArrive = 1
-	for i, ev := range a.res.FaultLog {
+// population in rp.alive.
+func (rp *replay) checkFaultLog() error {
+	c, open, alive := rp.c, rp.open, rp.alive
+	for i, ev := range rp.res.FaultLog {
 		v := int(ev.Node)
 		if v <= 0 || v >= c.Nodes {
 			return auditErr("fault log: event %d targets invalid node %d", i, v)
@@ -121,9 +139,9 @@ func (a *auditor) checkFaultLog() error {
 		if math.IsNaN(ev.Time) || ev.Time < 0 {
 			return auditErr("fault log: event %d has time %v", i, ev.Time)
 		}
-		if i > 0 && ev.Time < a.res.FaultLog[i-1].Time {
+		if i > 0 && ev.Time < rp.res.FaultLog[i-1].Time {
 			return auditErr("fault log: event %d goes back in time (%v after %v)",
-				i, ev.Time, a.res.FaultLog[i-1].Time)
+				i, ev.Time, rp.res.FaultLog[i-1].Time)
 		}
 		switch ev.Kind {
 		case fault.Crash:
@@ -146,10 +164,10 @@ func (a *auditor) checkFaultLog() error {
 			if !open {
 				return auditErr("t=%v: arrival event in a closed-system run", ev.Time)
 			}
-			if v != a.nextArrive {
-				return auditErr("t=%v: node %d arrives out of order (expected %d)", ev.Time, v, a.nextArrive)
+			if v != rp.nextArrive {
+				return auditErr("t=%v: node %d arrives out of order (expected %d)", ev.Time, v, rp.nextArrive)
 			}
-			a.nextArrive++
+			rp.nextArrive++
 			alive[v] = true
 		case fault.Depart:
 			if !open {
@@ -159,7 +177,7 @@ func (a *auditor) checkFaultLog() error {
 				return auditErr("t=%v: node %d departs while absent", ev.Time, v)
 			}
 			alive[v] = false
-			a.departed++
+			rp.departed++
 		default:
 			return auditErr("fault log: unknown event kind %d", uint8(ev.Kind))
 		}
@@ -170,8 +188,8 @@ func (a *auditor) checkFaultLog() error {
 // checkRecord runs the stateless checks on trace record i: end
 // monotonicity, the structural switch, the bandwidth model, and the
 // three liveness checks.
-func (a *auditor) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
-	c := a.c
+func (rp *replay) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
+	c := rp.c
 	if tr.End < prevEnd {
 		return auditErr("trace record %d ends at %v, before its predecessor (%v)", i, tr.End, prevEnd)
 	}
@@ -192,9 +210,9 @@ func (a *auditor) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
 		return auditErr("trace record %d: corrupt but not marked lost", i)
 	case tr.Adversary && !tr.Lost:
 		return auditErr("trace record %d: adversary-faulted but not marked lost", i)
-	case tr.Adversary && !a.adversarial:
+	case tr.Adversary && !rp.adversarial:
 		return auditErr("trace record %d: adversary-faulted transfer in a run without strategies", i)
-	case tr.Adversary && a.honest[tr.From]:
+	case tr.Adversary && rp.honest[tr.From]:
 		return auditErr("trace record %d: honest node %d recorded as misbehaving", i, tr.From)
 	}
 	// Bandwidth model: duration is exactly one block at the reserved
@@ -213,13 +231,13 @@ func (a *auditor) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
 			i, from, to, d, want)
 	}
 	// Liveness across the whole flight.
-	if !a.ix.aliveAt(from, tr.Start) {
+	if !rp.ix.aliveAt(from, tr.Start) {
 		return auditErr("t=%v: dead node %d starts an upload", tr.Start, from)
 	}
-	if !a.ix.aliveAt(to, tr.Start) {
+	if !rp.ix.aliveAt(to, tr.Start) {
 		return auditErr("t=%v: node %d uploads to dead node %d", tr.Start, from, to)
 	}
-	if a.ix.eventDuring(from, tr.Start, tr.End) || a.ix.eventDuring(to, tr.Start, tr.End) {
+	if rp.ix.eventDuring(from, tr.Start, tr.End) || rp.ix.eventDuring(to, tr.Start, tr.End) {
 		return auditErr("trace record %d: %d->%d survives a fault event mid-flight; the engine aborts those",
 			i, from, to)
 	}
@@ -230,24 +248,24 @@ func (a *auditor) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
 // rejoins empty the node, and a departure short of the full file is an
 // early exit (same-time deliveries precede the departure, matching the
 // engine's event order).
-func (a *auditor) applyEvents(until float64) {
-	log := a.res.FaultLog
-	for a.logCursor < len(log) && log[a.logCursor].Time < until {
-		ev := log[a.logCursor]
-		a.logCursor++
+func (rp *replay) applyEvents(until float64) {
+	log := rp.res.FaultLog
+	for rp.logCursor < len(log) && log[rp.logCursor].Time < until {
+		ev := log[rp.logCursor]
+		rp.logCursor++
 		if ev.Kind == fault.Rejoin && ev.Wiped {
 			v := int(ev.Node)
-			a.have[v].Clear()
-			for b := range a.arrivedAt[v] {
-				a.arrivedAt[v][b] = math.Inf(1)
+			rp.have[v].Clear()
+			for b := range rp.arrivedAt[v] {
+				rp.arrivedAt[v][b] = math.Inf(1)
 			}
-			a.completion[v] = 0
+			rp.completion[v] = 0
 		}
-		if ev.Kind == fault.Depart && !a.have[ev.Node].Full() {
-			a.earlyExits++
+		if ev.Kind == fault.Depart && !rp.have[ev.Node].Full() {
+			rp.earlyExits++
 		}
-		if ev.Time > a.maxTime {
-			a.maxTime = ev.Time
+		if ev.Time > rp.maxTime {
+			rp.maxTime = ev.Time
 		}
 	}
 }
@@ -255,43 +273,43 @@ func (a *auditor) applyEvents(until float64) {
 // replayRecord applies trace record i to the replay state after its
 // stateless checks passed: store-and-forward at upload start, the drop
 // counters, and double delivery.
-func (a *auditor) replayRecord(tr TransferRecord) error {
+func (rp *replay) replayRecord(tr TransferRecord) error {
 	from, to, b := int(tr.From), int(tr.To), int(tr.Block)
-	a.applyEvents(tr.End)
+	rp.applyEvents(tr.End)
 	// The sender must have acquired the block (and not lost it to a
 	// wipe) by tr.Start.
-	if a.arrivedAt[from][b] > tr.Start {
+	if rp.arrivedAt[from][b] > tr.Start {
 		return auditErr("t=%v: node %d sends block %d it did not hold at upload start", tr.Start, from, b)
 	}
-	if tr.End > a.maxTime {
-		a.maxTime = tr.End
+	if tr.End > rp.maxTime {
+		rp.maxTime = tr.End
 	}
 	if tr.Lost {
 		switch {
 		case tr.Adversary && tr.Corrupt:
-			a.advGarbage++
+			rp.advGarbage++
 		case tr.Adversary:
-			a.advStalled++
+			rp.advStalled++
 		case tr.Corrupt:
-			a.corrupt++
+			rp.corrupt++
 		default:
-			a.lost++
+			rp.lost++
 		}
-		if tr.Adversary && a.honest[to] {
-			a.honestWasted++
+		if tr.Adversary && rp.honest[to] {
+			rp.honestWasted++
 		}
 		return nil
 	}
-	if !a.have[to].Add(b) {
+	if !rp.have[to].Add(b) {
 		return auditErr("t=%v: node %d delivered block %d it already holds", tr.End, to, b)
 	}
-	a.arrivedAt[to][b] = tr.End
-	a.delivered++
-	if a.adversarial && a.honest[to] {
-		a.honestUseful++
+	rp.arrivedAt[to][b] = tr.End
+	rp.delivered++
+	if rp.adversarial && rp.honest[to] {
+		rp.honestUseful++
 	}
-	if a.have[to].Full() {
-		a.completion[to] = tr.End
+	if rp.have[to].Full() {
+		rp.completion[to] = tr.End
 	}
 	return nil
 }
@@ -301,8 +319,8 @@ func (a *auditor) replayRecord(tr TransferRecord) error {
 // one flat index of record numbers grouped by node with a counting
 // sort — by sender, then rebuilt by receiver — so each group starts in
 // trace order and sorts by Start into the same permutation every time.
-func (a *auditor) checkPorts() error {
-	trace, n := a.res.Trace, a.c.Nodes
+func (rp *replay) checkPorts() error {
+	trace, n := rp.res.Trace, rp.c.Nodes
 	first := make([]int32, n+1) // group v is idx[first[v]:first[v+1]]
 	idx := make([]int32, len(trace))
 	groupBy := func(node func(tr *TransferRecord) int32) {
@@ -359,8 +377,8 @@ func (a *auditor) checkPorts() error {
 				}
 			}
 			active = append(active, j)
-			if a.c.DownloadPorts != Unlimited && len(active) > a.c.DownloadPorts {
-				return auditErr("node %d exceeds %d download ports at t=%v", v, a.c.DownloadPorts, iv.Start)
+			if rp.c.DownloadPorts != Unlimited && len(active) > rp.c.DownloadPorts {
+				return auditErr("node %d exceeds %d download ports at t=%v", v, rp.c.DownloadPorts, iv.Start)
 			}
 		}
 	}
@@ -369,22 +387,22 @@ func (a *auditor) checkPorts() error {
 
 // checkTotals compares the replay's aggregates and final state with
 // the recorded Result.
-func (a *auditor) checkTotals() error {
-	c, res, have := a.c, a.res, a.have
+func (rp *replay) checkTotals() error {
+	c, res, have := rp.c, rp.res, rp.have
 	// The run must have finished under the engine's criterion: every
 	// alive client — every alive *honest* client under an adversary
 	// plan — holds the whole file. An open run instead ends on its
 	// verdict, checked with the starvation identity (swarm.AuditOpen).
-	if a.open {
-		r := swarm.OpenCounts{Arrived: a.nextArrive - 1, Departed: a.departed, EarlyExits: a.earlyExits}
+	if rp.open {
+		r := swarm.OpenCounts{Arrived: rp.nextArrive - 1, Departed: rp.departed, EarlyExits: rp.earlyExits}
 		for v := 1; v < c.Nodes; v++ {
-			if a.alive[v] {
+			if rp.alive[v] {
 				r.Present++
 				if have[v].Full() {
 					r.Complete++
 				}
 			}
-			if a.completion[v] != 0 {
+			if rp.completion[v] != 0 {
 				r.Completed++
 			}
 		}
@@ -393,55 +411,55 @@ func (a *auditor) checkTotals() error {
 		}
 	} else {
 		for v := 1; v < c.Nodes; v++ {
-			if a.adversarial && !a.honest[v] {
+			if rp.adversarial && !rp.honest[v] {
 				continue
 			}
-			if a.alive[v] && !have[v].Full() {
+			if rp.alive[v] && !have[v].Full() {
 				return auditErr("replayed trace leaves alive client %d incomplete (%d/%d blocks)",
 					v, have[v].Count(), c.Blocks)
 			}
 		}
 	}
-	if a.delivered != res.Transfers {
-		return auditErr("replay counts %d deliveries, result reports %d", a.delivered, res.Transfers)
+	if rp.delivered != res.Transfers {
+		return auditErr("replay counts %d deliveries, result reports %d", rp.delivered, res.Transfers)
 	}
-	if a.lost != res.Lost || a.corrupt != res.Corrupt {
+	if rp.lost != res.Lost || rp.corrupt != res.Corrupt {
 		return auditErr("replay counts %d lost + %d corrupt, result reports %d + %d",
-			a.lost, a.corrupt, res.Lost, res.Corrupt)
+			rp.lost, rp.corrupt, res.Lost, res.Corrupt)
 	}
-	if a.advStalled != res.AdvStalled || a.advGarbage != res.AdvCorrupt {
+	if rp.advStalled != res.AdvStalled || rp.advGarbage != res.AdvCorrupt {
 		return auditErr("replay counts %d stalled + %d garbage adversary drops, result reports %d + %d",
-			a.advStalled, a.advGarbage, res.AdvStalled, res.AdvCorrupt)
+			rp.advStalled, rp.advGarbage, res.AdvStalled, res.AdvCorrupt)
 	}
-	if a.adversarial && (a.honestUseful != res.HonestUseful || a.honestWasted != res.HonestWasted) {
+	if rp.adversarial && (rp.honestUseful != res.HonestUseful || rp.honestWasted != res.HonestWasted) {
 		return auditErr("replay counts %d honest-useful / %d honest-wasted, result reports %d / %d",
-			a.honestUseful, a.honestWasted, res.HonestUseful, res.HonestWasted)
+			rp.honestUseful, rp.honestWasted, res.HonestUseful, res.HonestWasted)
 	}
 	if len(res.Trace) > 0 || len(res.FaultLog) > 0 {
 		// An open run's clock can outlive its last logged event: the
 		// final handled event may be an unlogged protocol timer, and
 		// finish() stamps CompletionTime with the engine clock.
-		if a.open && res.CompletionTime < a.maxTime {
+		if rp.open && res.CompletionTime < rp.maxTime {
 			return auditErr("CompletionTime %v precedes the last recorded event (%v)",
-				res.CompletionTime, a.maxTime)
+				res.CompletionTime, rp.maxTime)
 		}
-		if !a.open && res.CompletionTime != a.maxTime {
+		if !rp.open && res.CompletionTime != rp.maxTime {
 			return auditErr("CompletionTime %v does not match the last recorded event (%v)",
-				res.CompletionTime, a.maxTime)
+				res.CompletionTime, rp.maxTime)
 		}
 	}
 	for v := 0; v < c.Nodes; v++ {
 		if !have[v].Equal(res.FinalHave[v]) {
 			return auditErr("node %d final block set differs from recorded snapshot", v)
 		}
-		if v > 0 && a.completion[v] != res.ClientCompletion[v] {
+		if v > 0 && rp.completion[v] != res.ClientCompletion[v] {
 			return auditErr("node %d completion time: replay %v, result %v",
-				v, a.completion[v], res.ClientCompletion[v])
+				v, rp.completion[v], res.ClientCompletion[v])
 		}
 	}
 	for v, alive := range res.FinalAlive {
-		if a.alive[v] != alive {
-			return auditErr("node %d final liveness: replay %v, result %v", v, a.alive[v], alive)
+		if rp.alive[v] != alive {
+			return auditErr("node %d final liveness: replay %v, result %v", v, rp.alive[v], alive)
 		}
 	}
 	return nil
@@ -496,40 +514,25 @@ func RunAudit(cfg Config, res *Result) error {
 	if err != nil {
 		return auditErr("%v", err)
 	}
-	a := &auditor{c: c, res: res, honest: honest, adversarial: honest != nil, open: res.Open != nil}
-	if err := a.checkFaultLog(); err != nil {
+	rp := newReplay(c, res, honest)
+	if err := rp.checkFaultLog(); err != nil {
 		return err
 	}
-	a.ix = buildEventIndex(res.FaultLog, a.open, c.Nodes)
-
-	a.have = make([]*bitset.Set, c.Nodes)
-	a.arrivedAt = make([][]float64, c.Nodes)
-	for v := range a.have {
-		a.have[v] = bitset.New(c.Blocks)
-		a.arrivedAt[v] = make([]float64, c.Blocks)
-		for b := range a.arrivedAt[v] {
-			a.arrivedAt[v][b] = math.Inf(1)
-		}
-	}
-	for b := 0; b < c.Blocks; b++ {
-		a.have[0].Add(b)
-		a.arrivedAt[0][b] = 0
-	}
-	a.completion = make([]float64, c.Nodes)
+	rp.ix = buildEventIndex(res.FaultLog, rp.open, c.Nodes)
 	prevEnd := math.Inf(-1)
 	for i, tr := range res.Trace {
-		if err := a.checkRecord(i, tr, prevEnd); err != nil {
+		if err := rp.checkRecord(i, tr, prevEnd); err != nil {
 			return err
 		}
 		prevEnd = tr.End
-		if err := a.replayRecord(tr); err != nil {
+		if err := rp.replayRecord(tr); err != nil {
 			return err
 		}
 	}
-	a.applyEvents(math.Inf(1))
+	rp.applyEvents(math.Inf(1))
 
-	if err := a.checkPorts(); err != nil {
+	if err := rp.checkPorts(); err != nil {
 		return err
 	}
-	return a.checkTotals()
+	return rp.checkTotals()
 }
