@@ -8,9 +8,9 @@ import (
 
 // TestAsimAuditWorkerInvariance replays a churny asynchronous run —
 // and doctored variants of it — at AuditWorkers 1, 2, and 8 and
-// requires byte-identical verdicts and error text: the fixed
-// chunk/lane partition and the (phase, pos, prio) merge must reproduce
-// the sequential auditor's first error at every width.
+// requires byte-identical verdicts and error text. RunAudit is one
+// sequential pass and AuditWorkers is deprecated and ignored; this pins
+// that the knob, which callers still set, cannot change a verdict.
 func TestAsimAuditWorkerInvariance(t *testing.T) {
 	run := func() (Config, *Result) {
 		plan, err := fault.NewPlan(fault.Options{
