@@ -10,7 +10,9 @@
 // reports its per-repetition MEDIAN, which shrugs off the one-off
 // scheduling hiccups that poison a mean on shared CI machines. The
 // snapshot schema is "barterdist-bench/v2", which adds the `reps`
-// field; v1 snapshots (single run) remain readable as baselines.
+// field and, per result, an optional `metrics` map of the benchmark's
+// custom b.ReportMetric values; v1 snapshots (single run) remain
+// readable as baselines.
 //
 // Usage:
 //
@@ -87,6 +89,10 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// Metrics holds the benchmark's b.ReportMetric values by unit (e.g.
+	// "B/pair", "transfers/s"), each the median over reps; absent from
+	// snapshots that predate it and from benchmarks that report none.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// SpeedupVsBaseline is baseline_ns / ns for the same benchmark
 	// name; 0 when no baseline entry exists or the benchmark ran with
 	// more workers than cores.
@@ -366,19 +372,33 @@ func medianResults(runs [][]result) []result {
 			samples[r.Name] = append(samples[r.Name], r)
 		}
 	}
+	lowerMedian := func(v []float64) float64 {
+		sort.Float64s(v)
+		return v[(len(v)-1)/2]
+	}
 	median := func(name string) result {
 		s := samples[name]
 		ns := make([]float64, len(s))
 		bytes := make([]int64, len(s))
 		allocs := make([]int64, len(s))
+		metrics := make(map[string][]float64)
 		for i, r := range s {
 			ns[i], bytes[i], allocs[i] = r.NsPerOp, r.BytesPerOp, r.AllocsPerOp
+			for unit, v := range r.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
 		}
-		sort.Float64s(ns)
 		sort.Slice(bytes, func(i, j int) bool { return bytes[i] < bytes[j] })
 		sort.Slice(allocs, func(i, j int) bool { return allocs[i] < allocs[j] })
 		mid := (len(s) - 1) / 2
-		return result{Name: name, NsPerOp: ns[mid], BytesPerOp: bytes[mid], AllocsPerOp: allocs[mid]}
+		out := result{Name: name, NsPerOp: lowerMedian(ns), BytesPerOp: bytes[mid], AllocsPerOp: allocs[mid]}
+		for unit, v := range metrics {
+			if out.Metrics == nil {
+				out.Metrics = make(map[string]float64, len(metrics))
+			}
+			out.Metrics[unit] = lowerMedian(v)
+		}
+		return out
 	}
 	out := make([]result, 0, len(order))
 	for _, name := range order {
@@ -411,6 +431,10 @@ func parseBenchOutput(out string) ([]result, error) {
 // parseBenchLine parses a single benchmark result line, e.g.
 //
 //	BenchmarkFig3_TvsN-8   508   4736680 ns/op   63010 B/op   1017 allocs/op
+//
+// Every value is read as a float: b.ReportMetric values may be
+// fractional, and units other than ns/op, B/op and allocs/op land in
+// Metrics.
 func parseBenchLine(line string) (result, bool) {
 	fields := strings.Fields(line)
 	// name iters ns "ns/op" [bytes "B/op" allocs "allocs/op"]
@@ -429,18 +453,22 @@ func parseBenchLine(line string) (result, bool) {
 	}
 	r := result{Name: name, NsPerOp: ns}
 	rest := fields[4:]
-	for len(rest) >= 2 {
-		v, err := strconv.ParseInt(rest[0], 10, 64)
+	for ; len(rest) >= 2; rest = rest[2:] {
+		v, err := strconv.ParseFloat(rest[0], 64)
 		if err != nil {
 			return result{}, false
 		}
-		switch rest[1] {
+		switch unit := rest[1]; unit {
 		case "B/op":
-			r.BytesPerOp = v
+			r.BytesPerOp = int64(v)
 		case "allocs/op":
-			r.AllocsPerOp = v
+			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[unit] = v
 		}
-		rest = rest[2:]
 	}
 	return r, true
 }

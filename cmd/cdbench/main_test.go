@@ -35,6 +35,31 @@ func TestParseBenchLine(t *testing.T) {
 	}
 }
 
+// Custom b.ReportMetric values — fractional or integral — parse into
+// Metrics instead of failing the line or vanishing.
+func TestParseBenchLineCustomMetrics(t *testing.T) {
+	r, ok := parseBenchLine("BenchmarkPairLedger/pairs=1M-2 \t 3\t 412345678 ns/op\t 13.71 B/pair\t 50331712 B/op\t 24 allocs/op")
+	if !ok {
+		t.Fatal("fractional custom metric must not drop the line")
+	}
+	if r.Name != "BenchmarkPairLedger/pairs=1M" || r.BytesPerOp != 50331712 || r.AllocsPerOp != 24 {
+		t.Errorf("parsed %+v", r)
+	}
+	if got := r.Metrics["B/pair"]; got != 13.71 {
+		t.Errorf("B/pair = %v, want 13.71", got)
+	}
+	r, ok = parseBenchLine("BenchmarkAsimAudit-2 \t 6\t 191300000 ns/op\t 5817735 transfers/s\t 13300000 B/op\t 14360 allocs/op")
+	if !ok || r.Metrics["transfers/s"] != 5817735 || r.BytesPerOp != 13300000 {
+		t.Errorf("integer custom metric: ok=%v r=%+v", ok, r)
+	}
+	out := medianResults([][]result{
+		{r}, {{Name: r.Name, Metrics: map[string]float64{"transfers/s": 1}}}, {{Name: r.Name, Metrics: map[string]float64{"transfers/s": 2}}},
+	})
+	if got := out[0].Metrics["transfers/s"]; got != 2 {
+		t.Errorf("median transfers/s = %v, want 2", got)
+	}
+}
+
 func TestParseBenchOutputAndBaseline(t *testing.T) {
 	out := `goos: linux
 BenchmarkA-8 	 100	 2000 ns/op	 64 B/op	 2 allocs/op
