@@ -3,9 +3,6 @@ package core
 import (
 	"testing"
 
-	"barterdist/internal/adversary"
-	"barterdist/internal/arrival"
-	"barterdist/internal/fault"
 	"barterdist/internal/mechanism"
 	"barterdist/internal/simulate"
 )
@@ -53,45 +50,7 @@ func collectVerdicts(res *Result, w int) auditVerdicts {
 // held to the same string, so the parallel Log forms can never drift
 // from the reference.
 func TestAuditWorkerInvarianceMatrix(t *testing.T) {
-	scenarios := map[string]Config{
-		"churn": {
-			Nodes: 24, Blocks: 16, Algorithm: AlgoRandomized, Seed: 7, RecordTrace: true,
-			Fault: &fault.Options{
-				Seed: 1001, CrashRate: 0.02, MaxCrashes: 4,
-				RejoinDelay: 8, RejoinLosesBlocks: true, LossRate: 0.05,
-			},
-		},
-		// Plain randomized violates strict barter and credit s=1, so
-		// this scenario pins the verifiers' violation text, not just
-		// their nil verdicts.
-		"plain-randomized": {
-			Nodes: 20, Blocks: 12, Algorithm: AlgoRandomized, Seed: 3, RecordTrace: true,
-		},
-		"credit-s1": {
-			Nodes: 24, Blocks: 16, Algorithm: AlgoRandomized, CreditLimit: 1,
-			Seed: 5, RecordTrace: true,
-		},
-		// Without barter the free-riders leech: the starvation verifier
-		// must report the same violating pair at every width.
-		"adversary-no-barter": {
-			Nodes: 32, Blocks: 16, Algorithm: AlgoRandomized, Seed: 11, RecordTrace: true,
-			Adversary: &adversary.Options{
-				Seed: 2001, FreeRiderFrac: 0.2, FalseAdvertiserFrac: 0.1, CorrupterFrac: 0.1,
-			},
-		},
-		"adversary-credit-s1": {
-			Nodes: 32, Blocks: 16, Algorithm: AlgoRandomized, CreditLimit: 1,
-			Seed: 11, RecordTrace: true,
-			Adversary: &adversary.Options{
-				Seed: 2002, FreeRiderFrac: 0.2, FalseAdvertiserFrac: 0.1, CorrupterFrac: 0.1,
-			},
-		},
-		"open-system": {
-			Nodes: 24, Blocks: 8, Algorithm: AlgoRandomized, Seed: 9, RecordTrace: true,
-			Arrivals: &arrival.Options{Seed: 7, Rate: 0.5},
-		},
-	}
-	for name, cfg := range scenarios {
+	for name, cfg := range mechanismScenarios {
 		t.Run(name, func(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {
@@ -130,11 +89,8 @@ func TestAuditWorkerInvarianceMatrix(t *testing.T) {
 // downstream findings abound. The doctored runs' simulate.RunAudit
 // errors are pinned by TestRunAuditGoldenErrors.
 func TestAuditWorkerInvarianceDoctored(t *testing.T) {
-	cfg := goldenScenarios["churn"]
-	for _, name := range []string{
-		"inflated useful count", "understated total count", "claimed earlier completion",
-		"swapped block id", "forged transfer target", "shifted client completion",
-	} {
+	cfg := mechanismScenarios["churn"]
+	for _, name := range mechanismTampers {
 		t.Run(name, func(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {

@@ -16,7 +16,7 @@ import (
 	"barterdist/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/runaudit.golden from the current simulate.RunAudit")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata/*.golden corpora of the tests that run from the current code")
 
 // goldenScenarios are the recorded runs the RunAudit corpus doctors:
 // churny faults, adversaries (with and without churn), an open swarm,
@@ -358,7 +358,14 @@ func TestRunAuditGoldenErrors(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s/%s: %s", scen, name, errString(simulate.RunAudit(res.SimConfig, res.Sim))))
 		}
 	}
-	path := filepath.Join("testdata", "runaudit.golden")
+	checkGolden(t, "runaudit.golden", got)
+}
+
+// checkGolden compares got, one verdict per line, with
+// testdata/<name> byte for byte, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
