@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -310,6 +311,51 @@ func BenchmarkAuditReplay(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkPairLedger records random client pairs, ids below 10^6 as
+// in an n = 10^6 swarm, into a fresh mechanism.Ledger per iteration.
+// B/pair is the heap the finished ledger retains per recorded pair:
+// the per-pair cost of credit-limited barter's balances at that scale.
+func BenchmarkPairLedger(b *testing.B) {
+	const n = 1_000_000
+	for _, tc := range []struct {
+		name  string
+		pairs int
+	}{{"1M", 1_000_000}, {"8M", 8_000_000}} {
+		b.Run("pairs="+tc.name, func(b *testing.B) {
+			var retained uint64
+			var ms runtime.MemStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				rng := xrand.New(uint64(47000 + i))
+				b.StartTimer()
+				l, err := mechanism.NewLedger(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for j := 0; j < tc.pairs; j++ {
+					u := int32(1 + rng.Intn(n-1))
+					v := int32(1 + rng.Intn(n-2))
+					if v >= u {
+						v++
+					}
+					l.Record(u, v)
+				}
+				b.StopTimer()
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				retained += ms.HeapAlloc - before
+				runtime.KeepAlive(l)
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(retained)/float64(b.N)/float64(tc.pairs), "B/pair")
 		})
 	}
 }
