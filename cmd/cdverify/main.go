@@ -47,9 +47,7 @@ func main() {
 	kset := flag.String("kset", "4,8,11,16", "comma-separated block counts")
 	churn := flag.Bool("churn", true, "also audit fault-injected runs")
 	adv := flag.Bool("adversary", true, "also audit adversarial runs (free-riders, liars, corrupters)")
-	auditW := flag.Int("auditworkers", 0, "worker pool width for the mechanism verifiers' pair lanes; the simulate.RunAudit replay is sequential (0 or 1 = sequential; verdicts identical for any value)")
 	flag.Parse()
-	auditWorkers = *auditW
 
 	ks, err := parseInts(*kset)
 	if err != nil {
@@ -103,7 +101,6 @@ func auditChurn() int {
 	for i, sc := range scenarios {
 		res, err := core.Run(core.Config{
 			Nodes: 24, Blocks: 16, Algorithm: sc.algo, Seed: 7, RecordTrace: true,
-			AuditWorkers: auditWorkers,
 			Fault: &fault.Options{
 				Seed:              uint64(1000 + i),
 				CrashRate:         sc.crash,
@@ -163,7 +160,6 @@ func auditAdversaries() int {
 		res, err := core.Run(core.Config{
 			Nodes: 32, Blocks: 16, Algorithm: sc.algo, CreditLimit: sc.credit,
 			Seed: 11, RecordTrace: true, Adversary: &m,
-			AuditWorkers: auditWorkers,
 		})
 		if err != nil {
 			fmt.Printf("%-24s run failed: %v\n", sc.label, err)
@@ -181,7 +177,7 @@ func auditAdversaries() int {
 			fmt.Printf("    EXPECTATION VIOLATED: behavior audit: %v\n", aerr)
 			bad++
 		}
-		starveErr := mechanism.VerifyStarvationLog(res.Sim, 1, auditWorkers)
+		starveErr := mechanism.VerifyStarvation(res.Sim, 1)
 		starve := "starved"
 		if starveErr != nil {
 			starve = "leeches"
@@ -201,14 +197,6 @@ func auditAdversaries() int {
 	return bad
 }
 
-// auditWorkers is the -auditworkers flag: the worker pool width every
-// mechanism verification in this tool runs at (the simulate.RunAudit
-// replay is sequential). Verdicts are byte-identical for any value —
-// that is the pair-lane verifiers' determinism contract, exercised
-// directly by running this tool at different widths and diffing the
-// output.
-var auditWorkers int
-
 func stepFor(n int) int {
 	if n < 12 {
 		return 1
@@ -219,14 +207,13 @@ func stepFor(n int) int {
 func auditRow(n, k int, label string, algo core.Algorithm) int {
 	res, err := core.Run(core.Config{
 		Nodes: n, Blocks: k, Algorithm: algo, RecordTrace: true,
-		AuditWorkers: auditWorkers,
 	})
 	if err != nil {
 		fmt.Printf("%-6d %-6d %-18s run failed: %v\n", n, k, label, err)
 		return 1
 	}
 	strict := "no"
-	if mechanism.VerifyStrictBarterLog(res.Sim.Trace, false, auditWorkers) == nil {
+	if mechanism.VerifyStrictBarter(res.Sim.Trace.Cursor()) == nil {
 		strict = "YES"
 	}
 	minCredit := res.MinimalCreditLimit

@@ -7,12 +7,11 @@ import (
 	"barterdist/internal/simulate"
 )
 
-// auditWorkerWidths is the worker matrix every mechanism verdict must
-// be byte-identical across — the pair-lane verifiers' determinism
-// contract. Width 1 is the inline sequential path, so agreement across
-// the matrix also proves agreement with sequential replay.
-// simulate.RunAudit is a single sequential pass with no width; its
-// reference is the golden corpus of TestRunAuditGoldenErrors.
+// auditWorkerWidths are the values the deprecated audit widths —
+// Config.AuditWorkers and the workers argument of the mechanism Log
+// wrappers — are set to. Both are ignored; these tests pin that no
+// value can change a verdict. The verdicts themselves are pinned by
+// TestMechanismGoldenVerdicts.
 var auditWorkerWidths = []int{1, 2, 8}
 
 func errString(err error) string {
@@ -22,72 +21,72 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// auditVerdicts is everything the mechanism verifiers report for one
-// recorded trace at one worker width.
-type auditVerdicts struct {
-	strict  string // mechanism.VerifyStrictBarterLog (released view)
+// logVerdicts is what the mechanism Log wrappers report for one
+// recorded trace at one width.
+type logVerdicts struct {
 	credit  string // mechanism.VerifyCreditLimitedLog s=1 (released view)
 	minimal int    // mechanism.MinimalCreditLimitLog (full view)
-	starve  string // mechanism.VerifyStarvationLog s=1 (adversarial runs)
 }
 
-func collectVerdicts(res *Result, w int) auditVerdicts {
-	v := auditVerdicts{
-		strict:  errString(mechanism.VerifyStrictBarterLog(res.Sim.Trace, true, w)),
+func collectLogVerdicts(res *Result, w int) logVerdicts {
+	return logVerdicts{
 		credit:  errString(mechanism.VerifyCreditLimitedLog(res.Sim.Trace, true, 1, w)),
 		minimal: mechanism.MinimalCreditLimitLog(res.Sim.Trace, false, w),
 	}
-	if res.Sim.Strategies != nil {
-		v.starve = errString(mechanism.VerifyStarvationLog(res.Sim, 1, w))
-	}
-	return v
 }
 
-// TestAuditWorkerInvarianceMatrix runs every mechanism verifier at
-// AuditWorkers 1, 2, and 8 over churny, adversarial, credit-limited,
-// and open-system traces and requires byte-identical verdicts and
-// error text everywhere. The cursor-based sequential verifiers are
-// held to the same string, so the parallel Log forms can never drift
-// from the reference.
+// checkLogVerdicts requires the Log wrappers to match the cursor forms
+// at every width.
+func checkLogVerdicts(t *testing.T, res *Result) {
+	t.Helper()
+	want := logVerdicts{
+		credit:  errString(mechanism.VerifyCreditLimited(res.Sim.Trace.ReleasedCursor(), 1)),
+		minimal: mechanism.MinimalCreditLimit(res.Sim.Trace.Cursor()),
+	}
+	for _, w := range auditWorkerWidths {
+		if got := collectLogVerdicts(res, w); got != want {
+			t.Errorf("workers=%d: Log wrappers %+v, cursor forms %+v", w, got, want)
+		}
+	}
+}
+
+// TestAuditWorkerInvarianceMatrix runs every mechanismScenarios config
+// at AuditWorkers 1, 2, and 8 under credit s = 1 verification, and
+// requires the same minimal credit limit and Verify error at every
+// width; the mechanism Log wrappers must match the cursor forms at
+// every width argument.
 func TestAuditWorkerInvarianceMatrix(t *testing.T) {
 	for name, cfg := range mechanismScenarios {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := collectVerdicts(res, 1)
-			for _, w := range auditWorkerWidths[1:] {
-				if got := collectVerdicts(res, w); got != base {
-					t.Errorf("AuditWorkers=%d verdicts diverge from sequential:\n got %+v\nwant %+v", w, got, base)
+			var base *Result
+			var baseErr string
+			for _, w := range auditWorkerWidths {
+				cfg := cfg
+				cfg.AuditWorkers = w
+				cfg.Verify = MechanismCredit
+				res, err := Run(cfg)
+				if res == nil {
+					t.Fatal(err)
+				}
+				if base == nil {
+					base, baseErr = res, errString(err)
+					continue
+				}
+				if got := errString(err); got != baseErr {
+					t.Errorf("AuditWorkers=%d: Verify %q, AuditWorkers=%d %q", w, got, auditWorkerWidths[0], baseErr)
+				}
+				if res.MinimalCreditLimit != base.MinimalCreditLimit {
+					t.Errorf("AuditWorkers=%d: minimal credit %d, AuditWorkers=%d %d", w, res.MinimalCreditLimit, auditWorkerWidths[0], base.MinimalCreditLimit)
 				}
 			}
-			// The cursor-based sequential verifiers are the reference
-			// the Log forms must reproduce byte for byte.
-			if ref := errString(mechanism.VerifyStrictBarter(res.Sim.Trace.ReleasedCursor())); ref != base.strict {
-				t.Errorf("strict barter: Log form %q, cursor reference %q", base.strict, ref)
-			}
-			if ref := errString(mechanism.VerifyCreditLimited(res.Sim.Trace.ReleasedCursor(), 1)); ref != base.credit {
-				t.Errorf("credit s=1: Log form %q, cursor reference %q", base.credit, ref)
-			}
-			if ref := mechanism.MinimalCreditLimit(res.Sim.Trace.Cursor()); ref != base.minimal {
-				t.Errorf("minimal credit: Log form %d, cursor reference %d", base.minimal, ref)
-			}
-			if res.Sim.Strategies != nil {
-				if ref := errString(mechanism.VerifyStarvation(res.Sim, 1)); ref != base.starve {
-					t.Errorf("starvation: Log form %q, cursor reference %q", base.starve, ref)
-				}
-			}
+			checkLogVerdicts(t, base)
 		})
 	}
 }
 
-// TestAuditWorkerInvarianceDoctored doctors a churny recorded run six
-// ways and requires the mechanism verifiers to return the exact same
-// verdicts at every worker width — the lowest-key merge must reproduce
-// the sequential first violation even on broken traces, where spurious
-// downstream findings abound. The doctored runs' simulate.RunAudit
-// errors are pinned by TestRunAuditGoldenErrors.
+// TestAuditWorkerInvarianceDoctored requires the mechanism Log
+// wrappers to match the cursor forms at every width argument on the
+// doctored churn runs of the golden corpus.
 func TestAuditWorkerInvarianceDoctored(t *testing.T) {
 	cfg := mechanismScenarios["churn"]
 	for _, name := range mechanismTampers {
@@ -102,12 +101,7 @@ func TestAuditWorkerInvarianceDoctored(t *testing.T) {
 			if simulate.RunAudit(res.SimConfig, res.Sim) == nil {
 				t.Fatalf("doctored run passed the audit")
 			}
-			base := collectVerdicts(res, 1)
-			for _, w := range auditWorkerWidths[1:] {
-				if got := collectVerdicts(res, w); got != base {
-					t.Errorf("AuditWorkers=%d verdicts diverge from sequential:\n got %+v\nwant %+v", w, got, base)
-				}
-			}
+			checkLogVerdicts(t, res)
 		})
 	}
 }

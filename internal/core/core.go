@@ -129,13 +129,10 @@ type Config struct {
 	// wall-clock for cores.
 	ShardWorkers int
 
-	// AuditWorkers is how many OS workers the mechanism verifiers'
-	// pair lanes use (Verify and the minimal-credit scan) — the only
-	// audit work with a width. Both engines' replays, simulate.RunAudit
-	// and asim.RunAudit, are one sequential pass each.
-	// 0 and 1 both mean inline sequential verification. Verdicts and
-	// error text are byte-identical for every value; the knob only
-	// trades wall-clock for cores.
+	// AuditWorkers is ignored: the mechanism verifiers and the
+	// minimal-credit scan are one sequential walk each.
+	//
+	// Deprecated: the field remains only so existing callers compile.
 	AuditWorkers int
 
 	// DownloadCap is the per-node download capacity D. 0 lets Run choose
@@ -244,9 +241,6 @@ func (c *Config) Validate() error {
 	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("core: ShardWorkers = %d is invalid", c.ShardWorkers)
-	}
-	if c.AuditWorkers < 0 {
-		return fmt.Errorf("core: AuditWorkers = %d is invalid", c.AuditWorkers)
 	}
 	if err := c.Checkpoint.Validate(); err != nil {
 		return fmt.Errorf("core: %w", err)
@@ -392,7 +386,7 @@ func buildResult(cfg Config, simCfg simulate.Config, overlayName string, simRes 
 	res.SimConfig.Checkpoint = nil // replays should not overwrite the live checkpoint
 	res.SimConfig.Arrivals = nil   // ditto: the consumed arrival plan is single-use
 	if simRes.Trace != nil && simRes.Trace.Len() > 0 {
-		res.MinimalCreditLimit = mechanism.MinimalCreditLimitLog(simRes.Trace, false, cfg.AuditWorkers)
+		res.MinimalCreditLimit = mechanism.MinimalCreditLimit(simRes.Trace.Cursor())
 	}
 	if err := verify(cfg, simRes); err != nil {
 		return res, err
@@ -543,9 +537,9 @@ func verify(cfg Config, simRes *simulate.Result) error {
 	}
 	switch cfg.Verify {
 	case MechanismStrict:
-		return mechanism.VerifyStrictBarterLog(simRes.Trace, true, cfg.AuditWorkers)
+		return mechanism.VerifyStrictBarter(simRes.Trace.ReleasedCursor())
 	case MechanismCredit:
-		return mechanism.VerifyCreditLimitedLog(simRes.Trace, true, limit, cfg.AuditWorkers)
+		return mechanism.VerifyCreditLimited(simRes.Trace.ReleasedCursor(), limit)
 	case MechanismTriangular:
 		return mechanism.VerifyTriangular(simRes.Trace.ReleasedCursor(), limit)
 	default:

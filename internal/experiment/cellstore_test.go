@@ -170,6 +170,9 @@ func TestTableScaleHonorsCheckpoint(t *testing.T) {
 			t.Fatalf("cell payload %q: %v", rec.Out, err)
 		}
 		o["ticks"] = sentinel
+		// Cells cached before the credit check lost its worker width
+		// carry creditWall8; they must still decode.
+		o["creditWall8"] = 0.5
 		payload, err := json.Marshal(o)
 		if err != nil {
 			t.Fatal(err)

@@ -76,13 +76,12 @@ type shardOutcome struct {
 	scaleOutcome
 	WallSeconds float64 `json:"wallSeconds"`
 	// Audit wall-clock, measured on the P = 1 capstone pass only: the
-	// sequential RunAudit replay of the recorded trace, then the
-	// credit-mechanism replay at pair-lane widths 1 and 8. The credit
-	// verdict is byte-identical at both widths (the pair lanes'
-	// contract); only the wall moves.
-	ReplayWall  float64 `json:"replayWall,omitempty"`
-	CreditWall1 float64 `json:"creditWall1,omitempty"`
-	CreditWall8 float64 `json:"creditWall8,omitempty"`
+	// RunAudit replay of the recorded trace, then the credit s = 1
+	// check. Each is one sequential pass. Cells cached before the credit
+	// check lost its worker width also carry a creditWall8 field, which
+	// decoding ignores.
+	ReplayWall float64 `json:"replayWall,omitempty"`
+	CreditWall float64 `json:"creditWall1,omitempty"`
 }
 
 // shardSweepWorkers is the shard-scaling column: the largest row of the
@@ -128,24 +127,18 @@ func runShardSweep(store *cellStore, prog Progress, n, k int) ([len(shardSweepWo
 				WallSeconds: wall,
 			}
 			if p == 1 {
-				// The capstone audit: the engine replay once, then the
-				// credit check at both ends of the pair-lane matrix.
+				// The capstone audit: the engine replay, then the
+				// credit check.
 				start := time.Now()
 				if err := simulate.RunAudit(res.SimConfig, res.Sim); err != nil {
 					return shardOutcome{}, fmt.Errorf("tableScale: n=%d RunAudit: %w", n, err)
 				}
 				out.ReplayWall = time.Since(start).Seconds()
-				for _, w := range [2]int{1, 8} {
-					start := time.Now()
-					if err := mechanism.VerifyCreditLimitedLog(res.Sim.Trace, false, cfg.CreditLimit, w); err != nil {
-						return shardOutcome{}, fmt.Errorf("tableScale: n=%d VerifyCreditLimited(workers=%d): %w", n, w, err)
-					}
-					if w == 1 {
-						out.CreditWall1 = time.Since(start).Seconds()
-					} else {
-						out.CreditWall8 = time.Since(start).Seconds()
-					}
+				start = time.Now()
+				if err := mechanism.VerifyCreditLimited(res.Sim.Trace.Cursor(), cfg.CreditLimit); err != nil {
+					return shardOutcome{}, fmt.Errorf("tableScale: n=%d VerifyCreditLimited: %w", n, err)
 				}
+				out.CreditWall = time.Since(start).Seconds()
 			}
 			return out, nil
 		})
@@ -242,7 +235,7 @@ func TableScale(sc Scale, opt Options) (*Table, error) {
 		Title: fmt.Sprintf("Scale-out: randomized + credit s=1, complete graph, k=%d, tracing on", k),
 		Header: []string{"n", "mean T", "ci95", "reps", "bound k-1+ceil(log2 n)",
 			"T/bound", "transfers", "trace MiB", "T P=1/4/8", "wall s P=1/4/8",
-			"audit s replay+credit w=1/8"},
+			"audit s replay+credit"},
 	}
 	j := 0
 	for _, n := range ns {
@@ -283,7 +276,7 @@ func TableScale(sc Scale, opt Options) (*Table, error) {
 				// byte-reproducible.
 				shardWall = fmt.Sprintf("%.0f/%.0f/%.0f",
 					sweep[0].WallSeconds, sweep[1].WallSeconds, sweep[2].WallSeconds)
-				auditWall = fmt.Sprintf("%.1f+%.1f/%.1f", sweep[0].ReplayWall, sweep[0].CreditWall1, sweep[0].CreditWall8)
+				auditWall = fmt.Sprintf("%.1f+%.1f", sweep[0].ReplayWall, sweep[0].CreditWall)
 			}
 		}
 		row := []string{

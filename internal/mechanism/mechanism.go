@@ -22,6 +22,7 @@ package mechanism
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"barterdist/internal/trace"
@@ -31,7 +32,7 @@ import (
 // limit. Transfers involving the server are exempt and never recorded.
 type Ledger struct {
 	limit int
-	net   map[uint64]int // key pair(u,v) with u < v; value = net sent u -> v
+	pairs pairTable
 }
 
 // NewLedger returns a ledger enforcing per-pair credit limit s >= 1.
@@ -39,7 +40,7 @@ func NewLedger(s int) (*Ledger, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	return &Ledger{limit: s, net: make(map[uint64]int)}, nil
+	return &Ledger{limit: s, pairs: newPairTable()}, nil
 }
 
 // Limit returns the credit limit s.
@@ -56,7 +57,7 @@ func pairKey(u, v int32) (uint64, bool) {
 // sent more than it received).
 func (l *Ledger) Net(u, v int32) int {
 	key, swapped := pairKey(u, v)
-	n := l.net[key]
+	n := int(l.pairs.get(key))
 	if swapped {
 		return -n
 	}
@@ -78,12 +79,7 @@ func (l *Ledger) Record(u, v int32) {
 	if u == 0 || v == 0 {
 		return
 	}
-	key, swapped := pairKey(u, v)
-	if swapped {
-		l.net[key]--
-	} else {
-		l.net[key]++
-	}
+	l.pairs.book(u, v, 1)
 }
 
 // Unrecord reverses a Record for a transfer from u to v that never
@@ -95,29 +91,13 @@ func (l *Ledger) Unrecord(u, v int32) {
 	if u == 0 || v == 0 {
 		return
 	}
-	key, swapped := pairKey(u, v)
-	if swapped {
-		l.net[key]++
-	} else {
-		l.net[key]--
-	}
+	l.pairs.book(u, v, -1)
 }
 
 // MaxAbsNet returns the largest absolute pairwise net balance seen so
 // far — the smallest credit limit under which the recorded history would
 // have been feasible.
-func (l *Ledger) MaxAbsNet() int {
-	max := 0
-	for _, n := range l.net {
-		if n < 0 {
-			n = -n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
+func (l *Ledger) MaxAbsNet() int { return l.pairs.maxAbs() }
 
 // Violation describes where and how a trace broke a mechanism.
 type Violation struct {
@@ -184,46 +164,8 @@ func VerifyCreditLimited(cur *trace.Cursor, s int) error {
 	if s < 1 {
 		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	// Only pairs touched in the current tick can have moved, so the
-	// tick-boundary sweep walks the touched list — O(transfers) overall
-	// instead of O(ticks × pairs) — in first-touch order, which makes
-	// the reported violation deterministic and identical to the one
-	// VerifyCreditLimitedLog selects for any worker count.
-	net := make(map[uint64]int)
-	lastTick := make(map[uint64]int)
-	var touched []uint64
-	for cur.NextTick() {
-		t := cur.Tick()
-		touched = touched[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			if tr.From == 0 || tr.To == 0 {
-				continue
-			}
-			key, swapped := pairKey(tr.From, tr.To)
-			if lastTick[key] != t {
-				lastTick[key] = t
-				touched = append(touched, key)
-			}
-			if swapped {
-				net[key]--
-			} else {
-				net[key]++
-			}
-		}
-		for _, key := range touched {
-			if n := net[key]; n > s || -n > s {
-				u, v := int32(key>>32), int32(uint32(key))
-				if n < 0 {
-					u, v = v, u
-					n = -n
-				}
-				return &Violation{
-					Tick: t, From: u, To: v,
-					Reason: fmt.Sprintf("net transfer %d exceeds credit limit %d", n, s),
-				}
-			}
-		}
+	if o, _ := creditWalk(cur, nil, s); o != nil {
+		return o.violation(fmt.Sprintf("net transfer %d exceeds credit limit %d", o.net, s))
 	}
 	return nil
 }
@@ -233,43 +175,34 @@ func VerifyCreditLimited(cur *trace.Cursor, s int) error {
 // imbalance at any tick boundary. A fully cooperative trace may return
 // large values; the Riffle Pipeline returns 1.
 func MinimalCreditLimit(cur *trace.Cursor) int {
-	// Peak imbalance can only move through pairs touched in the current
-	// tick, so the boundary sweep walks the touched list: O(transfers)
-	// overall instead of O(ticks × pairs).
-	net := make(map[uint64]int)
-	lastTick := make(map[uint64]int)
-	var touched []uint64
-	max := 0
-	for cur.NextTick() {
-		t := cur.Tick()
-		touched = touched[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			if tr.From == 0 || tr.To == 0 {
-				continue
-			}
-			key, swapped := pairKey(tr.From, tr.To)
-			if lastTick[key] != t {
-				lastTick[key] = t
-				touched = append(touched, key)
-			}
-			if swapped {
-				net[key]--
-			} else {
-				net[key]++
-			}
-		}
-		for _, key := range touched {
-			n := net[key]
-			if n < 0 {
-				n = -n
-			}
-			if n > max {
-				max = n
-			}
-		}
+	_, peak := creditWalk(cur, nil, math.MaxInt)
+	return peak
+}
+
+// VerifyCreditLimitedLog is VerifyCreditLimited over l: its released
+// view (Log.ReleasedCursor) when released is set, else every scheduled
+// transfer (Log.Cursor).
+//
+// Deprecated: use VerifyCreditLimited with a cursor over l. workers is
+// ignored; the check is one sequential walk.
+func VerifyCreditLimitedLog(l *trace.Log, released bool, s, workers int) error {
+	return VerifyCreditLimited(logCursor(l, released), s)
+}
+
+// MinimalCreditLimitLog is MinimalCreditLimit over l: its released view
+// when released is set, else every scheduled transfer.
+//
+// Deprecated: use MinimalCreditLimit with a cursor over l. workers is
+// ignored; the scan is one sequential walk.
+func MinimalCreditLimitLog(l *trace.Log, released bool, workers int) int {
+	return MinimalCreditLimit(logCursor(l, released))
+}
+
+func logCursor(l *trace.Log, released bool) *trace.Cursor {
+	if released {
+		return l.ReleasedCursor()
 	}
-	return max
+	return l.Cursor()
 }
 
 // VerifyTriangular checks the triangular barter mechanism of Section
@@ -290,8 +223,7 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 	if s < 1 {
 		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	net := make(map[uint64]int)
-	lastTick := make(map[uint64]int)
+	pairs := newPairTable()
 	count := make(map[uint64]int) // count[u<<32|v] = remaining uncancelled u -> v this tick
 	outs := make(map[int32][]int32)
 	var edges []uint64   // this tick's directed edges, first-appearance order
@@ -353,19 +285,12 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 				continue
 			}
 			u, v := int32(key>>32), int32(uint32(key))
-			pk, swapped := pairKey(u, v)
-			if lastTick[pk] != t {
-				lastTick[pk] = t
-				touched = append(touched, pk)
-			}
-			if swapped {
-				net[pk] -= c
-			} else {
-				net[pk] += c
-			}
+			pairs.book(u, v, int32(c))
+			pk, _ := pairKey(u, v)
+			touched = append(touched, pk)
 		}
 		for _, pk := range touched {
-			if n := net[pk]; n > s || -n > s {
+			if n := int(pairs.get(pk)); n > s || -n > s {
 				u, v := int32(pk>>32), int32(uint32(pk))
 				if n < 0 {
 					u, v = v, u

@@ -1,0 +1,189 @@
+package mechanism
+
+import (
+	"encoding/hex"
+	"errors"
+	"testing"
+
+	"barterdist/internal/checkpoint"
+	"barterdist/internal/xrand"
+)
+
+// TestLedgerMatchesMapReference drives a Ledger and a map[uint64]int
+// reference through the same random Record/Unrecord sequence — server
+// pairs included — across a dozen table growths, and requires
+// identical balances, CanSend answers, MaxAbsNet, and a snapshot that
+// restores to the same bytes.
+func TestLedgerMatchesMapReference(t *testing.T) {
+	const ids, ops = 1500, 200000
+	l, err := NewLedger(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[uint64]int)
+	refNet := func(u, v int32) int {
+		key, swapped := pairKey(u, v)
+		if swapped {
+			return -ref[key]
+		}
+		return ref[key]
+	}
+	rng := xrand.New(20261017)
+	grows := 0
+	for i := 0; i < ops; i++ {
+		u, v := int32(rng.Intn(ids)), int32(rng.Intn(ids-1))
+		if v >= u {
+			v++
+		}
+		d := 1
+		if rng.Intn(3) == 0 {
+			d = -1
+		}
+		if got, want := l.CanSend(u, v), u == 0 || v == 0 || refNet(u, v)+1 <= 2; got != want {
+			t.Fatalf("op %d: CanSend(%d, %d) = %v, reference %v", i, u, v, got, want)
+		}
+		slots := len(l.pairs.keys)
+		if d > 0 {
+			l.Record(u, v)
+		} else {
+			l.Unrecord(u, v)
+		}
+		if len(l.pairs.keys) != slots {
+			grows++
+		}
+		if u != 0 && v != 0 {
+			key, swapped := pairKey(u, v)
+			if swapped {
+				ref[key] -= d
+			} else {
+				ref[key] += d
+			}
+		}
+		if got, want := l.Net(u, v), refNet(u, v); got != want {
+			t.Fatalf("op %d: Net(%d, %d) = %d, reference %d", i, u, v, got, want)
+		}
+	}
+	if grows < 12 {
+		t.Fatalf("the sequence crossed %d grow boundaries, want >= 12", grows)
+	}
+	maxAbs := 0
+	for key, n := range ref {
+		u, v := int32(key>>32), int32(uint32(key))
+		if got := l.Net(u, v); got != n {
+			t.Fatalf("Net(%d, %d) = %d, reference %d", u, v, got, n)
+		}
+		if got := l.Net(v, u); got != -n {
+			t.Fatalf("Net(%d, %d) = %d, reference %d", v, u, got, -n)
+		}
+		if n < 0 {
+			n = -n
+		}
+		maxAbs = max(maxAbs, n)
+	}
+	if got := l.MaxAbsNet(); got != maxAbs {
+		t.Fatalf("MaxAbsNet = %d, reference %d", got, maxAbs)
+	}
+	if l.pairs.count*maxLoadDen > len(l.pairs.keys)*maxLoadNum {
+		t.Fatalf("%d pairs in %d slots exceeds the load cap", l.pairs.count, len(l.pairs.keys))
+	}
+
+	enc := checkpoint.NewEncoder(0)
+	l.Snapshot(enc)
+	restored, _ := NewLedger(2)
+	if err := restored.RestoreState(checkpoint.NewDecoder(enc.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	again := checkpoint.NewEncoder(0)
+	restored.Snapshot(again)
+	if string(again.Bytes()) != string(enc.Bytes()) {
+		t.Fatal("restored ledger snapshots to different bytes")
+	}
+}
+
+func TestLedgerMaxAbsNet(t *testing.T) {
+	l, err := NewLedger(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := l.MaxAbsNet(); got != 0 {
+		t.Fatalf("empty ledger MaxAbsNet = %d, want 0", got)
+	}
+	for i := 0; i < 3; i++ {
+		l.Record(5, 2) // the larger id sends: a negative stored balance
+	}
+	l.Record(7, 9)
+	l.Record(0, 9) // server: exempt
+	if got := l.MaxAbsNet(); got != 3 {
+		t.Fatalf("MaxAbsNet = %d, want 3", got)
+	}
+	for i := 0; i < 3; i++ {
+		l.Unrecord(5, 2)
+	}
+	if got := l.MaxAbsNet(); got != 1 {
+		t.Fatalf("after clawback MaxAbsNet = %d, want 1", got)
+	}
+}
+
+// TestLedgerSnapshotBytes pins the checkpoint encoding of a fixed
+// ledger history: the credit limit, then the non-zero balances in
+// ascending pair-key order. A change here breaks resuming from
+// checkpoints written before it.
+func TestLedgerSnapshotBytes(t *testing.T) {
+	l, err := NewLedger(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Record(1, 2)
+	l.Record(1, 2)
+	l.Record(5, 3)
+	l.Record(3, 5) // nets to zero: skipped
+	l.Record(9, 4)
+	l.Record(0, 6) // server: exempt
+	l.Unrecord(8, 7)
+	l.Record(1000000, 999999)
+	enc := checkpoint.NewEncoder(0)
+	l.Snapshot(enc)
+	const want = "0200000000000000" + "0400000000000000" +
+		"0200000001000000" + "0200000000000000" +
+		"0900000004000000" + "ffffffffffffffff" +
+		"0800000007000000" + "0100000000000000" +
+		"40420f003f420f00" + "ffffffffffffffff"
+	if got := hex.EncodeToString(enc.Bytes()); got != want {
+		t.Fatalf("snapshot bytes\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestLedgerRestoreRejectsCorruption(t *testing.T) {
+	encode := func(limit, n int, entries ...uint64) []byte {
+		enc := checkpoint.NewEncoder(0)
+		enc.Int(limit)
+		enc.Int(n)
+		for _, e := range entries {
+			enc.U64(e)
+		}
+		return enc.Bytes()
+	}
+	const neg = ^uint64(0) // -1 as an encoded Int
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"limit mismatch", encode(3, 0)},
+		{"negative count", encode(2, -1)},
+		{"truncated", encode(2, 2, 1<<32|2, 1)},
+		{"keys not ascending", encode(2, 2, 1<<32|3, 1, 1<<32|2, neg)},
+		{"duplicate key", encode(2, 2, 1<<32|2, 1, 1<<32|2, 1)},
+		{"zero balance", encode(2, 1, 1<<32|2, 0)},
+		{"key 0", encode(2, 1, 0, 1)},
+		{"balance out of range", encode(2, 1, 1<<32|2, 1<<31)},
+	} {
+		l, err := NewLedger(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = l.RestoreState(checkpoint.NewDecoder(tc.payload))
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("%s: RestoreState = %v, want a corruption error", tc.name, err)
+		}
+	}
+}

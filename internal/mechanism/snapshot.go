@@ -1,7 +1,7 @@
 package mechanism
 
 import (
-	"sort"
+	"slices"
 
 	"barterdist/internal/checkpoint"
 )
@@ -13,25 +13,27 @@ import (
 // and the live one it was captured from snapshot to identical bytes.
 func (l *Ledger) Snapshot(enc *checkpoint.Encoder) {
 	enc.Int(l.limit)
-	keys := make([]uint64, 0, len(l.net))
-	for k, n := range l.net {
-		if n != 0 {
+	keys := make([]uint64, 0, l.pairs.count)
+	for i, k := range l.pairs.keys {
+		if l.pairs.net[i] != 0 {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	enc.Int(len(keys))
 	for _, k := range keys {
 		enc.U64(k)
-		enc.Int(l.net[k])
+		enc.Int(int(l.pairs.get(k)))
 	}
 }
 
 // RestoreState overwrites the ledger's balances from dec. The encoded
 // credit limit must match the ledger's (the limit comes from config,
 // not the snapshot; a mismatch means the snapshot belongs to a
-// different run). Keys must be strictly ascending and values non-zero,
-// so a corrupted payload cannot decode into a plausible ledger.
+// different run). Keys must be strictly ascending and non-zero (a pair
+// key always holds a client id), and values non-zero and within the
+// ledger's 32-bit balances, so a corrupted payload cannot decode into
+// a plausible ledger.
 func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 	limit := dec.Int()
 	n := dec.Int()
@@ -44,7 +46,7 @@ func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 	if n < 0 {
 		return checkpoint.Corruptf("mechanism: negative pair count %d", n)
 	}
-	net := make(map[uint64]int, n)
+	pairs := newPairTable()
 	var prev uint64
 	for i := 0; i < n; i++ {
 		k := dec.U64()
@@ -55,12 +57,18 @@ func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 		if i > 0 && k <= prev {
 			return checkpoint.Corruptf("mechanism: ledger keys not strictly ascending at entry %d", i)
 		}
+		if k == 0 {
+			return checkpoint.Corruptf("mechanism: ledger entry %d has key 0", i)
+		}
 		if v == 0 {
 			return checkpoint.Corruptf("mechanism: ledger entry %d has zero balance", i)
 		}
+		if v != int(int32(v)) {
+			return checkpoint.Corruptf("mechanism: ledger entry %d balance %d out of range", i, v)
+		}
 		prev = k
-		net[k] = v
+		pairs.add(k, int32(v))
 	}
-	l.net = net
+	l.pairs = pairs
 	return nil
 }

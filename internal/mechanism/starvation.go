@@ -50,85 +50,8 @@ func VerifyStarvation(res *simulate.Result, s int) error {
 	if !any || res.Trace == nil {
 		return nil // nothing to starve (or nothing recorded)
 	}
-	// net[pair(u,v)] counts blocks delivered u -> v minus v -> u, for
-	// pairs with a free-rider endpoint only. The tick-boundary check
-	// walks only pairs touched this tick, in first-touch order, so the
-	// reported pair is deterministic and identical to the one
-	// VerifyStarvationLog selects for any worker count.
-	net := make(map[uint64]int)
-	lastTick := make(map[uint64]int)
-	var touched []uint64
-	cur := res.Trace.Cursor()
-	for cur.NextTick() {
-		t := cur.Tick()
-		touched = touched[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			if cur.Dropped() || tr.From == 0 || tr.To == 0 {
-				continue
-			}
-			if !freeRider[tr.From] && !freeRider[tr.To] {
-				continue
-			}
-			key, swapped := pairKey(tr.From, tr.To)
-			if lastTick[key] != t {
-				lastTick[key] = t
-				touched = append(touched, key)
-			}
-			if swapped {
-				net[key]--
-			} else {
-				net[key]++
-			}
-		}
-		for _, key := range touched {
-			if n := net[key]; n > s || -n > s {
-				u, v := int32(key>>32), int32(uint32(key))
-				if n < 0 {
-					u, v = v, u
-					n = -n
-				}
-				return &Violation{
-					Tick: t, From: u, To: v,
-					Reason: fmt.Sprintf("free-rider %d received %d net blocks from client %d, above credit limit %d — barter failed to starve it", v, n, u, s),
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyStarvationLog is the parallel form of VerifyStarvation: the
-// pair ledger is partitioned over fixed pair lanes executed on workers
-// OS workers (see lanes.go). The verdict and error text are
-// byte-identical to VerifyStarvation for any worker count.
-func VerifyStarvationLog(res *simulate.Result, s, workers int) error {
-	if s < 1 {
-		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
-	}
-	if res.Strategies == nil {
-		return fmt.Errorf("mechanism: VerifyStarvation requires an adversarial run (Result.Strategies is nil)")
-	}
-	if res.Trace == nil && res.CompletionTime > 0 {
-		return fmt.Errorf("mechanism: VerifyStarvation requires a recorded trace (set RecordTrace)")
-	}
-	freeRider := make([]bool, len(res.Strategies))
-	any := false
-	for v, st := range res.Strategies {
-		if st == adversary.FreeRider {
-			freeRider[v] = true
-			any = true
-		}
-	}
-	if !any || res.Trace == nil {
-		return nil
-	}
-	hit, _, err := runLanes(res.Trace, viewDelivered, freeRider, s, workers, true)
-	if err != nil {
-		return err
-	}
-	if hit != nil {
-		return hit.v
+	if o, _ := creditWalk(res.Trace.Cursor(), freeRider, s); o != nil {
+		return o.violation(fmt.Sprintf("free-rider %d received %d net blocks from client %d, above credit limit %d — barter failed to starve it", o.to, o.net, o.from, s))
 	}
 	return nil
 }
