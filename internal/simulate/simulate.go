@@ -141,9 +141,7 @@ type Config struct {
 	Arrivals *arrival.Plan
 	// AuditWorkers is ignored: RunAudit is one sequential pass.
 	//
-	// Deprecated: the field remains only so existing callers compile;
-	// the mechanism verifiers take their width from
-	// core.Config.AuditWorkers.
+	// Deprecated: the field remains only so existing callers compile.
 	AuditWorkers int
 	// Checkpoint enables periodic crash-safe snapshots of the full
 	// engine state: every Checkpoint.Every ticks the engine atomically
