@@ -40,7 +40,7 @@ func NewLedger(s int) (*Ledger, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	return &Ledger{limit: s, pairs: newPairTable()}, nil
+	return &Ledger{limit: s}, nil
 }
 
 // Limit returns the credit limit s.
@@ -223,7 +223,7 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 	if s < 1 {
 		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	pairs := newPairTable()
+	var pairs pairTable
 	count := make(map[uint64]int) // count[u<<32|v] = remaining uncancelled u -> v this tick
 	outs := make(map[int32][]int32)
 	var edges []uint64   // this tick's directed edges, first-appearance order

@@ -11,10 +11,11 @@ import (
 // larger minus blocks it received. It is an open-addressed table with
 // linear probing over parallel key and balance slices whose length is
 // a power of two. Key 0 marks an empty slot, and an empty slot's
-// balance stays 0, so a lookup of an absent pair reads 0 without a
-// branch. No pair has key 0: the server (node 0) is exempt from every
-// ledger, so every key has a non-zero client id in it.
+// balance stays 0, so a lookup of an absent pair reads 0. No pair has
+// key 0: the server (node 0) is exempt from every ledger, so every key
+// has a non-zero client id in it.
 //
+// The zero value is an empty table that allocates on its first insert.
 // Entries are never removed; a pair whose balance returns to 0 keeps
 // its slot, as a map entry would.
 type pairTable struct {
@@ -32,12 +33,6 @@ const (
 	maxLoadDen = 8
 	minSlots   = 16
 )
-
-func newPairTable() pairTable {
-	var t pairTable
-	t.alloc(minSlots)
-	return t
-}
 
 func (t *pairTable) alloc(slots int) {
 	t.keys = make([]uint64, slots)
@@ -57,10 +52,18 @@ func (t *pairTable) find(key uint64) int {
 }
 
 // get returns key's balance, 0 for a pair never booked.
-func (t *pairTable) get(key uint64) int32 { return t.net[t.find(key)] }
+func (t *pairTable) get(key uint64) int32 {
+	if t.count == 0 {
+		return 0
+	}
+	return t.net[t.find(key)]
+}
 
 // add adds d to key's balance, booking the pair if it is new.
 func (t *pairTable) add(key uint64, d int32) {
+	if t.keys == nil {
+		t.alloc(minSlots)
+	}
 	i := t.find(key)
 	if t.keys[i] == 0 {
 		if (t.count+1)*maxLoadDen > len(t.keys)*maxLoadNum {
@@ -132,7 +135,7 @@ func (o *overLimit) violation(reason string) *Violation {
 // same end-of-tick balance, so the first entry over the limit belongs
 // to the pair that, among those over it, the tick touched first.
 func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int) (*overLimit, int) {
-	pairs := newPairTable()
+	var pairs pairTable
 	var touched []uint64
 	peak := 0
 	for cur.NextTick() {

@@ -46,7 +46,7 @@ func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 	if n < 0 {
 		return checkpoint.Corruptf("mechanism: negative pair count %d", n)
 	}
-	pairs := newPairTable()
+	var pairs pairTable
 	var prev uint64
 	for i := 0; i < n; i++ {
 		k := dec.U64()
