@@ -77,9 +77,8 @@ type shardOutcome struct {
 	WallSeconds float64 `json:"wallSeconds"`
 	// Audit wall-clock, measured on the P = 1 capstone pass only: the
 	// RunAudit replay of the recorded trace, then the credit s = 1
-	// check. Each is one sequential pass. Cells cached before the credit
-	// check lost its worker width also carry a creditWall8 field, which
-	// decoding ignores.
+	// check. CreditWall keeps the JSON name creditWall1 so cells cached
+	// by earlier editions still decode; their creditWall8 is ignored.
 	ReplayWall float64 `json:"replayWall,omitempty"`
 	CreditWall float64 `json:"creditWall1,omitempty"`
 }
