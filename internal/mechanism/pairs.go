@@ -16,8 +16,8 @@ import (
 // has a non-zero client id in it.
 //
 // The zero value is an empty table that allocates on its first insert.
-// Entries are never removed; a pair whose balance returns to 0 keeps
-// its slot, as a map entry would.
+// Entries are never removed: a pair whose balance returns to 0 keeps
+// its slot.
 type pairTable struct {
 	keys  []uint64
 	net   []int32
