@@ -6,6 +6,7 @@ package barterdist_test
 // paper artifact is recorded in DESIGN.md's experiment index.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -22,6 +23,8 @@ import (
 	"barterdist/internal/graph"
 	"barterdist/internal/lint"
 	"barterdist/internal/mechanism"
+	"barterdist/internal/parallel"
+	"barterdist/internal/randomized"
 	"barterdist/internal/simulate"
 	"barterdist/internal/trace"
 	"barterdist/internal/xrand"
@@ -270,6 +273,66 @@ func BenchmarkScale20kCreditSmoke(b *testing.B) {
 			b.Fatal("no completion time")
 		}
 	}
+}
+
+// BenchmarkExactPass times credit-limited randomized runs (k = 64,
+// s = 1, download cap 1, tracing on) and reports the scheduler's
+// exact-pass counters per op: passes, index entries visited, and
+// qualifiedIndexed rejections by reason (cap, credit, guard,
+// in-flight). closed-credit is the _bench workload's shape, eight
+// replicates at n = 2048 seeded like its reps; the n=N/wP
+// sub-benchmarks are one run each at ShardWorkers P. Counters are
+// identical for any P. The n = 40k and 80k runs take minutes on a
+// slow host: select them by name, with -benchtime 1x.
+func BenchmarkExactPass(b *testing.B) {
+	b.Run("closed-credit", func(b *testing.B) {
+		benchExactPass(b, 2048, 8, benchShardWorkers(b))
+	})
+	for _, n := range []int{20000, 40000, 80000} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/w%d", n, w), func(b *testing.B) {
+				benchExactPass(b, n, 1, w)
+			})
+		}
+	}
+}
+
+func benchExactPass(b *testing.B, n, replicates, workers int) {
+	var sum randomized.PassStats
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < replicates; r++ {
+			seed := uint64(46000) + uint64(r)*parallel.SeedStride
+			sched, err := randomized.New(randomized.Options{
+				CreditLimit: 1, DownloadCap: 1, Seed: seed, ShardWorkers: workers,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := simulate.Run(simulate.Config{
+				Nodes: n, Blocks: 64, DownloadCap: 1, RecordTrace: true,
+			}, sched)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.CompletionTime <= 0 {
+				b.Fatal("no completion time")
+			}
+			st := sched.PassStats()
+			sum.Passes += st.Passes
+			sum.Visited += st.Visited
+			sum.RejectCap += st.RejectCap
+			sum.RejectCredit += st.RejectCredit
+			sum.RejectGuard += st.RejectGuard
+			sum.RejectInFlight += st.RejectInFlight
+		}
+	}
+	per := func(x int64) float64 { return float64(x) / float64(b.N) }
+	b.ReportMetric(per(sum.Passes), "passes/op")
+	b.ReportMetric(per(sum.Visited), "visited/op")
+	b.ReportMetric(per(sum.RejectCap), "rej-cap/op")
+	b.ReportMetric(per(sum.RejectCredit), "rej-credit/op")
+	b.ReportMetric(per(sum.RejectGuard), "rej-guard/op")
+	b.ReportMetric(per(sum.RejectInFlight), "rej-inflight/op")
 }
 
 // cannedScaleRun builds the n=20k, k=64 credit s=1 recorded run ONCE

@@ -91,3 +91,44 @@ func TestEligIndexMatchesScan(t *testing.T) {
 		t.Fatal("probe never ran")
 	}
 }
+
+// TestPassStatsWorkerInvariant pins the exact-pass counters to the
+// logical lanes: a churny, adversarial, credit-limited run must report
+// identical PassStats for every ShardWorkers width, and the run must
+// exercise the pass enough for the comparison to mean something.
+func TestPassStatsWorkerInvariant(t *testing.T) {
+	const nodes = 300
+	var want PassStats
+	for _, workers := range []int{1, 2, 4} {
+		faultPlan, err := fault.NewPlan(fault.Options{
+			Seed: 7, CrashRate: 0.05, MaxCrashes: 6, RejoinDelay: 2, LossRate: 0.05,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		advPlan, err := adversary.NewPlan(nodes, adversary.Options{Seed: 8, FreeRiderFrac: 0.1, CorrupterFrac: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := New(Options{Seed: 9, DownloadCap: 1, CreditLimit: 1, ShardWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := simulate.Run(simulate.Config{
+			Nodes: nodes, Blocks: 16, DownloadCap: 1, Fault: faultPlan, Adversary: advPlan,
+		}, sched); err != nil {
+			t.Fatal(err)
+		}
+		got := sched.PassStats()
+		if workers == 1 {
+			if got.Passes == 0 || got.Visited == 0 || got.RejectCap == 0 || got.RejectCredit == 0 {
+				t.Fatalf("run barely exercised the exact pass: %+v", got)
+			}
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("ShardWorkers %d: PassStats %+v, ShardWorkers 1 gave %+v", workers, got, want)
+		}
+	}
+}

@@ -135,6 +135,7 @@ type lane struct {
 	freqAdd     []int32
 	freqTouched []int32
 	scratch     []int32 // neighbor shuffle buffer (general graphs)
+	stats       PassStats
 }
 
 // intent is one lane-local upload proposal awaiting the merge.
@@ -284,6 +285,39 @@ func New(opts Options) (*Scheduler, error) {
 // Ledger exposes the credit ledger (nil in cooperative mode) so tests
 // and experiments can inspect peak balances.
 func (s *Scheduler) Ledger() *mechanism.Ledger { return s.ledger }
+
+// PassStats counts the complete-graph exact pass's work: how often it
+// ran, how many eligibility-index entries it enumerated, and why
+// qualifiedIndexed turned entries down. Entries the priority hash
+// rejects before qualification count as visited only. Every count is
+// kept per logical lane, so the totals are identical for any
+// ShardWorkers.
+type PassStats struct {
+	Passes         int64 // exact passes run
+	Visited        int64 // index list entries enumerated
+	RejectCap      int64 // receiver's download cap reached
+	RejectCredit   int64 // uploader over its credit limit with the receiver
+	RejectGuard    int64 // receiver quarantines the uploader
+	RejectInFlight int64 // everything the uploader offers is already in flight
+}
+
+// PassStats sums the lanes' exact-pass counters. Counters are not
+// checkpointed: a resumed run counts from its restore.
+func (s *Scheduler) PassStats() PassStats {
+	var sum PassStats
+	for _, ln := range s.lanes {
+		if ln == nil {
+			continue // not set up yet
+		}
+		sum.Passes += ln.stats.Passes
+		sum.Visited += ln.stats.Visited
+		sum.RejectCap += ln.stats.RejectCap
+		sum.RejectCredit += ln.stats.RejectCredit
+		sum.RejectGuard += ln.stats.RejectGuard
+		sum.RejectInFlight += ln.stats.RejectInFlight
+	}
+	return sum
+}
 
 func (s *Scheduler) setup(st *simulate.State) error {
 	s.n, s.k = st.N(), st.K()
@@ -876,12 +910,14 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// deduplication, since max is idempotent). Interest is already
 	// established (interestSize > 0), so the no-peer cache is never
 	// primed from here.
+	ln.stats.Passes++
 	base := prioBase(s.opts.Seed, u, s.curTick, s.curRound)
 	chosen := -1
 	var best uint64
 	bu.Iter(func(b int) bool {
 		off := b * s.n
 		cnt := int(s.index.count[b])
+		ln.stats.Visited += int64(cnt)
 		for i := 0; i < cnt; i++ {
 			v := int(s.index.members[off+i])
 			p := mix64(base ^ uint64(uint32(v)))
@@ -926,18 +962,22 @@ func prioBase(seed uint64, u int, tick, round int32) uint64 {
 // in-flight discount remain.
 func (s *Scheduler) qualifiedIndexed(ln *lane, st *simulate.State, u, v int) bool {
 	if s.opts.DownloadCap != simulate.Unlimited && s.downUsedOf(v)+s.laneRes(ln, v) >= s.opts.DownloadCap {
+		ln.stats.RejectCap++
 		return false
 	}
 	if s.ledger != nil && !s.ledger.CanSend(int32(u), int32(v)) {
+		ln.stats.RejectCredit++
 		return false
 	}
 	if s.guard != nil && s.guard.Blocked(v, u, float64(st.Tick()+1)) {
+		ln.stats.RejectGuard++
 		return false
 	}
 	if s.incomingStamp[v] == s.curTick || ln.resStamp[v] == s.roundStamp {
 		// Something is in flight or proposed to v: make sure u still
 		// offers a block beyond it.
 		if !s.needsSomething(ln, st, u, v) {
+			ln.stats.RejectInFlight++
 			return false
 		}
 	}
