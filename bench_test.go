@@ -277,13 +277,14 @@ func BenchmarkScale20kCreditSmoke(b *testing.B) {
 
 // BenchmarkExactPass times credit-limited randomized runs (k = 64,
 // s = 1, download cap 1, tracing on) and reports the scheduler's
-// exact-pass counters per op: passes, index entries visited, and
-// qualifiedIndexed rejections by reason (cap, credit, guard,
-// in-flight). closed-credit is the _bench workload's shape, eight
-// replicates at n = 2048 seeded like its reps; the n=N/wP
-// sub-benchmarks are one run each at ShardWorkers P. Counters are
-// identical for any P. The n = 40k and 80k runs take minutes on a
-// slow host: select them by name, with -benchtime 1x.
+// exact-pass counters per op: passes, index entries visited, entries
+// skipped as saturated, and qualifiedIndexed rejections by reason
+// (cap, credit, guard, in-flight). closed-credit is the _bench
+// workload's shape, eight replicates at n = 2048 seeded like its reps;
+// the n=N/wP sub-benchmarks are one run each at ShardWorkers P, whose
+// wall times give the scaling exponent in n. Counters are identical
+// for any P. The n = 40k and 80k runs take minutes on a slow host:
+// select them by name, with -benchtime 1x.
 func BenchmarkExactPass(b *testing.B) {
 	b.Run("closed-credit", func(b *testing.B) {
 		benchExactPass(b, 2048, 8, benchShardWorkers(b))
@@ -320,6 +321,7 @@ func benchExactPass(b *testing.B, n, replicates, workers int) {
 			st := sched.PassStats()
 			sum.Passes += st.Passes
 			sum.Visited += st.Visited
+			sum.Skipped += st.Skipped
 			sum.RejectCap += st.RejectCap
 			sum.RejectCredit += st.RejectCredit
 			sum.RejectGuard += st.RejectGuard
@@ -329,6 +331,7 @@ func benchExactPass(b *testing.B, n, replicates, workers int) {
 	per := func(x int64) float64 { return float64(x) / float64(b.N) }
 	b.ReportMetric(per(sum.Passes), "passes/op")
 	b.ReportMetric(per(sum.Visited), "visited/op")
+	b.ReportMetric(per(sum.Skipped), "skipped/op")
 	b.ReportMetric(per(sum.RejectCap), "rej-cap/op")
 	b.ReportMetric(per(sum.RejectCredit), "rej-credit/op")
 	b.ReportMetric(per(sum.RejectGuard), "rej-guard/op")

@@ -56,6 +56,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/simulate.capScratch).addDown",
 	// randomized scheduler + pickers
 	"(*MOD/internal/randomized.Scheduler).Tick",
+	"(*MOD/internal/randomized.Scheduler).pairRounds",
 	"(*MOD/internal/randomized.Scheduler).beginTick",
 	"(*MOD/internal/randomized.Scheduler).pickReceiver",
 	"(*MOD/internal/randomized.Scheduler).pickReceiverComplete",
@@ -79,6 +80,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.eligIndex).add",
 	"(*MOD/internal/randomized.eligIndex).remove",
 	"(*MOD/internal/randomized.eligIndex).has",
+	"(*MOD/internal/randomized.eligIndex).compact",
 	// shard decomposition helpers on the lane path
 	"MOD/internal/shard.Of",
 	"MOD/internal/shard.Shuffle32",

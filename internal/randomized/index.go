@@ -29,9 +29,19 @@ import (
 // those committed transfers back in. TestEligIndexMatchesScan pins the
 // incremental maintenance against the from-scratch predicate scan after
 // every tick of churny, credit-limited, adversarial runs.
+//
+// Within a tick each list also has an open prefix, members[b·n :
+// b·n+open[b]]: the exact pass enumerates only that prefix. Behind it
+// sit members the merge has saturated this tick (availPos < 0), which
+// fail the download-cap check in every lane. compact moves them there
+// between rounds, lazily, only for lists a lane found one in; beginTick
+// runs its adds and removes on the full lists and then reopens every
+// prefix, so open equals count whenever a tick starts and nothing about
+// it needs checkpointing.
 type eligIndex struct {
 	n, k    int
 	count   []int32 // count[b] = number of candidates missing block b
+	open    []int32 // open[b] ≤ count[b]: list b's unsaturated prefix this tick
 	members []int32 // k·n slab; list b is members[b·n : b·n+count[b]]
 	pos     []int32 // k·n slab; pos[b·n+v] = index of v in list b, -1 if absent
 }
@@ -42,6 +52,7 @@ func newEligIndex(n, k int) *eligIndex {
 		n:       n,
 		k:       k,
 		count:   make([]int32, k),
+		open:    make([]int32, k),
 		members: make([]int32, k*n),
 		pos:     make([]int32, k*n),
 	}
@@ -77,6 +88,34 @@ func (ix *eligIndex) remove(b, v int) {
 	ix.count[b] = last
 	ix.pos[base+v] = -1
 }
+
+// compact moves list b's saturated members (availPos[v] < 0) from its
+// open prefix to just behind it, keeping pos in step. It scans the
+// prefix once, so it costs no more than the exact pass that found a
+// saturated member there. Saturation only grows within a tick, so
+// members already behind the prefix stay behind it.
+func (ix *eligIndex) compact(b int, availPos []int32) {
+	base := b * ix.n
+	open := ix.open[b]
+	for i := int32(0); i < open; {
+		v := ix.members[base+int(i)]
+		if availPos[v] >= 0 {
+			i++
+			continue
+		}
+		open--
+		w := ix.members[base+int(open)]
+		ix.members[base+int(i)] = w
+		ix.pos[base+int(w)] = i
+		ix.members[base+int(open)] = v
+		ix.pos[base+int(v)] = open
+	}
+	ix.open[b] = open
+}
+
+// reopen makes every list's open prefix the whole list again, for a
+// new tick.
+func (ix *eligIndex) reopen() { copy(ix.open, ix.count) }
 
 // has reports whether v is currently indexed as missing b.
 func (ix *eligIndex) has(b, v int) bool { return ix.pos[b*ix.n+v] >= 0 }

@@ -32,7 +32,10 @@
 // rejection-sampled from the incomplete-node list, and the exact
 // fallback enumerates the uploader's tick-start audience through the
 // incremental eligibility index (index.go) instead of subset-testing
-// every incomplete client.
+// every incomplete client. The fallback skips receivers whose download
+// cap the tick has already filled, and the coordinator compacts them
+// out of the index lists it read between rounds, so late in a tick it
+// stops visiting them (DESIGN.md §14.3).
 package randomized
 
 import (
@@ -135,7 +138,13 @@ type lane struct {
 	freqAdd     []int32
 	freqTouched []int32
 	scratch     []int32 // neighbor shuffle buffer (general graphs)
-	stats       PassStats
+	// stale lists the blocks whose open index prefix held a saturated
+	// member during this round's exact passes; the coordinator compacts
+	// those lists after the merge. staleStamp[b] == roundStamp marks b
+	// as listed.
+	stale      []int32
+	staleStamp []int32
+	stats      PassStats
 }
 
 // intent is one lane-local upload proposal awaiting the merge.
@@ -295,6 +304,7 @@ func (s *Scheduler) Ledger() *mechanism.Ledger { return s.ledger }
 type PassStats struct {
 	Passes         int64 // exact passes run
 	Visited        int64 // index list entries enumerated
+	Skipped        int64 // visited entries skipped as saturated this tick
 	RejectCap      int64 // receiver's download cap reached
 	RejectCredit   int64 // uploader over its credit limit with the receiver
 	RejectGuard    int64 // receiver quarantines the uploader
@@ -311,6 +321,7 @@ func (s *Scheduler) PassStats() PassStats {
 		}
 		sum.Passes += ln.stats.Passes
 		sum.Visited += ln.stats.Visited
+		sum.Skipped += ln.stats.Skipped
 		sum.RejectCap += ln.stats.RejectCap
 		sum.RejectCredit += ln.stats.RejectCredit
 		sum.RejectGuard += ln.stats.RejectGuard
@@ -359,13 +370,14 @@ func (s *Scheduler) setup(st *simulate.State) error {
 	for sg := 0; sg < shard.Slots; sg++ {
 		members := shard.Members(s.n, sg)
 		ln := &lane{
-			rng:      streams[sg],
-			members:  members,
-			order:    make([]int32, len(members)),
-			resStamp: make([]int32, s.n),
-			resDown:  make([]int32, s.n),
-			resHead:  make([]int32, s.n),
-			freqAdd:  make([]int32, s.k),
+			rng:        streams[sg],
+			members:    members,
+			order:      make([]int32, len(members)),
+			resStamp:   make([]int32, s.n),
+			resDown:    make([]int32, s.n),
+			resHead:    make([]int32, s.n),
+			freqAdd:    make([]int32, s.k),
+			staleStamp: make([]int32, s.k),
 		}
 		// Reservation stamps start at -1: the live round stamps are
 		// always positive, so a fresh lane never reads a zero-value
@@ -410,7 +422,12 @@ func (s *Scheduler) Tick(t int, st *simulate.State, dst []simulate.Transfer) ([]
 		}
 	}
 	s.beginTick(st)
+	return s.pairRounds(st, dst)
+}
 
+// pairRounds runs the tick's propose/merge rounds after beginTick,
+// compacting the index lists the lanes flagged after each merge.
+func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
 	s.curState = st
 	for round := int32(0); ; round++ {
 		s.curRound = round
@@ -427,6 +444,13 @@ func (s *Scheduler) Tick(t int, st *simulate.State, dst []simulate.Transfer) ([]
 			break
 		}
 		dst = s.merge(dst)
+		if s.index != nil {
+			for _, ln := range s.lanes {
+				for _, b := range ln.stale {
+					s.index.compact(int(b), s.availPos)
+				}
+			}
+		}
 	}
 	s.curState = nil
 	return dst, nil
@@ -443,6 +467,7 @@ func (s *Scheduler) runLane(ln *lane) {
 		ln.freqAdd[b] = 0
 	}
 	ln.freqTouched = ln.freqTouched[:0]
+	ln.stale = ln.stale[:0]
 	if s.curRound == 0 {
 		copy(ln.order, ln.members)
 		shard.Shuffle32(ln.rng, ln.order)
@@ -645,6 +670,11 @@ func (s *Scheduler) beginTick(st *simulate.State) {
 		for i := range s.noPeerAtCount {
 			s.noPeerAtCount[i] = -1
 		}
+	}
+	if s.index != nil {
+		// Every candidate is back in avail below, so no list member is
+		// saturated yet.
+		s.index.reopen()
 	}
 	// Rebuild avail from the candidate set by word-level scan: ascending
 	// node order (the determinism contract for the rejection sampler)
@@ -910,16 +940,28 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// deduplication, since max is idempotent). Interest is already
 	// established (interestSize > 0), so the no-peer cache is never
 	// primed from here.
+	//
+	// The pass reads only each list's open prefix and skips members the
+	// merge has saturated this tick (availPos < 0). Both fail the
+	// download-cap check in every lane, and since the winner is the max
+	// over qualified members, leaving out losers cannot change it. A
+	// list that held a saturated member goes on the lane's stale list,
+	// and the coordinator moves such members behind the prefix after
+	// the merge, so later passes stop visiting them.
 	ln.stats.Passes++
 	base := prioBase(s.opts.Seed, u, s.curTick, s.curRound)
 	chosen := -1
 	var best uint64
 	bu.Iter(func(b int) bool {
 		off := b * s.n
-		cnt := int(s.index.count[b])
-		ln.stats.Visited += int64(cnt)
+		cnt := int(s.index.open[b])
+		skipped := 0
 		for i := 0; i < cnt; i++ {
 			v := int(s.index.members[off+i])
+			if s.availPos[v] < 0 {
+				skipped++
+				continue
+			}
 			p := mix64(base ^ uint64(uint32(v)))
 			if chosen >= 0 && p <= best {
 				continue // cheap reject before the qualification checks
@@ -928,6 +970,14 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 				continue
 			}
 			chosen, best = v, p
+		}
+		ln.stats.Visited += int64(cnt)
+		if skipped > 0 {
+			ln.stats.Skipped += int64(skipped)
+			if ln.staleStamp[b] != s.roundStamp {
+				ln.staleStamp[b] = s.roundStamp
+				ln.stale = append(ln.stale, int32(b))
+			}
 		}
 		return true
 	})
