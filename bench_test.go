@@ -318,14 +318,7 @@ func benchExactPass(b *testing.B, n, replicates, workers int) {
 			if res.CompletionTime <= 0 {
 				b.Fatal("no completion time")
 			}
-			st := sched.PassStats()
-			sum.Passes += st.Passes
-			sum.Visited += st.Visited
-			sum.Skipped += st.Skipped
-			sum.RejectCap += st.RejectCap
-			sum.RejectCredit += st.RejectCredit
-			sum.RejectGuard += st.RejectGuard
-			sum.RejectInFlight += st.RejectInFlight
+			sum.Add(sched.PassStats())
 		}
 	}
 	per := func(x int64) float64 { return float64(x) / float64(b.N) }

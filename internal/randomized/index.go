@@ -34,7 +34,7 @@ import (
 // b·n+open[b]]: the exact pass enumerates only that prefix. Behind it
 // sit members the merge has saturated this tick (availPos < 0), which
 // fail the download-cap check in every lane. compact moves them there
-// between rounds, lazily, only for lists a lane found one in; beginTick
+// between rounds, lazily, only for lists an exact pass read; beginTick
 // runs its adds and removes on the full lists and then reopens every
 // prefix, so open equals count whenever a tick starts and nothing about
 // it needs checkpointing.
@@ -91,9 +91,9 @@ func (ix *eligIndex) remove(b, v int) {
 
 // compact moves list b's saturated members (availPos[v] < 0) from its
 // open prefix to just behind it, keeping pos in step. It scans the
-// prefix once, so it costs no more than the exact pass that found a
-// saturated member there. Saturation only grows within a tick, so
-// members already behind the prefix stay behind it.
+// prefix once, so it costs no more than the exact pass that read the
+// list. Saturation only grows within a tick, so members already behind
+// the prefix stay behind it.
 func (ix *eligIndex) compact(b int, availPos []int32) {
 	base := b * ix.n
 	open := ix.open[b]

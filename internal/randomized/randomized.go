@@ -138,13 +138,12 @@ type lane struct {
 	freqAdd     []int32
 	freqTouched []int32
 	scratch     []int32 // neighbor shuffle buffer (general graphs)
-	// stale lists the blocks whose open index prefix held a saturated
-	// member during this round's exact passes; the coordinator compacts
-	// those lists after the merge. staleStamp[b] == roundStamp marks b
-	// as listed.
-	stale      []int32
-	staleStamp []int32
-	stats      PassStats
+	// read lists the blocks whose index list this round's exact passes
+	// enumerated; the coordinator compacts those lists after the merge.
+	// readStamp[b] == roundStamp marks b as listed.
+	read      []int32
+	readStamp []int32
+	stats     PassStats
 }
 
 // intent is one lane-local upload proposal awaiting the merge.
@@ -216,6 +215,10 @@ type Scheduler struct {
 	// index is the incremental missing-block/eligibility index
 	// (complete-graph mode only; nil with an explicit overlay).
 	index *eligIndex
+	// compactStamp[b] == roundStamp marks index list b as compacted
+	// after this round's merge, so lanes that read the same list cost
+	// one compaction.
+	compactStamp []int32
 	// noPeerAtCount[u] caches that u found no interested peer while
 	// holding noPeerAtCount[u] blocks; valid until u's holdings grow
 	// (interest is monotone in the sender's block set). It is only set
@@ -316,18 +319,22 @@ type PassStats struct {
 func (s *Scheduler) PassStats() PassStats {
 	var sum PassStats
 	for _, ln := range s.lanes {
-		if ln == nil {
-			continue // not set up yet
+		if ln != nil { // nil before the first tick
+			sum.Add(ln.stats)
 		}
-		sum.Passes += ln.stats.Passes
-		sum.Visited += ln.stats.Visited
-		sum.Skipped += ln.stats.Skipped
-		sum.RejectCap += ln.stats.RejectCap
-		sum.RejectCredit += ln.stats.RejectCredit
-		sum.RejectGuard += ln.stats.RejectGuard
-		sum.RejectInFlight += ln.stats.RejectInFlight
 	}
 	return sum
+}
+
+// Add adds q's counts to p's.
+func (p *PassStats) Add(q PassStats) {
+	p.Passes += q.Passes
+	p.Visited += q.Visited
+	p.Skipped += q.Skipped
+	p.RejectCap += q.RejectCap
+	p.RejectCredit += q.RejectCredit
+	p.RejectGuard += q.RejectGuard
+	p.RejectInFlight += q.RejectInFlight
 }
 
 func (s *Scheduler) setup(st *simulate.State) error {
@@ -353,6 +360,7 @@ func (s *Scheduler) setup(st *simulate.State) error {
 	}
 	if s.opts.Graph == nil {
 		s.index = newEligIndex(s.n, s.k)
+		s.compactStamp = make([]int32, s.k)
 		s.candidates.Iter(func(v int) bool {
 			s.index.addNode(st, v)
 			return true
@@ -370,14 +378,14 @@ func (s *Scheduler) setup(st *simulate.State) error {
 	for sg := 0; sg < shard.Slots; sg++ {
 		members := shard.Members(s.n, sg)
 		ln := &lane{
-			rng:        streams[sg],
-			members:    members,
-			order:      make([]int32, len(members)),
-			resStamp:   make([]int32, s.n),
-			resDown:    make([]int32, s.n),
-			resHead:    make([]int32, s.n),
-			freqAdd:    make([]int32, s.k),
-			staleStamp: make([]int32, s.k),
+			rng:       streams[sg],
+			members:   members,
+			order:     make([]int32, len(members)),
+			resStamp:  make([]int32, s.n),
+			resDown:   make([]int32, s.n),
+			resHead:   make([]int32, s.n),
+			freqAdd:   make([]int32, s.k),
+			readStamp: make([]int32, s.k),
 		}
 		// Reservation stamps start at -1: the live round stamps are
 		// always positive, so a fresh lane never reads a zero-value
@@ -426,7 +434,8 @@ func (s *Scheduler) Tick(t int, st *simulate.State, dst []simulate.Transfer) ([]
 }
 
 // pairRounds runs the tick's propose/merge rounds after beginTick,
-// compacting the index lists the lanes flagged after each merge.
+// compacting the index lists the round's exact passes read after each
+// merge.
 func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
 	s.curState = st
 	for round := int32(0); ; round++ {
@@ -444,10 +453,18 @@ func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]s
 			break
 		}
 		dst = s.merge(dst)
-		if s.index != nil {
+		if s.index != nil && s.removedInTick > 0 {
+			// Move the receivers saturated so far out of the open
+			// prefixes the round's passes read, so the next round's
+			// passes stop visiting them. Each list is compacted once,
+			// and one scan of it costs no more than the pass that read
+			// it.
 			for _, ln := range s.lanes {
-				for _, b := range ln.stale {
-					s.index.compact(int(b), s.availPos)
+				for _, b := range ln.read {
+					if s.compactStamp[b] != s.roundStamp {
+						s.compactStamp[b] = s.roundStamp
+						s.index.compact(int(b), s.availPos)
+					}
 				}
 			}
 		}
@@ -467,7 +484,7 @@ func (s *Scheduler) runLane(ln *lane) {
 		ln.freqAdd[b] = 0
 	}
 	ln.freqTouched = ln.freqTouched[:0]
-	ln.stale = ln.stale[:0]
+	ln.read = ln.read[:0]
 	if s.curRound == 0 {
 		copy(ln.order, ln.members)
 		shard.Shuffle32(ln.rng, ln.order)
@@ -944,10 +961,10 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// The pass reads only each list's open prefix and skips members the
 	// merge has saturated this tick (availPos < 0). Both fail the
 	// download-cap check in every lane, and since the winner is the max
-	// over qualified members, leaving out losers cannot change it. A
-	// list that held a saturated member goes on the lane's stale list,
-	// and the coordinator moves such members behind the prefix after
-	// the merge, so later passes stop visiting them.
+	// over qualified members, leaving out losers cannot change it. Every
+	// list the pass reads goes on the lane's read list, and after the
+	// merge the coordinator moves saturated members behind its prefix,
+	// so later rounds' passes stop visiting them.
 	ln.stats.Passes++
 	base := prioBase(s.opts.Seed, u, s.curTick, s.curRound)
 	chosen := -1
@@ -972,12 +989,10 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 			chosen, best = v, p
 		}
 		ln.stats.Visited += int64(cnt)
-		if skipped > 0 {
-			ln.stats.Skipped += int64(skipped)
-			if ln.staleStamp[b] != s.roundStamp {
-				ln.staleStamp[b] = s.roundStamp
-				ln.stale = append(ln.stale, int32(b))
-			}
+		ln.stats.Skipped += int64(skipped)
+		if cnt > 0 && ln.readStamp[b] != s.roundStamp {
+			ln.readStamp[b] = s.roundStamp
+			ln.read = append(ln.read, int32(b))
 		}
 		return true
 	})
