@@ -82,21 +82,28 @@ flashcrowd:
 
 ## bench: run the benchmark suite and write a BENCH_<date>.json
 ## snapshot (ns/op, B/op, allocs/op, speedup vs the newest committed
-## snapshot). Commit the snapshot with perf-affecting PRs.
+## snapshot). Commit the snapshot with perf-affecting PRs. The
+## BenchmarkExactPass scaling runs (n = 20k to 80k at P = 1 and 2)
+## take about two minutes of each repetition on a 2-core host.
 bench:
 	$(GO) run ./cmd/cdbench
 
-## bench-shard: the shard-scaling snapshot — rerun the suite with the
-## sharded tick core at P=8 lanes, write BENCH_<date>-shard.json, and
-## print the delta table vs the newest plain snapshot (Fig5/Fig6/
-## TableD plus the 20k credit smoke; the credit s=1 path is the one
-## the eligibility index accelerates). Run on a quiet machine: a busy
-## core poisons the medians.
+## bench-shard: the shard-scaling snapshot — the benchmarks that read
+## the tick-core width (BenchmarkScale20kCreditSmoke and
+## BenchmarkExactPass/closed-credit, both credit s=1) at P=1 and at
+## P=2, written to BENCH_<date>-shard-p1.json and -shard-p2.json, then
+## the P=1 → P=2 delta table. The P=2 snapshot's speedup_vs_baseline is
+## the sharded speedup. A speedup counts only with at least as many
+## cores as workers, so P stops at 2: on a 2-core host a wider P
+## measures oversubscription. Run on a quiet machine: a busy core
+## poisons the medians.
 bench-shard:
-	$(GO) run ./cmd/cdbench -shardworkers 8 -out BENCH_$$(date +%Y-%m-%d)-shard.json
-	$(GO) run ./cmd/cdbench -compare \
-		"$$(ls BENCH_*.json | grep -v -- -shard | sort | tail -1)" \
-		BENCH_$$(date +%Y-%m-%d)-shard.json
+	d=$$(date +%Y-%m-%d); \
+	$(GO) run ./cmd/cdbench -bench 'Scale20kCreditSmoke|ExactPass/closed-credit' \
+		-shardworkers 1 -out BENCH_$$d-shard-p1.json && \
+	$(GO) run ./cmd/cdbench -bench 'Scale20kCreditSmoke|ExactPass/closed-credit' \
+		-shardworkers 2 -baseline BENCH_$$d-shard-p1.json -out BENCH_$$d-shard-p2.json && \
+	$(GO) run ./cmd/cdbench -compare BENCH_$$d-shard-p1.json BENCH_$$d-shard-p2.json
 
 clean:
 	$(GO) clean ./...
