@@ -283,8 +283,8 @@ func BenchmarkScale20kCreditSmoke(b *testing.B) {
 // workload's shape, eight replicates at n = 2048 seeded like its reps;
 // the n=N/wP sub-benchmarks are one run each at ShardWorkers P, whose
 // wall times give the scaling exponent in n. Counters are identical
-// for any P. The n = 40k and 80k runs take minutes on a slow host:
-// select them by name, with -benchtime 1x.
+// for any P. One n = 80k run takes most of a minute on a 2-core host,
+// so time the n=N sub-benchmarks with -benchtime 1x.
 func BenchmarkExactPass(b *testing.B) {
 	b.Run("closed-credit", func(b *testing.B) {
 		benchExactPass(b, 2048, 8, benchShardWorkers(b))

@@ -114,10 +114,11 @@ type Options struct {
 // receiver-indexed reservation scratch the lane writes during a
 // concurrent pairing round. Two invariants make the concurrent phase
 // race-free: a lane only draws randomness from its own stream and only
-// writes lane-owned state (reservations, intents, its members' no-peer
-// cache entries), and everything global it reads (ground-truth block
-// sets, avail, the eligibility index, freq, the ledger, the guard) is
-// mutated exclusively between rounds by beginTick and the merge.
+// writes lane-owned state (reservations, intents, read lists, counters,
+// its members' no-peer cache entries), and everything global it reads
+// (ground-truth block sets, avail, the eligibility index, freq, the
+// ledger, the guard) is mutated exclusively between rounds by
+// beginTick, the merge and the index compaction after it.
 type lane struct {
 	rng     *xrand.Rand
 	members []int32 // fixed ascending member ids (σ(v) = v mod shard.Slots)
