@@ -37,9 +37,10 @@ test:
 	$(GO) test ./...
 
 ## race: race-enabled tests with -short, which skips only the n=20k
-## large-swarm smoke (52s plain, minutes under race). CI's dedicated
-## `scale` job runs that smoke under -race with a saturated pool;
-## locally, `go test ./...` (the tier-1 sweep) still runs it plain.
+## large-swarm smoke (the slowest plain test; much slower under race).
+## CI's dedicated `scale` job runs that smoke under -race with a
+## saturated pool; locally, `go test ./...` (the tier-1 sweep) still
+## runs it plain.
 race:
 	$(GO) test -race -short ./...
 
