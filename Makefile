@@ -11,13 +11,8 @@ check: vet fmt lint build race
 build:
 	$(GO) build ./...
 
-## vet: go vet plus cmd/cdvet — the cross-package dataflow gate
-## (concurrency containment, shard purity of the tick core, heap-escape
-## drift vs the committed ANALYSIS.json baseline). Legitimate analysis
-## changes re-baseline with `go run ./cmd/cdvet -update`.
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/cdvet
 
 # gofmt -s -l lists unformatted (or unsimplified) files; any output
 # fails the gate.
@@ -27,11 +22,14 @@ fmt:
 		echo "gofmt -s needed on:"; echo "$$out"; exit 1; \
 	fi
 
-## lint: the project's determinism & invariant analyzers (cmd/cdlint).
-## Fails on any finding; see DESIGN.md for the rules and the
-## //lint:<rule> suppression syntax.
+## lint: the static gate, cmd/cdvet — one load of the module, all eight
+## rules (determinism, invariants, concurrency containment, shard
+## purity, heap-escape drift vs the committed ANALYSIS.json baseline).
+## Fails on any finding or drift; see DESIGN.md §8 for the rules, their
+## exemptions and the //lint:<rule> suppression syntax. Legitimate
+## analysis changes re-baseline with `go run ./cmd/cdvet -update`.
 lint:
-	$(GO) run ./cmd/cdlint ./...
+	$(GO) run ./cmd/cdvet
 
 test:
 	$(GO) test ./...
@@ -66,7 +64,7 @@ tablef:
 ## scale: the large-n scale-out capstone at full size — T vs n for
 ## n in {1k, 10k, 100k, 1M}, k=64, randomized + credit s=1, tracing
 ## on. The largest row additionally sweeps the sharded tick core at
-## P in {1,4,8} (wall-clock column). Hours-long: the cell store makes
+## P in {1,2} (wall-clock column). Hours-long: the cell store makes
 ## the run resumable after a crash or ^C (single process; see
 ## EXPERIMENTS.md for peak-RSS / ns-per-tick).
 scale:

@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"barterdist"
-	"barterdist/internal/analysis"
 	"barterdist/internal/asim"
 	"barterdist/internal/bt"
 	"barterdist/internal/experiment"
@@ -509,46 +508,27 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkCdvetModule measures the whole-module cdvet gate exactly as
-// `make vet` pays for it: load + type-check the module, run the
-// concurrency-containment walk, the interprocedural purity
-// classification, and the -gcflags=-m escape build. The escape build
-// rides the Go build cache, so this is the warm cost — the one every
-// pre-PR `make check` and the CI cdvet job actually spend.
+// BenchmarkCdvetModule measures the whole-module gate exactly as
+// `make lint` pays for it, through the entry point cmd/cdvet calls:
+// load + type-check the module once, run all eight rules (the
+// per-package walks, the interprocedural purity classification, the
+// -gcflags=-m escape build) and compare against ANALYSIS.json. The
+// escape build rides the Go build cache, so this is the warm cost —
+// the one every pre-PR `make check` and the CI gate job actually spend.
 func BenchmarkCdvetModule(b *testing.B) {
 	root, err := filepath.Abs(".")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		loader, err := lint.NewLoader(root)
+		report, err := lint.Gate(root, lint.AllAnalyzers(), false, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pkgs, err := loader.LoadAll()
-		if err != nil {
-			b.Fatal(err)
+		if len(report.Findings) != 0 || len(report.Drift) != 0 {
+			b.Fatalf("gate not clean on main: findings %v, drift %v", report.Findings, report.Drift)
 		}
-		mod := loader.ModulePath()
-		findings := lint.RunAnalyzers(loader.Fset, pkgs, []*lint.Analyzer{analysis.ConcurrencyContainmentAnalyzer()})
-		report, pf, err := analysis.Purity(mod, loader.Fset, pkgs,
-			analysis.DefaultPairingRoots(mod), analysis.DefaultPurityRoots(mod))
-		if err != nil {
-			b.Fatal(err)
-		}
-		findings = append(findings, pf...)
-		diags, err := analysis.BuildEscapeDiagnostics(root)
-		if err != nil {
-			b.Fatal(err)
-		}
-		escape, err := analysis.Escape(root, loader.Fset, pkgs, analysis.DefaultEscapeGates(mod), diags)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(findings) != 0 {
-			b.Fatalf("cdvet findings on main: %v", findings)
-		}
-		if len(report.Functions) == 0 || len(escape.Gates) == 0 {
+		if len(report.Purity.Functions) == 0 || len(report.Escape.Gates) == 0 {
 			b.Fatal("empty analysis report")
 		}
 	}

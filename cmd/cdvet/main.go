@@ -1,31 +1,35 @@
-// Command cdvet runs the cross-package dataflow analyses
-// (internal/analysis) that statically certify the determinism
-// contract: concurrency-containment, shard-purity, and the
-// escape-gate. It is part of the pre-PR gate — `make check` (and CI)
-// fail on any finding or on any drift from the committed baseline
-// ANALYSIS.json.
+// Command cdvet is the module's static gate. It loads the module once,
+// runs every rule of internal/lint over it — the determinism rules
+// (rng-discipline, no-wallclock, map-iteration), the invariant rules
+// (ignored-errors, config-validation), concurrency-containment,
+// shard-purity and the escape-gate — and compares the purity and
+// escape sections against the committed baseline ANALYSIS.json.
+// Findings print as
+//
+//	file:line:col: [rule] message
+//
+// It is part of the pre-PR gate: `make check` (and CI) fail on any
+// finding or on any drift from the baseline.
 //
 // Usage:
 //
-//	cdvet [-rules r1,r2] [-json] [-tests] [-update] [-skip p1,p2] [./...]
+//	cdvet [-rules r1,r2] [-list] [-json] [-tests] [-update] [./...]
 //
 // Flags:
 //
-//	-rules     comma-separated rule names to run (default: all)
-//	-list      print the available rules and exit
-//	-json      emit the full report (purity map, escape gates,
-//	           findings, drift) as JSON
-//	-tests     include _test.go files in the analyzed packages
-//	-update    rewrite ANALYSIS.json from the current tree instead of
-//	           comparing against it
-//	-baseline  path to the golden file (default: <module>/ANALYSIS.json)
-//	-skip      comma-separated module-relative path prefixes whose
-//	           findings are suppressed
+//	-rules   comma-separated rule names to run (default: all)
+//	-list    print the available rules and exit
+//	-json    emit the full report (purity map, escape gates,
+//	         findings, drift) as JSON
+//	-tests   include _test.go files in the analyzed packages
+//	-update  rewrite ANALYSIS.json from the current tree instead of
+//	         comparing against it
+//
+// cdvet always analyzes the whole module containing the working
+// directory, so the only package pattern it accepts is ./... .
 //
 // Exit status: 0 clean, 1 findings or baseline drift, 2 usage or
-// internal error. The package pattern argument is accepted for
-// familiarity; cdvet always analyzes the whole module containing the
-// working directory.
+// internal error.
 package main
 
 import (
@@ -34,152 +38,60 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"barterdist/internal/analysis"
 	"barterdist/internal/lint"
 )
 
-// ruleNames are cdvet's analyses, in run order.
-var ruleNames = []struct{ name, doc string }{
-	{"concurrency-containment", "concurrency primitives (go, chan, sync, atomic) must stay inside internal/parallel"},
-	{"shard-purity", "functions on per-peer pairing paths must not write shared state (prerequisite for tick sharding)"},
-	{"escape-gate", "declared hot-path functions must match their baselined escape/inlining behavior"},
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// jsonReport is the -json output shape: the baseline sections as
-// computed from the current tree, plus what gates the exit status.
-type jsonReport struct {
-	Schema    string                 `json:"schema"`
-	GoVersion string                 `json:"go_version,omitempty"`
-	Purity    *analysis.PurityReport `json:"purity,omitempty"`
-	Escape    *analysis.EscapeReport `json:"escape,omitempty"`
-	Findings  []lint.Finding         `json:"findings"`
-	Drift     []string               `json:"drift"`
 }
 
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("cdvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	rules := fs.String("rules", "", "comma-separated rule names to run (default: all)")
+	list := fs.Bool("list", false, "list available rules and exit")
 	asJSON := fs.Bool("json", false, "emit the full report as JSON")
 	withTests := fs.Bool("tests", false, "include _test.go files in the analyzed packages")
 	update := fs.Bool("update", false, "rewrite the baseline from the current tree")
-	baselinePath := fs.String("baseline", "", "path to ANALYSIS.json (default: module root)")
-	skip := fs.String("skip", "", "comma-separated module-relative path prefixes to suppress")
-	list := fs.Bool("list", false, "list available rules and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	for _, arg := range fs.Args() {
+		if arg != "./..." {
+			fmt.Fprintf(stderr, "cdvet: package pattern %q not supported: cdvet always checks the whole module (./...)\n", arg)
+			fs.Usage()
+			return 2
+		}
+	}
 
 	if *list {
-		for _, r := range ruleNames {
-			fmt.Fprintf(stdout, "%-24s %s\n", r.name, r.doc)
+		for _, a := range lint.AllAnalyzers() {
+			fmt.Fprintf(stdout, "%-24s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	selected, err := selectRules(*rules)
+	analyzers, err := lint.Select(*rules)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *update && (!selected["shard-purity"] || !selected["escape-gate"]) {
-		fmt.Fprintln(stderr, "cdvet: -update needs both shard-purity and escape-gate (drop -rules)")
-		return 2
-	}
-
 	root, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *baselinePath == "" {
-		*baselinePath = filepath.Join(root, "ANALYSIS.json")
-	}
-
-	loader, err := lint.NewLoader(root)
+	report, err := lint.Gate(root, analyzers, *withTests, *update)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	loader.IncludeTests = *withTests
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	for _, w := range loader.Warnings {
+	for _, w := range report.Warnings {
 		fmt.Fprintf(stderr, "cdvet: warning: %s\n", w)
 	}
-
-	var findings []lint.Finding
-	report := jsonReport{Schema: analysis.BaselineSchema}
-
-	if selected["concurrency-containment"] {
-		findings = append(findings, lint.RunAnalyzers(loader.Fset,
-			pkgs, []*lint.Analyzer{analysis.ConcurrencyContainmentAnalyzer()})...)
-	}
-	mod := loader.ModulePath()
-	if selected["shard-purity"] {
-		purity, pf, err := analysis.Purity(mod, loader.Fset, pkgs,
-			analysis.DefaultPairingRoots(mod), analysis.DefaultPurityRoots(mod))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		report.Purity = purity
-		findings = append(findings, pf...)
-	}
-	if selected["escape-gate"] {
-		diags, err := analysis.BuildEscapeDiagnostics(root)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		escape, err := analysis.Escape(root, loader.Fset, pkgs, analysis.DefaultEscapeGates(mod), diags)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		report.Escape = escape
-	}
-
-	findings = applySkips(findings, root, *skip)
-	lint.SortFindings(findings)
-	report.Findings = findings
-	report.Drift = []string{}
-
-	switch {
-	case *update:
-		b := analysis.NewBaseline(report.Purity, report.Escape)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		report.GoVersion = b.GoVersion
-		fmt.Fprintf(stderr, "cdvet: baseline written to %s\n", *baselinePath)
-	case report.Purity != nil || report.Escape != nil:
-		base, err := analysis.ReadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		report.GoVersion = base.GoVersion
-		// A subset run (-rules) compares only the computed sections:
-		// the baseline's own copy stands in for the other.
-		purity, escape := report.Purity, report.Escape
-		if purity == nil {
-			purity = base.Purity
-		}
-		if escape == nil {
-			escape = base.Escape
-		}
-		report.Drift = base.Compare(purity, escape)
+	if *update {
+		fmt.Fprintf(stderr, "cdvet: baseline written to %s\n", filepath.Join(root, lint.BaselineFile))
 	}
 
 	if *asJSON {
@@ -190,84 +102,18 @@ func run(args []string, stdout, stderr *os.File) int {
 			return 2
 		}
 	} else {
-		for _, f := range findings {
+		for _, f := range report.Findings {
 			fmt.Fprintln(stdout, f.String())
 		}
 		for _, d := range report.Drift {
 			fmt.Fprintf(stdout, "drift: %s\n", d)
 		}
 	}
-	if n := len(findings) + len(report.Drift); n > 0 {
+	if n := len(report.Findings) + len(report.Drift); n > 0 {
 		fmt.Fprintf(stderr, "cdvet: %d finding(s)\n", n)
 		return 1
 	}
 	return 0
-}
-
-// selectRules parses the -rules list into a set.
-func selectRules(rules string) (map[string]bool, error) {
-	known := make(map[string]bool, len(ruleNames))
-	var names []string
-	for _, r := range ruleNames {
-		known[r.name] = true
-		names = append(names, r.name)
-	}
-	out := make(map[string]bool, len(ruleNames))
-	if strings.TrimSpace(rules) == "" {
-		for _, r := range ruleNames {
-			out[r.name] = true
-		}
-		return out, nil
-	}
-	for _, name := range strings.Split(rules, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if !known[name] {
-			return nil, fmt.Errorf("cdvet: unknown rule %q (have %s)", name, strings.Join(names, ", "))
-		}
-		out[name] = true
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cdvet: empty rule selection")
-	}
-	return out, nil
-}
-
-// applySkips drops findings under any of the comma-separated
-// module-relative path prefixes.
-func applySkips(findings []lint.Finding, root, skip string) []lint.Finding {
-	var prefixes []string
-	for _, p := range strings.Split(skip, ",") {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			prefixes = append(prefixes, filepath.ToSlash(p))
-		}
-	}
-	if len(prefixes) == 0 {
-		return findings
-	}
-	kept := findings[:0]
-	for _, f := range findings {
-		rel, err := filepath.Rel(root, f.File)
-		if err != nil {
-			rel = f.File
-		}
-		rel = filepath.ToSlash(rel)
-		skipIt := false
-		for _, p := range prefixes {
-			p = strings.TrimSuffix(p, "/")
-			if rel == p || strings.HasPrefix(rel, p+"/") {
-				skipIt = true
-				break
-			}
-		}
-		if !skipIt {
-			kept = append(kept, f)
-		}
-	}
-	return kept
 }
 
 // findModuleRoot walks up from the working directory to the nearest

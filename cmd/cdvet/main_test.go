@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"barterdist/internal/lint"
 )
 
 // capture runs run() with stdout redirected to a temp file and
@@ -29,7 +31,10 @@ func TestListRules(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("-list exited %d", code)
 	}
-	for _, rule := range []string{"concurrency-containment", "shard-purity", "escape-gate"} {
+	for _, rule := range []string{
+		"concurrency-containment", "config-validation", "escape-gate", "ignored-errors",
+		"map-iteration", "no-wallclock", "rng-discipline", "shard-purity",
+	} {
 		if !strings.Contains(out, rule) {
 			t.Errorf("-list output missing %s:\n%s", rule, out)
 		}
@@ -42,6 +47,22 @@ func TestUnknownRule(t *testing.T) {
 	}
 }
 
+// TestPackagePatternRejected pins that a package pattern is never
+// silently ignored: cdvet checks the whole module, so anything but
+// ./... is a usage error rather than a run that checks more than was
+// asked for.
+func TestPackagePatternRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"./internal/simulate"},
+		{"-list", "./internal/simulate"},
+		{"./...", "./cmd/..."},
+	} {
+		if code, _ := capture(t, args); code != 2 {
+			t.Errorf("cdvet %v exited %d, want 2", args, code)
+		}
+	}
+}
+
 func TestUpdateNeedsAllRules(t *testing.T) {
 	if code, _ := capture(t, []string{"-update", "-rules", "shard-purity"}); code != 2 {
 		t.Fatalf("-update with partial rules exited %d, want 2", code)
@@ -49,18 +70,18 @@ func TestUpdateNeedsAllRules(t *testing.T) {
 }
 
 // TestModuleCleanViaCLI runs the full default gate over the real
-// module, exactly as `make vet` does: exit 0, and the JSON report
-// carries the purity map and escape gates matching the committed
-// baseline.
+// module, as `make lint` does plus the ./... pattern: exit 0, and the
+// JSON report carries the purity map and escape gates matching the
+// committed baseline.
 func TestModuleCleanViaCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module analysis + instrumented build is slow")
 	}
-	code, out := capture(t, []string{"-json"})
+	code, out := capture(t, []string{"-json", "./..."})
 	if code != 0 {
 		t.Fatalf("cdvet exited %d on main; output:\n%s", code, out)
 	}
-	var report jsonReport
+	var report lint.Report
 	if err := json.Unmarshal([]byte(out), &report); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v", err)
 	}

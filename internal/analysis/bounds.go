@@ -6,16 +6,6 @@
 // Notation: n is the total node count (server + N clients, so N = n - 1)
 // and k is the number of file blocks. All times are in ticks with the
 // paper's unit upload bandwidth.
-//
-// The package also hosts the cross-package dataflow layer behind
-// cmd/cdvet — the static certification of the determinism contract
-// (DESIGN.md §13): concurrency-containment (concurrency.go), the
-// shard-purity write-set analysis whose report is the prerequisite map
-// for sharding the tick core (purity.go), and the escape-gate that
-// holds declared hot-path functions to their baselined allocation
-// behavior (escape.go, baseline.go). Both halves serve the same claim:
-// the math says what the numbers should be, the analyses certify that
-// the machinery measuring them stays deterministic and allocation-free.
 package analysis
 
 import "fmt"

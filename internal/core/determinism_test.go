@@ -56,7 +56,7 @@ func fingerprint(res *Result) string {
 	return b.String()
 }
 
-// TestCrossEngineDeterminism is the dynamic twin of cmd/cdlint's
+// TestCrossEngineDeterminism is the dynamic twin of cmd/cdvet's
 // static rules: a seeded randomized, triangular, and fault-injected
 // deterministic scenario each run twice must produce byte-identical
 // traces. If a map-order or wall-clock dependency sneaks past the

@@ -151,10 +151,10 @@ func TestTableScaleHonorsCheckpoint(t *testing.T) {
 		t.Errorf("checkpointed table differs:\ngot  %+v\nwant %+v", got, want)
 	}
 	// ScaleCI: ns={128,512} x 2 reps, minus n=512 rep 0 (owned by the
-	// shard sweep), plus the three shard-sweep cells at P=1/4/8.
+	// shard sweep), plus the two shard-sweep cells at P=1/2.
 	lines := readStoreLines(t, path)
-	if len(lines) != 6 {
-		t.Fatalf("store has %d lines, want 6:\n%s", len(lines), strings.Join(lines, "\n"))
+	if len(lines) != 5 {
+		t.Fatalf("store has %d lines, want 5:\n%s", len(lines), strings.Join(lines, "\n"))
 	}
 
 	// Poke a sentinel completion time into every cached cell and rerun.

@@ -98,7 +98,7 @@ func (b *builder) addEdge(u, v int) {
 
 func (b *builder) build(name string) *Graph {
 	adj := make([][]int32, b.n)
-	for e := range b.edges {
+	for e := range b.edges { //lint:ordered sortAdj sorts every neighbor list below
 		adj[e[0]] = append(adj[e[0]], e[1])
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}
@@ -376,7 +376,7 @@ func circulantWithSwaps(n, d int, rng *xrand.Rand, name string) (*Graph, error) 
 		}
 	}
 	list := make([][2]int32, 0, len(edges))
-	for e := range edges {
+	for e := range edges { //lint:ordered the list is sorted below before any swap reads it
 		list = append(list, e)
 	}
 	// Canonical order before the swap walk: the list was collected from a
@@ -424,7 +424,7 @@ func circulantWithSwaps(n, d int, rng *xrand.Rand, name string) (*Graph, error) 
 		list[i], list[j] = n1, n2
 	}
 	adj := make([][]int32, n)
-	for e := range edges {
+	for e := range edges { //lint:ordered sortAdj sorts every neighbor list below
 		adj[e[0]] = append(adj[e[0]], e[1])
 		adj[e[1]] = append(adj[e[1]], e[0])
 	}

@@ -1,4 +1,4 @@
-package analysis
+package lint
 
 import (
 	"encoding/json"
@@ -38,18 +38,18 @@ func NewBaseline(purity *PurityReport, escape *EscapeReport) *Baseline {
 func ReadBaseline(path string) (*Baseline, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("analysis: reading baseline: %w", err)
+		return nil, fmt.Errorf("lint: reading baseline: %w", err)
 	}
 	var b Baseline
 	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("analysis: parsing %s: %w", path, err)
+		return nil, fmt.Errorf("lint: parsing %s: %w", path, err)
 	}
 	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("analysis: %s has schema %q, want %q (regenerate with cdvet -update)",
+		return nil, fmt.Errorf("lint: %s has schema %q, want %q (regenerate with cdvet -update)",
 			path, b.Schema, BaselineSchema)
 	}
 	if b.Purity == nil || b.Escape == nil {
-		return nil, fmt.Errorf("analysis: %s is missing a report section (regenerate with cdvet -update)", path)
+		return nil, fmt.Errorf("lint: %s is missing a report section (regenerate with cdvet -update)", path)
 	}
 	return &b, nil
 }
@@ -60,10 +60,10 @@ func ReadBaseline(path string) (*Baseline, error) {
 func (b *Baseline) Write(path string) error {
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
-		return fmt.Errorf("analysis: encoding baseline: %w", err)
+		return fmt.Errorf("lint: encoding baseline: %w", err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("analysis: writing baseline: %w", err)
+		return fmt.Errorf("lint: writing baseline: %w", err)
 	}
 	return nil
 }

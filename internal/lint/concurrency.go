@@ -1,31 +1,14 @@
-package analysis
+package lint
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
 	"strings"
-
-	"barterdist/internal/lint"
 )
 
-// concurrencyAllow lists the import-path suffixes of packages allowed
-// to use concurrency primitives. The determinism contract wants every
-// goroutine, channel, mutex, and atomic behind internal/parallel's
-// deterministic worker pool; anything else is a place where scheduler
-// interleaving could leak into results. Suppress audited exceptions
-// with //lint:concurrency-containment and a justification.
-var concurrencyAllow = []string{
-	"internal/parallel",
-	// internal/shard is the sharded tick's fan-out façade: it owns the
-	// lane decomposition and delegates every goroutine to
-	// internal/parallel today, but it sits on the same containment
-	// boundary, so primitives appearing there are audited with it.
-	"internal/shard",
-}
-
 // concurrencyPkgs are the packages whose very mention outside the
-// allowlist is a finding.
+// exempt packages is a finding.
 var concurrencyPkgs = map[string]bool{
 	"sync":        true,
 	"sync/atomic": true,
@@ -33,30 +16,25 @@ var concurrencyPkgs = map[string]bool{
 
 // ConcurrencyContainmentAnalyzer flags go statements, channel
 // operations (send, receive, select, close, chan types), and any use
-// of sync or sync/atomic outside internal/parallel. It is a
-// per-package lint.Analyzer so cdvet runs it through the same
-// fixture/suppression machinery as the PR 2 rules.
-func ConcurrencyContainmentAnalyzer() *lint.Analyzer {
-	return &lint.Analyzer{
-		Name: "concurrency-containment",
-		Doc:  "concurrency primitives (go, chan, sync, atomic) must stay inside internal/parallel",
-		Run:  runConcurrencyContainment,
+// of sync or sync/atomic outside internal/parallel. The determinism
+// contract wants every goroutine, channel, mutex, and atomic behind
+// internal/parallel's deterministic worker pool; anything else is a
+// place where scheduler interleaving could leak into results.
+// internal/shard, the sharded tick's fan-out façade, is exempt with it:
+// it owns the lane decomposition and delegates every goroutine to
+// internal/parallel, but it sits on the same containment boundary.
+// Suppress audited exceptions with //lint:concurrency-containment and
+// a justification.
+func ConcurrencyContainmentAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name:   "concurrency-containment",
+		Doc:    "concurrency primitives (go, chan, sync, atomic) must stay inside internal/parallel",
+		Exempt: []string{"internal/parallel", "internal/shard"},
+		Run:    runConcurrencyContainment,
 	}
 }
 
-func inScopeSuffix(path string, scope []string) bool {
-	for _, s := range scope {
-		if strings.HasSuffix(path, s) || strings.Contains(path, s+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-func runConcurrencyContainment(p *lint.Pass) {
-	if inScopeSuffix(p.Path, concurrencyAllow) {
-		return
-	}
+func runConcurrencyContainment(p *Pass) {
 	const directive = "concurrency-containment"
 	report := func(pos token.Pos, what string) {
 		p.Reportf(pos, directive,

@@ -1,4 +1,4 @@
-package analysis
+package lint
 
 import (
 	"fmt"
@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-
-	"barterdist/internal/lint"
 )
 
 // Escape-gate: PR 5 drove the steady-state tick to ~0 allocations and
@@ -154,6 +152,31 @@ func DefaultEscapeGates(modulePath string) []string {
 	return expandRoots(defaultEscapeGateTemplates, modulePath)
 }
 
+// EscapeGateAnalyzer holds the declared hot-path functions to their
+// baselined escape and inlining verdicts. It reports no findings of
+// its own: it fills the gate report's escape section, and any
+// difference from the committed baseline is drift.
+func EscapeGateAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name:   "escape-gate",
+		Doc:    "declared hot-path functions must match their baselined escape/inlining behavior",
+		module: runEscapeGate,
+	}
+}
+
+func runEscapeGate(m *moduleRun) error {
+	diags, err := BuildEscapeDiagnostics(m.root)
+	if err != nil {
+		return err
+	}
+	escape, err := Escape(m.root, m.fset, m.pkgs, DefaultEscapeGates(m.path), diags)
+	if err != nil {
+		return err
+	}
+	m.report.Escape = escape
+	return nil
+}
+
 // BuildEscapeDiagnostics runs `go build -gcflags=-m ./...` in
 // moduleRoot and returns the raw diagnostic lines. The Go build cache
 // replays -m diagnostics on cache hits (verified on go1.24), so a
@@ -163,7 +186,7 @@ func BuildEscapeDiagnostics(moduleRoot string) ([]string, error) {
 	cmd.Dir = moduleRoot
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go build -gcflags=-m: %v\n%s", err, out)
+		return nil, fmt.Errorf("lint: go build -gcflags=-m: %v\n%s", err, out)
 	}
 	return strings.Split(string(out), "\n"), nil
 }
@@ -179,7 +202,7 @@ type funcExtent struct {
 // used to map diagnostic positions to enclosing declarations); diags
 // come from BuildEscapeDiagnostics. A gate naming a function that no
 // longer exists is an error: renames must update the gate list.
-func Escape(moduleRoot string, fset *token.FileSet, pkgs []*lint.Package, gates []string, diags []string) (*EscapeReport, error) {
+func Escape(moduleRoot string, fset *token.FileSet, pkgs []*Package, gates []string, diags []string) (*EscapeReport, error) {
 	// Index every gated declaration's extent by file.
 	gateSet := make(map[string]bool, len(gates))
 	for _, g := range gates {
@@ -219,7 +242,7 @@ func Escape(moduleRoot string, fset *token.FileSet, pkgs []*lint.Package, gates 
 	}
 	if len(missing) > 0 {
 		sort.Strings(missing)
-		return nil, fmt.Errorf("analysis: escape gates name functions that do not exist (renamed? update the gate list): %s",
+		return nil, fmt.Errorf("lint: escape gates name functions that do not exist (renamed? update the gate list): %s",
 			strings.Join(missing, ", "))
 	}
 

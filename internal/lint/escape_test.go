@@ -1,12 +1,10 @@
-package analysis
+package lint
 
 import (
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"barterdist/internal/lint"
 )
 
 func TestParseDiag(t *testing.T) {
@@ -86,7 +84,7 @@ func Stay(v int) int { return v + 1 }
 			t.Fatalf("writing fixture: %v", err)
 		}
 	}
-	loader, err := lint.NewLoader(dir)
+	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
@@ -170,7 +168,7 @@ func TestEscapeMissingGateIsError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "escfix.go"), []byte("package escfix\n\nfunc Stay(v int) int { return v + 1 }\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loader, err := lint.NewLoader(dir)
+	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}

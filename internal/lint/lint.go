@@ -23,14 +23,36 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Rule, f.Msg)
 }
 
-// An Analyzer is one named rule run over a package.
+// An Analyzer is one named rule of the gate. A per-package rule sets
+// Run and applies to every package of the module except those its
+// Exempt list names; a whole-module analysis (shard purity, the escape
+// gate) sets module instead and runs once over every loaded package.
 type Analyzer struct {
 	// Name identifies the rule in reports and in -rules selections.
 	Name string
 	// Doc is a one-line description of what the rule enforces.
 	Doc string
-	// Run inspects the package and reports findings through the pass.
+	// Exempt names the packages the rule skips, each as a run of whole
+	// import-path segments ("cmd", "internal/experiment"). A package
+	// is exempt when its path contains one of them; an external test
+	// package goes with its base package.
+	Exempt []string
+	// Run inspects one package and reports findings through the pass.
 	Run func(p *Pass)
+	// module runs a whole-module analysis into the gate's report.
+	module func(m *moduleRun) error
+}
+
+// exempt reports whether the package at path is on the rule's
+// exemption list.
+func (a *Analyzer) exempt(path string) bool {
+	segs := "/" + strings.TrimSuffix(path, "_test") + "/"
+	for _, e := range a.Exempt {
+		if strings.Contains(segs, "/"+e+"/") {
+			return true
+		}
+	}
+	return false
 }
 
 // Pass carries one analyzer's view of one package.
@@ -96,14 +118,17 @@ func suppressionIndex(fset *token.FileSet, files []*ast.File) map[string]map[int
 	return idx
 }
 
-// AllAnalyzers returns every registered rule, sorted by name.
+// AllAnalyzers returns every rule of the gate, sorted by name.
 func AllAnalyzers() []*Analyzer {
 	all := []*Analyzer{
+		ConcurrencyContainmentAnalyzer(),
 		ConfigValidationAnalyzer(),
+		EscapeGateAnalyzer(),
 		IgnoredErrorsAnalyzer(),
 		MapIterationAnalyzer(),
 		NoWallClockAnalyzer(),
 		RNGDisciplineAnalyzer(),
+		ShardPurityAnalyzer(),
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all
@@ -146,13 +171,17 @@ func ruleNames(all []*Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// RunAnalyzers applies each analyzer to each package and returns the
-// combined findings sorted by position.
+// RunAnalyzers applies each per-package analyzer to each package it
+// does not exempt and returns the combined findings sorted by
+// position. Whole-module analyses are skipped: Gate runs those.
 func RunAnalyzers(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) []Finding {
 	var findings []Finding
 	for _, pkg := range pkgs {
 		idx := suppressionIndex(fset, pkg.Files)
 		for _, a := range analyzers {
+			if a.Run == nil || a.exempt(pkg.Path) {
+				continue
+			}
 			pass := &Pass{
 				Package:  pkg,
 				Fset:     fset,

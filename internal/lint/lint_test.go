@@ -11,22 +11,27 @@ import (
 // moduleRoot is the repository root relative to this package.
 const moduleRoot = "../.."
 
-// loadFixture type-checks one testdata package under the given import
-// path (which lets a fixture masquerade as a scoped engine package)
-// and runs a single analyzer over it.
-func loadFixture(t *testing.T, a *Analyzer, fixture, asPath string) (*Loader, *Package, []Finding) {
+// loadFixturePkg type-checks one testdata package under the given
+// import path, which lets a fixture stand in for a package at any
+// place in the module (exempt or not).
+func loadFixturePkg(t *testing.T, fixture, asPath string) (*Loader, *Package) {
 	t.Helper()
 	loader, err := NewLoader(moduleRoot)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := loader.LoadDir(dir, asPath)
+	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", fixture), asPath)
 	if err != nil {
 		t.Fatalf("LoadDir(%s): %v", fixture, err)
 	}
-	findings := RunAnalyzers(loader.Fset, []*Package{pkg}, []*Analyzer{a})
-	return loader, pkg, findings
+	return loader, pkg
+}
+
+// loadFixture is loadFixturePkg plus one analyzer's findings on it.
+func loadFixture(t *testing.T, a *Analyzer, fixture, asPath string) (*Loader, *Package, []Finding) {
+	t.Helper()
+	loader, pkg := loadFixturePkg(t, fixture, asPath)
+	return loader, pkg, RunAnalyzers(loader.Fset, []*Package{pkg}, []*Analyzer{a})
 }
 
 // wantComment is one "// want \"substring\"" expectation.
@@ -61,29 +66,11 @@ func parseWants(fset *token.FileSet, files []*ast.File) []wantComment {
 	return wants
 }
 
-// checkFixture asserts the analyzer fires exactly where the fixture's
-// want comments say, and nowhere else.
-func checkFixture(t *testing.T, a *Analyzer, fixture, asPath string) {
+// matchWants asserts findings fire exactly where the want comments
+// say, and nowhere else.
+func matchWants(t *testing.T, fset *token.FileSet, files []*ast.File, findings []Finding, label string) {
 	t.Helper()
-	checkFixtureAll(t, []*Analyzer{a}, fixture, asPath)
-}
-
-// checkFixtureAll is checkFixture over several analyzers at once, for
-// fixtures whose want comments span more than one rule.
-func checkFixtureAll(t *testing.T, as []*Analyzer, fixture, asPath string) {
-	t.Helper()
-	loader, err := NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := loader.LoadDir(dir, asPath)
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", fixture, err)
-	}
-	findings := RunAnalyzers(loader.Fset, []*Package{pkg}, as)
-	wants := parseWants(loader.Fset, pkg.Files)
-
+	wants := parseWants(fset, files)
 	matched := make([]bool, len(findings))
 	for _, w := range wants {
 		ok := false
@@ -95,13 +82,39 @@ func checkFixtureAll(t *testing.T, as []*Analyzer, fixture, asPath string) {
 			}
 		}
 		if !ok {
-			t.Errorf("%s: expected finding at line %d containing %q; findings: %v",
-				fixture, w.line, w.want, findings)
+			t.Errorf("%s: expected finding at line %d containing %q; findings: %v", label, w.line, w.want, findings)
 		}
 	}
 	for i, f := range findings {
 		if !matched[i] {
-			t.Errorf("%s: unexpected finding %s", fixture, f)
+			t.Errorf("%s: unexpected finding %s", label, f)
+		}
+	}
+}
+
+// checkFixture asserts the analyzer fires exactly where the fixture's
+// want comments say, and nowhere else.
+func checkFixture(t *testing.T, a *Analyzer, fixture, asPath string) {
+	t.Helper()
+	checkFixtureAll(t, []*Analyzer{a}, fixture, asPath)
+}
+
+// checkFixtureAll is checkFixture over several analyzers at once, for
+// fixtures whose want comments span more than one rule.
+func checkFixtureAll(t *testing.T, as []*Analyzer, fixture, asPath string) {
+	t.Helper()
+	loader, pkg := loadFixturePkg(t, fixture, asPath)
+	findings := RunAnalyzers(loader.Fset, []*Package{pkg}, as)
+	matchWants(t, loader.Fset, pkg.Files, findings, fixture)
+}
+
+// checkExemptSilent asserts that none of the analyzers fires on the
+// fixture loaded under an exempt path.
+func checkExemptSilent(t *testing.T, as []*Analyzer, fixture, asPath string) {
+	t.Helper()
+	for _, a := range as {
+		if _, _, findings := loadFixture(t, a, fixture, asPath); len(findings) != 0 {
+			t.Fatalf("%s: exempt package should be silent for %s, got %v", asPath, a.Name, findings)
 		}
 	}
 }
@@ -125,25 +138,29 @@ func TestRNGDisciplineExemptsXrandItself(t *testing.T) {
 
 func TestNoWallClockFixtures(t *testing.T) {
 	a := NoWallClockAnalyzer()
-	// In scope: the violations fire.
+	// Not exempt: the violations fire.
 	checkFixture(t, a, "wallclock", "fixture/internal/simulate/wallclock")
-	// In scope: pure durations stay silent.
+	// Not exempt: pure durations stay silent.
 	checkFixture(t, a, "wallclockgood", "fixture/internal/asim/wallclockgood")
-	// Out of scope: the same violating code is silent.
-	_, _, findings := loadFixture(t, a, "wallclock", "fixture/internal/report/wallclock")
-	if len(findings) != 0 {
-		t.Fatalf("out-of-scope package should be silent, got %v", findings)
-	}
+	// Exempt: the same violating code is silent.
+	checkExemptSilent(t, []*Analyzer{a}, "wallclock", "fixture/internal/experiment/wallclock")
+	checkExemptSilent(t, []*Analyzer{a}, "wallclock", "fixture/cmd/wallclock")
 }
 
 func TestMapIterationFixtures(t *testing.T) {
 	a := MapIterationAnalyzer()
 	checkFixture(t, a, "maporder", "fixture/internal/schedule/maporder")
-	// Out of scope: silent.
-	_, _, findings := loadFixture(t, a, "maporder", "fixture/internal/report/maporder")
-	if len(findings) != 0 {
-		t.Fatalf("out-of-scope package should be silent, got %v", findings)
-	}
+	// Exempt: silent.
+	checkExemptSilent(t, []*Analyzer{a}, "maporder", "fixture/internal/lint/maporder")
+	checkExemptSilent(t, []*Analyzer{a}, "maporder", "fixture/cmd/maporder")
+}
+
+// TestRulesApplyToNewPackages pins module-wide scoping: a package no
+// rule has heard of is checked by default, so the determinism rules
+// fire on it without anyone adding it to a list.
+func TestRulesApplyToNewPackages(t *testing.T) {
+	checkFixture(t, NoWallClockAnalyzer(), "wallclock", "fixture/internal/newpkg/wallclock")
+	checkFixture(t, MapIterationAnalyzer(), "maporder", "fixture/internal/newpkg/maporder")
 }
 
 func TestAdversaryScopeFixture(t *testing.T) {
@@ -154,13 +171,8 @@ func TestAdversaryScopeFixture(t *testing.T) {
 	// together and every want line must fire under the adversary path.
 	as := []*Analyzer{NoWallClockAnalyzer(), MapIterationAnalyzer()}
 	checkFixtureAll(t, as, "advbehavior", "fixture/internal/adversary/advbehavior")
-	// Out of scope: the same violating code is silent for both rules.
-	for _, a := range as {
-		_, _, findings := loadFixture(t, a, "advbehavior", "fixture/internal/report/advbehavior")
-		if len(findings) != 0 {
-			t.Fatalf("out-of-scope package should be silent for %s, got %v", a.Name, findings)
-		}
-	}
+	// Exempt: the same violating code is silent for both rules.
+	checkExemptSilent(t, as, "advbehavior", "fixture/cmd/advbehavior")
 }
 
 func TestCheckpointScopeFixture(t *testing.T) {
@@ -171,13 +183,8 @@ func TestCheckpointScopeFixture(t *testing.T) {
 	// together and every want line must fire under the checkpoint path.
 	as := []*Analyzer{NoWallClockAnalyzer(), MapIterationAnalyzer()}
 	checkFixtureAll(t, as, "ckptio", "fixture/internal/checkpoint/ckptio")
-	// Out of scope: the same violating code is silent for both rules.
-	for _, a := range as {
-		_, _, findings := loadFixture(t, a, "ckptio", "fixture/internal/report/ckptio")
-		if len(findings) != 0 {
-			t.Fatalf("out-of-scope package should be silent for %s, got %v", a.Name, findings)
-		}
-	}
+	// Exempt: the same violating code is silent for both rules.
+	checkExemptSilent(t, as, "ckptio", "fixture/cmd/ckptio")
 }
 
 func TestArrivalScopeFixture(t *testing.T) {
@@ -189,13 +196,8 @@ func TestArrivalScopeFixture(t *testing.T) {
 	// want line must fire under the arrival path.
 	as := []*Analyzer{NoWallClockAnalyzer(), MapIterationAnalyzer()}
 	checkFixtureAll(t, as, "openflow", "fixture/internal/arrival/openflow")
-	// Out of scope: the same violating code is silent for both rules.
-	for _, a := range as {
-		_, _, findings := loadFixture(t, a, "openflow", "fixture/internal/report/openflow")
-		if len(findings) != 0 {
-			t.Fatalf("out-of-scope package should be silent for %s, got %v", a.Name, findings)
-		}
-	}
+	// Exempt: the same violating code is silent for both rules.
+	checkExemptSilent(t, as, "openflow", "fixture/cmd/openflow")
 }
 
 func TestIgnoredErrorsFixtures(t *testing.T) {
@@ -229,23 +231,54 @@ func TestSelectRules(t *testing.T) {
 }
 
 // TestModuleIsClean is the meta-gate: the repository's own tree must
-// carry zero findings, so the pre-PR gate stays green. A deliberate
-// violation anywhere (e.g. a math/rand import in a scheduler) makes
-// this test — and `make check` — fail.
+// pass every rule with zero findings AND match the committed
+// ANALYSIS.json exactly, through the same entry point cmd/cdvet and
+// `make lint` use. A math/rand import in a scheduler, a shared write
+// sneaking onto a pairing path, a stray goroutine outside
+// internal/parallel, or a new heap escape in a gated hot-path function
+// makes this test fail. Legitimate analysis changes re-baseline with
+// `go run ./cmd/cdvet -update`.
 func TestModuleIsClean(t *testing.T) {
-	loader, err := NewLoader(moduleRoot)
+	if testing.Short() {
+		t.Skip("whole-module analysis + instrumented build is slow")
+	}
+	report, err := Gate(moduleRoot, AllAnalyzers(), false, false)
 	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+		t.Fatalf("Gate: %v", err)
 	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
+	for _, w := range report.Warnings {
+		t.Logf("loader warning: %s", w)
 	}
-	if len(pkgs) < 15 {
-		t.Fatalf("loader found only %d packages; module walker is broken", len(pkgs))
+	if report.Packages < 15 {
+		t.Fatalf("loader found only %d packages; module walker is broken", report.Packages)
 	}
-	findings := RunAnalyzers(loader.Fset, pkgs, AllAnalyzers())
-	for _, f := range findings {
+	for _, f := range report.Findings {
 		t.Errorf("finding: %s", f)
+	}
+	for _, d := range report.Drift {
+		t.Errorf("drift: %s", d)
+	}
+
+	// The purity report must name every function reachable from both
+	// engines' pairing paths — spot-pin the pickers of each engine so a
+	// silently-shrunk reachable set cannot pass.
+	const mod = "barterdist"
+	mustName := []string{
+		"(*" + mod + "/internal/randomized.Scheduler).pickBlock",
+		"(*" + mod + "/internal/randomized.TriangularScheduler).pickBlockFor",
+		"(*" + mod + "/internal/bt.Protocol).rarestNeeded",
+		"(*" + mod + "/internal/asim.AsyncRandomized).pickBlock",
+		"(*" + mod + "/internal/mechanism.Ledger).CanSend",
+		"(*" + mod + "/internal/adversary.Guard).Blocked",
+		"(*" + mod + "/internal/xrand.Rand).Uint64",
+	}
+	have := make(map[string]bool, len(report.Purity.Functions))
+	for _, f := range report.Purity.Functions {
+		have[f.Func] = true
+	}
+	for _, name := range mustName {
+		if !have[name] {
+			t.Errorf("purity report does not name %s", name)
+		}
 	}
 }

@@ -1,22 +1,23 @@
-// Package lint is a stdlib-only static-analysis framework for the
-// barterdist module. It hosts project-specific determinism and
-// invariant analyzers (see rules.go and friends) and a tiny module
-// loader built on go/parser + go/types + go/importer, so the pre-PR
-// gate needs no dependency on golang.org/x/tools.
+// Package lint is the barterdist module's static gate, behind
+// cmd/cdvet: a stdlib-only framework with a tiny module loader built
+// on go/parser + go/types + go/importer (no golang.org/x/tools), and
+// the eight rules that run over it. Gate loads the module once and
+// runs them all.
 //
-// The analyses exist to protect the repository's core claim: every
+// The rules exist to protect the repository's core claim: every
 // figure and table is regenerated from fixed seeds, and two runs with
-// the same seed must produce byte-identical traces. The rules make the
+// the same seed must produce byte-identical traces. They make the
 // preconditions of that claim machine-checked — all randomness flows
 // through internal/xrand, simulated time never reads the wall clock,
-// and no scheduler hot path iterates a Go map in its randomized order.
+// no Go map is iterated in its randomized order, and concurrency stays
+// inside internal/parallel. Every per-package rule applies module-wide
+// except for the packages on its own exemption list.
 //
-// The loader also feeds internal/analysis, the cross-package dataflow
-// layer behind cmd/cdvet (concurrency containment, shard purity, the
-// escape gate); those analyses need whole-module type information with
-// stable object identity across packages, which the recursive source
-// importer provides by construction: every import path is type-checked
-// exactly once per Loader.
+// The cross-package dataflow analyses (shard purity, the escape gate)
+// need whole-module type information with stable object identity
+// across packages, which the recursive source importer provides by
+// construction: every import path is type-checked exactly once per
+// Loader.
 package lint
 
 import (

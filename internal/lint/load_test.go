@@ -121,7 +121,7 @@ func TestLoaderGenericInstantiations(t *testing.T) {
 }
 
 // TestLoadAllWithTests: the whole real module must still load with
-// IncludeTests set — this is what cdlint/cdvet -tests runs — and the
+// IncludeTests set — this is what cdvet -tests runs — and the
 // test-included load must surface strictly more files than the
 // default one, with stable package identity across the overlap.
 func TestLoadAllWithTests(t *testing.T) {

@@ -1,4 +1,4 @@
-package analysis
+package lint
 
 import (
 	"fmt"
@@ -7,8 +7,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-
-	"barterdist/internal/lint"
 )
 
 // Shard-purity: an interprocedural write-set analysis over the tick
@@ -82,7 +80,7 @@ type callSite struct {
 type funcSummary struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
-	pkg  *lint.Package
+	pkg  *Package
 
 	recvWrite  bool
 	paramWrite map[int]bool
@@ -191,6 +189,29 @@ func DefaultPairingRoots(modulePath string) []string {
 	return expandRoots(defaultPairingRootTemplates, modulePath)
 }
 
+// ShardPurityAnalyzer gates the per-peer pairing paths: a function
+// reachable from a pairing root that writes shared state, or that
+// calls something the analysis cannot resolve, is a finding at its
+// origin. It also fills the gate report's purity section, which the
+// gate compares against the committed baseline.
+func ShardPurityAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name:   "shard-purity",
+		Doc:    "functions on per-peer pairing paths must not write shared state (prerequisite for tick sharding)",
+		module: runShardPurity,
+	}
+}
+
+func runShardPurity(m *moduleRun) error {
+	purity, findings, err := Purity(m.path, m.fset, m.pkgs, DefaultPairingRoots(m.path), DefaultPurityRoots(m.path))
+	if err != nil {
+		return err
+	}
+	m.report.Purity = purity
+	m.report.Findings = append(m.report.Findings, findings...)
+	return nil
+}
+
 // stdWriteArg maps fully-qualified standard-library callables to the
 // argument index they mutate; every other std call is effect-neutral
 // (it cannot reach module globals).
@@ -215,12 +236,12 @@ var stdWriteArg = map[string]int{
 // functions reachable from pairing roots, reported at origins), and an
 // error if a named root does not exist — a renamed picker must update
 // the root list, not silently shrink the certified surface.
-func Purity(modulePath string, fset *token.FileSet, pkgs []*lint.Package, pairingRoots, reportRoots []string) (*PurityReport, []lint.Finding, error) {
+func Purity(modulePath string, fset *token.FileSet, pkgs []*Package, pairingRoots, reportRoots []string) (*PurityReport, []Finding, error) {
 	a := &purityAnalysis{
 		modulePath: modulePath,
 		fset:       fset,
 		summaries:  make(map[*types.Func]*funcSummary),
-		reporter:   lint.NewReporter(fset, "shard-purity", pkgs),
+		reporter:   NewReporter(fset, "shard-purity", pkgs),
 	}
 	a.buildTypeIndex(pkgs)
 	for _, pkg := range pkgs {
@@ -231,7 +252,7 @@ func Purity(modulePath string, fset *token.FileSet, pkgs []*lint.Package, pairin
 
 	roots, missing := a.lookupRoots(append(append([]string{}, reportRoots...), pairingRoots...))
 	if len(missing) > 0 {
-		return nil, nil, fmt.Errorf("analysis: purity roots not found (renamed? update the root list): %s",
+		return nil, nil, fmt.Errorf("lint: purity roots not found (renamed? update the root list): %s",
 			strings.Join(missing, ", "))
 	}
 	pairing, _ := a.lookupRoots(pairingRoots)
@@ -294,7 +315,7 @@ type purityAnalysis struct {
 	modulePath string
 	fset       *token.FileSet
 	summaries  map[*types.Func]*funcSummary
-	reporter   *lint.Reporter
+	reporter   *Reporter
 	// namedTypes indexes every module-defined named type for interface
 	// devirtualization.
 	namedTypes []*types.Named
@@ -303,7 +324,7 @@ type purityAnalysis struct {
 	// its caller's body is walked).
 }
 
-func (a *purityAnalysis) buildTypeIndex(pkgs []*lint.Package) {
+func (a *purityAnalysis) buildTypeIndex(pkgs []*Package) {
 	seen := make(map[*types.TypeName]bool)
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
@@ -340,7 +361,7 @@ func (a *purityAnalysis) isInternal(pkg *types.Package) bool {
 // in pkg. Function literals are walked as part of their enclosing
 // declaration, so a closure's writes to enclosing parameters or
 // receiver fields are attributed to the encloser.
-func (a *purityAnalysis) collect(pkg *lint.Package) {
+func (a *purityAnalysis) collect(pkg *Package) {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

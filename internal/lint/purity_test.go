@@ -1,15 +1,13 @@
-package analysis
+package lint
 
 import (
 	"strings"
 	"testing"
-
-	"barterdist/internal/lint"
 )
 
 // purityFixture runs the shard-purity analysis over the puritycases
 // fixture with its three Pair* functions as pairing roots.
-func purityFixture(t *testing.T) (*PurityReport, []lint.Finding, *lint.Loader, *lint.Package) {
+func purityFixture(t *testing.T) (*PurityReport, []Finding, *Loader, *Package) {
 	t.Helper()
 	loader, pkg := loadFixturePkg(t, "puritycases", "fixture/puritycases")
 	roots := []string{
@@ -17,7 +15,7 @@ func purityFixture(t *testing.T) (*PurityReport, []lint.Finding, *lint.Loader, *
 		"fixture/puritycases.PairQuiet",
 		"fixture/puritycases.PairDynamic",
 	}
-	report, findings, err := Purity("fixture/puritycases", loader.Fset, []*lint.Package{pkg}, roots, roots)
+	report, findings, err := Purity("fixture/puritycases", loader.Fset, []*Package{pkg}, roots, roots)
 	if err != nil {
 		t.Fatalf("Purity: %v", err)
 	}
@@ -89,7 +87,7 @@ func TestPurityFindingsAtOrigins(t *testing.T) {
 
 func TestPurityMissingRootIsError(t *testing.T) {
 	loader, pkg := loadFixturePkg(t, "puritycases", "fixture/puritycases")
-	_, _, err := Purity("fixture/puritycases", loader.Fset, []*lint.Package{pkg},
+	_, _, err := Purity("fixture/puritycases", loader.Fset, []*Package{pkg},
 		[]string{"fixture/puritycases.Renamed"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "Renamed") {
 		t.Fatalf("expected missing-root error, got %v", err)
@@ -99,9 +97,9 @@ func TestPurityMissingRootIsError(t *testing.T) {
 func TestDefaultRootsResolveOnRealModule(t *testing.T) {
 	// The declared tick/pairing roots must exist in the real module —
 	// a renamed picker has to update the root list, not silently
-	// shrink the certified surface. (The full meta-gate lives in
-	// metagate_test.go; this pins just the root resolution.)
-	loader, err := lint.NewLoader(moduleRoot)
+	// shrink the certified surface. (The full meta-gate is
+	// TestModuleIsClean; this pins just the root resolution.)
+	loader, err := NewLoader(moduleRoot)
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}

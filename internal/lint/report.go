@@ -7,13 +7,12 @@ import (
 )
 
 // A Reporter collects findings for one rule across many packages at
-// once. Per-package analyzers get a Pass from RunAnalyzers; whole-
-// module dataflow analyses (internal/analysis: shard purity, the
-// escape gate) instead build one Reporter over every loaded package,
-// because their findings are properties of the cross-package call
-// graph rather than of any single file. Suppression semantics are
-// identical to Pass.Reportf: a //lint:<rule> comment on the finding's
-// line or the line above silences it.
+// once. Per-package analyzers get a Pass from RunAnalyzers; the
+// whole-module shard-purity analysis instead builds one Reporter over
+// every loaded package, because its findings are properties of the
+// cross-package call graph rather than of any single file.
+// Suppression semantics are identical to Pass.Reportf: a //lint:<rule>
+// comment on the finding's line or the line above silences it.
 type Reporter struct {
 	fset     *token.FileSet
 	rule     string

@@ -1,38 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
-
-// wallClockScope lists the import-path suffixes of packages where
-// simulated time is the only clock: engines and schedulers measure
-// progress in ticks (or simulated seconds), so any wall-clock read is
-// either a bug or a nondeterminism hazard.
-var wallClockScope = []string{
-	"internal/simulate",
-	"internal/asim",
-	"internal/schedule",
-	"internal/randomized",
-	"internal/bt",
-	"internal/fault",
-	"internal/adversary",
-	// The columnar trace log is engine-adjacent: it is written from
-	// inside the tick loop and replayed by audits, so a wall-clock read
-	// there would be just as nondeterministic as in the engines.
-	"internal/trace",
-	// Checkpoints are replayed state: a timestamp baked into a snapshot
-	// (or into its encoding) would make resumed runs diverge from
-	// uninterrupted ones.
-	"internal/checkpoint",
-	// The open-system arrival plan is a decision stream both engines
-	// consume tick by tick; a wall-clock read there would decorrelate
-	// the Poisson schedule from the seed.
-	"internal/arrival",
-	// The swarm core is both engines' population state, fate rulings,
-	// and checkpoint sections: engine code in all but name.
-	"internal/swarm",
-}
+import "go/ast"
 
 // wallClockFuncs are the package time entry points that observe or
 // depend on the real clock. time.Duration arithmetic and constants
@@ -49,31 +17,24 @@ var wallClockFuncs = map[string]bool{
 	"Sleep":     true,
 }
 
-// NoWallClockAnalyzer forbids wall-clock reads, timers, and tickers in
-// the simulation and scheduler packages. Simulation time is ticks;
-// reading the host clock would make traces irreproducible. Suppress
-// with //lint:wallclock for audited exceptions.
+// NoWallClockAnalyzer forbids wall-clock reads, timers, and tickers
+// everywhere but the measuring shell around the simulation. Simulation
+// time is ticks; reading the host clock would make traces
+// irreproducible. The exemptions are the commands, which time runs for
+// people and benchmarks, and internal/experiment, which measures Table
+// Scale's wall-clock columns around whole runs and keeps them out of
+// CI-scale output. Suppress with //lint:wallclock for audited
+// exceptions.
 func NoWallClockAnalyzer() *Analyzer {
 	return &Analyzer{
-		Name: "no-wallclock",
-		Doc:  "engines and schedulers must not read the wall clock (sim time is ticks)",
-		Run:  runNoWallClock,
+		Name:   "no-wallclock",
+		Doc:    "no wall-clock reads outside cmd/ and internal/experiment (sim time is ticks)",
+		Exempt: []string{"cmd", "internal/experiment"},
+		Run:    runNoWallClock,
 	}
-}
-
-func inScope(path string, scope []string) bool {
-	for _, s := range scope {
-		if strings.HasSuffix(path, s) || strings.Contains(path, s+"/") {
-			return true
-		}
-	}
-	return false
 }
 
 func runNoWallClock(p *Pass) {
-	if !inScope(p.Path, wallClockScope) {
-		return
-	}
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)

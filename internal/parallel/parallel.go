@@ -13,7 +13,7 @@
 //   - Seeds are pre-derived. A task must derive all of its randomness
 //     from its index (e.g. baseSeed + i*SeedStride) and construct its
 //     own xrand stream; goroutines never share a generator. The
-//     cdlint rng-discipline rule and the rngworkers fixture pin this.
+//     cdvet rng-discipline rule and the rngworkers fixture pin this.
 //   - Errors are ordered. Every task runs to completion regardless of
 //     other tasks' failures, and the error returned is the one at the
 //     lowest index — the same error a sequential loop would surface,
