@@ -1,72 +1,53 @@
-package analysis
+package analysis_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	"barterdist/internal/lint"
 )
 
-// TestCdvetModuleClean is the meta-gate: the repository's own tree
-// must pass all three cdvet analyses with zero findings AND match the
-// committed ANALYSIS.json exactly. A shared write sneaking onto a
+// moduleRoot is the repository root relative to this package.
+const moduleRoot = "../.."
+
+// TestCdvetModuleClean is the whole-module half of the meta-gate: the
+// repository's own tree must pass concurrency containment, shard
+// purity and the escape gate with zero findings AND match the
+// committed ANALYSIS.json exactly, through the same entry point
+// cmd/cdvet and `make lint` use. A shared write sneaking onto a
 // pairing path, a stray goroutine outside internal/parallel, or a new
-// heap escape in a gated hot-path function makes this test — and
-// `make check` — fail. Legitimate changes re-baseline with
-// `go run ./cmd/cdvet -update`.
+// heap escape in a gated hot-path function makes this test fail.
+// Legitimate changes re-baseline with `go run ./cmd/cdvet -update`.
+// Every other rule is internal/lint's TestModuleIsClean. This is an
+// external test so the package itself stays free of the analyzers.
 func TestCdvetModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module analysis + instrumented build is slow")
 	}
-	loader, err := lint.NewLoader(moduleRoot)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	for _, w := range loader.Warnings {
-		t.Logf("loader warning: %s", w)
-	}
-	mod := loader.ModulePath()
-
-	for _, f := range lint.RunAnalyzers(loader.Fset, pkgs, []*lint.Analyzer{ConcurrencyContainmentAnalyzer()}) {
-		t.Errorf("finding: %s", f)
-	}
-
-	purity, findings, err := Purity(mod, loader.Fset, pkgs, DefaultPairingRoots(mod), DefaultPurityRoots(mod))
-	if err != nil {
-		t.Fatalf("Purity: %v", err)
-	}
-	for _, f := range findings {
-		t.Errorf("finding: %s", f)
-	}
-
-	root, err := filepath.Abs(moduleRoot)
+	rules, err := lint.Select("concurrency-containment,shard-purity,escape-gate")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := BuildEscapeDiagnostics(root)
+	report, err := lint.Gate(moduleRoot, rules, false, false)
 	if err != nil {
-		t.Fatalf("BuildEscapeDiagnostics: %v", err)
+		t.Fatalf("Gate: %v", err)
 	}
-	escape, err := Escape(root, loader.Fset, pkgs, DefaultEscapeGates(mod), diags)
-	if err != nil {
-		t.Fatalf("Escape: %v", err)
+	for _, w := range report.Warnings {
+		t.Logf("loader warning: %s", w)
 	}
-
-	base, err := ReadBaseline(filepath.Join(root, "ANALYSIS.json"))
-	if err != nil {
-		t.Fatalf("ReadBaseline: %v", err)
+	if report.Packages < 15 {
+		t.Fatalf("loader found only %d packages; module walker is broken", report.Packages)
 	}
-	for _, d := range base.Compare(purity, escape) {
+	for _, f := range report.Findings {
+		t.Errorf("finding: %s", f)
+	}
+	for _, d := range report.Drift {
 		t.Errorf("drift: %s", d)
 	}
 
-	// The committed purity report must name every function reachable
-	// from both engines' pairing paths — spot-pin the pickers of each
-	// engine so a silently-shrunk reachable set cannot pass.
+	// The purity report must name every function reachable from both
+	// engines' pairing paths — spot-pin the pickers of each engine so a
+	// silently-shrunk reachable set cannot pass.
+	const mod = "barterdist"
 	mustName := []string{
 		"(*" + mod + "/internal/randomized.Scheduler).pickBlock",
 		"(*" + mod + "/internal/randomized.TriangularScheduler).pickBlockFor",
@@ -76,13 +57,13 @@ func TestCdvetModuleClean(t *testing.T) {
 		"(*" + mod + "/internal/adversary.Guard).Blocked",
 		"(*" + mod + "/internal/xrand.Rand).Uint64",
 	}
-	have := make(map[string]bool, len(base.Purity.Functions))
-	for _, f := range base.Purity.Functions {
+	have := make(map[string]bool, len(report.Purity.Functions))
+	for _, f := range report.Purity.Functions {
 		have[f.Func] = true
 	}
 	for _, name := range mustName {
 		if !have[name] {
-			t.Errorf("committed purity report does not name %s", name)
+			t.Errorf("purity report does not name %s", name)
 		}
 	}
 }

@@ -230,19 +230,24 @@ func TestSelectRules(t *testing.T) {
 	}
 }
 
-// TestModuleIsClean is the meta-gate: the repository's own tree must
-// pass every rule with zero findings AND match the committed
-// ANALYSIS.json exactly, through the same entry point cmd/cdvet and
-// `make lint` use. A math/rand import in a scheduler, a shared write
-// sneaking onto a pairing path, a stray goroutine outside
-// internal/parallel, or a new heap escape in a gated hot-path function
-// makes this test fail. Legitimate analysis changes re-baseline with
-// `go run ./cmd/cdvet -update`.
+// cdvetHalf names the rules internal/analysis's TestCdvetModuleClean
+// runs over the module; TestModuleIsClean runs every other rule.
+var cdvetHalf = map[string]bool{"concurrency-containment": true, "shard-purity": true, "escape-gate": true}
+
+// TestModuleIsClean is the per-package half of the meta-gate: the
+// repository's own tree must pass every rule outside cdvetHalf with
+// zero findings, through the same entry point cmd/cdvet and
+// `make lint` use. A math/rand import in a scheduler, a wall-clock
+// read in the engine or an unordered map range on a result path makes
+// this test fail. A newly registered rule lands here by default.
 func TestModuleIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module analysis + instrumented build is slow")
+	var rules []*Analyzer
+	for _, a := range AllAnalyzers() {
+		if !cdvetHalf[a.Name] {
+			rules = append(rules, a)
+		}
 	}
-	report, err := Gate(moduleRoot, AllAnalyzers(), false, false)
+	report, err := Gate(moduleRoot, rules, false, false)
 	if err != nil {
 		t.Fatalf("Gate: %v", err)
 	}
@@ -254,31 +259,5 @@ func TestModuleIsClean(t *testing.T) {
 	}
 	for _, f := range report.Findings {
 		t.Errorf("finding: %s", f)
-	}
-	for _, d := range report.Drift {
-		t.Errorf("drift: %s", d)
-	}
-
-	// The purity report must name every function reachable from both
-	// engines' pairing paths — spot-pin the pickers of each engine so a
-	// silently-shrunk reachable set cannot pass.
-	const mod = "barterdist"
-	mustName := []string{
-		"(*" + mod + "/internal/randomized.Scheduler).pickBlock",
-		"(*" + mod + "/internal/randomized.TriangularScheduler).pickBlockFor",
-		"(*" + mod + "/internal/bt.Protocol).rarestNeeded",
-		"(*" + mod + "/internal/asim.AsyncRandomized).pickBlock",
-		"(*" + mod + "/internal/mechanism.Ledger).CanSend",
-		"(*" + mod + "/internal/adversary.Guard).Blocked",
-		"(*" + mod + "/internal/xrand.Rand).Uint64",
-	}
-	have := make(map[string]bool, len(report.Purity.Functions))
-	for _, f := range report.Purity.Functions {
-		have[f.Func] = true
-	}
-	for _, name := range mustName {
-		if !have[name] {
-			t.Errorf("purity report does not name %s", name)
-		}
 	}
 }
