@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"barterdist/internal/bitset"
 	"barterdist/internal/fault"
 	"barterdist/internal/swarm"
 )
@@ -71,8 +70,9 @@ func (ix *eventIndex) eventDuring(v int, start, end float64) bool {
 }
 
 // replay is RunAudit's re-derivation of a recorded run: the population
-// the fault log implies, the block sets rebuilt record by record from
-// the trace, and the whole-run tallies the Result must match.
+// (swarm.Replay) the fault log implies, the block sets rebuilt record by
+// record from the trace, and the whole-run tallies the Result must
+// match.
 type replay struct {
 	c           Config
 	res         *Result
@@ -81,20 +81,14 @@ type replay struct {
 	open        bool
 	ix          *eventIndex
 
-	// Population after the whole fault log, from the sanity pass.
-	alive      []bool
-	nextArrive int
-	departed   int
-
-	// arrivedAt[v][b] is when v last acquired b (+Inf = not held); have
-	// mirrors it as a bitset for the final comparison.
-	have                       []*bitset.Set
+	// pop.Alive is the population after the whole fault log, from the
+	// sanity pass; the block sets follow the trace.
+	pop *swarm.Replay[float64]
+	// arrivedAt[v][b] is when v last acquired b (+Inf = not held).
 	arrivedAt                  [][]float64
-	completion                 []float64
 	delivered, lost, corrupt   int
 	advStalled, advGarbage     int
 	honestUseful, honestWasted int
-	earlyExits                 int
 	maxTime                    float64
 	logCursor                  int
 }
@@ -102,15 +96,10 @@ type replay struct {
 func newReplay(c Config, res *Result, honest []bool) *replay {
 	rp := &replay{
 		c: c, res: res, honest: honest, adversarial: honest != nil, open: res.Open != nil,
-		alive:      make([]bool, c.Nodes),
-		nextArrive: 1,
-		have:       make([]*bitset.Set, c.Nodes),
-		arrivedAt:  make([][]float64, c.Nodes),
-		completion: make([]float64, c.Nodes),
+		pop:       swarm.NewReplay[float64](c.Nodes, c.Blocks, res.Open != nil),
+		arrivedAt: make([][]float64, c.Nodes),
 	}
-	for v := range rp.have {
-		rp.alive[v] = v == 0 || !rp.open
-		rp.have[v] = bitset.New(c.Blocks)
+	for v := range rp.arrivedAt {
 		rp.arrivedAt[v] = make([]float64, c.Blocks)
 		at := math.Inf(1)
 		if v == 0 {
@@ -120,20 +109,15 @@ func newReplay(c Config, res *Result, honest []bool) *replay {
 			rp.arrivedAt[v][b] = at
 		}
 	}
-	rp.have[0].Fill()
 	return rp
 }
 
-// checkFaultLog is the fault-log sanity pass: time-ordered, clients
-// only, alternating states. Open-system logs instead hold Arrive/Depart
-// events: the swarm starts empty (server only), ids are handed out in
-// arrival order, and departures are permanent. It leaves the final
-// population in rp.alive.
+// checkFaultLog is the fault-log sanity pass: clients only, time-ordered,
+// then each event's liveness transition (swarm.Replay.Transition). It
+// leaves the final population in rp.pop.Alive.
 func (rp *replay) checkFaultLog() error {
-	c, open, alive := rp.c, rp.open, rp.alive
 	for i, ev := range rp.res.FaultLog {
-		v := int(ev.Node)
-		if v <= 0 || v >= c.Nodes {
+		if v := int(ev.Node); v <= 0 || v >= rp.c.Nodes {
 			return auditErr("fault log: event %d targets invalid node %d", i, v)
 		}
 		if math.IsNaN(ev.Time) || ev.Time < 0 {
@@ -143,43 +127,8 @@ func (rp *replay) checkFaultLog() error {
 			return auditErr("fault log: event %d goes back in time (%v after %v)",
 				i, ev.Time, rp.res.FaultLog[i-1].Time)
 		}
-		switch ev.Kind {
-		case fault.Crash:
-			if open {
-				return auditErr("t=%v: crash event in an open-system run", ev.Time)
-			}
-			if !alive[v] {
-				return auditErr("t=%v: node %d crashes while already dead", ev.Time, v)
-			}
-			alive[v] = false
-		case fault.Rejoin:
-			if open {
-				return auditErr("t=%v: rejoin event in an open-system run", ev.Time)
-			}
-			if alive[v] {
-				return auditErr("t=%v: node %d rejoins while alive", ev.Time, v)
-			}
-			alive[v] = true
-		case fault.Arrive:
-			if !open {
-				return auditErr("t=%v: arrival event in a closed-system run", ev.Time)
-			}
-			if v != rp.nextArrive {
-				return auditErr("t=%v: node %d arrives out of order (expected %d)", ev.Time, v, rp.nextArrive)
-			}
-			rp.nextArrive++
-			alive[v] = true
-		case fault.Depart:
-			if !open {
-				return auditErr("t=%v: departure event in a closed-system run", ev.Time)
-			}
-			if !alive[v] {
-				return auditErr("t=%v: node %d departs while absent", ev.Time, v)
-			}
-			alive[v] = false
-			rp.departed++
-		default:
-			return auditErr("fault log: unknown event kind %d", uint8(ev.Kind))
+		if err := rp.pop.Transition("t=", ev); err != nil {
+			return auditErr("%v", err)
 		}
 	}
 	return nil
@@ -244,25 +193,19 @@ func (rp *replay) checkRecord(i int, tr TransferRecord, prevEnd float64) error {
 	return nil
 }
 
-// applyEvents replays the fault-log events before time until: wiped
-// rejoins empty the node, and a departure short of the full file is an
-// early exit (same-time deliveries precede the departure, matching the
-// engine's event order).
+// applyEvents replays the fault-log events before time until
+// (swarm.Replay.Apply): a wiped rejoin forgets when the node acquired
+// its blocks, and same-time deliveries precede a departure, matching
+// the engine's event order.
 func (rp *replay) applyEvents(until float64) {
 	log := rp.res.FaultLog
 	for rp.logCursor < len(log) && log[rp.logCursor].Time < until {
 		ev := log[rp.logCursor]
 		rp.logCursor++
-		if ev.Kind == fault.Rejoin && ev.Wiped {
-			v := int(ev.Node)
-			rp.have[v].Clear()
-			for b := range rp.arrivedAt[v] {
-				rp.arrivedAt[v][b] = math.Inf(1)
+		if rp.pop.Apply(ev) {
+			for b := range rp.arrivedAt[ev.Node] {
+				rp.arrivedAt[ev.Node][b] = math.Inf(1)
 			}
-			rp.completion[v] = 0
-		}
-		if ev.Kind == fault.Depart && !rp.have[ev.Node].Full() {
-			rp.earlyExits++
 		}
 		if ev.Time > rp.maxTime {
 			rp.maxTime = ev.Time
@@ -300,16 +243,13 @@ func (rp *replay) replayRecord(tr TransferRecord) error {
 		}
 		return nil
 	}
-	if !rp.have[to].Add(b) {
+	if !rp.pop.Deliver(to, b, tr.End) {
 		return auditErr("t=%v: node %d delivered block %d it already holds", tr.End, to, b)
 	}
 	rp.arrivedAt[to][b] = tr.End
 	rp.delivered++
 	if rp.adversarial && rp.honest[to] {
 		rp.honestUseful++
-	}
-	if rp.have[to].Full() {
-		rp.completion[to] = tr.End
 	}
 	return nil
 }
@@ -388,25 +328,13 @@ func (rp *replay) checkPorts() error {
 // checkTotals compares the replay's aggregates and final state with
 // the recorded Result.
 func (rp *replay) checkTotals() error {
-	c, res, have := rp.c, rp.res, rp.have
+	c, res, pop := rp.c, rp.res, rp.pop
 	// The run must have finished under the engine's criterion: every
 	// alive client — every alive *honest* client under an adversary
 	// plan — holds the whole file. An open run instead ends on its
-	// verdict, checked with the starvation identity (swarm.AuditOpen).
+	// verdict, checked with the starvation identity.
 	if rp.open {
-		r := swarm.OpenCounts{Arrived: rp.nextArrive - 1, Departed: rp.departed, EarlyExits: rp.earlyExits}
-		for v := 1; v < c.Nodes; v++ {
-			if rp.alive[v] {
-				r.Present++
-				if have[v].Full() {
-					r.Complete++
-				}
-			}
-			if rp.completion[v] != 0 {
-				r.Completed++
-			}
-		}
-		if err := swarm.AuditOpen(res.Open, c.Nodes, r); err != nil {
+		if err := pop.CheckOpen(res.Open); err != nil {
 			return auditErr("%v", err)
 		}
 	} else {
@@ -414,9 +342,9 @@ func (rp *replay) checkTotals() error {
 			if rp.adversarial && !rp.honest[v] {
 				continue
 			}
-			if rp.alive[v] && !have[v].Full() {
+			if pop.Alive[v] && !pop.Have[v].Full() {
 				return auditErr("replayed trace leaves alive client %d incomplete (%d/%d blocks)",
-					v, have[v].Count(), c.Blocks)
+					v, pop.Have[v].Count(), c.Blocks)
 			}
 		}
 	}
@@ -448,19 +376,8 @@ func (rp *replay) checkTotals() error {
 				res.CompletionTime, rp.maxTime)
 		}
 	}
-	for v := 0; v < c.Nodes; v++ {
-		if !have[v].Equal(res.FinalHave[v]) {
-			return auditErr("node %d final block set differs from recorded snapshot", v)
-		}
-		if v > 0 && rp.completion[v] != res.ClientCompletion[v] {
-			return auditErr("node %d completion time: replay %v, result %v",
-				v, rp.completion[v], res.ClientCompletion[v])
-		}
-	}
-	for v, alive := range res.FinalAlive {
-		if rp.alive[v] != alive {
-			return auditErr("node %d final liveness: replay %v, result %v", v, rp.alive[v], alive)
-		}
+	if err := pop.Final("time", res.FinalHave, res.ClientCompletion, res.FinalAlive); err != nil {
+		return auditErr("%v", err)
 	}
 	return nil
 }
@@ -479,9 +396,9 @@ func (rp *replay) checkTotals() error {
 //   - liveness: both endpoints were alive for the whole flight — a
 //     crash mid-transfer must have aborted it, so an aborted transfer
 //     appearing in the trace is an error;
-//   - accounting: delivery, loss, and corruption counts, per-client
-//     completion times, the completion time, and the final block and
-//     liveness state all match the recorded Result.
+//   - accounting: delivery, loss, and corruption counts, every node's
+//     completion time (the server's stays 0), the completion time, and
+//     the final block and liveness state all match the recorded Result.
 //
 // A Result produced by Run with RecordTrace always passes; a doctored
 // trace fails with a pinpointed ErrAudit. cfg.Fault and cfg.Adversary
@@ -491,8 +408,8 @@ func (rp *replay) checkTotals() error {
 // honest-only completion criterion and honest stall accounting are
 // re-derived from the trace.
 //
-// The audit is one sequential pass, and the error is the first
-// violation in its scan order: fault-log sanity; then per trace record
+// The audit is one sequential pass that rebuilds the population through
+// swarm.Replay, and the error is the first violation in its scan order: fault-log sanity; then per trace record
 // the stateless checks followed by store-and-forward and double
 // delivery; then the port disciplines, senders in ascending node order
 // before receivers; then the aggregate and final-state comparisons.

@@ -171,6 +171,30 @@ var goldenTampers = map[string]tamper{
 		}
 		return true
 	},
+	"fractional event time": func(r *simulate.Result, _ simulate.Config) bool {
+		if len(r.FaultLog) == 0 {
+			return false
+		}
+		r.FaultLog[len(r.FaultLog)/2].Time -= 0.5
+		return true
+	},
+	"negative event time": func(r *simulate.Result, _ simulate.Config) bool {
+		if len(r.FaultLog) == 0 {
+			return false
+		}
+		r.FaultLog[0].Time = -7
+		return true
+	},
+	"regressed event time": func(r *simulate.Result, _ simulate.Config) bool {
+		// Move the first rejoin to a tick before its predecessor's.
+		for i := 1; i < len(r.FaultLog); i++ {
+			if r.FaultLog[i].Kind == fault.Rejoin {
+				r.FaultLog[i].Time = r.FaultLog[i-1].Time - 1
+				return true
+			}
+		}
+		return false
+	},
 	"foreign event kind": func(r *simulate.Result, sc simulate.Config) bool {
 		kind := fault.Arrive
 		if r.Open != nil {

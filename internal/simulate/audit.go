@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"barterdist/internal/bitset"
-	"barterdist/internal/fault"
 	"barterdist/internal/swarm"
 	"barterdist/internal/trace"
 )
@@ -19,18 +17,16 @@ func auditErr(format string, args ...any) error {
 }
 
 // replay is RunAudit's re-derivation of a recorded run: the population
-// state the engine held, rebuilt tick by tick from the trace and the
-// fault log, plus the whole-run tallies the Result must match.
+// (swarm.Replay) rebuilt tick by tick from the trace and the fault log,
+// the per-tick cap counters, plus the whole-run tallies the Result must
+// match.
 type replay struct {
 	c      Config
 	res    *Result
-	open   bool
 	honest []bool // nil for compliant runs
 
-	have       []*bitset.Set
-	completion []int
-	alive      []bool // nil unless a fault log or arrival plan drives liveness
-	caps       *capScratch
+	pop  *swarm.Replay[int]
+	caps *capScratch
 
 	// wins is the decode window: one Win per frame a single tick can
 	// span (two for any tick shorter than a frame), picked by frame
@@ -41,52 +37,19 @@ type replay struct {
 	dropIdx   []int32
 	dropKinds []uint8
 
-	ei         int // fault-log cursor
-	nextArrive int // open runs: ids arrive in order
+	ei int // fault-log cursor
 
-	useful, total, lost         int
-	kind                        [trace.NumKinds]int
-	honestUseful, honestWasted  int
-	complete, aliveClients      int
-	honestClients               int
-	completeHonest, aliveHonest int
-	departed, earlyExits        int
+	useful, total, lost        int
+	kind                       [trace.NumKinds]int
+	honestUseful, honestWasted int
 }
 
-func newReplay(c Config, res *Result, honest []bool, open, tracked bool) *replay {
-	n, k := c.Nodes, c.Blocks
+func newReplay(c Config, res *Result, honest []bool) *replay {
 	rp := &replay{
-		c: c, res: res, open: open, honest: honest,
-		have:       make([]*bitset.Set, n),
-		completion: make([]int, n),
-		caps:       newCapScratch(n),
-		nextArrive: 1,
+		c: c, res: res, honest: honest,
+		pop:  swarm.NewReplay[int](c.Nodes, c.Blocks, res.Open != nil),
+		caps: newCapScratch(c.Nodes),
 	}
-	for v := range rp.have {
-		rp.have[v] = bitset.New(k)
-	}
-	rp.have[0].Fill()
-	if tracked {
-		rp.alive = make([]bool, n)
-		rp.alive[0] = true
-		if !open {
-			for v := range rp.alive {
-				rp.alive[v] = true
-			}
-		}
-	}
-	if !open {
-		rp.aliveClients = n - 1
-	}
-	if honest != nil {
-		for _, h := range honest[1:] {
-			if h {
-				rp.honestClients++
-			}
-		}
-		rp.aliveHonest = rp.honestClients
-	}
-
 	l := res.Trace
 	span := 1
 	for t := 0; t < l.Ticks(); t++ {
@@ -104,93 +67,24 @@ func (rp *replay) window(i int) (from, to, block []uint32, base, end int) {
 }
 
 // events applies the fault-log events due at the start of tick t, in
-// log order. The cursor only moves forward and stops at the first event
-// later than t, so a time regression applies with its predecessor.
+// log order. The engine stamps each event with the tick it fires at, so
+// an event due by t must carry exactly t: a fractional, non-positive or
+// regressed time fails here.
 func (rp *replay) events(t int) error {
 	log := rp.res.FaultLog
 	for rp.ei < len(log) && log[rp.ei].Time <= float64(t) {
 		ev := log[rp.ei]
 		rp.ei++
-		v := int(ev.Node)
-		if v <= 0 || v >= rp.c.Nodes {
+		if v := int(ev.Node); v <= 0 || v >= rp.c.Nodes {
 			return auditErr("fault log: event %v targets invalid node %d", ev.Kind, v)
 		}
-		honest := rp.honest != nil && rp.honest[v]
-		full := rp.have[v].Full()
-		switch ev.Kind {
-		case fault.Arrive:
-			if !rp.open {
-				return auditErr("tick %v: arrival event in a closed-system run", ev.Time)
-			}
-			if v != rp.nextArrive {
-				return auditErr("tick %v: node %d arrives out of order (expected %d)", ev.Time, v, rp.nextArrive)
-			}
-			if rp.alive[v] {
-				return auditErr("tick %v: node %d arrives while present", ev.Time, v)
-			}
-			if rp.have[v].Count() != 0 {
-				return auditErr("tick %v: node %d arrives holding blocks", ev.Time, v)
-			}
-			rp.nextArrive++
-			rp.alive[v] = true
-			rp.aliveClients++
-		case fault.Depart:
-			if !rp.open {
-				return auditErr("tick %v: departure event in a closed-system run", ev.Time)
-			}
-			if !rp.alive[v] {
-				return auditErr("tick %v: node %d departs while absent", ev.Time, v)
-			}
-			rp.alive[v] = false
-			rp.aliveClients--
-			rp.departed++
-			if full {
-				rp.complete--
-			} else {
-				rp.earlyExits++
-			}
-		case fault.Crash:
-			if rp.open {
-				return auditErr("tick %v: crash event in an open-system run", ev.Time)
-			}
-			if !rp.alive[v] {
-				return auditErr("tick %v: node %d crashes while already dead", ev.Time, v)
-			}
-			rp.alive[v] = false
-			rp.aliveClients--
-			if full {
-				rp.complete--
-			}
-			if honest {
-				rp.aliveHonest--
-				if full {
-					rp.completeHonest--
-				}
-			}
-		case fault.Rejoin:
-			if rp.open {
-				return auditErr("tick %v: rejoin event in an open-system run", ev.Time)
-			}
-			if rp.alive[v] {
-				return auditErr("tick %v: node %d rejoins while alive", ev.Time, v)
-			}
-			rp.alive[v] = true
-			rp.aliveClients++
-			if honest {
-				rp.aliveHonest++
-			}
-			if ev.Wiped {
-				rp.have[v].Clear()
-				rp.completion[v] = 0
-			} else if full {
-				rp.complete++
-				if honest {
-					rp.completeHonest++
-				}
-			}
-		default:
-			return auditErr("fault log: unknown event kind %d", uint8(ev.Kind))
+		if ev.Time != float64(t) {
+			return auditErr("tick %d: fault-log event %d has time %v", t, rp.ei-1, ev.Time)
 		}
+		if err := rp.pop.Transition("tick ", ev); err != nil {
+			return auditErr("%v", err)
+		}
+		rp.pop.Apply(ev)
 	}
 	return nil
 }
@@ -208,11 +102,11 @@ func (rp *replay) check(f, v, b int) error {
 		return fmt.Errorf("node %d transfers to itself", f)
 	case b < 0 || b >= rp.c.Blocks:
 		return fmt.Errorf("block %d out of range", b)
-	case rp.alive != nil && !rp.alive[f]:
+	case !rp.pop.Alive[f]:
 		return fmt.Errorf("dead node %d cannot upload", f)
-	case rp.alive != nil && !rp.alive[v]:
+	case !rp.pop.Alive[v]:
 		return fmt.Errorf("dead node %d cannot download", v)
-	case !rp.have[f].Has(b):
+	case !rp.pop.Have[f].Has(b):
 		return fmt.Errorf("store-and-forward violation: node %d does not hold block %d", f, b)
 	}
 	upCap := rp.c.UploadCap
@@ -271,20 +165,12 @@ func (rp *replay) tick(t int) error {
 				rp.lost++ // the lost/corrupt split is checked in aggregate
 				continue
 			}
-			if !rp.have[v].Add(int(int32(block[j]))) {
+			if !rp.pop.Deliver(v, int(int32(block[j])), t) {
 				continue
 			}
-			honest := rp.honest != nil && rp.honest[v]
 			rp.useful++
-			if honest {
+			if rp.honest != nil && rp.honest[v] {
 				rp.honestUseful++
-			}
-			if v != 0 && rp.have[v].Full() {
-				rp.complete++
-				rp.completion[v] = t
-				if honest {
-					rp.completeHonest++
-				}
 			}
 		}
 	}
@@ -302,7 +188,8 @@ func (rp *replay) tick(t int) error {
 //   - store-and-forward: every sender held the block at the start of
 //     the tick it sent it;
 //   - liveness: no transfer touches a dead node, no node crashes twice
-//     or rejoins while alive, and the server never crashes;
+//     or rejoins while alive, the server never crashes, and every
+//     fault-log event carries the tick it fired at;
 //   - accounting: useful-transfer and loss counts, per-client
 //     completion ticks, the completion time, and the final
 //     block-ownership state all match the recorded Result.
@@ -318,10 +205,11 @@ func (rp *replay) tick(t int) error {
 // the trace.
 //
 // The replay is one sequential pass that decodes each sealed trace
-// frame once. It reports the first violation in replay order: a tick's
-// fault events, then its transfers' validation in trace order, then
-// their delivery; after the last tick the counts, the completion rule,
-// and the final per-node state in ascending node order.
+// frame once, rebuilding the population through swarm.Replay. It
+// reports the first violation in replay order: a tick's fault events,
+// then its transfers' validation in trace order, then their delivery;
+// after the last tick the completion rule, the counts, and the final
+// per-node state in ascending node order.
 func RunAudit(cfg Config, res *Result) error {
 	cfg.Fault = nil
 	cfg.Adversary = nil
@@ -347,14 +235,12 @@ func RunAudit(cfg Config, res *Result) error {
 	if res.CompletionTime != ticks {
 		return auditErr("CompletionTime %d does not match trace length %d", res.CompletionTime, ticks)
 	}
-	open := res.Open != nil
-	tracked := open || len(res.FaultLog) > 0 || res.FinalAlive != nil
 	adversarial := honest != nil
 	if adversarial && !res.Trace.Kinded() {
 		return auditErr("adversarial result's trace records no drop kinds")
 	}
 
-	rp := newReplay(c, res, honest, open, tracked)
+	rp := newReplay(c, res, honest)
 	for t := 1; t <= ticks; t++ {
 		if err := rp.events(t); err != nil {
 			return err
@@ -373,28 +259,25 @@ func RunAudit(cfg Config, res *Result) error {
 	}
 
 	// The run must actually have finished under the engine's criterion.
-	if open {
-		comp := 0
-		for _, done := range rp.completion[1:] {
-			if done != 0 {
-				comp++
-			}
-		}
-		if err := swarm.AuditOpen(res.Open, c.Nodes, swarm.OpenCounts{
-			Arrived: rp.nextArrive - 1, Departed: rp.departed, EarlyExits: rp.earlyExits,
-			Completed: comp, Present: rp.aliveClients, Complete: rp.complete,
-		}); err != nil {
+	if res.Open != nil {
+		if err := rp.pop.CheckOpen(res.Open); err != nil {
 			return auditErr("%v", err)
 		}
 	} else if adversarial {
 		// The replay never schedules rejoins, so none are pending.
-		if rp.completeHonest != rp.aliveHonest {
+		if present, complete := rp.pop.Present(honest); complete != present {
+			clients := 0
+			for _, h := range honest[1:] {
+				if h {
+					clients++
+				}
+			}
 			return auditErr("replayed trace does not reach honest completion (%d/%d honest clients complete)",
-				rp.completeHonest, rp.honestClients)
+				complete, clients)
 		}
-	} else if rp.complete != rp.aliveClients {
+	} else if present, complete := rp.pop.Present(nil); complete != present {
 		return auditErr("replayed trace does not reach completion (%d/%d alive clients complete, %d rejoins pending)",
-			rp.complete, rp.aliveClients, 0)
+			complete, present, 0)
 	}
 	if rp.useful != res.UsefulTransfers {
 		return auditErr("replay counts %d useful transfers, result reports %d", rp.useful, res.UsefulTransfers)
@@ -423,18 +306,8 @@ func RunAudit(cfg Config, res *Result) error {
 		return auditErr("replay counts %d dropped transfers, result reports %d lost + %d corrupt",
 			rp.lost, res.LostTransfers, res.CorruptTransfers)
 	}
-	for v := 0; v < c.Nodes; v++ {
-		if !rp.have[v].Equal(res.FinalHave[v]) {
-			return auditErr("node %d final block set differs from recorded snapshot", v)
-		}
-		if rp.completion[v] != res.ClientCompletion[v] {
-			return auditErr("node %d completion tick: replay %d, result %d", v, rp.completion[v], res.ClientCompletion[v])
-		}
-	}
-	for v, a := range res.FinalAlive {
-		if rp.alive[v] != a {
-			return auditErr("node %d final liveness: replay %v, result %v", v, rp.alive[v], a)
-		}
+	if err := rp.pop.Final("tick", res.FinalHave, res.ClientCompletion, res.FinalAlive); err != nil {
+		return auditErr("%v", err)
 	}
 	return nil
 }
