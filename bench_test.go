@@ -508,6 +508,83 @@ func BenchmarkTraceDecode(b *testing.B) {
 	}
 }
 
+// cannedPipelineRun records the closed-pipeline workload's run ONCE
+// per process: the binomial pipeline at n = 8,192, k = 512, about 4.2M
+// transfers in 64 frames of hypercube sweeps. It is the trace shape
+// whose seal and minimal-credit walk dominate that workload's run.
+var cannedPipelineRun = sync.OnceValue(func() *barterdist.Result {
+	res, err := barterdist.Run(barterdist.Config{
+		Nodes: 8192, Blocks: 512,
+		Algorithm:   barterdist.AlgoBinomialPipeline,
+		RecordTrace: true,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return res
+})
+
+type cannedTrace struct {
+	name string
+	res  *barterdist.Result
+}
+
+// cannedTraces names the recorded runs the trace-layer benchmarks walk:
+// the 20k-peer credit trace (lane-striped randomized pairings) and the
+// closed-pipeline trace.
+func cannedTraces() []cannedTrace {
+	return []cannedTrace{{"scale20k", cannedScaleRun()}, {"pipeline8k", cannedPipelineRun()}}
+}
+
+// BenchmarkTraceSeal re-records a real trace: every tick of a canned
+// run is appended, in order, into a fresh reserved Log, which seals a
+// frame every 64Ki transfers exactly as the engine's log did. Unlike
+// BenchmarkTraceAppend's synthetic columns, these columns exercise the
+// frame encoder's mode choice. ns/transfer is the append and seal cost
+// per recorded transfer.
+func BenchmarkTraceSeal(b *testing.B) {
+	for _, c := range cannedTraces() {
+		src := c.res.Sim.Trace
+		if src.Drops() != 0 {
+			b.Fatalf("%s: canned trace has %d drops; the benchmark re-appends transfers only", c.name, src.Drops())
+		}
+		ticks := src.Materialize()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := trace.New(false)
+				l.Reserve(src.Len(), src.Ticks(), 0)
+				for _, ts := range ticks {
+					l.AppendTick(ts, nil, nil)
+				}
+				if l.Len() != src.Len() {
+					b.Fatal("bad append count")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Len()), "ns/transfer")
+		})
+	}
+}
+
+// BenchmarkMinimalCreditLimit is core's post-run minimal-credit walk
+// over a canned trace: every client transfer booked into the pair
+// table, every touched pair checked at its tick end. ns/transfer is the
+// walk's cost per recorded transfer.
+func BenchmarkMinimalCreditLimit(b *testing.B) {
+	for _, c := range cannedTraces() {
+		l := c.res.Sim.Trace
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := mechanism.MinimalCreditLimit(l.Cursor()); got != c.res.MinimalCreditLimit {
+					b.Fatalf("minimal credit %d, the run reported %d", got, c.res.MinimalCreditLimit)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(l.Len()), "ns/transfer")
+		})
+	}
+}
+
 // BenchmarkCdvetModule measures the whole-module gate exactly as
 // `make lint` pays for it, through the entry point cmd/cdvet calls:
 // load + type-check the module once, run all eight rules (the

@@ -59,8 +59,10 @@ func (t *pairTable) get(key uint64) int32 {
 	return t.net[t.find(key)]
 }
 
-// add adds d to key's balance, booking the pair if it is new.
-func (t *pairTable) add(key uint64, d int32) {
+// add adds d to key's balance, booking the pair if it is new, and
+// returns the pair's slot. A slot stays the pair's until the table
+// next grows.
+func (t *pairTable) add(key uint64, d int32) int {
 	if t.keys == nil {
 		t.alloc(minSlots)
 	}
@@ -74,16 +76,17 @@ func (t *pairTable) add(key uint64, d int32) {
 		t.count++
 	}
 	t.net[i] += d
+	return i
 }
 
-// book adds d blocks sent from u to v to the pair's balance.
-func (t *pairTable) book(u, v, d int32) {
+// book adds d blocks sent from u to v to the pair's balance and returns
+// the pair's slot.
+func (t *pairTable) book(u, v, d int32) int {
 	key, swapped := pairKey(u, v)
 	if swapped {
-		t.add(key, -d)
-	} else {
-		t.add(key, d)
+		return t.add(key, -d)
 	}
+	return t.add(key, d)
 }
 
 func (t *pairTable) grow() {
@@ -130,13 +133,16 @@ func (o *overLimit) violation(reason string) *Violation {
 // booked. The walk returns the first pair whose |net| exceeds limit
 // (nil when none does) and the peak |net| seen at a tick end.
 //
-// The touched list holds one entry per booked transfer, so a pair
-// booked twice in a tick appears twice. Every entry of a pair reads the
-// same end-of-tick balance, so the first entry over the limit belongs
-// to the pair that, among those over it, the tick touched first.
+// The touched list holds the slot of each booked transfer's pair, so
+// the tick-end check reads the balance without probing the table again.
+// A pair booked twice in a tick appears twice. Every entry of a pair
+// reads the same end-of-tick balance, so the first entry over the limit
+// belongs to the pair that, among those over it, the tick touched
+// first. When the table grows mid-tick its slots move, and the tick's
+// earlier entries are found again in the new layout.
 func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int) (*overLimit, int) {
 	var pairs pairTable
-	var touched []uint64
+	var touched []int
 	peak := 0
 	for cur.NextTick() {
 		touched = touched[:0]
@@ -149,12 +155,17 @@ func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int) (*overLimit, in
 			if freeRiders != nil && (cur.Dropped() || !flagged(freeRiders, u) && !flagged(freeRiders, v)) {
 				continue
 			}
-			pairs.book(u, v, 1)
-			key, _ := pairKey(u, v)
-			touched = append(touched, key)
+			keys := pairs.keys // the layout touched's slots index
+			slot := pairs.book(u, v, 1)
+			if len(pairs.keys) != len(keys) {
+				for j, old := range touched {
+					touched[j] = pairs.find(keys[old])
+				}
+			}
+			touched = append(touched, slot)
 		}
-		for _, key := range touched {
-			n := int(pairs.get(key))
+		for _, slot := range touched {
+			n, key := int(pairs.net[slot]), pairs.keys[slot]
 			u, v := int32(key>>32), int32(uint32(key))
 			if n < 0 {
 				u, v, n = v, u, -n

@@ -3,9 +3,13 @@ package mechanism
 import (
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"barterdist/internal/checkpoint"
+	"barterdist/internal/simulate"
+	"barterdist/internal/trace"
 	"barterdist/internal/xrand"
 )
 
@@ -184,6 +188,83 @@ func TestLedgerRestoreRejectsCorruption(t *testing.T) {
 		err = l.RestoreState(checkpoint.NewDecoder(tc.payload))
 		if !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Errorf("%s: RestoreState = %v, want a corruption error", tc.name, err)
+		}
+	}
+}
+
+// TestCreditWalkMatchesMapReference checks creditWalk's slot-indexed
+// touched list against a map-backed walk that looks every pair up
+// again at the tick end. The first tick books the pair 1->2 twice and
+// then enough new pairs to grow the table several times, so the pair's
+// slot moves before the tick-end check reads it. Random ticks of up to
+// 300 transfers over 60 nodes, the server included, then grow the
+// table in the middle of later ticks. Every limit must give the same
+// verdict text, and the walk the same peak.
+func TestCreditWalkMatchesMapReference(t *testing.T) {
+	first := []simulate.Transfer{{From: 1, To: 2}, {From: 1, To: 2}}
+	for u := int32(3); len(first) < 200; u++ {
+		first = append(first, simulate.Transfer{From: u, To: u + 1})
+	}
+	ticks := [][]simulate.Transfer{first}
+	rng := xrand.New(21)
+	for len(ticks) < 40 {
+		tick := make([]simulate.Transfer, 1+rng.Intn(300))
+		for j := range tick {
+			tick[j] = simulate.Transfer{From: int32(rng.Intn(60)), To: int32(rng.Intn(60))}
+		}
+		ticks = append(ticks, tick)
+	}
+	log := trace.FromTicks(ticks, nil, nil, false)
+
+	// The reference: balances in a map, and per tick the touched keys
+	// in booking order, each looked up at the tick end.
+	refWalk := func(limit int) (string, int) {
+		net := make(map[uint64]int)
+		peak := 0
+		for ti, tick := range ticks {
+			var touched []uint64
+			for _, tr := range tick {
+				if tr.From == 0 || tr.To == 0 {
+					continue
+				}
+				key, swapped := pairKey(tr.From, tr.To)
+				if swapped {
+					net[key]--
+				} else {
+					net[key]++
+				}
+				touched = append(touched, key)
+			}
+			for _, key := range touched {
+				n, u, v := net[key], int32(key>>32), int32(uint32(key))
+				if n < 0 {
+					n, u, v = -n, v, u
+				}
+				if n > limit {
+					return (&Violation{Tick: ti + 1, From: u, To: v,
+						Reason: fmt.Sprintf("net transfer %d exceeds credit limit %d", n, limit)}).Error(), peak
+				}
+				peak = max(peak, n)
+			}
+		}
+		return "", peak
+	}
+
+	_, peak := refWalk(math.MaxInt)
+	if got := MinimalCreditLimit(log.Cursor()); got != peak {
+		t.Fatalf("MinimalCreditLimit = %d, reference %d", got, peak)
+	}
+	if err := VerifyCreditLimited(log.Cursor(), 1); err == nil || err.Error() != "mechanism: tick 1, transfer 1->2: net transfer 2 exceeds credit limit 1" {
+		t.Fatalf("s=1: %v, want the first tick's pair 1->2", err)
+	}
+	for s := 1; s <= peak; s++ {
+		want, _ := refWalk(s)
+		got := ""
+		if err := VerifyCreditLimited(log.Cursor(), s); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("s=%d: %q, reference %q", s, got, want)
 		}
 	}
 }

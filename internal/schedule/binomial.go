@@ -54,6 +54,7 @@ type BinomialPipeline struct {
 
 	// scratch, reused across ticks.
 	union *bitset.Set
+	plans []vertexPlan // one per hypercube vertex
 }
 
 var _ simulate.Scheduler = (*BinomialPipeline)(nil)
@@ -134,7 +135,10 @@ func (bp *BinomialPipeline) Tick(t int, s *simulate.State, dst []simulate.Transf
 	has := func(ln, lb int) bool { return s.Has(int(bp.nodeID[ln]), int(bp.blockID[lb])) }
 
 	// Phase 1: each vertex designates its outgoing block and transmitter.
-	plans := make([]vertexPlan, verts)
+	if len(bp.plans) != verts {
+		bp.plans = make([]vertexPlan, verts)
+	}
+	plans := bp.plans
 	for v := 0; v < verts; v++ {
 		p := vertexPlan{out: -1, sender: -1, extRecvBy: -1}
 		if v == 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"barterdist/internal/randomized"
+	"barterdist/internal/schedule"
 	"barterdist/internal/simulate"
 )
 
@@ -15,16 +16,35 @@ import (
 // and drop staging buffers, and trace columns pre-sized by the
 // (n-1)·k completion bound. A regression here silently reintroduces
 // the per-tick make() churn that made large-n runs OOM-class.
+//
+// Two schedulers drive it: the randomized scheduler, whose scratch is
+// the most involved, and the binomial pipeline, whose per-vertex plans
+// are one slice per run.
 func TestSteadyStateTickAllocations(t *testing.T) {
-	const n, k = 512, 256
+	t.Run("randomized", func(t *testing.T) {
+		sched, err := randomized.New(randomized.Options{Seed: 11, DownloadCap: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTickAllocations(t, 512, 256, sched)
+	})
+	t.Run("binomial-pipeline", func(t *testing.T) {
+		sched, err := schedule.NewBinomialPipeline(1024, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTickAllocations(t, 1024, 256, sched)
+	})
+}
+
+// checkTickAllocations warms an n-node, k-block traced run of sched up
+// and fails if a further tick allocates once or more on average.
+func checkTickAllocations(t *testing.T, n, k int, sched simulate.Scheduler) {
+	t.Helper()
 	cfg := simulate.Config{
 		Nodes: n, Blocks: k,
 		DownloadCap: 1,
 		RecordTrace: true,
-	}
-	sched, err := randomized.New(randomized.Options{Seed: 11, DownloadCap: 1})
-	if err != nil {
-		t.Fatal(err)
 	}
 	r, err := simulate.NewTestRunner(cfg, sched)
 	if err != nil {
@@ -53,4 +73,5 @@ func TestSteadyStateTickAllocations(t *testing.T) {
 	if avg >= 1 {
 		t.Fatalf("steady-state tick allocates %.2f times on average (want ≈ 0)", avg)
 	}
+	t.Logf("%.2f allocations per tick", avg)
 }

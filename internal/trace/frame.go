@@ -7,7 +7,7 @@ import (
 
 // Frame geometry. Sealed frames hold exactly frameLen transfers; the
 // open tail holds the (< frameLen) most recent appends as raw uint32
-// columns so the tick hot path never touches the codec.
+// columns, so an append touches the codec only when it fills a frame.
 const (
 	frameShift = 16
 	frameLen   = 1 << frameShift
@@ -101,21 +101,23 @@ func uvarintLen(v uint64) int {
 }
 
 // appendPacked bitpacks (v >> shift) for every v in vals at width w
-// (1..32), LSB-first.
+// (1..32), LSB-first. Each v>>shift must fit in w bits. It flushes
+// 32 bits at a time; the tail flushes byte by byte.
 func appendPacked(dst []byte, vals []uint32, shift, w uint) []byte {
 	var acc uint64
 	var nb uint
 	for _, v := range vals {
 		acc |= uint64(v>>shift) << nb
 		nb += w
-		for nb >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			nb -= 8
+		if nb >= 32 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(acc))
+			acc >>= 32
+			nb -= 32
 		}
 	}
-	if nb > 0 {
+	for ; nb > 0; nb -= min(nb, 8) {
 		dst = append(dst, byte(acc))
+		acc >>= 8
 	}
 	return dst
 }
@@ -147,66 +149,59 @@ func unpackInto(dst []uint32, src []byte, count int, shift, w uint, or bool) {
 	}
 }
 
-// encodeCol appends the cheapest encoding of vals (exactly frameLen
-// entries) to s.buf.
+// encodeCol appends the cheapest encoding of vals (at least one entry;
+// exactly frameLen when sealing) to s.buf. Costs are compared with a
+// strict < in the order raw, delta, split lb = 1..4, so the first
+// cheapest mode wins a tie.
+//
+// One pass over vals gathers everything the costs need: the OR of the
+// values (its bit length is bits(max)), the zigzag deltas and their OR,
+// and, per split width lb, the number of run boundaries of the low lb
+// bits, counted without branches. A split width's exact cost also needs
+// each run's uvarint length, which takes a scan of its own; that scan
+// is skipped when even a two-byte header per run could not beat the
+// best cost so far, since every run costs at least two bytes.
 func (s *encScratch) encodeCol(vals []uint32) {
 	n := len(vals)
-	mn, mx := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
+	delta := s.delta[:n-1]
+	prev := vals[0]
+	orV, orD := prev, uint32(0)
+	var bnd [5]int // bnd[lb]: i with vals[i]&m != vals[i-1]&m, m = 1<<lb - 1
+	for i, v := range vals[1:] {
+		orV |= v
+		d := int32(v - prev)
+		z := uint32(d<<1) ^ uint32(d>>31)
+		delta[i] = z
+		orD |= z
+		x := v ^ prev
+		bnd[1] += int(x & 1)
+		bnd[2] += int((x&3 + 3) >> 2)
+		bnd[3] += int((x&7 + 7) >> 3)
+		bnd[4] += int((x&15 + 15) >> 4)
+		prev = v
 	}
-	if mn == mx {
+	if orD == 0 {
 		s.buf = append(s.buf, encConst)
-		s.buf = appendUvarint(s.buf, uint64(mx))
+		s.buf = appendUvarint(s.buf, uint64(vals[0]))
 		return
 	}
-	rawW := uint(bits.Len32(mx))
+	rawW := uint(bits.Len32(orV))
 	bestCost := 2 + (n*int(rawW)+7)/8
 	bestMode, bestS := encRaw, uint(0)
 
-	// Delta: zigzag the successive differences.
-	var maxd uint32
-	prev := vals[0]
-	for i := 1; i < n; i++ {
-		d := int32(vals[i] - prev)
-		prev = vals[i]
-		z := uint32(d<<1) ^ uint32(d>>31)
-		s.delta[i-1] = z
-		if z > maxd {
-			maxd = z
-		}
-	}
-	if dW := uint(bits.Len32(maxd)); dW > 0 {
-		cost := 2 + uvarintLen(uint64(vals[0])) + ((n-1)*int(dW)+7)/8
-		if cost < bestCost {
-			bestCost, bestMode = cost, encDelta
-		}
+	dW := uint(bits.Len32(orD))
+	if cost := 2 + uvarintLen(uint64(vals[0])) + ((n-1)*int(dW)+7)/8; cost < bestCost {
+		bestCost, bestMode = cost, encDelta
 	}
 
-	// Split: RLE the low s bits, bitpack the rest.
 	for lb := uint(1); lb <= 4; lb++ {
-		mask := uint32(1)<<lb - 1
-		runs, hdr := 0, 0
-		rp, rl := vals[0]&mask, 1
-		for _, v := range vals[1:] {
-			if lv := v & mask; lv == rp {
-				rl++
-			} else {
-				runs++
-				hdr += 1 + uvarintLen(uint64(rl))
-				rp, rl = lv, 1
-			}
+		runs := bnd[lb] + 1
+		hiW := uint(bits.Len32(orV >> lb))
+		fixed := 3 + uvarintLen(uint64(runs)) + (n*int(hiW)+7)/8
+		if fixed+2*runs >= bestCost {
+			continue
 		}
-		runs++
-		hdr += 1 + uvarintLen(uint64(rl))
-		hiW := uint(bits.Len32(mx >> lb))
-		cost := 3 + uvarintLen(uint64(runs)) + hdr + (n*int(hiW)+7)/8
-		if cost < bestCost {
+		if cost := fixed + splitHeaders(vals, lb); cost < bestCost {
 			bestCost, bestMode, bestS = cost, encSplit, lb
 		}
 	}
@@ -216,28 +211,16 @@ func (s *encScratch) encodeCol(vals []uint32) {
 		s.buf = append(s.buf, encRaw, byte(rawW))
 		s.buf = appendPacked(s.buf, vals, 0, rawW)
 	case encDelta:
-		dW := uint(bits.Len32(maxd))
 		s.buf = append(s.buf, encDelta, byte(dW))
 		s.buf = appendUvarint(s.buf, uint64(vals[0]))
-		s.buf = appendPacked(s.buf, s.delta[:n-1], 0, dW)
+		s.buf = appendPacked(s.buf, delta, 0, dW)
 	case encSplit:
 		lb := bestS
 		mask := uint32(1)<<lb - 1
-		hiW := uint(bits.Len32(mx >> lb))
+		hiW := uint(bits.Len32(orV >> lb))
 		s.buf = append(s.buf, encSplit, byte(lb), byte(hiW))
-		runs := 0
+		s.buf = appendUvarint(s.buf, uint64(bnd[lb]+1))
 		rp, rl := vals[0]&mask, 1
-		for _, v := range vals[1:] {
-			if lv := v & mask; lv == rp {
-				rl++
-			} else {
-				runs++
-				rp, rl = lv, 1
-			}
-		}
-		runs++
-		s.buf = appendUvarint(s.buf, uint64(runs))
-		rp, rl = vals[0]&mask, 1
 		for _, v := range vals[1:] {
 			if lv := v & mask; lv == rp {
 				rl++
@@ -253,6 +236,23 @@ func (s *encScratch) encodeCol(vals []uint32) {
 			s.buf = appendPacked(s.buf, vals, lb, hiW)
 		}
 	}
+}
+
+// splitHeaders returns the bytes the run headers of vals' low lb bits
+// take in encSplit: a value byte and a uvarint length per run.
+func splitHeaders(vals []uint32, lb uint) int {
+	mask := uint32(1)<<lb - 1
+	hdr := 0
+	rp, rl := vals[0]&mask, 1
+	for _, v := range vals[1:] {
+		if lv := v & mask; lv == rp {
+			rl++
+		} else {
+			hdr += 1 + uvarintLen(uint64(rl))
+			rp, rl = lv, 1
+		}
+	}
+	return hdr + 1 + uvarintLen(uint64(rl))
 }
 
 // decodeCol decodes exactly count values from buf into dst, returning

@@ -1,7 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -376,10 +379,10 @@ func TestDecodeColRejectsCorruptSplit(t *testing.T) {
 	}
 }
 
-// TestEncodeColModes forces each encoding mode and round-trips it.
-func TestEncodeColModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	cases := map[string]func(i int) uint32{
+// encodeColModeCases returns column generators that force each
+// encoding mode.
+func encodeColModeCases(rng *rand.Rand) map[string]func(i int) uint32 {
+	return map[string]func(i int) uint32{
 		"const":          func(int) uint32 { return 42 },
 		"raw-random":     func(int) uint32 { return rng.Uint32() >> 12 },
 		"raw-full-width": func(int) uint32 { return rng.Uint32() },
@@ -394,27 +397,227 @@ func TestEncodeColModes(t *testing.T) {
 		},
 		"split-tiny-hi": func(i int) uint32 { return uint32(i / 4096 % 16) },
 	}
+}
+
+// TestEncodeColModes forces each encoding mode and round-trips it.
+func TestEncodeColModes(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, gen := range encodeColModeCases(rng) {
+		vals := make([]uint32, frameLen)
+		for i := range vals {
+			vals[i] = gen(i)
+		}
+		buf := checkEncodeCol(t, name, vals)
+		t.Logf("%s: mode %d, %d bytes (%.2f bits/value)", name, buf[0], len(buf),
+			8*float64(len(buf))/frameLen)
+	}
+}
+
+// referenceEncodeCol is the exhaustive column encoder the one-pass
+// encodeCol replaced, kept as the oracle for which encoding a column
+// gets: one scan for the range, one for the zigzag deltas, and an exact
+// run-length scan per split width, with costs compared by a strict < in
+// the order raw, delta, split lb = 1..4. It shares no code with
+// encodeCol. It also returns each mode's cost in bytes, in that order
+// (cost[0] raw, cost[1] delta, cost[1+lb] split), or nil for a constant
+// column.
+func referenceEncodeCol(vals []uint32) (buf []byte, cost []int) {
+	n := len(vals)
+	mn, mx := vals[0], vals[0]
+	for _, v := range vals[1:] {
+		mn = min(mn, v)
+		mx = max(mx, v)
+	}
+	if mn == mx {
+		return binary.AppendUvarint(append(buf, encConst), uint64(mx)), nil
+	}
+	rawW := uint(bits.Len32(mx))
+	bestCost := 2 + (n*int(rawW)+7)/8
+	bestMode, bestS := encRaw, uint(0)
+	cost = append(cost, bestCost)
+
+	delta := make([]uint32, n-1)
+	var maxd uint32
+	for i := 1; i < n; i++ {
+		d := int32(vals[i] - vals[i-1])
+		delta[i-1] = uint32(d<<1) ^ uint32(d>>31)
+		maxd = max(maxd, delta[i-1])
+	}
+	varLen := func(v int) int { return len(binary.AppendUvarint(nil, uint64(v))) }
+	dW := uint(bits.Len32(maxd))
+	cost = append(cost, 2+varLen(int(vals[0]))+((n-1)*int(dW)+7)/8)
+	if cost[1] < bestCost {
+		bestCost, bestMode = cost[1], encDelta
+	}
+
+	// runsOf returns the (low value, length) runs of vals' low lb bits.
+	runsOf := func(lb uint) (lows []byte, lens []int) {
+		mask := uint32(1)<<lb - 1
+		for i, v := range vals {
+			if i > 0 && v&mask == vals[i-1]&mask {
+				lens[len(lens)-1]++
+				continue
+			}
+			lows = append(lows, byte(v&mask))
+			lens = append(lens, 1)
+		}
+		return lows, lens
+	}
+	for lb := uint(1); lb <= 4; lb++ {
+		_, lens := runsOf(lb)
+		hdr := 0
+		for _, rl := range lens {
+			hdr += 1 + varLen(rl)
+		}
+		hiW := uint(bits.Len32(mx >> lb))
+		cost = append(cost, 3+varLen(len(lens))+hdr+(n*int(hiW)+7)/8)
+		if cost[1+lb] < bestCost {
+			bestCost, bestMode, bestS = cost[1+lb], encSplit, lb
+		}
+	}
+
+	// pack bitpacks (v >> shift) at width w, LSB-first, a byte at a time.
+	pack := func(buf []byte, vals []uint32, shift, w uint) []byte {
+		var acc uint64
+		var nb uint
+		for _, v := range vals {
+			acc |= uint64(v>>shift) << nb
+			for nb += w; nb >= 8; nb -= 8 {
+				buf = append(buf, byte(acc))
+				acc >>= 8
+			}
+		}
+		if nb > 0 {
+			buf = append(buf, byte(acc))
+		}
+		return buf
+	}
+	switch bestMode {
+	case encRaw:
+		buf = pack(append(buf, encRaw, byte(rawW)), vals, 0, rawW)
+	case encDelta:
+		buf = binary.AppendUvarint(append(buf, encDelta, byte(dW)), uint64(vals[0]))
+		buf = pack(buf, delta, 0, dW)
+	case encSplit:
+		lb := bestS
+		hiW := uint(bits.Len32(mx >> lb))
+		lows, lens := runsOf(lb)
+		buf = binary.AppendUvarint(append(buf, encSplit, byte(lb), byte(hiW)), uint64(len(lens)))
+		for r, rl := range lens {
+			buf = binary.AppendUvarint(append(buf, lows[r]), uint64(rl))
+		}
+		if hiW > 0 {
+			buf = pack(buf, vals, lb, hiW)
+		}
+	}
+	return buf, cost
+}
+
+// splitTie returns a column whose split widths 1 and 2 cost exactly
+// the same. Bit 0 is constant, so width 1 has one run; bit 1 makes
+// 4,097 runs at width 2: 4,096 of 15 entries and one of 4,096, whose
+// two-byte length adds one header byte. Width 2's extra 8,197 header
+// bytes then cancel the 8,192 bytes its one fewer high bit saves plus
+// the run count's second uvarint byte. Random bits 2..11 make widths
+// 3 and 4, and the delta and raw modes, dearer.
+func splitTie(rng *rand.Rand) func(i int) uint32 {
+	return func(i int) uint32 {
+		return uint32(min(i/15, 4096)%2)<<1 | uint32(rng.Intn(1<<10))<<2 | 1<<11
+	}
+}
+
+// checkEncodeCol asserts that encodeCol writes exactly the reference
+// encoder's bytes for vals and that those bytes decode back to vals,
+// consuming all of them. It returns the encoding.
+func checkEncodeCol(t testing.TB, name string, vals []uint32) []byte {
+	t.Helper()
+	s := newEncScratch()
+	s.encodeCol(vals)
+	if want, _ := referenceEncodeCol(vals); !bytes.Equal(s.buf, want) {
+		t.Fatalf("%s: encodeCol wrote %d bytes (mode %d), reference %d bytes (mode %d)",
+			name, len(s.buf), s.buf[0], len(want), want[0])
+	}
+	dst := make([]uint32, len(vals))
+	n, err := decodeCol(dst, s.buf, len(vals))
+	if err != nil {
+		t.Fatalf("%s: decode: %v", name, err)
+	}
+	if n != len(s.buf) {
+		t.Fatalf("%s: decode consumed %d of %d bytes", name, n, len(s.buf))
+	}
+	for i := range vals {
+		if dst[i] != vals[i] {
+			t.Fatalf("%s: value %d = %d, want %d (mode %d)", name, i, dst[i], vals[i], s.buf[0])
+		}
+	}
+	return s.buf
+}
+
+// TestEncodeColMatchesReference pins which encoding every column gets,
+// not just that it round-trips: on columns built to sit at the
+// estimator's edges, encodeCol's bytes must equal the exhaustive
+// reference's.
+func TestEncodeColMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tie := splitTie(rng)
+	cases := map[string]func(i int) uint32{
+		// Runs whose length crosses the one-, two- and three-byte
+		// uvarint widths, under low bits that vary at several widths.
+		"runs-127":   func(i int) uint32 { return uint32(i/127%16) | uint32(rng.Intn(4))<<4 },
+		"runs-128":   func(i int) uint32 { return uint32(i/128%16) | uint32(rng.Intn(4))<<4 },
+		"runs-200":   func(i int) uint32 { return uint32(i/200%3) + 4*uint32(rng.Intn(64)) },
+		"runs-16383": func(i int) uint32 { return uint32(i/16383%2) + 2*uint32(rng.Intn(8)) },
+		"runs-16384": func(i int) uint32 { return uint32(i/16384%4) + 4*uint32(rng.Intn(8)) },
+		"runs-20000": func(i int) uint32 { return uint32(i/20000%16) + 16*uint32(i%7) },
+		"one-run":    func(i int) uint32 { return 16 * uint32(rng.Intn(1000)) },
+		"split-tie":  tie,
+		// Bit 0 flips once, at an entry that is not a width-2 boundary:
+		// width 1 gains a run and 4 header bytes, width 2 a run and 2, so
+		// width 2 wins by 2 bytes with 4,098 runs. A pruning bound of
+		// more than two bytes per run would skip the winner.
+		"split-win-by-2": func(i int) uint32 { return tie(i) | uint32(i>>15) },
+		// Low-bit runs at width 1 that shatter at width 2.
+		"split-narrow": func(i int) uint32 { return uint32(i/300%2) | uint32(rng.Intn(2))<<1 | uint32(rng.Intn(256))<<2 },
+		"alternating":  func(i int) uint32 { return uint32(i % 2) },
+		"full-32":      func(int) uint32 { return rng.Uint32() | 1<<31 },
+		"full-32-runs": func(i int) uint32 { return uint32(i/500%8) | (rng.Uint32()|1<<31)&^7 },
+		"max-min":      func(i int) uint32 { return ^uint32(0) * uint32(i%2) },
+		"delta-full":   func(i int) uint32 { return uint32(i) * 0x9E3779B9 },
+	}
+	for name, gen := range encodeColModeCases(rng) {
+		cases[name] = gen
+	}
 	for name, gen := range cases {
 		vals := make([]uint32, frameLen)
 		for i := range vals {
 			vals[i] = gen(i)
 		}
-		s := newEncScratch()
-		s.encodeCol(vals)
-		dst := make([]uint32, frameLen)
-		n, err := decodeCol(dst, s.buf, frameLen)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if n != len(s.buf) {
-			t.Fatalf("%s: decode consumed %d of %d bytes", name, n, len(s.buf))
-		}
+		checkEncodeCol(t, name, vals)
+	}
+	// The two edge cases must sit on their edges, or they pin nothing.
+	// In split-tie, split widths 1 and 2 cost the same and beat every
+	// other mode, and the strict < keeps width 1. In split-win-by-2,
+	// width 2 wins by 2 bytes.
+	for _, tc := range []struct {
+		name   string
+		margin int // cost of width 1 minus cost of width 2
+		lb     byte
+	}{{"split-tie", 0, 1}, {"split-win-by-2", 2, 2}} {
+		vals := make([]uint32, frameLen)
 		for i := range vals {
-			if dst[i] != vals[i] {
-				t.Fatalf("%s: value %d = %d, want %d (mode %d)", name, i, dst[i], vals[i], s.buf[0])
-			}
+			vals[i] = cases[tc.name](i)
 		}
-		t.Logf("%s: mode %d, %d bytes (%.2f bits/value)", name, s.buf[0], len(s.buf),
-			8*float64(len(s.buf))/frameLen)
+		buf, cost := referenceEncodeCol(vals)
+		if cost[2]-cost[3] != tc.margin || buf[0] != encSplit || buf[1] != tc.lb || min(cost[0], cost[1], cost[4], cost[5]) <= cost[2] {
+			t.Fatalf("%s column: costs %v, mode %d width %d; want split width %d, widths 1 and 2 %d bytes apart", tc.name, cost, buf[0], buf[1], tc.lb, tc.margin)
+		}
+	}
+	// Short columns, down to one entry, take the same paths.
+	for _, n := range []int{1, 2, 3, 7, 128, 129} {
+		vals := make([]uint32, n)
+		for i := range vals {
+			vals[i] = uint32(rng.Intn(40))
+		}
+		checkEncodeCol(t, "short", vals)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"barterdist/internal/checkpoint"
@@ -105,5 +106,33 @@ func FuzzTraceCursor(f *testing.F) {
 		// Materialization exercises the remaining accessors.
 		l.Materialize()
 		l.MaterializeDrops()
+	})
+}
+
+// FuzzEncodeCol encodes a fuzzed column and requires the reference
+// encoder's bytes and an exact round trip through decodeCol. The first
+// byte sets how many times each value repeats (1 to 256, so run lengths
+// cross the one-byte uvarint limit), the second how far every value is
+// shifted right (narrow columns reach the split modes); the rest are
+// little-endian uint32 values. The column is capped at frameLen entries.
+func FuzzEncodeCol(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4})
+	f.Add([]byte{0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{127, 28, 0x10, 0, 0, 0x80, 0x21, 0, 0, 0x40, 0x13, 0, 0, 0})
+	f.Add([]byte{200, 0, 3, 0, 0, 0, 11, 0, 0, 0, 3, 0, 0, 0, 19, 0, 0, 0})
+	f.Add([]byte{5, 24, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		rep, shift := 1+int(data[0]), uint(data[1]%32)
+		var vals []uint32
+		for b := data[2:]; len(b) >= 4 && len(vals) < frameLen; b = b[4:] {
+			v := binary.LittleEndian.Uint32(b) >> shift
+			for j := 0; j < rep && len(vals) < frameLen; j++ {
+				vals = append(vals, v)
+			}
+		}
+		checkEncodeCol(t, "fuzzed", vals)
 	})
 }

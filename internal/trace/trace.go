@@ -21,11 +21,13 @@
 // The three per-transfer columns are the bulk of the footprint — a
 // flat 12 B/transfer, ≈768 MiB of columns alone at n=10⁶ — so they
 // are stored as fixed-size frames of 64Ki entries. Appends land in a
-// raw open tail; when the tail reaches the frame size it is sealed
-// off the tick path into an immutable byte block whose three columns
-// each pick the cheapest of const/bitpack/delta/low-bit-RLE
-// encodings (frame.go), which measures under 5 B/transfer on the
-// Table Scale runs. The tick and drop offset columns stay raw: they
+// raw open tail; when the tail reaches the frame size, the AppendTick
+// call that filled it seals it into an immutable byte block whose
+// three columns each pick the cheapest of const/bitpack/delta/
+// low-bit-RLE encodings (frame.go), which measures under 5 B/transfer
+// on the Table Scale runs. The seal runs on the tick that fills the
+// frame, not on every tick: one pass per column estimates every
+// encoding's cost, so it amortizes to a few tens of ns per transfer. The tick and drop offset columns stay raw: they
 // are per-tick, not per-transfer, and the auditors index them
 // directly.
 //
@@ -114,8 +116,9 @@ func New(kinded bool) *Log { return &Log{kinded: kinded} }
 // one frame's worth of capacity, so a reservation beyond frameLen
 // transfers sizes the tail to a full frame and pre-grows the sealed
 // frame index instead. Seals themselves still allocate (one
-// exact-size block per 64Ki transfers) — that is off the tick path
-// and amortizes to well under one allocation per tick.
+// exact-size block per 64Ki transfers). A seal runs inside the
+// AppendTick that fills a frame, so that one tick pays for it; the
+// allocation amortizes to well under one per tick.
 //
 // The counts are hints, never caps. Open-system runs have no fixed
 // (n-1)·k bound — the cumulative arrival stream is unbounded and a
