@@ -44,15 +44,17 @@ race:
 
 ## fuzz: the codec fuzzers — hostile checkpoint bytes and hostile
 ## trace-snapshot bytes must produce errors, never panics or wrong
-## decodes, and a fuzzed trace column must encode to the reference
-## encoder's bytes and decode back. 30s per target here; CI runs a
-## shorter smoke under -race, and `go test -fuzz` with no -fuzztime
-## runs them open-ended.
+## decodes, a fuzzed trace column must encode to the reference
+## encoder's bytes and decode back, and arbitrary column bytes must
+## decode exactly as the per-value reference decoder does. 30s per
+## target here; CI runs a shorter smoke under -race, and `go test
+## -fuzz` with no -fuzztime runs them open-ended.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzTraceCursor -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeCol -fuzztime $(FUZZTIME) ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeCol -fuzztime $(FUZZTIME) ./internal/trace/
 
 ## figures: regenerate the evaluation artifacts at medium scale
 figures:

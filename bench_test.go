@@ -482,32 +482,6 @@ func BenchmarkTraceAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceDecode walks the canned 20k-peer compressed trace end
-// to end through the frame decode window — the read path every audit
-// task and mechanism lane is built on.
-func BenchmarkTraceDecode(b *testing.B) {
-	l := cannedScaleRun().Sim.Trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var w trace.Win
-		sum := uint32(0)
-		for j := 0; j < l.Len(); {
-			from, to, block, base, end := l.Window(&w, j)
-			stop := l.Len()
-			if end < stop {
-				stop = end
-			}
-			for ; j < stop; j++ {
-				k := j - base
-				sum += from[k] + to[k] + block[k]
-			}
-		}
-		if sum == 0 {
-			b.Fatal("empty trace")
-		}
-	}
-}
-
 // cannedPipelineRun records the closed-pipeline workload's run ONCE
 // per process: the binomial pipeline at n = 8,192, k = 512, about 4.2M
 // transfers in 64 frames of hypercube sweeps. It is the trace shape
@@ -562,6 +536,34 @@ func BenchmarkTraceSeal(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(src.Len()), "ns/transfer")
+		})
+	}
+}
+
+// BenchmarkTraceDecode walks a canned compressed trace end to end
+// through one decode window, all three columns of every frame — the
+// read path every auditor and mechanism walk is built on. ns/transfer
+// is the decode cost per recorded transfer.
+func BenchmarkTraceDecode(b *testing.B) {
+	for _, c := range cannedTraces() {
+		l := c.res.Sim.Trace
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var w trace.Win
+				sum := uint32(0)
+				for j := 0; j < l.Len(); {
+					from, to, block, base, end := l.Window(&w, j)
+					for k := j - base; k < min(end, l.Len())-base; k++ {
+						sum += from[k] + to[k] + block[k]
+					}
+					j = end
+				}
+				if sum == 0 {
+					b.Fatal("empty trace")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(l.Len()), "ns/transfer")
 		})
 	}
 }

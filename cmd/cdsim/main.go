@@ -262,9 +262,11 @@ func main() {
 		cur := res.Sim.Trace.Cursor()
 		for cur.NextTick() {
 			fmt.Printf("  t=%-3d", cur.Tick())
-			for cur.Next() {
-				tr := cur.Transfer()
-				fmt.Printf("  %d->%d:B%d", tr.From, tr.To, tr.Block)
+			for cur.NextSpan() {
+				s := cur.Span()
+				for j, from := range s.From {
+					fmt.Printf("  %d->%d:B%d", int32(from), int32(s.To[j]), int32(s.Block[j]))
+				}
 			}
 			fmt.Println()
 		}

@@ -385,8 +385,15 @@ func buildResult(cfg Config, simCfg simulate.Config, overlayName string, simRes 
 	res.SimConfig.Adversary = nil  // ditto: audits replay from Sim.Strategies
 	res.SimConfig.Checkpoint = nil // replays should not overwrite the live checkpoint
 	res.SimConfig.Arrivals = nil   // ditto: the consumed arrival plan is single-use
-	if simRes.Trace != nil && simRes.Trace.Len() > 0 {
-		res.MinimalCreditLimit = mechanism.MinimalCreditLimit(simRes.Trace.Cursor())
+	if l := simRes.Trace; l != nil && l.Len() > 0 {
+		if cfg.Verify == MechanismCredit && !l.Kinded() {
+			// An unkinded log's released view is its full view, so one
+			// walk gives both the minimal credit limit and the verdict.
+			var err error
+			res.MinimalCreditLimit, err = mechanism.VerifyCreditLimitedMinimal(l.Cursor(), creditLimit(cfg))
+			return res, err
+		}
+		res.MinimalCreditLimit = mechanism.MinimalCreditLimit(l.Cursor())
 	}
 	if err := verify(cfg, simRes); err != nil {
 		return res, err
@@ -515,6 +522,15 @@ func buildOverlay(cfg *Config) (*graph.Graph, string, error) {
 	}
 }
 
+// creditLimit is the limit the mechanism verifiers check: the
+// configured one, or 1 when none is set.
+func creditLimit(cfg Config) int {
+	if cfg.CreditLimit == 0 {
+		return 1
+	}
+	return cfg.CreditLimit
+}
+
 // verify audits the recorded trace against the configured mechanism.
 // The verifiers see the *released* view of the columnar trace: for
 // compliant runs that is the scheduled trace unchanged — fault drops
@@ -525,10 +541,7 @@ func buildOverlay(cfg *Config) (*graph.Graph, string, error) {
 // back by the schedulers' ledgers), so charging them would read the
 // adversary's sabotage as the mechanism's failure.
 func verify(cfg Config, simRes *simulate.Result) error {
-	limit := cfg.CreditLimit
-	if limit == 0 {
-		limit = 1
-	}
+	limit := creditLimit(cfg)
 	if cfg.Verify == MechanismNone {
 		return nil
 	}

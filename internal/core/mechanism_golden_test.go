@@ -105,3 +105,40 @@ func TestMechanismGoldenVerdicts(t *testing.T) {
 	}
 	checkGolden(t, "mechanism.golden", got)
 }
+
+// TestCreditVerifiedRunWalksOnce checks core's one-walk path: a
+// credit-verified run over an unkinded log takes its minimal credit
+// limit and its verdict from one walk of the full view, which must give
+// what the two separate walks give — MinimalCreditLimit over the full
+// view and VerifyCreditLimited over the released view. Every
+// mechanismScenarios run is verified at limits 1 and 2; the adversarial
+// ones are kinded and keep both walks, and are checked the same way.
+func TestCreditVerifiedRunWalksOnce(t *testing.T) {
+	var passed, failed int // one-walk runs by verdict
+	for _, scen := range sortedKeys(mechanismScenarios) {
+		for _, s := range []int{1, 2} {
+			cfg := mechanismScenarios[scen]
+			cfg.Verify, cfg.CreditLimit = MechanismCredit, s
+			res, err := Run(cfg)
+			if res == nil {
+				t.Fatalf("%s s=%d: %v", scen, s, err)
+			}
+			l := res.Sim.Trace
+			minimal := mechanism.MinimalCreditLimit(l.Cursor())
+			verdict := mechanism.VerifyCreditLimited(l.ReleasedCursor(), s)
+			if res.MinimalCreditLimit != minimal || errString(err) != errString(verdict) {
+				t.Fatalf("%s s=%d: run gives (%d, %v), two walks (%d, %v)", scen, s, res.MinimalCreditLimit, err, minimal, verdict)
+			}
+			switch {
+			case l.Kinded():
+			case err != nil:
+				failed++
+			default:
+				passed++
+			}
+		}
+	}
+	if passed == 0 || failed == 0 {
+		t.Fatalf("one-walk runs: %d passed, %d failed; the scenarios no longer cover both verdicts", passed, failed)
+	}
+}

@@ -127,19 +127,24 @@ func VerifyStrictBarter(cur *trace.Cursor) error {
 	// artifact of map iteration.
 	fwd := make(map[uint64]int)
 	var order []uint64
+	cur.Only(trace.ColFrom | trace.ColTo)
 	for cur.NextTick() {
 		clear(fwd)
 		order = order[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			if tr.From == 0 || tr.To == 0 {
-				continue
+		for cur.NextSpan() {
+			sp := cur.Span()
+			to := sp.To[:len(sp.From)]
+			for j, u := range sp.From {
+				v := to[j]
+				if u == 0 || v == 0 {
+					continue
+				}
+				key := uint64(u)<<32 | uint64(v)
+				if fwd[key] == 0 {
+					order = append(order, key)
+				}
+				fwd[key]++
 			}
-			key := uint64(uint32(tr.From))<<32 | uint64(uint32(tr.To))
-			if fwd[key] == 0 {
-				order = append(order, key)
-			}
-			fwd[key]++
 		}
 		for _, key := range order {
 			cnt := fwd[key]
@@ -164,10 +169,14 @@ func VerifyCreditLimited(cur *trace.Cursor, s int) error {
 	if s < 1 {
 		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
-	if o, _ := creditWalk(cur, nil, s); o != nil {
-		return o.violation(fmt.Sprintf("net transfer %d exceeds credit limit %d", o.net, s))
+	if o, _ := creditWalk(cur, nil, s, false); o != nil {
+		return o.violation(creditReason(o, s))
 	}
 	return nil
+}
+
+func creditReason(o *overLimit, s int) string {
+	return fmt.Sprintf("net transfer %d exceeds credit limit %d", o.net, s)
 }
 
 // MinimalCreditLimit returns the smallest credit limit s under which the
@@ -175,8 +184,24 @@ func VerifyCreditLimited(cur *trace.Cursor, s int) error {
 // imbalance at any tick boundary. A fully cooperative trace may return
 // large values; the Riffle Pipeline returns 1.
 func MinimalCreditLimit(cur *trace.Cursor) int {
-	_, peak := creditWalk(cur, nil, math.MaxInt)
+	_, peak := creditWalk(cur, nil, math.MaxInt, false)
 	return peak
+}
+
+// VerifyCreditLimitedMinimal returns, from one walk over cur, what
+// MinimalCreditLimit and VerifyCreditLimited return over the same view:
+// the walk records the first pair over s and carries on to the end for
+// the peak. A credit-verified run whose released view equals its full
+// view (an unkinded log) reads its trace once this way instead of twice.
+func VerifyCreditLimitedMinimal(cur *trace.Cursor, s int) (int, error) {
+	if s < 1 {
+		return MinimalCreditLimit(cur), fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
+	}
+	o, peak := creditWalk(cur, nil, s, true)
+	if o != nil {
+		return peak, o.violation(creditReason(o, s))
+	}
+	return peak, nil
 }
 
 // VerifyCreditLimitedLog is VerifyCreditLimited over l: its released
@@ -229,23 +254,28 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 	var edges []uint64   // this tick's directed edges, first-appearance order
 	var touched []uint64 // this tick's charged pairs, charge order
 	var thirds []int32
+	cur.Only(trace.ColFrom | trace.ColTo)
 	for cur.NextTick() {
 		t := cur.Tick()
 		clear(count)
 		clear(outs)
 		edges = edges[:0]
 		touched = touched[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			if tr.From == 0 || tr.To == 0 {
-				continue
+		for cur.NextSpan() {
+			sp := cur.Span()
+			to := sp.To[:len(sp.From)]
+			for j, u := range sp.From {
+				v := to[j]
+				if u == 0 || v == 0 {
+					continue
+				}
+				key := uint64(u)<<32 | uint64(v)
+				if count[key] == 0 {
+					edges = append(edges, key)
+					outs[int32(u)] = append(outs[int32(u)], int32(v))
+				}
+				count[key]++
 			}
-			key := uint64(uint32(tr.From))<<32 | uint64(uint32(tr.To))
-			if count[key] == 0 {
-				edges = append(edges, key)
-				outs[tr.From] = append(outs[tr.From], tr.To)
-			}
-			count[key]++
 		}
 		dir := func(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
 		// Cancel 2-cycles.

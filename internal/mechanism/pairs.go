@@ -9,21 +9,30 @@ import (
 // pairTable maps a client pair's key (pairKey: the smaller id in the
 // high word) to the pair's net balance: blocks the smaller id sent the
 // larger minus blocks it received. It is an open-addressed table with
-// linear probing over parallel key and balance slices whose length is
-// a power of two. Key 0 marks an empty slot, and an empty slot's
-// balance stays 0, so a lookup of an absent pair reads 0. No pair has
-// key 0: the server (node 0) is exempt from every ledger, so every key
-// has a non-zero client id in it.
+// linear probing over one slice of slots whose length is a power of
+// two. Each slot holds a pair's key and its balance side by side, so a
+// probe and the balance it books share a cache line. A zero low word
+// marks an empty slot, and an empty slot's balance stays 0, so a lookup
+// of an absent pair reads 0. No pair's key has a zero low word: the low
+// word is the larger id, and the server (node 0) is exempt from every
+// ledger, so it is always a client's.
 //
 // The zero value is an empty table that allocates on its first insert.
 // Entries are never removed: a pair whose balance returns to 0 keeps
 // its slot.
 type pairTable struct {
-	keys  []uint64
-	net   []int32
+	slots []pairSlot
 	count int  // occupied slots
-	shift uint // 64 - log2(len(keys)): hash bits to drop
+	shift uint // 64 - log2(len(slots)): hash bits to drop
 }
+
+// pairSlot is one pair: its key's high and low words and its balance.
+type pairSlot struct {
+	hi, lo uint32
+	net    int32
+}
+
+func (s *pairSlot) key() uint64 { return uint64(s.hi)<<32 | uint64(s.lo) }
 
 // The table doubles before an insert would fill more than 7/8 of its
 // slots. A lower load shortens probes but costs memory: each slot is
@@ -35,17 +44,17 @@ const (
 )
 
 func (t *pairTable) alloc(slots int) {
-	t.keys = make([]uint64, slots)
-	t.net = make([]int32, slots)
+	t.slots = make([]pairSlot, slots)
 	t.shift = uint(64 - bits.TrailingZeros(uint(slots)))
 }
 
 // find returns key's slot, or the empty slot where key would go.
 func (t *pairTable) find(key uint64) int {
-	mask := len(t.keys) - 1
+	mask := len(t.slots) - 1
+	hi, lo := uint32(key>>32), uint32(key)
 	// Fibonacci hashing: the top bits of key times 2^64/φ.
 	for i := int((key * 0x9E3779B97F4A7C15) >> t.shift); ; i = (i + 1) & mask {
-		if k := t.keys[i]; k == key || k == 0 {
+		if s := &t.slots[i]; s.lo == lo && s.hi == hi || s.lo == 0 {
 			return i
 		}
 	}
@@ -56,26 +65,26 @@ func (t *pairTable) get(key uint64) int32 {
 	if t.count == 0 {
 		return 0
 	}
-	return t.net[t.find(key)]
+	return t.slots[t.find(key)].net
 }
 
 // add adds d to key's balance, booking the pair if it is new, and
 // returns the pair's slot. A slot stays the pair's until the table
 // next grows.
 func (t *pairTable) add(key uint64, d int32) int {
-	if t.keys == nil {
+	if t.slots == nil {
 		t.alloc(minSlots)
 	}
 	i := t.find(key)
-	if t.keys[i] == 0 {
-		if (t.count+1)*maxLoadDen > len(t.keys)*maxLoadNum {
+	if t.slots[i].lo == 0 {
+		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
 			t.grow()
 			i = t.find(key)
 		}
-		t.keys[i] = key
+		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
 		t.count++
 	}
-	t.net[i] += d
+	t.slots[i].net += d
 	return i
 }
 
@@ -90,12 +99,11 @@ func (t *pairTable) book(u, v, d int32) int {
 }
 
 func (t *pairTable) grow() {
-	keys, net := t.keys, t.net
-	t.alloc(2 * len(keys))
-	for i, k := range keys {
-		if k != 0 {
-			j := t.find(k)
-			t.keys[j], t.net[j] = k, net[i]
+	old := t.slots
+	t.alloc(2 * len(old))
+	for _, s := range old {
+		if s.lo != 0 {
+			t.slots[t.find(s.key())] = s
 		}
 	}
 }
@@ -103,7 +111,8 @@ func (t *pairTable) grow() {
 // maxAbs returns the largest |balance| in the table.
 func (t *pairTable) maxAbs() int {
 	var max int32
-	for _, n := range t.net {
+	for i := range t.slots {
+		n := t.slots[i].net
 		if n < 0 {
 			n = -n
 		}
@@ -131,54 +140,68 @@ func (o *overLimit) violation(reason string) *Violation {
 // pair the tick touched. freeRiders, when non-nil, selects the
 // starvation view: only delivered transfers with a flagged endpoint are
 // booked. The walk returns the first pair whose |net| exceeds limit
-// (nil when none does) and the peak |net| seen at a tick end.
+// (nil when none does) and the peak |net| seen at a tick end. It stops
+// at that first pair unless toEnd is set; then it walks the whole trace,
+// and the peak is the one a walk with no limit would report.
 //
-// The touched list holds the slot of each booked transfer's pair, so
-// the tick-end check reads the balance without probing the table again.
-// A pair booked twice in a tick appears twice. Every entry of a pair
-// reads the same end-of-tick balance, so the first entry over the limit
-// belongs to the pair that, among those over it, the tick touched
-// first. When the table grows mid-tick its slots move, and the tick's
-// earlier entries are found again in the new layout.
-func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int) (*overLimit, int) {
+// The walk reads the trace a span at a time and decodes only the from
+// and to columns. The touched list holds the slot of each booked
+// transfer's pair, so the tick-end check reads the balance without
+// probing the table again. A pair booked twice in a tick appears twice.
+// Every entry of a pair reads the same end-of-tick balance, so the first
+// entry over the limit belongs to the pair that, among those over it,
+// the tick touched first. When the table grows mid-tick its slots move,
+// and the tick's earlier entries are found again in the new layout.
+func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int, toEnd bool) (*overLimit, int) {
+	cur.Only(trace.ColFrom | trace.ColTo)
 	var pairs pairTable
 	var touched []int
+	var first *overLimit
 	peak := 0
 	for cur.NextTick() {
 		touched = touched[:0]
-		for cur.Next() {
-			tr := cur.Transfer()
-			u, v := tr.From, tr.To
-			if u == 0 || v == 0 {
+		for cur.NextSpan() {
+			sp := cur.Span()
+			if freeRiders != nil && sp.Dropped {
 				continue
 			}
-			if freeRiders != nil && (cur.Dropped() || !flagged(freeRiders, u) && !flagged(freeRiders, v)) {
-				continue
-			}
-			keys := pairs.keys // the layout touched's slots index
-			slot := pairs.book(u, v, 1)
-			if len(pairs.keys) != len(keys) {
-				for j, old := range touched {
-					touched[j] = pairs.find(keys[old])
+			to := sp.To[:len(sp.From)]
+			for j, from := range sp.From {
+				u, v := int32(from), int32(to[j])
+				if u == 0 || v == 0 {
+					continue
 				}
+				if freeRiders != nil && !flagged(freeRiders, u) && !flagged(freeRiders, v) {
+					continue
+				}
+				slots := pairs.slots // the layout touched's slots index
+				slot := pairs.book(u, v, 1)
+				if len(pairs.slots) != len(slots) {
+					for k, old := range touched {
+						touched[k] = pairs.find(slots[old].key())
+					}
+				}
+				touched = append(touched, slot)
 			}
-			touched = append(touched, slot)
 		}
 		for _, slot := range touched {
-			n, key := int(pairs.net[slot]), pairs.keys[slot]
-			u, v := int32(key>>32), int32(uint32(key))
+			s := &pairs.slots[slot]
+			n, u, v := int(s.net), int32(s.hi), int32(s.lo)
 			if n < 0 {
 				u, v, n = v, u, -n
 			}
-			if n > limit {
-				return &overLimit{tick: cur.Tick(), from: u, to: v, net: n}, peak
+			if n > limit && first == nil {
+				first = &overLimit{tick: cur.Tick(), from: u, to: v, net: n}
+				if !toEnd {
+					return first, peak
+				}
 			}
 			if n > peak {
 				peak = n
 			}
 		}
 	}
-	return nil, peak
+	return first, peak
 }
 
 // flagged reports whether node v is set in mask; ids outside the mask

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"barterdist/internal/adversary"
 	"barterdist/internal/checkpoint"
 	"barterdist/internal/simulate"
 	"barterdist/internal/trace"
@@ -46,13 +47,13 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 		if got, want := l.CanSend(u, v), u == 0 || v == 0 || refNet(u, v)+1 <= 2; got != want {
 			t.Fatalf("op %d: CanSend(%d, %d) = %v, reference %v", i, u, v, got, want)
 		}
-		slots := len(l.pairs.keys)
+		slots := len(l.pairs.slots)
 		if d > 0 {
 			l.Record(u, v)
 		} else {
 			l.Unrecord(u, v)
 		}
-		if len(l.pairs.keys) != slots {
+		if len(l.pairs.slots) != slots {
 			grows++
 		}
 		if u != 0 && v != 0 {
@@ -87,8 +88,8 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	if got := l.MaxAbsNet(); got != maxAbs {
 		t.Fatalf("MaxAbsNet = %d, reference %d", got, maxAbs)
 	}
-	if l.pairs.count*maxLoadDen > len(l.pairs.keys)*maxLoadNum {
-		t.Fatalf("%d pairs in %d slots exceeds the load cap", l.pairs.count, len(l.pairs.keys))
+	if l.pairs.count*maxLoadDen > len(l.pairs.slots)*maxLoadNum {
+		t.Fatalf("%d pairs in %d slots exceeds the load cap", l.pairs.count, len(l.pairs.slots))
 	}
 
 	enc := checkpoint.NewEncoder(0)
@@ -179,6 +180,7 @@ func TestLedgerRestoreRejectsCorruption(t *testing.T) {
 		{"duplicate key", encode(2, 2, 1<<32|2, 1, 1<<32|2, 1)},
 		{"zero balance", encode(2, 1, 1<<32|2, 0)},
 		{"key 0", encode(2, 1, 0, 1)},
+		{"key without a client id in its low word", encode(2, 1, 5<<32, 1)},
 		{"balance out of range", encode(2, 1, 1<<32|2, 1<<31)},
 	} {
 		l, err := NewLedger(2)
@@ -216,38 +218,12 @@ func TestCreditWalkMatchesMapReference(t *testing.T) {
 	}
 	log := trace.FromTicks(ticks, nil, nil, false)
 
-	// The reference: balances in a map, and per tick the touched keys
-	// in booking order, each looked up at the tick end.
 	refWalk := func(limit int) (string, int) {
-		net := make(map[uint64]int)
-		peak := 0
-		for ti, tick := range ticks {
-			var touched []uint64
-			for _, tr := range tick {
-				if tr.From == 0 || tr.To == 0 {
-					continue
-				}
-				key, swapped := pairKey(tr.From, tr.To)
-				if swapped {
-					net[key]--
-				} else {
-					net[key]++
-				}
-				touched = append(touched, key)
-			}
-			for _, key := range touched {
-				n, u, v := net[key], int32(key>>32), int32(uint32(key))
-				if n < 0 {
-					n, u, v = -n, v, u
-				}
-				if n > limit {
-					return (&Violation{Tick: ti + 1, From: u, To: v,
-						Reason: fmt.Sprintf("net transfer %d exceeds credit limit %d", n, limit)}).Error(), peak
-				}
-				peak = max(peak, n)
-			}
+		o, peak := mapCreditWalk(ticks, nil, limit)
+		if o == nil {
+			return "", peak
 		}
-		return "", peak
+		return o.violation(fmt.Sprintf("net transfer %d exceeds credit limit %d", o.net, limit)).Error(), peak
 	}
 
 	_, peak := refWalk(math.MaxInt)
@@ -267,4 +243,105 @@ func TestCreditWalkMatchesMapReference(t *testing.T) {
 			t.Fatalf("s=%d: %q, reference %q", s, got, want)
 		}
 	}
+
+	// Span cuts: a kinded trace whose ticks cross and meet frame
+	// boundaries, with drops at the first and last transfer of frames
+	// and ticks, read in the full, released and free-rider views.
+	f := newSpanFixture(spanRandom)
+	freeRiders := make([]bool, 60)
+	for _, v := range []int{3, 7, 11, 42} {
+		freeRiders[v] = true
+	}
+	for _, tc := range []struct {
+		name   string
+		cursor func(*trace.Log) *trace.Cursor
+		view   [][]simulate.Transfer
+		mask   []bool
+	}{
+		{"full", (*trace.Log).Cursor, f.view(keepAll), nil},
+		{"released", (*trace.Log).ReleasedCursor, f.view(keepReleased), nil},
+		{"free-rider", (*trace.Log).Cursor, f.view(keepDelivered), freeRiders},
+	} {
+		_, peak := mapCreditWalk(tc.view, tc.mask, math.MaxInt)
+		if _, got := creditWalk(tc.cursor(f.log), tc.mask, math.MaxInt, false); got != peak {
+			t.Fatalf("%s view: peak %d, reference %d", tc.name, got, peak)
+		}
+		if peak < 3 {
+			t.Fatalf("%s view: peak %d leaves no limit to sweep", tc.name, peak)
+		}
+		for s := 1; s <= peak; s++ {
+			want, _ := mapCreditWalk(tc.view, tc.mask, s)
+			got, _ := creditWalk(tc.cursor(f.log), tc.mask, s, false)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s view, s=%d: first pair over the limit %+v, reference %+v", tc.name, s, got, want)
+			}
+			if tc.mask != nil {
+				continue
+			}
+			// The one-walk form: the same verdict text, and the peak.
+			wantErr := ""
+			if want != nil {
+				wantErr = want.violation(fmt.Sprintf("net transfer %d exceeds credit limit %d", want.net, s)).Error()
+			}
+			minimal, err := VerifyCreditLimitedMinimal(tc.cursor(f.log), s)
+			if fmt.Sprint(err) != fmt.Sprint(VerifyCreditLimited(tc.cursor(f.log), s)) || errString(err) != wantErr || minimal != peak {
+				t.Fatalf("%s view, s=%d: one walk gives (%d, %v), want (%d, %q)", tc.name, s, minimal, err, peak, wantErr)
+			}
+		}
+	}
+	res := &simulate.Result{Trace: f.log, Strategies: make([]adversary.Strategy, 60)}
+	for v, fr := range freeRiders {
+		if fr {
+			res.Strategies[v] = adversary.FreeRider
+		}
+	}
+	want, _ := mapCreditWalk(f.view(keepDelivered), freeRiders, 1)
+	if err := VerifyStarvation(res, 1); want == nil || errString(err) != want.violation(fmt.Sprintf("free-rider %d received %d net blocks from client %d, above credit limit %d — barter failed to starve it", want.to, want.net, want.from, 1)).Error() {
+		t.Fatalf("VerifyStarvation: %v, reference %+v", err, want)
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// mapCreditWalk is creditWalk's reference over nested ticks: balances
+// in a map, and per tick the touched keys in booking order, each looked
+// up again at the tick end. mask, when non-nil, books only transfers
+// with a flagged endpoint.
+func mapCreditWalk(ticks [][]simulate.Transfer, mask []bool, limit int) (*overLimit, int) {
+	net := make(map[uint64]int)
+	peak := 0
+	for ti, tick := range ticks {
+		var touched []uint64
+		for _, tr := range tick {
+			if tr.From == 0 || tr.To == 0 {
+				continue
+			}
+			if mask != nil && !flagged(mask, tr.From) && !flagged(mask, tr.To) {
+				continue
+			}
+			key, swapped := pairKey(tr.From, tr.To)
+			if swapped {
+				net[key]--
+			} else {
+				net[key]++
+			}
+			touched = append(touched, key)
+		}
+		for _, key := range touched {
+			n, u, v := net[key], int32(key>>32), int32(uint32(key))
+			if n < 0 {
+				n, u, v = -n, v, u
+			}
+			if n > limit {
+				return &overLimit{tick: ti + 1, from: u, to: v, net: n}, peak
+			}
+			peak = max(peak, n)
+		}
+	}
+	return nil, peak
 }

@@ -14,9 +14,9 @@ import (
 func (l *Ledger) Snapshot(enc *checkpoint.Encoder) {
 	enc.Int(l.limit)
 	keys := make([]uint64, 0, l.pairs.count)
-	for i, k := range l.pairs.keys {
-		if l.pairs.net[i] != 0 {
-			keys = append(keys, k)
+	for i := range l.pairs.slots {
+		if s := &l.pairs.slots[i]; s.net != 0 {
+			keys = append(keys, s.key())
 		}
 	}
 	slices.Sort(keys)
@@ -30,10 +30,11 @@ func (l *Ledger) Snapshot(enc *checkpoint.Encoder) {
 // RestoreState overwrites the ledger's balances from dec. The encoded
 // credit limit must match the ledger's (the limit comes from config,
 // not the snapshot; a mismatch means the snapshot belongs to a
-// different run). Keys must be strictly ascending and non-zero (a pair
-// key always holds a client id), and values non-zero and within the
-// ledger's 32-bit balances, so a corrupted payload cannot decode into
-// a plausible ledger.
+// different run). Keys must be strictly ascending with a non-zero low
+// word (a pair key's low word is the larger id, always a client's; the
+// pair table reads a zero low word as an empty slot), and values
+// non-zero and within the ledger's 32-bit balances, so a corrupted
+// payload cannot decode into a plausible ledger.
 func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 	limit := dec.Int()
 	n := dec.Int()
@@ -57,8 +58,8 @@ func (l *Ledger) RestoreState(dec *checkpoint.Decoder) error {
 		if i > 0 && k <= prev {
 			return checkpoint.Corruptf("mechanism: ledger keys not strictly ascending at entry %d", i)
 		}
-		if k == 0 {
-			return checkpoint.Corruptf("mechanism: ledger entry %d has key 0", i)
+		if uint32(k) == 0 {
+			return checkpoint.Corruptf("mechanism: ledger entry %d has key %#x, whose low word holds no client id", i, k)
 		}
 		if v == 0 {
 			return checkpoint.Corruptf("mechanism: ledger entry %d has zero balance", i)

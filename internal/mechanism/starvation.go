@@ -5,6 +5,7 @@ import (
 
 	"barterdist/internal/adversary"
 	"barterdist/internal/simulate"
+	"barterdist/internal/trace"
 )
 
 // This file holds the post-hoc auditors for adversarial runs — the
@@ -50,7 +51,7 @@ func VerifyStarvation(res *simulate.Result, s int) error {
 	if !any || res.Trace == nil {
 		return nil // nothing to starve (or nothing recorded)
 	}
-	if o, _ := creditWalk(res.Trace.Cursor(), freeRider, s); o != nil {
+	if o, _ := creditWalk(res.Trace.Cursor(), freeRider, s, false); o != nil {
 		return o.violation(fmt.Sprintf("free-rider %d received %d net blocks from client %d, above credit limit %d — barter failed to starve it", o.to, o.net, o.from, s))
 	}
 	return nil
@@ -87,42 +88,45 @@ func AuditAdversary(res *simulate.Result, period float64) error {
 	}
 	n := len(res.Strategies)
 	lastAttempt := make([]int, n) // per-throttler tick of last admitted upload; 0 = none
-	cur := res.Trace.Cursor()
+	cur := res.Trace.Cursor().Only(trace.ColFrom | trace.ColTo)
 	for cur.NextTick() {
 		t := cur.Tick()
-		for cur.Next() {
-			tr := cur.Transfer()
-			if tr.From == 0 || int(tr.From) >= n {
-				continue
-			}
-			refused := cur.Dropped() && cur.Kind() == simulate.LostKindRefused
-			switch res.Strategies[tr.From] {
-			case adversary.FreeRider:
-				if !refused {
-					return &Violation{
-						Tick: t, From: tr.From, To: tr.To,
-						Reason: "free-rider sent a block (its strategy must refuse every upload)",
-					}
-				}
-			case adversary.Defector:
-				done := res.ClientCompletion[tr.From]
-				if done > 0 && t > done && !refused {
-					return &Violation{
-						Tick: t, From: tr.From, To: tr.To,
-						Reason: fmt.Sprintf("defector uploaded after completing at tick %d", done),
-					}
-				}
-			case adversary.Throttler:
-				if refused {
+		for cur.NextSpan() {
+			sp := cur.Span()
+			refused := sp.Dropped && sp.Kind == simulate.LostKindRefused
+			for j, from := range sp.From {
+				u, v := int32(from), int32(sp.To[j])
+				if u == 0 || int(u) >= n {
 					continue
 				}
-				if last := lastAttempt[tr.From]; last > 0 && float64(t-last) < period {
-					return &Violation{
-						Tick: t, From: tr.From, To: tr.To,
-						Reason: fmt.Sprintf("throttler uploaded %d tick(s) after its previous upload at tick %d (period %g)", t-last, last, period),
+				switch res.Strategies[u] {
+				case adversary.FreeRider:
+					if !refused {
+						return &Violation{
+							Tick: t, From: u, To: v,
+							Reason: "free-rider sent a block (its strategy must refuse every upload)",
+						}
 					}
+				case adversary.Defector:
+					done := res.ClientCompletion[u]
+					if done > 0 && t > done && !refused {
+						return &Violation{
+							Tick: t, From: u, To: v,
+							Reason: fmt.Sprintf("defector uploaded after completing at tick %d", done),
+						}
+					}
+				case adversary.Throttler:
+					if refused {
+						continue
+					}
+					if last := lastAttempt[u]; last > 0 && float64(t-last) < period {
+						return &Violation{
+							Tick: t, From: u, To: v,
+							Reason: fmt.Sprintf("throttler uploaded %d tick(s) after its previous upload at tick %d (period %g)", t-last, last, period),
+						}
+					}
+					lastAttempt[u] = t
 				}
-				lastAttempt[tr.From] = t
 			}
 		}
 	}

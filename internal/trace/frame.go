@@ -11,7 +11,6 @@ import (
 const (
 	frameShift = 16
 	frameLen   = 1 << frameShift
-	frameMask  = frameLen - 1
 )
 
 // Per-column encoding modes inside a sealed frame. Each column of a
@@ -41,29 +40,42 @@ type frame struct {
 	off  [3]uint32
 }
 
-// Win is a reusable decode window over a Log: the three columns of one
-// sealed frame, unpacked. The zero value is ready; backing arrays are
-// allocated on first use, so consumers of small (never-sealed) logs pay
-// nothing. Each concurrent reader owns its Win — a Log is read-only
-// shared state during audits, the windows are the per-worker scratch.
+// Cols selects per-transfer columns for a Win or a Cursor.
+type Cols uint8
+
+// The three per-transfer columns.
+const (
+	ColFrom Cols = 1 << iota
+	ColTo
+	ColBlock
+
+	// AllCols selects every column; it is what a zero Win reads.
+	AllCols = ColFrom | ColTo | ColBlock
+)
+
+// Win is a reusable decode window over a Log: the columns of one sealed
+// frame that its reader asks for, unpacked. The zero value is ready and
+// reads all three columns; Only narrows it. A column's backing array is
+// allocated on its first decode, so consumers of small (never-sealed)
+// logs pay nothing. Each concurrent reader owns its Win — a Log is
+// read-only shared state during audits, the windows are the per-worker
+// scratch.
 type Win struct {
-	idx             int // decoded frame index; valid only when from != nil
-	from, to, block []uint32
+	idx  int         // decoded frame index; meaningful when have != 0
+	want Cols        // columns the reader asks for; 0 reads all
+	have Cols        // columns of frame idx decoded in col
+	col  [3][]uint32 // from, to, block
 }
 
-func (w *Win) ensure() {
-	if w.from == nil {
-		w.idx = -1
-		w.from = make([]uint32, frameLen)
-		w.to = make([]uint32, frameLen)
-		w.block = make([]uint32, frameLen)
-	}
-}
+// Only restricts w to the columns in cols: Window decodes only those and
+// returns nil for the others.
+func (w *Win) Only(cols Cols) { w.want = cols }
 
-func (w *Win) invalidate() {
-	if w.from != nil {
-		w.idx = -1
+func (w *Win) cols() Cols {
+	if w.want == 0 {
+		return AllCols
 	}
+	return w.want
 }
 
 // encScratch is the seal-time workspace: the frame assembly buffer and
@@ -122,30 +134,76 @@ func appendPacked(dst []byte, vals []uint32, shift, w uint) []byte {
 	return dst
 }
 
-// unpackInto decodes count w-bit values from src. When or is false it
-// stores v<<shift into dst; when or is true it ORs v<<shift into the
-// existing entries (the encSplit high-bits pass over RLE'd lows).
-func unpackInto(dst []uint32, src []byte, count int, shift, w uint, or bool) {
+// groupBytes is the span a group's loads may touch: eight w-bit values
+// fill exactly w ≤ 32 bytes, and a group's last 64-bit load starts at
+// most 7w/8 ≤ 28 bytes in.
+const groupBytes = 40
+
+// pairMaxWidth is the widest w at which one 64-bit load, shifted by up
+// to 7 bits, still holds two whole values.
+const pairMaxWidth = 28
+
+// unpack decodes count w-bit values (w in 1..32) packed LSB-first in
+// src, which holds at least (count·w+7)/8 bytes, into dst.
+//
+// Eight values fill exactly w bytes, so the kernel works a group at a
+// time, each group from a few 64-bit loads at fixed offsets from its
+// start: four loads of two values each up to pairMaxWidth, eight loads
+// of one above it. The last groups, whose loads would overrun src, are
+// copied into a zero-padded buffer and decoded from there.
+func unpack(dst []uint32, src []byte, count int, w uint) {
 	mask := uint64(1)<<w - 1
-	bitPos := 0
-	for i := 0; i < count; i++ {
-		byteOff := bitPos >> 3
-		sh := uint(bitPos & 7)
-		var chunk uint64
-		if byteOff+8 <= len(src) {
-			chunk = binary.LittleEndian.Uint64(src[byteOff:])
-		} else {
-			for k := len(src) - 1; k >= byteOff; k-- {
-				chunk = chunk<<8 | uint64(src[k])
-			}
+	i, p := 0, 0
+	if w <= pairMaxWidth {
+		for ; i+8 <= count && p+groupBytes <= len(src); i, p = i+8, p+int(w) {
+			d, g := (*[8]uint32)(dst[i:]), (*[groupBytes]byte)(src[p:])
+			x := binary.LittleEndian.Uint64(g[0:])
+			d[0], d[1] = uint32(x&mask), uint32(x>>w&mask)
+			b := 2 * w
+			x = binary.LittleEndian.Uint64(g[b>>3&31:]) >> (b & 7)
+			d[2], d[3] = uint32(x&mask), uint32(x>>w&mask)
+			b += 2 * w
+			x = binary.LittleEndian.Uint64(g[b>>3&31:]) >> (b & 7)
+			d[4], d[5] = uint32(x&mask), uint32(x>>w&mask)
+			b += 2 * w
+			x = binary.LittleEndian.Uint64(g[b>>3&31:]) >> (b & 7)
+			d[6], d[7] = uint32(x&mask), uint32(x>>w&mask)
 		}
-		v := uint32((chunk >> sh) & mask)
-		if or {
-			dst[i] |= v << shift
-		} else {
-			dst[i] = v << shift
+	}
+	for ; i+8 <= count && p+groupBytes <= len(src); i, p = i+8, p+int(w) {
+		unpackSingles((*[8]uint32)(dst[i:]), (*[groupBytes]byte)(src[p:]), w, mask)
+	}
+	var g [groupBytes]byte
+	var d [8]uint32
+	for ; i < count; i, p = i+8, p+int(w) {
+		clear(g[copy(g[:], src[p:]):])
+		unpackSingles(&d, &g, w, mask)
+		copy(dst[i:count], d[:])
+	}
+}
+
+// unpackSingles decodes the group in g's first w bytes into d, one
+// value per load; it handles every width.
+func unpackSingles(d *[8]uint32, g *[groupBytes]byte, w uint, mask uint64) {
+	for k := range uint(8) {
+		b := k * w
+		d[k] = uint32(binary.LittleEndian.Uint64(g[b>>3&31:]) >> (b & 7) & mask)
+	}
+}
+
+// unpackOr decodes count w-bit values like unpack and ORs each, shifted
+// left by shift, into dst: the encSplit high-bits pass over the RLE'd
+// low bits. It decodes 256 values at a time, a whole number of bytes,
+// into a buffer.
+func unpackOr(dst []uint32, src []byte, count int, shift, w uint) {
+	var buf [256]uint32
+	for i := 0; i < count; i += len(buf) {
+		hi := buf[:min(len(buf), count-i)]
+		unpack(hi, src[i/8*int(w):], len(hi), w)
+		lo := dst[i : i+len(hi)]
+		for j, v := range hi {
+			lo[j] |= v << (shift & 31)
 		}
-		bitPos += int(w)
 	}
 }
 
@@ -289,7 +347,7 @@ func decodeCol(dst []uint32, buf []byte, count int) (int, error) {
 		if len(buf)-pos < need {
 			return 0, corruptf("trace: raw column needs %d bytes, has %d", need, len(buf)-pos)
 		}
-		unpackInto(dst[:count], buf[pos:pos+need], count, 0, w, false)
+		unpack(dst, buf[pos:pos+need], count, w)
 		pos += need
 	case encDelta:
 		if pos >= len(buf) {
@@ -309,7 +367,7 @@ func decodeCol(dst []uint32, buf []byte, count int) (int, error) {
 		if len(buf)-pos < need {
 			return 0, corruptf("trace: delta column needs %d bytes, has %d", need, len(buf)-pos)
 		}
-		unpackInto(dst[1:count], buf[pos:pos+need], count-1, 0, w, false)
+		unpack(dst[1:], buf[pos:pos+need], count-1, w)
 		pos += need
 		cur := uint32(v0)
 		dst[0] = cur
@@ -347,10 +405,11 @@ func decodeCol(dst []uint32, buf []byte, count int) (int, error) {
 				return 0, corruptf("trace: split column run %d has bad length", r)
 			}
 			pos += k
-			for j := uint64(0); j < rl; j++ {
-				dst[at] = lo
-				at++
+			run := dst[at : at+int(rl)]
+			for j := range run {
+				run[j] = lo
 			}
+			at += int(rl)
 		}
 		if at != count {
 			return 0, corruptf("trace: split column runs cover %d of %d entries", at, count)
@@ -360,7 +419,7 @@ func decodeCol(dst []uint32, buf []byte, count int) (int, error) {
 			if len(buf)-pos < need {
 				return 0, corruptf("trace: split column needs %d high bytes, has %d", need, len(buf)-pos)
 			}
-			unpackInto(dst[:count], buf[pos:pos+need], count, lb, hiW, true)
+			unpackOr(dst, buf[pos:pos+need], count, lb, hiW)
 			pos += need
 		}
 	default:
@@ -390,21 +449,6 @@ func (l *Log) sealOpen() {
 	l.openBlock = l.openBlock[:0]
 }
 
-// decodeFrame unpacks sealed frame f into w. The data was either
-// produced by sealOpen or validated by Restore, so decode errors here
-// are impossible without unsafe mutation; they panic rather than
-// propagate.
-func (l *Log) decodeFrame(f int, w *Win) {
-	w.ensure()
-	fr := &l.frames[f]
-	for c, dst := range [3][]uint32{w.from, w.to, w.block} {
-		if _, err := decodeCol(dst, fr.data[fr.off[c]:], frameLen); err != nil {
-			panic("trace: sealed frame no longer decodes: " + err.Error())
-		}
-	}
-	w.idx = f
-}
-
 // reencodeFrame replaces sealed frame f's data with the (modified)
 // columns in w. Only the doctoring helpers (Set, TruncateTicks) use it.
 func (l *Log) reencodeFrame(f int, w *Win) {
@@ -414,7 +458,7 @@ func (l *Log) reencodeFrame(f int, w *Win) {
 	s := l.enc
 	s.buf = s.buf[:0]
 	var off [3]uint32
-	for c, col := range [3][]uint32{w.from, w.to, w.block} {
+	for c, col := range w.col {
 		off[c] = uint32(len(s.buf))
 		s.encodeCol(col)
 	}
@@ -432,18 +476,49 @@ func (l *Log) sealedLen() int { return len(l.frames) << frameShift }
 
 // Window positions w over global transfer index i and returns direct
 // decoded column views plus the window's [base, end) global span:
-// entry j of the returned slices is transfer base+j. For indices in
-// the open tail the views alias the raw tail columns. The views are
-// valid until w is repositioned or the Log is mutated. Concurrent
-// readers must use distinct Wins; the Log itself is never written.
+// entry j of the returned slices is transfer base+j. Columns w does not
+// ask for (Win.Only) come back nil. For indices in the open tail the
+// views alias the raw tail columns. The views are valid until w is
+// repositioned or the Log is mutated. Concurrent readers must use
+// distinct Wins; the Log itself is never written.
+//
+// Window is the one place a sealed frame is decoded. The data was
+// either produced by sealOpen or validated by Restore, so a decode
+// error here is impossible without unsafe mutation; it panics rather
+// than propagates.
 func (l *Log) Window(w *Win, i int) (from, to, block []uint32, base, end int) {
+	want := w.cols()
+	var cols [3][]uint32
 	if s := l.sealedLen(); i >= s {
-		return l.openFrom, l.openTo, l.openBlock, s, s + len(l.openFrom)
+		cols = [3][]uint32{l.openFrom, l.openTo, l.openBlock}
+		base, end = s, s+len(l.openFrom)
+	} else {
+		f := i >> frameShift
+		if w.idx != f {
+			w.idx, w.have = f, 0
+		}
+		if miss := want &^ w.have; miss != 0 {
+			fr := &l.frames[f]
+			for c := range w.col {
+				if miss&(1<<c) == 0 {
+					continue
+				}
+				if w.col[c] == nil {
+					w.col[c] = make([]uint32, frameLen)
+				}
+				if _, err := decodeCol(w.col[c], fr.data[fr.off[c]:], frameLen); err != nil {
+					panic("trace: sealed frame no longer decodes: " + err.Error())
+				}
+			}
+			w.have |= miss
+		}
+		cols = w.col
+		base, end = f<<frameShift, (f+1)<<frameShift
 	}
-	f := i >> frameShift
-	w.ensure()
-	if w.idx != f {
-		l.decodeFrame(f, w)
+	for c := range cols {
+		if want&(1<<c) == 0 {
+			cols[c] = nil
+		}
 	}
-	return w.from, w.to, w.block, f << frameShift, (f + 1) << frameShift
+	return cols[0], cols[1], cols[2], base, end
 }

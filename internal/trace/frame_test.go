@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -620,4 +621,266 @@ func TestEncodeColMatchesReference(t *testing.T) {
 		}
 		checkEncodeCol(t, "short", vals)
 	}
+}
+
+// referenceDecodeCol is the column decoder the word-group unpack
+// replaced, kept as the oracle for decodeCol: the same mode parsing and
+// corruption checks, with every bitpacked value read by its own
+// unaligned load (referenceUnpackInto).
+func referenceDecodeCol(dst []uint32, buf []byte, count int) (int, error) {
+	if len(buf) == 0 {
+		return 0, corruptf("trace: frame column truncated before mode byte")
+	}
+	mode := buf[0]
+	pos := 1
+	switch mode {
+	case encConst:
+		v, k := binary.Uvarint(buf[pos:])
+		if k <= 0 || v > 1<<32-1 {
+			return 0, corruptf("trace: bad const column value")
+		}
+		pos += k
+		for i := 0; i < count; i++ {
+			dst[i] = uint32(v)
+		}
+	case encRaw:
+		if pos >= len(buf) {
+			return 0, corruptf("trace: raw column truncated before width")
+		}
+		w := uint(buf[pos])
+		pos++
+		if w == 0 || w > 32 {
+			return 0, corruptf("trace: raw column width %d out of range", w)
+		}
+		need := (count*int(w) + 7) / 8
+		if len(buf)-pos < need {
+			return 0, corruptf("trace: raw column needs %d bytes, has %d", need, len(buf)-pos)
+		}
+		referenceUnpackInto(dst[:count], buf[pos:pos+need], count, 0, w, false)
+		pos += need
+	case encDelta:
+		if pos >= len(buf) {
+			return 0, corruptf("trace: delta column truncated before width")
+		}
+		w := uint(buf[pos])
+		pos++
+		if w == 0 || w > 32 {
+			return 0, corruptf("trace: delta column width %d out of range", w)
+		}
+		v0, k := binary.Uvarint(buf[pos:])
+		if k <= 0 || v0 > 1<<32-1 {
+			return 0, corruptf("trace: bad delta column base value")
+		}
+		pos += k
+		need := ((count-1)*int(w) + 7) / 8
+		if len(buf)-pos < need {
+			return 0, corruptf("trace: delta column needs %d bytes, has %d", need, len(buf)-pos)
+		}
+		referenceUnpackInto(dst[1:count], buf[pos:pos+need], count-1, 0, w, false)
+		pos += need
+		cur := uint32(v0)
+		dst[0] = cur
+		for i := 1; i < count; i++ {
+			z := dst[i]
+			cur += (z >> 1) ^ -(z & 1)
+			dst[i] = cur
+		}
+	case encSplit:
+		if pos+2 > len(buf) {
+			return 0, corruptf("trace: split column truncated before widths")
+		}
+		lb, hiW := uint(buf[pos]), uint(buf[pos+1])
+		pos += 2
+		if lb < 1 || lb > 4 || hiW > 32-lb {
+			return 0, corruptf("trace: split column widths lo=%d hi=%d out of range", lb, hiW)
+		}
+		runs, k := binary.Uvarint(buf[pos:])
+		if k <= 0 || runs < 1 || runs > uint64(count) {
+			return 0, corruptf("trace: split column has bad run count")
+		}
+		pos += k
+		at := 0
+		for r := uint64(0); r < runs; r++ {
+			if pos >= len(buf) {
+				return 0, corruptf("trace: split column truncated in run %d", r)
+			}
+			lo := uint32(buf[pos])
+			pos++
+			if lo >= 1<<lb {
+				return 0, corruptf("trace: split column run value %d exceeds %d bits", lo, lb)
+			}
+			rl, k := binary.Uvarint(buf[pos:])
+			if k <= 0 || rl < 1 || rl > uint64(count-at) {
+				return 0, corruptf("trace: split column run %d has bad length", r)
+			}
+			pos += k
+			for j := uint64(0); j < rl; j++ {
+				dst[at] = lo
+				at++
+			}
+		}
+		if at != count {
+			return 0, corruptf("trace: split column runs cover %d of %d entries", at, count)
+		}
+		if hiW > 0 {
+			need := (count*int(hiW) + 7) / 8
+			if len(buf)-pos < need {
+				return 0, corruptf("trace: split column needs %d high bytes, has %d", need, len(buf)-pos)
+			}
+			referenceUnpackInto(dst[:count], buf[pos:pos+need], count, lb, hiW, true)
+			pos += need
+		}
+	default:
+		return 0, corruptf("trace: unknown column encoding %d", mode)
+	}
+	return pos, nil
+}
+
+// referenceUnpackInto decodes count w-bit values from src, one
+// unaligned 64-bit load per value. When or is false it stores v<<shift
+// into dst; when or is true it ORs v<<shift into the existing entries.
+func referenceUnpackInto(dst []uint32, src []byte, count int, shift, w uint, or bool) {
+	mask := uint64(1)<<w - 1
+	bitPos := 0
+	for i := 0; i < count; i++ {
+		byteOff := bitPos >> 3
+		sh := uint(bitPos & 7)
+		var chunk uint64
+		if byteOff+8 <= len(src) {
+			chunk = binary.LittleEndian.Uint64(src[byteOff:])
+		} else {
+			for k := len(src) - 1; k >= byteOff; k-- {
+				chunk = chunk<<8 | uint64(src[k])
+			}
+		}
+		v := uint32((chunk >> sh) & mask)
+		if or {
+			dst[i] |= v << shift
+		} else {
+			dst[i] = v << shift
+		}
+		bitPos += int(w)
+	}
+}
+
+// checkDecodeCol decodes buf as a count-entry column with decodeCol and
+// with referenceDecodeCol, into destinations pre-filled with the same
+// garbage, and requires the same error text, the same bytes consumed
+// and, on success, the same destination slice — entries past count
+// included, so neither may write beyond the column.
+func checkDecodeCol(t testing.TB, name string, buf []byte, count int) error {
+	t.Helper()
+	got := make([]uint32, count+9)
+	want := make([]uint32, count+9)
+	for i := range got {
+		got[i] = 0xdeadbeef ^ uint32(i)*0x9E3779B9
+		want[i] = got[i]
+	}
+	n, err := decodeCol(got, buf, count)
+	wn, werr := referenceDecodeCol(want, buf, count)
+	if fmt.Sprint(err) != fmt.Sprint(werr) {
+		t.Fatalf("%s: decodeCol error %v, reference %v", name, err, werr)
+	}
+	if err != nil {
+		return err
+	}
+	if n != wn {
+		t.Fatalf("%s: decodeCol consumed %d bytes, reference %d", name, n, wn)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: entry %d of %d = %#x, reference %#x", name, i, count, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// decodeCounts are the column lengths the decoder tests cover: each
+// side of one and two eight-value groups, and a full frame and one
+// short of it.
+var decodeCounts = []int{1, 7, 8, 9, 15, 16, 17, frameLen - 1, frameLen}
+
+// TestDecodeColMatchesReference builds raw, delta and split columns by
+// hand at every bit width (split: every high width from 0, so the OR
+// pass runs at every width) and every length in decodeCounts, and
+// requires decodeCol to match the per-value reference decoder value
+// for value, with trailing bytes after the column and with its last
+// byte cut off.
+func TestDecodeColMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	vals := make([]uint32, frameLen)
+	check := func(name string, buf []byte, count int) {
+		t.Helper()
+		if err := checkDecodeCol(t, name, append(buf, 0xa5, 0x5a, 0xff), count); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := checkDecodeCol(t, name+" cut", buf[:len(buf)-1], count); err == nil {
+			t.Fatalf("%s: decoded with its last byte cut", name)
+		}
+	}
+	for w := uint(1); w <= 32; w++ {
+		for _, count := range decodeCounts {
+			for i := range vals[:count] {
+				vals[i] = uint32(rng.Uint64() & (1<<w - 1))
+			}
+			vals[0] = uint32(1<<w - 1) // the width's top bit is set
+			raw := appendPacked([]byte{encRaw, byte(w)}, vals[:count], 0, w)
+			check(fmt.Sprintf("raw w=%d n=%d", w, count), raw, count)
+			if count > 1 {
+				delta := appendUvarint([]byte{encDelta, byte(w)}, uint64(rng.Uint32()))
+				delta = appendPacked(delta, vals[1:count], 0, w)
+				check(fmt.Sprintf("delta w=%d n=%d", w, count), delta, count)
+			}
+		}
+	}
+	for lb := uint(1); lb <= 4; lb++ {
+		for hiW := uint(0); hiW <= 32-lb; hiW++ {
+			for _, count := range decodeCounts {
+				buf := appendUvarint([]byte{encSplit, byte(lb), byte(hiW)}, 0)
+				runs := 0
+				for at := 0; at < count; runs++ {
+					lo, rl := uint32(rng.Intn(1<<lb)), 1+rng.Intn(min(count-at, 300))
+					buf = append(buf, byte(lo))
+					buf = appendUvarint(buf, uint64(rl))
+					for j := 0; j < rl; j++ {
+						vals[at+j] = lo | uint32(rng.Uint64()&(1<<hiW-1))<<lb
+					}
+					at += rl
+				}
+				// The run count was written as one byte; rewrite it.
+				head := appendUvarint([]byte{encSplit, byte(lb), byte(hiW)}, uint64(runs))
+				buf = append(head, buf[4:]...)
+				if hiW > 0 {
+					buf = appendPacked(buf, vals[:count], lb, hiW)
+				}
+				check(fmt.Sprintf("split lb=%d hi=%d n=%d", lb, hiW, count), buf, count)
+			}
+		}
+	}
+}
+
+// FuzzDecodeCol feeds arbitrary bytes to decodeCol and to the
+// per-value reference decoder. The first two bytes pick the column
+// length (1 to frameLen); the rest is the column. Both must return the
+// same error text and bytes consumed and, on success, the same values.
+func FuzzDecodeCol(f *testing.F) {
+	f.Add([]byte{0, 0, encConst, 7})
+	f.Add([]byte{16, 0, encRaw, 5, 0xff, 0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde, 0xf0, 0x11})
+	f.Add([]byte{8, 0, encDelta, 3, 40, 0x91, 0x22, 0x7f})
+	f.Add([]byte{9, 0, encSplit, 2, 3, 2, 1, 4, 3, 6, 0xaa, 0xbb, 0xcc, 0xdd})
+	f.Add([]byte{0xff, 0xff, encRaw, 32})
+	s := newEncScratch()
+	col := make([]uint32, 300)
+	for i := range col {
+		col[i] = uint32(i/37%8) + 8*uint32(i*i%1000)
+	}
+	s.encodeCol(col)
+	f.Add(append([]byte{byte(len(col) - 1), byte((len(col) - 1) >> 8)}, s.buf...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		count := 1 + int(binary.LittleEndian.Uint16(data))%frameLen
+		checkDecodeCol(t, "fuzzed", data[2:], count)
+	})
 }

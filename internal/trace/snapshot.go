@@ -122,12 +122,11 @@ func restoreV2(dec *checkpoint.Decoder) (*Log, error) {
 	// Decode every frame completely: the column payloads must parse,
 	// consume the frame's bytes exactly, and carry tick-range metadata
 	// consistent with tickEnd.
-	var w Win
-	w.ensure()
+	dst := make([]uint32, frameLen)
 	for f := range l.frames {
 		fr := &l.frames[f]
 		pos := 0
-		for c, dst := range [3][]uint32{w.from, w.to, w.block} {
+		for c := range fr.off {
 			fr.off[c] = uint32(pos)
 			n, err := decodeCol(dst, fr.data[pos:], frameLen)
 			if err != nil {

@@ -44,11 +44,11 @@
 // # Adding a column
 //
 // New per-transfer attributes get their own column appended in
-// AppendTick and exposed through a Cursor accessor; per-tick
-// attributes get a raw []T column indexed by tick. Keep columns
-// parallel (same length invariants as from/to/block) and extend
-// Reserve with the new column; a per-transfer column that matters at
-// scale gets its own frame encoding in frame.go.
+// AppendTick, a Cols bit, and a Span field; per-tick attributes get a
+// raw []T column indexed by tick. Keep columns parallel (same length
+// invariants as from/to/block) and extend Reserve with the new column;
+// a per-transfer column that matters at scale gets its own frame
+// encoding in frame.go.
 package trace
 
 import "fmt"
@@ -245,44 +245,27 @@ func (l *Log) Kinded() bool { return l.kinded }
 // are decoded through the Log's shared window, so At is for
 // single-goroutine use; concurrent readers take a Cursor or Window.
 func (l *Log) At(i int) Transfer {
-	if s := l.sealedLen(); i >= s {
-		j := i - s
-		return Transfer{From: int32(l.openFrom[j]), To: int32(l.openTo[j]), Block: int32(l.openBlock[j])}
-	}
 	if l.win == nil {
 		l.win = &Win{}
 	}
-	f := i >> frameShift
-	if l.win.from == nil || l.win.idx != f {
-		l.decodeFrame(f, l.win)
-	}
-	j := i & frameMask
-	return Transfer{From: int32(l.win.from[j]), To: int32(l.win.to[j]), Block: int32(l.win.block[j])}
+	from, to, block, base, _ := l.Window(l.win, i)
+	j := i - base
+	return Transfer{From: int32(from[j]), To: int32(to[j]), Block: int32(block[j])}
 }
 
 // Set overwrites transfer i. It exists for the audit tests, which
 // doctor recorded traces to prove the auditors catch tampering; a Set
 // inside a sealed frame re-encodes that frame.
 func (l *Log) Set(i int, tr Transfer) {
-	if s := l.sealedLen(); i >= s {
-		j := i - s
-		l.openFrom[j] = uint32(tr.From)
-		l.openTo[j] = uint32(tr.To)
-		l.openBlock[j] = uint32(tr.Block)
-		return
-	}
 	if l.win == nil {
 		l.win = &Win{}
 	}
-	f := i >> frameShift
-	if l.win.from == nil || l.win.idx != f {
-		l.decodeFrame(f, l.win)
+	from, to, block, base, _ := l.Window(l.win, i)
+	j := i - base
+	from[j], to[j], block[j] = uint32(tr.From), uint32(tr.To), uint32(tr.Block)
+	if i < l.sealedLen() {
+		l.reencodeFrame(i>>frameShift, l.win)
 	}
-	j := i & frameMask
-	l.win.from[j] = uint32(tr.From)
-	l.win.to[j] = uint32(tr.To)
-	l.win.block[j] = uint32(tr.Block)
-	l.reencodeFrame(f, l.win)
 }
 
 // TruncateTicks discards every tick at or after t (0-based), keeping
@@ -305,16 +288,15 @@ func (l *Log) TruncateTicks(t int) {
 		l.openTo = l.openTo[:keep]
 		l.openBlock = l.openBlock[:keep]
 	} else {
-		f := n >> frameShift
 		var w Win
-		l.decodeFrame(f, &w)
-		keep := n & frameMask
-		l.frames = l.frames[:f]
-		l.openFrom = append(l.openFrom[:0], w.from[:keep]...)
-		l.openTo = append(l.openTo[:0], w.to[:keep]...)
-		l.openBlock = append(l.openBlock[:0], w.block[:keep]...)
+		from, to, block, base, _ := l.Window(&w, n)
+		keep := n - base
+		l.frames = l.frames[:n>>frameShift]
+		l.openFrom = append(l.openFrom[:0], from[:keep]...)
+		l.openTo = append(l.openTo[:0], to[:keep]...)
+		l.openBlock = append(l.openBlock[:0], block[:keep]...)
 		if l.win != nil {
-			l.win.invalidate()
+			l.win.have = 0
 		}
 	}
 	l.tickEnd = l.tickEnd[:t]
@@ -424,15 +406,33 @@ func (l *Log) Cursor() *Cursor { return &Cursor{l: l, t: -1} }
 // unkinded logs the released view is the full trace.
 func (l *Log) ReleasedCursor() *Cursor { return &Cursor{l: l, t: -1, released: true} }
 
-// Cursor streams a Log tick by tick, transfer by transfer. Usage:
+// Span is a run of consecutive transfers of one tick, as column slices
+// into the cursor's decode window: entry j is the transfer at tick-local
+// index Index+j. A span never crosses a frame boundary or a drop; a
+// dropped transfer is a span of its own. Columns the cursor was not
+// asked for (Cursor.Only) are nil. The slices are valid until the
+// cursor moves on.
+type Span struct {
+	From, To, Block []uint32
+	Index           int
+	Dropped         bool
+	Kind            uint8 // the drop's kind; KindFault unless Dropped in a kinded log
+}
+
+// Cursor streams a Log tick by tick, a span at a time:
 //
 //	c := log.Cursor()
 //	for c.NextTick() {
-//		for c.Next() {
-//			tr := c.Transfer()
-//			if c.Dropped() { ... c.Kind() ... }
+//		for c.NextSpan() {
+//			s := c.Span()
+//			for j, u := range s.From { ... s.To[j] ... }
+//			if s.Dropped { ... s.Kind ... }
 //		}
 //	}
+//
+// Next and Transfer step through the same spans one transfer at a time,
+// for readers that want a Transfer value. A tick is read either by
+// spans or by Next, not both.
 //
 // A cursor is single-use and must not outlive mutation of the Log.
 // Each cursor owns its decode window, so any number of cursors may
@@ -444,13 +444,20 @@ type Cursor struct {
 	t          int // current tick, 0-based; -1 before NextTick
 	start, end int // transfer span of current tick
 	di, de     int // dropPos span: next candidate drop, tick end
-	i          int // next transfer to visit
+	i          int // next transfer not yet in a span
 
-	cur     int // current transfer (global index)
-	dropped bool
-	kind    uint8
+	span Span
+	n, j int // span length; Next's position in it
 
 	win Win // per-cursor decode window over sealed frames
+}
+
+// Only restricts the cursor to the columns in cols, so sealed frames
+// decode nothing else; the other Span columns read nil, and Transfer
+// needs all three. It returns c.
+func (c *Cursor) Only(cols Cols) *Cursor {
+	c.win.Only(cols)
+	return c
 }
 
 // NextTick advances to the next tick, returning false past the end.
@@ -463,7 +470,7 @@ func (c *Cursor) NextTick() bool {
 	c.start, c.end = c.l.TickSpan(c.t)
 	c.di, c.de = c.l.dropSpan(c.t)
 	c.i = c.start
-	c.cur = -1
+	c.n, c.j = 0, -1
 	return true
 }
 
@@ -474,53 +481,82 @@ func (c *Cursor) Tick() int { return c.t + 1 }
 // tick (including ones a released cursor will skip).
 func (c *Cursor) TickLen() int { return c.end - c.start }
 
-// Next advances to the next transfer within the current tick.
-func (c *Cursor) Next() bool {
+// NextSpan advances to the next span of the current tick, returning
+// false past the tick's end. A released cursor skips the drops its view
+// excludes.
+func (c *Cursor) NextSpan() bool {
 	for c.i < c.end {
 		i := c.i
-		c.i++
-		dropped, kind := false, KindFault
 		if c.di < c.de && int(c.l.dropPos[c.di]) == i {
-			dropped = true
+			kind := KindFault
 			if c.l.kinded {
 				kind = c.l.kindAt(c.di)
 			}
 			c.di++
+			c.i++
+			if c.released && kind >= KindRefused {
+				continue // never released by the sender
+			}
+			c.setSpan(i, i+1, true, kind)
+			return true
 		}
-		if c.released && dropped && kind >= KindRefused {
-			continue // never released by the sender
+		stop := c.end
+		if c.di < c.de {
+			stop = min(stop, int(c.l.dropPos[c.di]))
 		}
-		c.cur, c.dropped, c.kind = i, dropped, kind
+		c.setSpan(i, stop, false, KindFault)
 		return true
 	}
 	return false
 }
 
+// setSpan makes the transfers [i, stop) the current span, cut short at
+// the end of i's frame, and moves the cursor past them.
+func (c *Cursor) setSpan(i, stop int, dropped bool, kind uint8) {
+	from, to, block, base, end := c.l.Window(&c.win, i)
+	stop = min(stop, end)
+	cut := func(col []uint32) []uint32 {
+		if col == nil {
+			return nil
+		}
+		return col[i-base : stop-base]
+	}
+	c.span = Span{From: cut(from), To: cut(to), Block: cut(block), Index: i - c.start, Dropped: dropped, Kind: kind}
+	c.i = stop
+	c.n, c.j = stop-i, -1
+}
+
+// Span returns the current span.
+func (c *Cursor) Span() Span { return c.span }
+
+// Next advances to the next transfer within the current tick.
+func (c *Cursor) Next() bool {
+	if c.j+1 < c.n {
+		c.j++
+		return true
+	}
+	if !c.NextSpan() {
+		return false
+	}
+	c.j = 0
+	return true
+}
+
 // Transfer returns the current transfer.
 func (c *Cursor) Transfer() Transfer {
-	l := c.l
-	i := c.cur
-	if s := l.sealedLen(); i >= s {
-		j := i - s
-		return Transfer{From: int32(l.openFrom[j]), To: int32(l.openTo[j]), Block: int32(l.openBlock[j])}
-	}
-	f := i >> frameShift
-	if c.win.from == nil || c.win.idx != f {
-		l.decodeFrame(f, &c.win)
-	}
-	j := i & frameMask
-	return Transfer{From: int32(c.win.from[j]), To: int32(c.win.to[j]), Block: int32(c.win.block[j])}
+	s, j := &c.span, c.j
+	return Transfer{From: int32(s.From[j]), To: int32(s.To[j]), Block: int32(s.Block[j])}
 }
 
 // Index returns the current transfer's local index within its tick.
-func (c *Cursor) Index() int { return c.cur - c.start }
+func (c *Cursor) Index() int { return c.span.Index + c.j }
 
 // Dropped reports whether the current transfer never delivered.
-func (c *Cursor) Dropped() bool { return c.dropped }
+func (c *Cursor) Dropped() bool { return c.span.Dropped }
 
 // Kind returns the current transfer's drop kind; meaningful only when
 // Dropped() is true and the log is kinded (KindFault otherwise).
-func (c *Cursor) Kind() uint8 { return c.kind }
+func (c *Cursor) Kind() uint8 { return c.span.Kind }
 
 // FromTicks builds a Log from the nested representation: per-tick
 // transfer lists, per-tick drop index lists (local, strictly
