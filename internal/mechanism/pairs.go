@@ -78,7 +78,7 @@ func (t *pairTable) add(key uint64, d int32) int {
 	i := t.find(key)
 	if t.slots[i].lo == 0 {
 		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
-			t.grow()
+			t.resize(2 * len(t.slots))
 			i = t.find(key)
 		}
 		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
@@ -98,9 +98,22 @@ func (t *pairTable) book(u, v, d int32) int {
 	return t.add(key, d)
 }
 
-func (t *pairTable) grow() {
+// reserve grows the table, if it must, so that n more pairs fit under
+// the load cap with no further growth.
+func (t *pairTable) reserve(n int) {
+	slots := max(len(t.slots), minSlots)
+	for (t.count+n)*maxLoadDen > slots*maxLoadNum {
+		slots *= 2
+	}
+	if slots != len(t.slots) {
+		t.resize(slots)
+	}
+}
+
+// resize moves every pair into a table of the given number of slots.
+func (t *pairTable) resize(slots int) {
 	old := t.slots
-	t.alloc(2 * len(old))
+	t.alloc(slots)
 	for _, s := range old {
 		if s.lo != 0 {
 			t.slots[t.find(s.key())] = s
@@ -150,8 +163,8 @@ func (o *overLimit) violation(reason string) *Violation {
 // probing the table again. A pair booked twice in a tick appears twice.
 // Every entry of a pair reads the same end-of-tick balance, so the first
 // entry over the limit belongs to the pair that, among those over it,
-// the tick touched first. When the table grows mid-tick its slots move,
-// and the tick's earlier entries are found again in the new layout.
+// the tick touched first. Slots move when the table grows, so the walk
+// reserves room for every transfer of a tick before it books any.
 func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int, toEnd bool) (*overLimit, int) {
 	cur.Only(trace.ColFrom | trace.ColTo)
 	var pairs pairTable
@@ -160,6 +173,7 @@ func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int, toEnd bool) (*o
 	peak := 0
 	for cur.NextTick() {
 		touched = touched[:0]
+		pairs.reserve(cur.TickLen())
 		for cur.NextSpan() {
 			sp := cur.Span()
 			if freeRiders != nil && sp.Dropped {
@@ -174,14 +188,7 @@ func creditWalk(cur *trace.Cursor, freeRiders []bool, limit int, toEnd bool) (*o
 				if freeRiders != nil && !flagged(freeRiders, u) && !flagged(freeRiders, v) {
 					continue
 				}
-				slots := pairs.slots // the layout touched's slots index
-				slot := pairs.book(u, v, 1)
-				if len(pairs.slots) != len(slots) {
-					for k, old := range touched {
-						touched[k] = pairs.find(slots[old].key())
-					}
-				}
-				touched = append(touched, slot)
+				touched = append(touched, pairs.book(u, v, 1))
 			}
 		}
 		for _, slot := range touched {

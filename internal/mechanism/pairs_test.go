@@ -105,6 +105,31 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestPairTableReserve checks that after reserve(n) the table takes n
+// new pairs without growing, so the slots a credit walk records during
+// a tick stay put, and that a table already large enough is left alone.
+func TestPairTableReserve(t *testing.T) {
+	var p pairTable
+	for _, n := range []int{1, 14, 15, 100, 1000, 5000} {
+		p.reserve(n)
+		slots := len(p.slots)
+		for i := 0; i < n; i++ {
+			p.book(int32(1+p.count), int32(2+p.count), 1)
+		}
+		if len(p.slots) != slots {
+			t.Fatalf("after reserve(%d), %d new pairs grew the table from %d to %d slots", n, n, slots, len(p.slots))
+		}
+		if p.count*maxLoadDen > len(p.slots)*maxLoadNum {
+			t.Fatalf("%d pairs in %d slots exceeds the load cap", p.count, len(p.slots))
+		}
+	}
+	slots := len(p.slots)
+	p.reserve(0)
+	if len(p.slots) != slots {
+		t.Fatalf("reserve(0) resized the table from %d to %d slots", slots, len(p.slots))
+	}
+}
+
 func TestLedgerMaxAbsNet(t *testing.T) {
 	l, err := NewLedger(1)
 	if err != nil {
@@ -197,10 +222,9 @@ func TestLedgerRestoreRejectsCorruption(t *testing.T) {
 // TestCreditWalkMatchesMapReference checks creditWalk's slot-indexed
 // touched list against a map-backed walk that looks every pair up
 // again at the tick end. The first tick books the pair 1->2 twice and
-// then enough new pairs to grow the table several times, so the pair's
-// slot moves before the tick-end check reads it. Random ticks of up to
-// 300 transfers over 60 nodes, the server included, then grow the
-// table in the middle of later ticks. Every limit must give the same
+// then enough new pairs to need several table doublings, which the walk
+// reserves before the tick. Random ticks of up to 300 transfers over 60
+// nodes, the server included, follow. Every limit must give the same
 // verdict text, and the walk the same peak.
 func TestCreditWalkMatchesMapReference(t *testing.T) {
 	first := []simulate.Transfer{{From: 1, To: 2}, {From: 1, To: 2}}
