@@ -4,11 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"barterdist/internal/adversary"
 	"barterdist/internal/arrival"
+	"barterdist/internal/checkpoint"
 	"barterdist/internal/fault"
+	"barterdist/internal/randomized"
 )
 
 // goldenFingerprints pins the sha256 of the schedule fingerprint for a
@@ -21,11 +24,19 @@ import (
 //
 //	CDGOLD_UPDATE=1 go test ./internal/core -run TestScheduleFingerprintGolden -v
 var goldenFingerprints = map[string]string{
-	"randomized+fault":           "34fa4088d016badf1fa155485bc3d0f37b3dce1e92b37817093c89354fdcbbcc",
-	"triangular+adversary":       "191e045fd5ca22360948eea8f3d75480f86cd00daeba0db31ec0a59cc5128010",
-	"randomized+credit+shard":    "e99ad9731923696b7d0ee1407c39fda3cf4592ee709276fab9f54ddcfd233dd4",
-	"open-system+churn":          "4f5e7a540654ff734aaf086523685a28277954b3e62f675a50556720ed7cc42b",
-	"binomial-pipeline+selfheal": "7d5f593de0fd4a8a0f5479a597d299b5ef3d59ce5c948ac5b8e64696a1d1b2b2",
+	"randomized+fault":            "34fa4088d016badf1fa155485bc3d0f37b3dce1e92b37817093c89354fdcbbcc",
+	"triangular+adversary":        "191e045fd5ca22360948eea8f3d75480f86cd00daeba0db31ec0a59cc5128010",
+	"randomized+credit+shard":     "e99ad9731923696b7d0ee1407c39fda3cf4592ee709276fab9f54ddcfd233dd4",
+	"open-system+churn":           "4f5e7a540654ff734aaf086523685a28277954b3e62f675a50556720ed7cc42b",
+	"binomial-pipeline+selfheal":  "7d5f593de0fd4a8a0f5479a597d299b5ef3d59ce5c948ac5b8e64696a1d1b2b2",
+	"triangular+rarest+regular":   "a3a62f930648184b3882c6e15b6380c5ce8ad197a0f25dbf6a54b07e074f6f78",
+	"triangular+local+regular":    "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
+	"triangular+cycle2":           "98303ba1188c73fbd5bee0e5cff2e244e0b4b5f217caa0c5e65c6505281ef4de",
+	"triangular+cycle4":           "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
+	"triangular+shard3+cap2":      "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
+	"triangular+regular+faults":   "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
+	"triangular+open":             "a8a3d14237b2f4ac6071cbf5ec72b3c3136ce28e0d3504632be353576901b104",
+	"hypercube+verify-triangular": "ce0044921c099d4d7aafed84c135affcd01411f066add102f4c1ecaedcc12a79",
 }
 
 func goldenScenario(name string) Config {
@@ -56,6 +67,40 @@ func goldenScenario(name string) Config {
 	case "binomial-pipeline+selfheal":
 		return Config{Nodes: 18, Blocks: 9, Algorithm: AlgoBinomialPipeline,
 			Seed: 5, Fault: faultOpts}
+	case "triangular+rarest+regular":
+		return Config{Nodes: 40, Blocks: 16, Algorithm: AlgoTriangular,
+			Overlay: OverlayRandomRegular, Degree: 8, Policy: randomized.RarestFirst,
+			CreditLimit: 1, Seed: 3}
+	case "triangular+local+regular":
+		return Config{Nodes: 36, Blocks: 12, Algorithm: AlgoTriangular,
+			Overlay: OverlayRandomRegular, Degree: 10, Policy: randomized.LocalRare,
+			CreditLimit: 1, Seed: 21}
+	case "triangular+cycle2":
+		return Config{Nodes: 32, Blocks: 12, Algorithm: AlgoTriangular,
+			Overlay: OverlayRandomRegular, Degree: 12, CreditLimit: 1,
+			CycleLimit: 2, Seed: 8}
+	case "triangular+cycle4":
+		return Config{Nodes: 32, Blocks: 12, Algorithm: AlgoTriangular,
+			Overlay: OverlayRandomRegular, Degree: 6, CreditLimit: 2,
+			CycleLimit: 4, Seed: 8}
+	case "triangular+shard3+cap2":
+		return Config{Nodes: 48, Blocks: 16, Algorithm: AlgoTriangular,
+			Policy: randomized.RarestFirst, CreditLimit: 1, DownloadCap: 2,
+			ShardWorkers: 3, Seed: 31}
+	case "triangular+regular+faults":
+		return Config{Nodes: 30, Blocks: 12, Algorithm: AlgoTriangular,
+			Overlay: OverlayRandomRegular, Degree: 10, Policy: randomized.RarestFirst,
+			CreditLimit: 2, Seed: 44, Fault: faultOpts, Adversary: advOpts}
+	case "triangular+open":
+		return Config{Nodes: 41, Blocks: 8, Algorithm: AlgoTriangular,
+			CreditLimit: 1, Seed: 29,
+			Arrivals: &arrival.Options{
+				Seed: 6, Rate: 1.5, EarlyExit: 0.2, Linger: 3,
+			}}
+	case "hypercube+verify-triangular":
+		return Config{Nodes: 32, Blocks: 16, Algorithm: AlgoTriangular,
+			Overlay: OverlayHypercube, CreditLimit: 2, Seed: 12,
+			Verify: MechanismTriangular}
 	}
 	panic("unknown golden scenario " + name)
 }
@@ -83,6 +128,47 @@ func TestScheduleFingerprintGolden(t *testing.T) {
 				t.Fatalf("schedule fingerprint drifted:\n got %s\nwant %s\n"+
 					"(representation changes must not move the draw sequence; "+
 					"re-baseline only with CDGOLD_UPDATE=1 and a sanctioned reason)", got, want)
+			}
+		})
+	}
+}
+
+// goldenCheckpoints pins the sha256 of the last checkpoint file a
+// golden scenario writes at Every: 5. The file holds the scheduler's
+// serialized state (lane streams, ledger, quarantine table, rarity
+// counts) next to the engine's, so a refactor of the triangular
+// scheduler that keeps the schedule but moves its state or draws shows
+// here. Regenerate only with the fingerprints above.
+var goldenCheckpoints = map[string]string{
+	"triangular+adversary":      "0fa136de872b1f0011654d8ea90156b51831556728a6a9361f8321f7fd611616",
+	"triangular+regular+faults": "0ced5138baf4a1b4b86378fd5c421bd3e9bee1de9e12c82b730e2f96cd98dcb5",
+}
+
+func TestCheckpointBytesGolden(t *testing.T) {
+	update := os.Getenv("CDGOLD_UPDATE") != ""
+	for name, want := range goldenCheckpoints {
+		name, want := name, want
+		t.Run(name, func(t *testing.T) {
+			cfg := goldenScenario(name)
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			cfg.Checkpoint = &checkpoint.Policy{Path: path, Every: 5}
+			if _, err := Run(cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			got := hex.EncodeToString(sum[:])
+			if update || want == "" {
+				t.Logf("goldenCheckpoints[%q] = %q", name, got)
+				if want == "" {
+					t.Skip("golden hash not recorded yet")
+				}
+			}
+			if got != want {
+				t.Fatalf("checkpoint bytes drifted:\n got %s\nwant %s", got, want)
 			}
 		})
 	}
