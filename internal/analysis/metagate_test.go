@@ -50,7 +50,7 @@ func TestCdvetModuleClean(t *testing.T) {
 	const mod = "barterdist"
 	mustName := []string{
 		"(*" + mod + "/internal/randomized.Scheduler).pickBlock",
-		"(*" + mod + "/internal/randomized.TriangularScheduler).pickBlockFor",
+		"(*" + mod + "/internal/randomized.TriangularScheduler).pickIntent",
 		"(*" + mod + "/internal/bt.Protocol).rarestNeeded",
 		"(*" + mod + "/internal/asim.AsyncRandomized).pickBlock",
 		"(*" + mod + "/internal/mechanism.Ledger).CanSend",

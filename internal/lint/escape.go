@@ -72,6 +72,9 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).laneRes",
 	"(*MOD/internal/randomized.Scheduler).blockInFlight",
 	"(*MOD/internal/randomized.Scheduler).blockInFlightGlobal",
+	"(*MOD/internal/randomized.Scheduler).proposeRound",
+	"(*MOD/internal/randomized.Scheduler).mergeLane",
+	"(*MOD/internal/randomized.lane).reserve",
 	"MOD/internal/randomized.mix64",
 	"MOD/internal/randomized.prioBase",
 	// incremental eligibility index (the O(n) scan replacement)
@@ -82,13 +85,11 @@ var defaultEscapeGateTemplates = []string{
 	// shard decomposition helpers on the lane path
 	"MOD/internal/shard.Of",
 	"MOD/internal/shard.Shuffle32",
-	// triangular scheduler
+	// triangular settlement layer (the rest of its tick is the
+	// Scheduler's, gated above)
 	"(*MOD/internal/randomized.TriangularScheduler).Tick",
 	"(*MOD/internal/randomized.TriangularScheduler).pickIntent",
-	"(*MOD/internal/randomized.TriangularScheduler).needs",
-	"(*MOD/internal/randomized.TriangularScheduler).pickBlockFor",
 	"(*MOD/internal/randomized.TriangularScheduler).findCycle",
-	"(*MOD/internal/randomized.TriangularScheduler).settleLedger",
 	"(*MOD/internal/randomized.TriangularScheduler).runIntentLane",
 	"(*MOD/internal/randomized.TriangularScheduler).proposeIntent",
 	// bt protocol

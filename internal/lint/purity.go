@@ -161,7 +161,6 @@ var defaultPairingRootTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).pickReceiverComplete",
 	"(*MOD/internal/randomized.Scheduler).pickBlock",
 	"(*MOD/internal/randomized.TriangularScheduler).pickIntent",
-	"(*MOD/internal/randomized.TriangularScheduler).pickBlockFor",
 	"(*MOD/internal/bt.Protocol).NextUpload",
 	"(*MOD/internal/asim.AsyncRandomized).NextUpload",
 	// The sharded tick's concurrent roots: one lane job per logical

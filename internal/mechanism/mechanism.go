@@ -236,68 +236,123 @@ func logCursor(l *trace.Log, released bool) *trace.Cursor {
 // w→u) settle instantly and cost no credit; every remaining transfer
 // charges the sender's per-pair balance, which must stay within s.
 //
-// Cycle cancellation is greedy — 2-cycles first, then 3-cycles — which
-// matches the enforceable handshake the paper sketches (a node agrees to
-// a triangle before transmitting, so cycles are explicit, not found by
-// an optimizer). Cancellation and the credit sweep both run in the
-// canonical first-appearance order of each tick's directed edges (with
-// 3-cycle third parties tried in ascending node id), so the verdict and
-// the reported violation are deterministic, not an artifact of map
-// iteration.
+// Each tick is settled by Settlement, whose greedy, first-appearance
+// cancellation matches the enforceable handshake the paper sketches (a
+// node agrees to a triangle before transmitting, so cycles are
+// explicit, not found by an optimizer). The credit sweep runs in the
+// same order, so the verdict and the reported violation are
+// deterministic, not an artifact of map iteration.
 func VerifyTriangular(cur *trace.Cursor, s int) error {
 	if s < 1 {
 		return fmt.Errorf("mechanism: credit limit %d must be >= 1", s)
 	}
 	var pairs pairTable
-	count := make(map[uint64]int) // count[u<<32|v] = remaining uncancelled u -> v this tick
-	outs := make(map[int32][]int32)
-	var edges []uint64   // this tick's directed edges, first-appearance order
+	var tick Settlement
 	var touched []uint64 // this tick's charged pairs, charge order
-	var thirds []int32
+	charge := func(u, v int32, c int) {
+		pairs.book(u, v, int32(c))
+		pk, _ := pairKey(u, v)
+		touched = append(touched, pk)
+	}
 	cur.Only(trace.ColFrom | trace.ColTo)
 	for cur.NextTick() {
-		t := cur.Tick()
-		clear(count)
-		clear(outs)
-		edges = edges[:0]
+		tick.Reset()
 		touched = touched[:0]
 		for cur.NextSpan() {
 			sp := cur.Span()
 			to := sp.To[:len(sp.From)]
 			for j, u := range sp.From {
-				v := to[j]
-				if u == 0 || v == 0 {
-					continue
-				}
-				key := uint64(u)<<32 | uint64(v)
-				if count[key] == 0 {
-					edges = append(edges, key)
-					outs[int32(u)] = append(outs[int32(u)], int32(v))
-				}
-				count[key]++
+				tick.Add(int32(u), int32(to[j]))
 			}
 		}
-		dir := func(u, v int32) uint64 { return uint64(uint32(u))<<32 | uint64(uint32(v)) }
-		// Cancel 2-cycles.
-		for _, key := range edges {
-			u, v := int32(key>>32), int32(uint32(key))
-			rev := dir(v, u)
-			for count[key] > 0 && count[rev] > 0 {
-				count[key]--
-				count[rev]--
+		tick.Settle(3, charge)
+		for _, pk := range touched {
+			if n := int(pairs.get(pk)); n > s || -n > s {
+				u, v := int32(pk>>32), int32(uint32(pk))
+				if n < 0 {
+					u, v = v, u
+					n = -n
+				}
+				return &Violation{
+					Tick: cur.Tick(), From: u, To: v,
+					Reason: fmt.Sprintf("net non-cycle transfer %d exceeds credit limit %d", n, s),
+				}
 			}
 		}
-		// Cancel 3-cycles: for each remaining edge u -> v in order, try
-		// third parties w (v's remaining out-neighbors) ascending.
-		for _, key := range edges {
-			u, v := int32(key>>32), int32(uint32(key))
+	}
+	return nil
+}
+
+// Settlement is triangular barter's per-tick cycle rule: of one tick's
+// simultaneous client-to-client transfers, those that close a 2-cycle
+// (a direct exchange) or, when allowed, a 3-cycle (u→v, v→w, w→u)
+// settle credit-free, and the rest are charged. Cancellation is greedy,
+// 2-cycles first, then 3-cycles, over the tick's directed edges in
+// first-appearance order, with a 3-cycle's third party w tried in
+// ascending id; the outcome therefore depends only on the order the
+// transfers were added. VerifyTriangular audits traces by this rule and
+// the triangular scheduler charges its ledger by it.
+//
+// The zero value is an empty tick. Reset starts the next one and keeps
+// the allocations.
+type Settlement struct {
+	count  map[uint64]int // count[u<<32|v] = uncancelled u -> v transfers
+	outs   map[int32][]int32
+	edges  []uint64 // directed edges, first-appearance order
+	thirds []int32
+}
+
+// Reset empties the tick.
+func (st *Settlement) Reset() {
+	clear(st.count)
+	clear(st.outs)
+	st.edges = st.edges[:0]
+}
+
+// Add adds one transfer from u to v to the tick. Server transfers are
+// exempt and ignored.
+func (st *Settlement) Add(u, v int32) {
+	if u == 0 || v == 0 {
+		return
+	}
+	if st.count == nil {
+		st.count = make(map[uint64]int)
+		st.outs = make(map[int32][]int32)
+	}
+	key := uint64(uint32(u))<<32 | uint64(uint32(v))
+	if st.count[key] == 0 {
+		st.edges = append(st.edges, key)
+		st.outs[u] = append(st.outs[u], v)
+	}
+	st.count[key]++
+}
+
+// Settle cancels the tick's 2-cycles and, when maxCycle >= 3, its
+// 3-cycles (longer cycles are never settled), then calls charge with
+// each directed edge that has uncancelled transfers left, c of them, in
+// first-appearance order.
+func (st *Settlement) Settle(maxCycle int, charge func(u, v int32, c int)) {
+	// The cancellations step one cycle at a time: a doctored trace may
+	// hold a self-transfer u -> u, which is its own reverse, so each step
+	// takes two from it and it can end at -1, which is charged as is.
+	count := st.count
+	for _, key := range st.edges {
+		rev := key<<32 | key>>32
+		for count[key] > 0 && count[rev] > 0 {
+			count[key]--
+			count[rev]--
+		}
+	}
+	if maxCycle >= 3 {
+		for _, key := range st.edges {
 			if count[key] == 0 {
 				continue
 			}
-			thirds = append(thirds[:0], outs[v]...)
-			slices.Sort(thirds)
-			for _, w := range thirds {
-				vw, wu := dir(v, w), dir(w, u)
+			u, v := key>>32, key&(1<<32-1)
+			st.thirds = append(st.thirds[:0], st.outs[int32(v)]...)
+			slices.Sort(st.thirds)
+			for _, w := range st.thirds {
+				vw, wu := v<<32|uint64(uint32(w)), uint64(uint32(w))<<32|u
 				for count[key] > 0 && count[vw] > 0 && count[wu] > 0 {
 					count[key]--
 					count[vw]--
@@ -308,30 +363,10 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 				}
 			}
 		}
-		// Remaining transfers consume credit.
-		for _, key := range edges {
-			c := count[key]
-			if c == 0 {
-				continue
-			}
-			u, v := int32(key>>32), int32(uint32(key))
-			pairs.book(u, v, int32(c))
-			pk, _ := pairKey(u, v)
-			touched = append(touched, pk)
-		}
-		for _, pk := range touched {
-			if n := int(pairs.get(pk)); n > s || -n > s {
-				u, v := int32(pk>>32), int32(uint32(pk))
-				if n < 0 {
-					u, v = v, u
-					n = -n
-				}
-				return &Violation{
-					Tick: t, From: u, To: v,
-					Reason: fmt.Sprintf("net non-cycle transfer %d exceeds credit limit %d", n, s),
-				}
-			}
+	}
+	for _, key := range st.edges {
+		if c := count[key]; c != 0 {
+			charge(int32(key>>32), int32(uint32(key)), c)
 		}
 	}
-	return nil
 }

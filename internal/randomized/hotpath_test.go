@@ -149,8 +149,9 @@ func TestIncrementalFreqMatchesRecompute(t *testing.T) {
 }
 
 // TestTriangularIncrementalFreqMatchesRecompute repeats the oracle
-// check for the triangular-barter scheduler, whose Tick maintains the
-// same statistics with the same incremental scheme.
+// check for the triangular-barter scheduler, whose inner scheduler's
+// beginTick folds losses and faults while the triangular emit loop adds
+// its own increments.
 func TestTriangularIncrementalFreqMatchesRecompute(t *testing.T) {
 	const n, k = 24, 16
 	inner, err := NewTriangular(TriangularOptions{
@@ -165,7 +166,7 @@ func TestTriangularIncrementalFreqMatchesRecompute(t *testing.T) {
 		if err != nil {
 			return ret, err
 		}
-		checkFreq(t, tick, inner.freq, freqOracle(st, ret[start:]))
+		checkFreq(t, tick, inner.s.freq, freqOracle(st, ret[start:]))
 		return ret, nil
 	})
 	cfg := simulate.Config{

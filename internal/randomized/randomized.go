@@ -91,7 +91,8 @@ type Options struct {
 	CreditLimit int
 	// DownloadCap mirrors simulate.Config.DownloadCap and must match the
 	// engine configuration: the scheduler uses it to model the handshake
-	// that steers uploads away from saturated receivers.
+	// that steers uploads away from saturated receivers. 0
+	// (simulate.Unlimited) means no bound; a negative cap is rejected.
 	DownloadCap int
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -151,6 +152,24 @@ type lane struct {
 type intent struct {
 	u, v, b int32
 	prev    int32 // previous intent index targeting the same v this round, -1
+}
+
+// reserve stages the proposal u -> v of block b (-1 for a triangular
+// intent, which picks its block at emit time) and books one in-round
+// download slot on v: it bumps the lane's reservation count for v under
+// the round's stamp and threads the intent onto the lane's list of
+// proposals to v.
+func (ln *lane) reserve(u, v, b, stamp int32) {
+	prev := int32(-1)
+	if ln.resStamp[v] == stamp {
+		prev = ln.resHead[v]
+		ln.resDown[v]++
+	} else {
+		ln.resStamp[v] = stamp
+		ln.resDown[v] = 1
+	}
+	ln.resHead[v] = int32(len(ln.intents))
+	ln.intents = append(ln.intents, intent{u: u, v: v, b: b, prev: prev})
 }
 
 // Scheduler is the randomized algorithm. Create one per simulation run;
@@ -249,6 +268,9 @@ func (o *Options) Validate() error {
 	}
 	if o.CreditLimit < 0 {
 		return fmt.Errorf("randomized: negative credit limit %d", o.CreditLimit)
+	}
+	if o.DownloadCap < 0 {
+		return fmt.Errorf("randomized: negative download cap %d", o.DownloadCap)
 	}
 	if o.ShardWorkers < 0 {
 		return fmt.Errorf("randomized: negative shard workers %d", o.ShardWorkers)
@@ -440,15 +462,10 @@ func (s *Scheduler) Tick(t int, st *simulate.State, dst []simulate.Transfer) ([]
 func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
 	s.curState = st
 	for round := int32(0); ; round++ {
-		s.curRound = round
-		s.roundStamp++
-		if err := shard.Run(s.workers, s.laneTask); err != nil {
+		proposals, err := s.proposeRound(round)
+		if err != nil {
 			s.curState = nil
 			return nil, err
-		}
-		proposals := 0
-		for _, ln := range s.lanes {
-			proposals += len(ln.intents)
 		}
 		if proposals == 0 {
 			break
@@ -472,6 +489,22 @@ func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]s
 	}
 	s.curState = nil
 	return dst, nil
+}
+
+// proposeRound runs one concurrent phase: every lane resolves its
+// members' decisions for the round through laneTask, and the number of
+// proposals the lanes staged is returned.
+func (s *Scheduler) proposeRound(round int32) (int, error) {
+	s.curRound = round
+	s.roundStamp++
+	if err := shard.Run(s.workers, s.laneTask); err != nil {
+		return 0, err
+	}
+	proposals := 0
+	for _, ln := range s.lanes {
+		proposals += len(ln.intents)
+	}
+	return proposals, nil
 }
 
 // runLane resolves one lane's pairing decisions for the current round:
@@ -527,17 +560,7 @@ func (s *Scheduler) attempt(ln *lane, st *simulate.State, u int) {
 	if b < 0 {
 		return // cannot happen if pickReceiver qualified v; defensive
 	}
-	idx := int32(len(ln.intents))
-	prev := int32(-1)
-	if ln.resStamp[v] == s.roundStamp {
-		prev = ln.resHead[v]
-		ln.resDown[v]++
-	} else {
-		ln.resStamp[v] = s.roundStamp
-		ln.resDown[v] = 1
-	}
-	ln.resHead[v] = idx
-	ln.intents = append(ln.intents, intent{u: int32(u), v: int32(v), b: int32(b), prev: prev})
+	ln.reserve(int32(u), int32(v), int32(b), s.roundStamp)
 	if s.opts.Policy == RarestFirst {
 		if ln.freqAdd[b] == 0 {
 			ln.freqTouched = append(ln.freqTouched, int32(b))
@@ -560,9 +583,8 @@ func (s *Scheduler) attempt(ln *lane, st *simulate.State, u int) {
 // function of run history, so it costs nothing in determinism or
 // worker-invariance, and every lane gets first claim infinitely often.
 func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
-	start := (int(s.curTick) + int(s.curRound)) % shard.Slots
 	for i := 0; i < shard.Slots; i++ {
-		ln := s.lanes[(start+i)%shard.Slots]
+		ln := s.mergeLane(i)
 		ln.pend = ln.pend[:0]
 		for i := range ln.intents {
 			it := &ln.intents[i]
@@ -596,6 +618,12 @@ func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
 		}
 	}
 	return dst
+}
+
+// mergeLane returns the i-th lane of this round's merge order, which
+// rotates by (tick + round) mod Slots.
+func (s *Scheduler) mergeLane(i int) *lane {
+	return s.lanes[(int(s.curTick)+int(s.curRound)+i)%shard.Slots]
 }
 
 // beginTick folds the previous tick's outcomes into the incremental

@@ -31,6 +31,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{CreditLimit: -1}); err == nil {
 		t.Error("negative credit should error")
 	}
+	// A negative cap would fail every capacity check and stall the run
+	// until MaxTicks; 0 is the unlimited cap.
+	if err := (&Options{DownloadCap: -1}).Validate(); err == nil {
+		t.Error("negative download cap should error")
+	}
 	s, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)

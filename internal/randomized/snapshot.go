@@ -161,49 +161,55 @@ func (s *Scheduler) RestoreState(dec *checkpoint.Decoder, st *simulate.State) er
 	return nil
 }
 
-// SnapshotState implements simulate.CheckpointableScheduler.
+// SnapshotState implements simulate.CheckpointableScheduler. It writes
+// the inner scheduler's base and lane streams, the triangular ledger,
+// the inner quarantine table and rarity counts; the inner scheduler's
+// nil ledger and its no-peer cache, which the intent phase never
+// reads, are left out.
 //
 // intent/approved/intenders are NOT serialized: the next Tick resets
 // exactly last tick's intenders before reading anything, so an empty
 // table reproduces the reset's effect verbatim.
 func (ts *TriangularScheduler) SnapshotState(enc *checkpoint.Encoder) error {
-	if !ts.init {
+	s := ts.s
+	if !s.init {
 		return fmt.Errorf("randomized: cannot snapshot before the first tick")
 	}
-	ts.rng.Snapshot(enc)
-	snapshotLanes(enc, &ts.lanes)
+	s.rng.Snapshot(enc)
+	snapshotLanes(enc, &s.lanes)
 	ts.ledger.Snapshot(enc)
-	enc.Bool(ts.guard != nil)
-	if ts.guard != nil {
-		ts.guard.Snapshot(enc)
+	enc.Bool(s.guard != nil)
+	if s.guard != nil {
+		s.guard.Snapshot(enc)
 	}
-	enc.Ints(ts.freq)
+	enc.Ints(s.freq)
 	return nil
 }
 
 // RestoreState implements simulate.CheckpointableScheduler.
 func (ts *TriangularScheduler) RestoreState(dec *checkpoint.Decoder, st *simulate.State) error {
-	if !ts.init {
+	s := ts.s
+	if !s.init {
 		if err := ts.setup(st); err != nil {
 			return err
 		}
 	}
-	if err := ts.rng.RestoreState(dec); err != nil {
+	if err := s.rng.RestoreState(dec); err != nil {
 		return err
 	}
-	if err := restoreLanes(dec, &ts.lanes); err != nil {
+	if err := restoreLanes(dec, &s.lanes); err != nil {
 		return err
 	}
 	if err := ts.ledger.RestoreState(dec); err != nil {
 		return err
 	}
-	if dec.Bool() != (ts.guard != nil) {
+	if dec.Bool() != (s.guard != nil) {
 		if dec.Err() == nil {
 			return checkpoint.Corruptf("randomized: guard presence mismatch (different adversary config?)")
 		}
 	}
-	if ts.guard != nil {
-		if err := ts.guard.RestoreState(dec); err != nil {
+	if s.guard != nil {
+		if err := s.guard.RestoreState(dec); err != nil {
 			return err
 		}
 	}
@@ -211,7 +217,7 @@ func (ts *TriangularScheduler) RestoreState(dec *checkpoint.Decoder, st *simulat
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	if err := restoreFreq(ts.freq, freq, ts.k); err != nil {
+	if err := restoreFreq(s.freq, freq, s.k); err != nil {
 		return err
 	}
 	ts.intenders = ts.intenders[:0]

@@ -3,15 +3,11 @@ package randomized
 import (
 	"fmt"
 	"slices"
-	"sort"
 
-	"barterdist/internal/adversary"
-	"barterdist/internal/fault"
 	"barterdist/internal/graph"
 	"barterdist/internal/mechanism"
 	"barterdist/internal/shard"
 	"barterdist/internal/simulate"
-	"barterdist/internal/xrand"
 )
 
 // TriangularOptions configures the triangular-barter randomized
@@ -30,7 +26,8 @@ type TriangularOptions struct {
 	// values approach the "cyclic barter" generalization the paper notes
 	// is nearly a cash economy. Default 3.
 	CycleLimit int
-	// DownloadCap mirrors the engine configuration (0 = unlimited).
+	// DownloadCap mirrors the engine configuration (0 = unlimited; a
+	// negative cap is rejected).
 	DownloadCap int
 	// Seed makes the run reproducible.
 	Seed uint64
@@ -44,7 +41,10 @@ type TriangularOptions struct {
 // triangular barter mechanism of Section 3.3 — the algorithm the paper
 // leaves as future work.
 //
-// Each tick runs in two phases:
+// It is a settlement layer over a cooperative Scheduler, whose tick core
+// it runs: the inner scheduler's setup, beginTick (the loss, fault and
+// quarantine fold), lanes, per-tick scratch and block picker are used
+// as they are. Each tick then runs in two phases:
 //
 //  1. Intent: every node with data picks one random interested neighbor
 //     with spare download capacity, ignoring credit (as if a handshake
@@ -56,102 +56,41 @@ type TriangularOptions struct {
 //     static until transfers are emitted) and defers losers to the next
 //     round with fresh draws.
 //  2. Settlement: intents a node can afford under its per-pair credit
-//     are approved directly and charged to the ledger. The remaining
-//     intents form a functional graph (one outgoing intent per node);
-//     every directed cycle of length <= CycleLimit in that graph is
-//     approved credit-free — all participants upload simultaneously, so
-//     the exchange is self-enforcing exactly as in the paper's
-//     description ("u uploads to v if v is simultaneously uploading to w
-//     and w to u"). Unsettled intents are dropped and the node stays
-//     silent for the tick.
+//     are approved directly. The remaining intents form a functional
+//     graph (one outgoing intent per node); every directed cycle of
+//     length <= CycleLimit in that graph is approved credit-free — all
+//     participants upload simultaneously, so the exchange is
+//     self-enforcing exactly as in the paper's description ("u uploads
+//     to v if v is simultaneously uploading to w and w to u"). Unsettled
+//     intents are dropped and the node stays silent for the tick. The
+//     emitted transfers are charged to the ledger by
+//     mechanism.Settlement, the verifier's own cycle rule.
 //
 // The resulting trace always passes mechanism.VerifyTriangular with the
 // same credit limit (asserted in tests), and for CycleLimit = 2 it
 // degenerates to credit-limited barter.
 type TriangularScheduler struct {
 	opts TriangularOptions
-	// rng is the base stream. No pairing draw comes from it (those all
-	// live on the lane streams); it is retained for snapshot-format
-	// symmetry with Scheduler and future lane-independent draws.
-	rng    *xrand.Rand
+	// s is the inner cooperative scheduler. It has no credit limit, so
+	// its ledger is nil and its beginTick never claws credit back. That
+	// is deliberate: a dropped transfer may have settled as part of a 2-
+	// or 3-cycle, in which case it consumed no credit and there is
+	// nothing per transfer to claw back; the inner scheduler's
+	// quarantine table is the triangular defense.
+	s      *Scheduler
 	ledger *mechanism.Ledger
-	// guard mirrors Scheduler.guard: a per-receiver quarantine table
-	// created lazily when the simulation reports an adversary plan.
-	// Credit clawback is deliberately NOT applied here — a dropped
-	// transfer may have settled as part of a 2- or 3-cycle, in which
-	// case it consumed no credit and there is nothing per-transfer to
-	// claw back; the quarantine table is the triangular defense.
-	guard *adversary.Guard
+	// tick settles each tick's emitted transfers; charge books what it
+	// leaves into the ledger.
+	tick   mechanism.Settlement
+	charge func(u, v int32, c int)
 
-	n, k    int
-	init    bool
-	workers int
-
-	freq []int
-	// downUsed and incoming are epoch-stamped scratch, mirroring
-	// Scheduler: entries are live only when their stamp equals the
-	// current tick, so no per-tick O(n) zeroing pass is needed.
-	downUsed      []int
-	downStamp     []int32
-	incoming      [][]int32
-	incomingStamp []int32
-	curTick       int32
-	intent        []int32 // intent[u] = chosen receiver, -1 if none
-	approved      []bool  // per-tick settlement scratch, reused across ticks
+	intent   []int32 // intent[u] = chosen receiver, -1 if none
+	approved []bool  // per-tick settlement scratch, reused across ticks
 	// intenders lists the nodes that filed an intent this tick; the
 	// settlement phases iterate it (sorted ascending, the canonical
 	// settlement order) and the next tick resets exactly these
 	// intent/approved entries.
 	intenders []int32
-
-	lanes      [shard.Slots]*lane
-	laneTask   func(sg int) error
-	curState   *simulate.State
-	curRound   int32
-	roundStamp int32
-}
-
-// downUsedOf returns v's download budget consumed this tick.
-func (ts *TriangularScheduler) downUsedOf(v int) int {
-	if ts.downStamp[v] != ts.curTick {
-		return 0
-	}
-	return ts.downUsed[v]
-}
-
-// bumpDownUsed increments v's consumed download budget for this tick.
-func (ts *TriangularScheduler) bumpDownUsed(v int) {
-	if ts.downStamp[v] != ts.curTick {
-		ts.downStamp[v] = ts.curTick
-		ts.downUsed[v] = 0
-	}
-	ts.downUsed[v]++
-}
-
-// laneRes returns this lane's in-round intent reservations for v on top
-// of the committed budget.
-func (ts *TriangularScheduler) laneRes(ln *lane, v int) int {
-	if ln.resStamp[v] != ts.roundStamp {
-		return 0
-	}
-	return int(ln.resDown[v])
-}
-
-// incomingOf returns the blocks already scheduled toward v this tick.
-func (ts *TriangularScheduler) incomingOf(v int) []int32 {
-	if ts.incomingStamp[v] != ts.curTick {
-		return nil
-	}
-	return ts.incoming[v]
-}
-
-// addIncoming records one more block in flight to v this tick.
-func (ts *TriangularScheduler) addIncoming(v int, b int32) {
-	if ts.incomingStamp[v] != ts.curTick {
-		ts.incomingStamp[v] = ts.curTick
-		ts.incoming[v] = ts.incoming[v][:0]
-	}
-	ts.incoming[v] = append(ts.incoming[v], b)
 }
 
 var _ simulate.Scheduler = (*TriangularScheduler)(nil)
@@ -162,16 +101,12 @@ func (o *TriangularOptions) Validate() error {
 	if o.Graph == nil {
 		return fmt.Errorf("randomized: triangular barter requires an overlay graph")
 	}
-	switch o.Policy {
-	case 0, Random, RarestFirst, LocalRare:
-	default:
-		return fmt.Errorf("randomized: unknown policy %d", int(o.Policy))
+	inner := Options{Policy: o.Policy, CreditLimit: o.CreditLimit, DownloadCap: o.DownloadCap, ShardWorkers: o.ShardWorkers}
+	if err := inner.Validate(); err != nil {
+		return err
 	}
 	if o.CycleLimit != 0 && o.CycleLimit < 2 {
 		return fmt.Errorf("randomized: cycle limit %d must be >= 2", o.CycleLimit)
-	}
-	if o.ShardWorkers < 0 {
-		return fmt.Errorf("randomized: negative shard workers %d", o.ShardWorkers)
 	}
 	return nil
 }
@@ -194,63 +129,41 @@ func NewTriangular(opts TriangularOptions) (*TriangularScheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TriangularScheduler{
-		opts:    opts,
-		rng:     xrand.New(opts.Seed),
-		ledger:  ledger,
-		workers: shard.Workers(opts.ShardWorkers),
-	}, nil
+	s, err := New(Options{
+		Graph: opts.Graph, Policy: opts.Policy, DownloadCap: opts.DownloadCap,
+		Seed: opts.Seed, ShardWorkers: opts.ShardWorkers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	ts := &TriangularScheduler{opts: opts, s: s, ledger: ledger}
+	ts.charge = func(u, v int32, c int) {
+		for ; c > 0; c-- {
+			ledger.Record(u, v)
+		}
+	}
+	return ts, nil
 }
 
 // Ledger exposes the credit ledger for inspection.
 func (ts *TriangularScheduler) Ledger() *mechanism.Ledger { return ts.ledger }
 
+// setup runs the inner scheduler's setup and points its lanes at the
+// intent phase.
 func (ts *TriangularScheduler) setup(st *simulate.State) error {
-	ts.n, ts.k = st.N(), st.K()
-	if ts.opts.Graph.N() != ts.n {
-		return fmt.Errorf("randomized: overlay has %d vertices but simulation has %d nodes",
-			ts.opts.Graph.N(), ts.n)
+	s := ts.s
+	if err := s.setup(st); err != nil {
+		return err
 	}
-	ts.freq = make([]int, ts.k)
-	for b := range ts.freq {
-		ts.freq[b] = 1
+	s.laneTask = func(sg int) error {
+		ts.runIntentLane(s.lanes[sg])
+		return nil
 	}
-	ts.downUsed = make([]int, ts.n)
-	ts.downStamp = make([]int32, ts.n)
-	ts.incoming = make([][]int32, ts.n)
-	ts.incomingStamp = make([]int32, ts.n)
-	ts.intent = make([]int32, ts.n)
+	ts.intent = make([]int32, s.n)
 	for i := range ts.intent {
 		ts.intent[i] = -1
 	}
-	ts.approved = make([]bool, ts.n)
-	streams := shard.Streams(ts.opts.Seed)
-	for sg := 0; sg < shard.Slots; sg++ {
-		members := shard.Members(ts.n, sg)
-		ln := &lane{
-			rng:      streams[sg],
-			members:  members,
-			order:    make([]int32, len(members)),
-			resStamp: make([]int32, ts.n),
-			resDown:  make([]int32, ts.n),
-		}
-		for i := range ln.resStamp {
-			ln.resStamp[i] = -1 // live round stamps are always positive
-		}
-		ts.lanes[sg] = ln
-	}
-	ts.laneTask = func(sg int) error {
-		ts.runIntentLane(ts.lanes[sg])
-		return nil
-	}
-	if st.Adversarial() {
-		guard, err := adversary.NewGuard(adversary.GuardOptions{})
-		if err != nil {
-			return err
-		}
-		ts.guard = guard
-	}
-	ts.init = true
+	ts.approved = make([]bool, s.n)
 	return nil
 }
 
@@ -259,9 +172,10 @@ func (ts *TriangularScheduler) setup(st *simulate.State) error {
 // order, later rounds revisit exactly the members whose proposal the
 // merge deferred on capacity.
 func (ts *TriangularScheduler) runIntentLane(ln *lane) {
-	st := ts.curState
+	s := ts.s
+	st := s.curState
 	ln.intents = ln.intents[:0]
-	if ts.curRound == 0 {
+	if s.curRound == 0 {
 		copy(ln.order, ln.members)
 		shard.Shuffle32(ln.rng, ln.order)
 		for _, uu := range ln.order {
@@ -284,55 +198,22 @@ func (ts *TriangularScheduler) runIntentLane(ln *lane) {
 // proposeIntent makes one intent decision for u and stages it with a
 // lane-local capacity reservation.
 func (ts *TriangularScheduler) proposeIntent(ln *lane, st *simulate.State, u int) {
-	v := ts.pickIntent(ln, st, u)
-	if v < 0 {
-		return
+	if v := ts.pickIntent(ln, st, u); v >= 0 {
+		ln.reserve(int32(u), int32(v), -1, ts.s.roundStamp)
 	}
-	if ln.resStamp[v] == ts.roundStamp {
-		ln.resDown[v]++
-	} else {
-		ln.resStamp[v] = ts.roundStamp
-		ln.resDown[v] = 1
-	}
-	ln.intents = append(ln.intents, intent{u: int32(u), v: int32(v), b: -1, prev: -1})
 }
 
 // Tick implements simulate.Scheduler.
 func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
-	if !ts.init {
+	s := ts.s
+	if !s.init {
 		if err := ts.setup(st); err != nil {
 			return nil, err
 		}
 	}
-	// Fault awareness mirrors Scheduler.beginTick: rarity statistics
-	// are maintained incrementally — engine-reported losses undo the
-	// speculative increments for transfers that never landed, a crash
-	// subtracts the victim's holdings word-parallel, and a rejoin adds
-	// them back (zero for wiped rejoiners, whose pre-wipe holdings were
-	// subtracted at crash time). Fault-free runs take no branch and
-	// never consume RNG.
-	for _, lt := range st.LostLastTick() {
-		ts.freq[lt.Block]--
-		if ts.guard != nil && (lt.Adversary || lt.Corrupt) {
-			ts.guard.Strike(int(lt.To), int(lt.From), float64(st.Tick()+1))
-		}
-	}
-	for _, ev := range st.FaultEvents() {
-		switch ev.Kind {
-		case fault.Crash, fault.Depart:
-			// An open-system departure withdraws the leaver's holdings
-			// exactly like a permanent crash.
-			st.Blocks(int(ev.Node)).AccumulateCounts(ts.freq, -1)
-		case fault.Rejoin, fault.Arrive:
-			// An arrival's set is empty, so this is a no-op that keeps
-			// the two kinds on one code path.
-			st.Blocks(int(ev.Node)).AccumulateCounts(ts.freq, 1)
-		}
-	}
-	ts.curTick = int32(st.Tick() + 1)
+	s.beginTick(st)
 	// Reset only last tick's intenders: everyone else's intent/approved
-	// entries are already clear, and downUsed/incoming invalidate
-	// themselves through their epoch stamps.
+	// entries are already clear.
 	for _, u := range ts.intenders {
 		ts.intent[u] = -1
 		ts.approved[u] = false
@@ -344,43 +225,33 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 	// other — and defers losers; the first proposal of every round was
 	// validated against exactly the state the merge starts from, so each
 	// round with proposals commits at least one and the loop terminates.
-	ts.curState = st
+	s.curState = st
 	for round := int32(0); ; round++ {
-		ts.curRound = round
-		ts.roundStamp++
-		if err := shard.Run(ts.workers, ts.laneTask); err != nil {
-			ts.curState = nil
+		proposals, err := s.proposeRound(round)
+		if err != nil {
+			s.curState = nil
 			return nil, err
-		}
-		proposals := 0
-		for _, ln := range ts.lanes {
-			proposals += len(ln.intents)
 		}
 		if proposals == 0 {
 			break
 		}
-		// Lane order rotates by (tick + round) mod Slots, mirroring
-		// Scheduler.merge: a fixed order would give one lane permanent
-		// first claim on contended receiver slots, which can starve a
-		// receiver whose low-lane suitors are credit-blocked.
-		startLane := (int(ts.curTick) + int(round)) % shard.Slots
 		for i := 0; i < shard.Slots; i++ {
-			ln := ts.lanes[(startLane+i)%shard.Slots]
+			ln := s.mergeLane(i)
 			ln.pend = ln.pend[:0]
 			for i := range ln.intents {
 				it := &ln.intents[i]
 				v := int(it.v)
-				if ts.opts.DownloadCap != simulate.Unlimited && ts.downUsedOf(v) >= ts.opts.DownloadCap {
+				if ts.opts.DownloadCap != simulate.Unlimited && s.downUsedOf(v) >= ts.opts.DownloadCap {
 					ln.pend = append(ln.pend, it.u)
 					continue
 				}
 				ts.intent[it.u] = it.v
 				ts.intenders = append(ts.intenders, it.u)
-				ts.bumpDownUsed(v)
+				s.bumpDownUsed(v)
 			}
 		}
 	}
-	ts.curState = nil
+	s.curState = nil
 
 	// Phase 2a: approve what credit allows (server intents are exempt
 	// and always approved). The intenders are visited in ascending node
@@ -390,8 +261,7 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 	held := 0
 	for _, ui := range ts.intenders {
 		u := int(ui)
-		v := ts.intent[u]
-		if ts.ledger.CanSend(int32(u), v) {
+		if ts.ledger.CanSend(int32(u), ts.intent[u]) {
 			approved[u] = true
 		} else {
 			held++
@@ -408,114 +278,37 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 			if approved[u] {
 				continue
 			}
-			cycle := ts.findCycle(u, approved)
-			for _, w := range cycle {
+			for _, w := range ts.findCycle(u, approved) {
 				approved[w] = true
 			}
 		}
 	}
 
 	// Emit transfers for approved intents, ascending uploader order
-	// (intenders are already sorted). Block draws come from the
-	// uploader's lane stream so every draw for u stays on one stream.
-	start := len(dst)
+	// (intenders are already sorted). No lane holds a live reservation
+	// now, so pickBlock sees only the transfers already emitted this
+	// tick; its draws come from the uploader's lane stream, so every
+	// draw for u stays on one stream.
+	ts.tick.Reset()
 	for _, ui := range ts.intenders {
 		u := int(ui)
 		if !approved[u] {
 			continue
 		}
 		v := int(ts.intent[u])
-		b := ts.pickBlockFor(ts.lanes[shard.Of(u)], st, u, v)
+		b := s.pickBlock(s.lanes[shard.Of(u)], st, u, v)
 		if b < 0 {
 			continue // everything useful is already in flight
 		}
 		dst = append(dst, simulate.Transfer{From: int32(u), To: int32(v), Block: int32(b)})
-		ts.addIncoming(v, int32(b))
-		ts.freq[b]++
+		s.addIncoming(v, int32(b))
+		s.freq[b]++
+		ts.tick.Add(int32(u), int32(v))
 	}
-	// Charge the ledger with per-tick cycle cancellation, mirroring the
-	// verifier's semantics: transfers settled by a simultaneous 2- or
-	// 3-cycle are credit-free; everything else consumes credit.
-	ts.settleLedger(dst[start:])
+	// Charge the ledger: transfers the tick settles in a 2- or 3-cycle
+	// are credit-free, everything else consumes credit.
+	ts.tick.Settle(ts.opts.CycleLimit, ts.charge)
 	return dst, nil
-}
-
-// settleLedger records this tick's emitted transfers into the credit
-// ledger with per-tick cycle cancellation (2-cycles and 3-cycles are
-// credit-free, matching mechanism.VerifyTriangular).
-func (ts *TriangularScheduler) settleLedger(tick []simulate.Transfer) {
-	remaining := make(map[[2]int32]int, len(tick))
-	next := make(map[int32][]int32, len(tick))
-	for _, tr := range tick {
-		if tr.From == 0 || tr.To == 0 {
-			continue
-		}
-		remaining[[2]int32{tr.From, tr.To}]++
-		next[tr.From] = append(next[tr.From], tr.To)
-	}
-	use := func(u, v int32) bool {
-		key := [2]int32{u, v}
-		if remaining[key] > 0 {
-			remaining[key]--
-			return true
-		}
-		return false
-	}
-	// Cancellation must not depend on Go's randomized map order: when
-	// cycles share edges, the visit order decides which ones settle and
-	// the leftover debt reaches the ledger — and through the credit
-	// limit, future transfer selection. Iterate keys in sorted order.
-	keys := sortedPairKeys(remaining)
-	// Cancel 2-cycles.
-	for _, key := range keys {
-		u, v := key[0], key[1]
-		c := remaining[key]
-		for c > 0 && remaining[[2]int32{v, u}] > 0 {
-			remaining[key]--
-			remaining[[2]int32{v, u}]--
-			c = remaining[key]
-		}
-	}
-	// Cancel 3-cycles (only when allowed).
-	if ts.opts.CycleLimit >= 3 {
-		for _, key := range keys {
-			u, v := key[0], key[1]
-			if remaining[key] == 0 {
-				continue
-			}
-			for _, w := range next[v] {
-				if w == u || remaining[key] == 0 {
-					continue
-				}
-				for remaining[key] > 0 && remaining[[2]int32{v, w}] > 0 && remaining[[2]int32{w, u}] > 0 {
-					if !use(u, v) || !use(v, w) || !use(w, u) {
-						break
-					}
-				}
-			}
-		}
-	}
-	for _, key := range keys {
-		for i := 0; i < remaining[key]; i++ {
-			ts.ledger.Record(key[0], key[1])
-		}
-	}
-}
-
-// sortedPairKeys returns m's keys in lexicographic order so that
-// settlement iteration is independent of map order.
-func sortedPairKeys(m map[[2]int32]int) [][2]int32 {
-	keys := make([][2]int32, 0, len(m))
-	for key := range m { //lint:ordered keys are sorted below
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
 }
 
 // findCycle follows held intents from u; if it returns to u within
@@ -552,6 +345,7 @@ func (ts *TriangularScheduler) findCycle(u int, approved []bool) []int {
 // finds a cycle through it — the extra liquidity triangular barter
 // exists to provide.
 func (ts *TriangularScheduler) pickIntent(ln *lane, st *simulate.State, u int) int {
+	s := ts.s
 	nbrs := ts.opts.Graph.Neighbors(u)
 	if len(nbrs) == 0 {
 		return -1
@@ -565,13 +359,13 @@ func (ts *TriangularScheduler) pickIntent(ln *lane, st *simulate.State, u int) i
 		if v == 0 || !st.Alive(v) {
 			continue
 		}
-		if ts.opts.DownloadCap != simulate.Unlimited && ts.downUsedOf(v)+ts.laneRes(ln, v) >= ts.opts.DownloadCap {
+		if ts.opts.DownloadCap != simulate.Unlimited && s.downUsedOf(v)+s.laneRes(ln, v) >= ts.opts.DownloadCap {
 			continue
 		}
-		if !ts.needs(st, u, v) {
+		if !s.needsSomething(ln, st, u, v) {
 			continue
 		}
-		if ts.guard != nil && ts.guard.Blocked(v, u, float64(st.Tick()+1)) {
+		if s.guard != nil && s.guard.Blocked(v, u, float64(st.Tick()+1)) {
 			continue
 		}
 		if ts.ledger.CanSend(int32(u), int32(v)) {
@@ -582,99 +376,4 @@ func (ts *TriangularScheduler) pickIntent(ln *lane, st *simulate.State, u int) i
 		}
 	}
 	return blocked
-}
-
-func (ts *TriangularScheduler) needs(st *simulate.State, u, v int) bool {
-	bu, bv := st.Blocks(u), st.Blocks(v)
-	inflight := ts.incomingOf(v)
-	if len(inflight) == 0 {
-		return bu.AnyMissingFrom(bv)
-	}
-	need := false
-	bu.IterDiff(bv, func(b int) bool {
-		for _, fb := range inflight {
-			if int(fb) == b {
-				return true
-			}
-		}
-		need = true
-		return false
-	})
-	return need
-}
-
-// pickBlockFor mirrors Scheduler.pickBlock for the triangular variant;
-// random draws come from the uploader's lane stream.
-func (ts *TriangularScheduler) pickBlockFor(ln *lane, st *simulate.State, u, v int) int {
-	bu, bv := st.Blocks(u), st.Blocks(v)
-	inflight := ts.incomingOf(v)
-	useful := func(b int) bool {
-		for _, fb := range inflight {
-			if int(fb) == b {
-				return false
-			}
-		}
-		return true
-	}
-	// offered mirrors Scheduler.pickBlock: a complete sender offers
-	// exactly v's complement, scanned word-at-a-time.
-	offered := func(fn func(b int) bool) {
-		if bu.Full() {
-			bv.IterateMissing(fn)
-		} else {
-			bu.IterDiff(bv, fn)
-		}
-	}
-	if ts.opts.Policy == RarestFirst || ts.opts.Policy == LocalRare {
-		best, bestFreq, ties := -1, int(^uint(0)>>1), 0
-		offered(func(b int) bool {
-			if !useful(b) {
-				return true
-			}
-			f := ts.freq[b]
-			if ts.opts.Policy == LocalRare {
-				f = 0
-				for _, w := range ts.opts.Graph.Neighbors(v) {
-					if st.Alive(int(w)) && st.Has(int(w), b) {
-						f++
-					}
-				}
-			}
-			switch {
-			case f < bestFreq:
-				best, bestFreq, ties = b, f, 1
-			case f == bestFreq:
-				ties++
-				if ln.rng.Intn(ties) == 0 {
-					best = b
-				}
-			}
-			return true
-		})
-		return best
-	}
-	count := 0
-	offered(func(b int) bool {
-		if useful(b) {
-			count++
-		}
-		return true
-	})
-	if count == 0 {
-		return -1
-	}
-	target := ln.rng.Intn(count)
-	chosen := -1
-	offered(func(b int) bool {
-		if !useful(b) {
-			return true
-		}
-		if target == 0 {
-			chosen = b
-			return false
-		}
-		target--
-		return true
-	})
-	return chosen
 }

@@ -2,6 +2,9 @@ package randomized
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"sort"
 	"testing"
 
 	"barterdist/internal/analysis"
@@ -21,6 +24,12 @@ func TestNewTriangularValidation(t *testing.T) {
 	}
 	if _, err := NewTriangular(TriangularOptions{Graph: g, CycleLimit: 1}); err == nil {
 		t.Error("cycle limit < 2 should error")
+	}
+	if err := (&TriangularOptions{Graph: g, DownloadCap: -1}).Validate(); err == nil {
+		t.Error("negative download cap should error")
+	}
+	if err := (&TriangularOptions{Graph: g, CreditLimit: -1}).Validate(); err == nil {
+		t.Error("negative credit limit should error")
 	}
 	ts, err := NewTriangular(TriangularOptions{Graph: g})
 	if err != nil {
@@ -224,5 +233,211 @@ func TestRewireHelpsCreditBarterOnSparseOverlay(t *testing.T) {
 		t.Logf("both completed; rewired T=%d", resRewired.CompletionTime)
 	} else {
 		t.Logf("static stalled, rewired completed in T=%d — the paper's conjecture holds", resRewired.CompletionTime)
+	}
+}
+
+// referenceSettle is the triangular scheduler's former per-tick ledger
+// charge, kept as the oracle for mechanism.Settlement: 2-cycles cancel
+// over the tick's pairs in lexicographic order, then (for cycleLimit
+// >= 3) 3-cycles, with third parties tried in the order their edges
+// appeared; every transfer left is charged to record.
+func referenceSettle(tick []simulate.Transfer, cycleLimit int, record func(u, v int32)) {
+	remaining := make(map[[2]int32]int, len(tick))
+	next := make(map[int32][]int32, len(tick))
+	for _, tr := range tick {
+		if tr.From == 0 || tr.To == 0 {
+			continue
+		}
+		remaining[[2]int32{tr.From, tr.To}]++
+		next[tr.From] = append(next[tr.From], tr.To)
+	}
+	use := func(u, v int32) bool {
+		key := [2]int32{u, v}
+		if remaining[key] > 0 {
+			remaining[key]--
+			return true
+		}
+		return false
+	}
+	keys := make([][2]int32, 0, len(remaining))
+	for key := range remaining { //lint:ordered keys are sorted below
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	for _, key := range keys {
+		u, v := key[0], key[1]
+		c := remaining[key]
+		for c > 0 && remaining[[2]int32{v, u}] > 0 {
+			remaining[key]--
+			remaining[[2]int32{v, u}]--
+			c = remaining[key]
+		}
+	}
+	if cycleLimit >= 3 {
+		for _, key := range keys {
+			u, v := key[0], key[1]
+			if remaining[key] == 0 {
+				continue
+			}
+			for _, w := range next[v] {
+				if w == u || remaining[key] == 0 {
+					continue
+				}
+				for remaining[key] > 0 && remaining[[2]int32{v, w}] > 0 && remaining[[2]int32{w, u}] > 0 {
+					if !use(u, v) || !use(v, w) || !use(w, u) {
+						break
+					}
+				}
+			}
+		}
+	}
+	for _, key := range keys {
+		for i := 0; i < remaining[key]; i++ {
+			record(key[0], key[1])
+		}
+	}
+}
+
+// settleCharges returns what mechanism.Settlement charges for tick, as
+// a count per directed edge.
+func settleCharges(tick []simulate.Transfer, cycleLimit int) map[[2]int32]int {
+	var st mechanism.Settlement
+	for _, tr := range tick {
+		st.Add(tr.From, tr.To)
+	}
+	got := make(map[[2]int32]int)
+	st.Settle(cycleLimit, func(u, v int32, c int) { got[[2]int32{u, v}] += c })
+	return got
+}
+
+// referenceCharges is settleCharges for referenceSettle.
+func referenceCharges(tick []simulate.Transfer, cycleLimit int) map[[2]int32]int {
+	want := make(map[[2]int32]int)
+	referenceSettle(tick, cycleLimit, func(u, v int32) { want[[2]int32{u, v}]++ })
+	return want
+}
+
+// TestSettlementMatchesReferenceSettle shows that mechanism.Settlement
+// charges exactly what the scheduler's former settlement charged on
+// every tick the scheduler can emit: each client uploads at most once
+// per tick, so the tick's client transfers form a functional graph
+// whose cycles are disjoint and the cancellation order cannot matter.
+// The server, which the ledger exempts, may upload to several clients.
+func TestSettlementMatchesReferenceSettle(t *testing.T) {
+	rng := xrand.New(23)
+	cycles := 0
+	for _, cycleLimit := range []int{2, 3, 4} {
+		for trial := 0; trial < 2000; trial++ {
+			n := 2 + rng.Intn(14) // nodes, the server included
+			var tick []simulate.Transfer
+			for u := 1; u < n; u++ {
+				if rng.Intn(4) == 0 {
+					continue // u stays silent this tick
+				}
+				v := rng.Intn(n - 1) // any node but u, the server included
+				if v >= u {
+					v++
+				}
+				tick = append(tick, simulate.Transfer{From: int32(u), To: int32(v)})
+			}
+			for i := rng.Intn(3); i > 0; i-- {
+				tick = append(tick, simulate.Transfer{From: 0, To: int32(1 + rng.Intn(n-1))})
+			}
+			// The scheduler emits in ascending uploader order; any order
+			// must do, so shuffle.
+			for i := len(tick) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				tick[i], tick[j] = tick[j], tick[i]
+			}
+			got, want := settleCharges(tick, cycleLimit), referenceCharges(tick, cycleLimit)
+			if !maps.Equal(got, want) {
+				t.Fatalf("cycle limit %d, tick %v: Settlement charges %v, reference charges %v",
+					cycleLimit, tick, got, want)
+			}
+			clients := 0
+			for _, tr := range tick {
+				if tr.From != 0 && tr.To != 0 {
+					clients++
+				}
+			}
+			charged := 0
+			for _, c := range got {
+				charged += c
+			}
+			if charged < clients {
+				cycles++
+			}
+		}
+	}
+	if cycles == 0 {
+		t.Fatal("no trial settled a cycle; the property was never exercised")
+	}
+}
+
+// TestSettlementFollowsVerifierOnSharedEdges documents the one place the
+// rule moved: when two triangles share an edge (a node uploading twice
+// in a tick, which the scheduler never emits), Settlement tries third
+// parties in ascending id, as VerifyTriangular always has (it settles
+// through Settlement), where the former scheduler settlement tried them
+// in the order their edges appeared.
+func TestSettlementFollowsVerifierOnSharedEdges(t *testing.T) {
+	// 1->2 closes the triangle through 4 and the one through 3; 2's
+	// edge to 4 appears first.
+	tick := []simulate.Transfer{{From: 1, To: 2}, {From: 2, To: 4}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 4, To: 1}}
+	got := fmt.Sprint(settleCharges(tick, 3))
+	if want := fmt.Sprint(map[[2]int32]int{{2, 4}: 1, {4, 1}: 1}); got != want {
+		t.Errorf("Settlement charges %s, want %s (the triangle through 3 settles)", got, want)
+	}
+	ref := fmt.Sprint(referenceCharges(tick, 3))
+	if want := fmt.Sprint(map[[2]int32]int{{2, 3}: 1, {3, 1}: 1}); ref != want {
+		t.Errorf("reference charges %s, want %s (the triangle through 4 settles)", ref, want)
+	}
+}
+
+// TestFindCycleRespectsCycleLimit drives findCycle over a hand-built
+// intent table. Seeded runs rarely hold a short cycle of credit-blocked
+// intents, so the schedule goldens alone do not show that it settles
+// exactly the cycles through u of length <= CycleLimit whose members
+// are all held.
+func TestFindCycleRespectsCycleLimit(t *testing.T) {
+	edges := map[int]int{
+		1: 2, 2: 3, 3: 1, // 3-cycle
+		4: 5, 5: 6, 6: 7, 7: 4, // 4-cycle
+		8: 9, 9: 8, // 2-cycle
+		10: 11,         // 11 files no intent
+		12: 13, 13: 12, // 13 is approved
+		14: 15, 15: 16, 16: 15, // a cycle that misses 14
+	}
+	for _, tc := range []struct {
+		limit int
+		want  map[int]string
+	}{
+		{2, map[int]string{1: "[]", 4: "[]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
+		{3, map[int]string{1: "[1 2 3]", 4: "[]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
+		{4, map[int]string{1: "[1 2 3]", 4: "[4 5 6 7]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
+	} {
+		ts, err := NewTriangular(TriangularOptions{Graph: graph.Complete(17), CycleLimit: tc.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts.intent = make([]int32, 17)
+		for u := range ts.intent {
+			ts.intent[u] = -1
+		}
+		for u, v := range edges { //lint:ordered each key writes its own entry
+			ts.intent[u] = int32(v)
+		}
+		approved := make([]bool, 17)
+		approved[13] = true
+		for u, want := range tc.want { //lint:ordered each key is checked on its own
+			if got := fmt.Sprint(ts.findCycle(u, approved)); got != want {
+				t.Errorf("cycle limit %d: findCycle(%d) = %s, want %s", tc.limit, u, got, want)
+			}
+		}
 	}
 }
