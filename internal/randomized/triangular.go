@@ -79,10 +79,7 @@ type TriangularScheduler struct {
 	// quarantine table is the triangular defense.
 	s      *Scheduler
 	ledger *mechanism.Ledger
-	// tick settles each tick's emitted transfers; charge books what it
-	// leaves into the ledger.
-	tick   mechanism.Settlement
-	charge func(u, v int32, c int)
+	tick   mechanism.Settlement // settles each tick's emitted transfers
 
 	intent   []int32 // intent[u] = chosen receiver, -1 if none
 	approved []bool  // per-tick settlement scratch, reused across ticks
@@ -136,13 +133,7 @@ func NewTriangular(opts TriangularOptions) (*TriangularScheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &TriangularScheduler{opts: opts, s: s, ledger: ledger}
-	ts.charge = func(u, v int32, c int) {
-		for ; c > 0; c-- {
-			ledger.Record(u, v)
-		}
-	}
-	return ts, nil
+	return &TriangularScheduler{opts: opts, s: s, ledger: ledger}, nil
 }
 
 // Ledger exposes the credit ledger for inspection.
@@ -307,7 +298,11 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 	}
 	// Charge the ledger: transfers the tick settles in a 2- or 3-cycle
 	// are credit-free, everything else consumes credit.
-	ts.tick.Settle(ts.opts.CycleLimit, ts.charge)
+	ts.tick.Settle(ts.opts.CycleLimit, func(u, v int32, c int) {
+		for ; c > 0; c-- {
+			ts.ledger.Record(u, v)
+		}
+	})
 	return dst, nil
 }
 
