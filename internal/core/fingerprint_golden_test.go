@@ -24,19 +24,23 @@ import (
 //
 //	CDGOLD_UPDATE=1 go test ./internal/core -run TestScheduleFingerprintGolden -v
 var goldenFingerprints = map[string]string{
-	"randomized+fault":            "34fa4088d016badf1fa155485bc3d0f37b3dce1e92b37817093c89354fdcbbcc",
-	"triangular+adversary":        "191e045fd5ca22360948eea8f3d75480f86cd00daeba0db31ec0a59cc5128010",
-	"randomized+credit+shard":     "e99ad9731923696b7d0ee1407c39fda3cf4592ee709276fab9f54ddcfd233dd4",
-	"open-system+churn":           "4f5e7a540654ff734aaf086523685a28277954b3e62f675a50556720ed7cc42b",
-	"binomial-pipeline+selfheal":  "7d5f593de0fd4a8a0f5479a597d299b5ef3d59ce5c948ac5b8e64696a1d1b2b2",
-	"triangular+rarest+regular":   "a3a62f930648184b3882c6e15b6380c5ce8ad197a0f25dbf6a54b07e074f6f78",
-	"triangular+local+regular":    "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
-	"triangular+cycle2":           "98303ba1188c73fbd5bee0e5cff2e244e0b4b5f217caa0c5e65c6505281ef4de",
-	"triangular+cycle4":           "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
-	"triangular+shard3+cap2":      "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
-	"triangular+regular+faults":   "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
-	"triangular+open":             "a8a3d14237b2f4ac6071cbf5ec72b3c3136ce28e0d3504632be353576901b104",
-	"hypercube+verify-triangular": "ce0044921c099d4d7aafed84c135affcd01411f066add102f4c1ecaedcc12a79",
+	"randomized+fault":               "34fa4088d016badf1fa155485bc3d0f37b3dce1e92b37817093c89354fdcbbcc",
+	"triangular+adversary":           "191e045fd5ca22360948eea8f3d75480f86cd00daeba0db31ec0a59cc5128010",
+	"randomized+credit+shard":        "e99ad9731923696b7d0ee1407c39fda3cf4592ee709276fab9f54ddcfd233dd4",
+	"open-system+churn":              "4f5e7a540654ff734aaf086523685a28277954b3e62f675a50556720ed7cc42b",
+	"binomial-pipeline+selfheal":     "7d5f593de0fd4a8a0f5479a597d299b5ef3d59ce5c948ac5b8e64696a1d1b2b2",
+	"triangular+rarest+regular":      "a3a62f930648184b3882c6e15b6380c5ce8ad197a0f25dbf6a54b07e074f6f78",
+	"triangular+local+regular":       "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
+	"triangular+cycle2":              "98303ba1188c73fbd5bee0e5cff2e244e0b4b5f217caa0c5e65c6505281ef4de",
+	"triangular+cycle4":              "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
+	"triangular+shard3+cap2":         "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
+	"triangular+regular+faults":      "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
+	"triangular+open":                "a8a3d14237b2f4ac6071cbf5ec72b3c3136ce28e0d3504632be353576901b104",
+	"hypercube+verify-triangular":    "ce0044921c099d4d7aafed84c135affcd01411f066add102f4c1ecaedcc12a79",
+	"randomized+rarest+credit+shard": "d3aa0e7ed92f98e9e94e429bce3a8305e50abb558587a2d10505d4ac51eea800",
+	"randomized+rarest+open":         "6ceaf725b27b134a876ce56b747eddd11620c610a214d1ab2053f01a1cb4a8ad",
+	"randomized+local":               "2a0712afbf3f53ae102f54af79322d8b0e1d0676e75f4fb610f5e085925cd363",
+	"randomized+local+regular":       "70719325c432df7df8bd480ea8a7deb81a8a00e03ea4d4fd0d0e694b1ae1f27b",
 }
 
 func goldenScenario(name string) Config {
@@ -97,6 +101,22 @@ func goldenScenario(name string) Config {
 			Arrivals: &arrival.Options{
 				Seed: 6, Rate: 1.5, EarlyExit: 0.2, Linger: 3,
 			}}
+	case "randomized+rarest+credit+shard":
+		return Config{Nodes: 48, Blocks: 16, Algorithm: AlgoRandomized,
+			Policy: randomized.RarestFirst, CreditLimit: 1, ShardWorkers: 2, Seed: 19}
+	case "randomized+rarest+open":
+		return Config{Nodes: 41, Blocks: 8, Algorithm: AlgoRandomized,
+			Policy: randomized.RarestFirst, Seed: 29,
+			Arrivals: &arrival.Options{
+				Seed: 7, Rate: 1.5, EarlyExit: 0.2, Linger: 3,
+			}}
+	case "randomized+local":
+		return Config{Nodes: 40, Blocks: 16, Algorithm: AlgoRandomized,
+			Policy: randomized.LocalRare, Seed: 23}
+	case "randomized+local+regular":
+		return Config{Nodes: 40, Blocks: 16, Algorithm: AlgoRandomized,
+			Overlay: OverlayRandomRegular, Degree: 8, Policy: randomized.LocalRare,
+			Seed: 27}
 	case "hypercube+verify-triangular":
 		return Config{Nodes: 32, Blocks: 16, Algorithm: AlgoTriangular,
 			Overlay: OverlayHypercube, CreditLimit: 2, Seed: 12,
