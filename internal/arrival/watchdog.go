@@ -114,9 +114,6 @@ func NewWatchdog(opts Options) *Watchdog {
 	}
 }
 
-// Tripped returns the alarm reason, or ReasonNone.
-func (w *Watchdog) Tripped() Reason { return w.tripped }
-
 // Observe feeds one sample: the current time, the number of present
 // incomplete peers, and the age of the oldest such peer (0 when the
 // swarm is empty of incomplete peers). It returns the alarm reason the

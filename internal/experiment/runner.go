@@ -33,9 +33,9 @@ type Options struct {
 	// missing cells and reproduces the exact uncheckpointed output:
 	// cached cells carry the same outcome the simulation would, because
 	// each cell's seed is pre-derived from its identity. Every
-	// replicated generator honors it — the figures and Table C through
-	// runPoints, Tables D/E/F and the scale capstone directly. TableA
-	// and TableB are single deterministic runs per cell (milliseconds
+	// replicated generator honors it — the figures and Table B through
+	// runPoints, Tables D/E/F/G and the scale capstone directly. TableA
+	// and TableC are single deterministic runs per cell (milliseconds
 	// at any scale), so they recompute rather than cache. Empty
 	// disables checkpointing.
 	Checkpoint string

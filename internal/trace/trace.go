@@ -38,8 +38,7 @@
 // cdverify — read the Log through a streaming Cursor or a Window and
 // never materialize the nested form. A sealed Log is immutable shared
 // state: any number of goroutines may read it concurrently as long as
-// each owns its Cursor or Win (the parallel audit pipeline leans on
-// this).
+// each owns its Cursor or Win.
 //
 // # Adding a column
 //
