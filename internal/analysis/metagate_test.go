@@ -45,14 +45,16 @@ func TestCdvetModuleClean(t *testing.T) {
 	}
 
 	// The purity report must name every function reachable from both
-	// engines' pairing paths — spot-pin the pickers of each engine so a
+	// engines' pairing paths — spot-pin the pickers of each engine and
+	// the block picker and interest test they share, so a
 	// silently-shrunk reachable set cannot pass.
 	const mod = "barterdist"
 	mustName := []string{
 		"(*" + mod + "/internal/randomized.Scheduler).pickBlock",
 		"(*" + mod + "/internal/randomized.TriangularScheduler).pickIntent",
-		"(*" + mod + "/internal/bt.Protocol).rarestNeeded",
-		"(*" + mod + "/internal/asim.AsyncRandomized).pickBlock",
+		"(*" + mod + "/internal/asim.AsyncRandomized).pickTarget",
+		mod + "/internal/swarm.PickBlock",
+		mod + "/internal/swarm.Offers",
 		"(*" + mod + "/internal/mechanism.Ledger).CanSend",
 		"(*" + mod + "/internal/adversary.Guard).Blocked",
 		"(*" + mod + "/internal/xrand.Rand).Uint64",

@@ -208,6 +208,16 @@ func (s *State) InFlightTo(v, b int) bool {
 // InFlightCount returns the number of blocks currently arriving at v.
 func (s *State) InFlightCount(v int) int { return len(s.inFlight[v]) }
 
+// Bound returns the test swarm.PickBlock and swarm.Offers take for the
+// blocks already arriving at v, nil when none is.
+func (s *State) Bound(v int) func(b int) bool {
+	in := s.inFlight[v]
+	if len(in) == 0 {
+		return nil
+	}
+	return func(b int) bool { _, ok := in[int32(b)]; return ok }
+}
+
 // Upload is a protocol's answer to "what should this node send next".
 type Upload struct {
 	To    int

@@ -7,6 +7,7 @@ import (
 	"barterdist/internal/checkpoint"
 	"barterdist/internal/graph"
 	"barterdist/internal/shard"
+	"barterdist/internal/swarm"
 	"barterdist/internal/xrand"
 )
 
@@ -31,7 +32,7 @@ type AsyncRandomized struct {
 	// here — it keeps the two engines' RNG derivation identical, which
 	// is what lets one DESIGN.md section describe both.
 	srng    [shard.Slots]*xrand.Rand
-	freq    []int
+	counts  BlockCounts
 	scratch []int32
 	// guard is the per-receiver quarantine table, created lazily when
 	// the simulation reports an adversary plan (nil and zero-overhead
@@ -76,16 +77,11 @@ func (a *AsyncRandomized) Neighbors(v int) []int32 {
 // Rarest-First.
 func (a *AsyncRandomized) OnDeliver(_, _, block int, s *State) {
 	a.ensure(s)
-	a.freq[block]++
+	a.counts.Deliver(block)
 }
 
 func (a *AsyncRandomized) ensure(s *State) {
-	if a.freq == nil {
-		a.freq = make([]int, s.K())
-		for b := range a.freq {
-			a.freq[b] = 1
-		}
-	}
+	a.counts.Size(s) // every snapshot carries the counts
 	if a.guard == nil && s.Adversarial() {
 		if g, err := adversary.NewGuard(adversary.GuardOptions{}); err == nil {
 			a.guard = g
@@ -98,14 +94,14 @@ func (a *AsyncRandomized) ensure(s *State) {
 // run arrive here too.
 func (a *AsyncRandomized) OnCrash(v int, s *State) {
 	a.ensure(s)
-	s.Blocks(v).AccumulateCounts(a.freq, -1)
+	a.counts.Leave(v, s)
 }
 
 // OnRejoin implements FaultAware: the node's blocks count again — none
 // after a wipe, and none for an open-system arrival.
 func (a *AsyncRandomized) OnRejoin(v int, _ bool, s *State) {
 	a.ensure(s)
-	s.Blocks(v).AccumulateCounts(a.freq, 1)
+	a.counts.Join(v, s)
 }
 
 // OnLoss implements FaultAware: the block never arrived, so the count
@@ -140,7 +136,11 @@ func (a *AsyncRandomized) NextUpload(u int, s *State) (Upload, bool) {
 	if v < 0 {
 		return Upload{}, false
 	}
-	b := a.pickBlock(rng, u, v, s)
+	var rarity *swarm.Rarity
+	if a.RarestFirst {
+		rarity = a.counts.Rarity()
+	}
+	b := swarm.PickBlock(rng, s.Blocks(u), s.Blocks(v), s.Bound(v), rarity)
 	if b < 0 {
 		return Upload{}, false
 	}
@@ -171,87 +171,11 @@ func (a *AsyncRandomized) pickTarget(rng *xrand.Rand, u int, s *State) int {
 		if a.guard != nil && a.guard.Blocked(v, u, s.Now()) {
 			continue
 		}
-		if a.usefulFor(u, v, s) {
+		if swarm.Offers(s.Blocks(u), s.Blocks(v), s.Bound(v)) {
 			return v
 		}
 	}
 	return -1
-}
-
-// usefulFor reports whether u holds a block v needs that is not already
-// in flight to v.
-func (a *AsyncRandomized) usefulFor(u, v int, s *State) bool {
-	if s.InFlightCount(v) == 0 {
-		// Nothing in flight: v is interested iff u holds any block v
-		// lacks, which the word-level witness search answers without a
-		// callback per block.
-		return s.Blocks(v).FirstMissingIn(s.Blocks(u)) >= 0
-	}
-	need := false
-	s.Blocks(u).IterDiff(s.Blocks(v), func(b int) bool {
-		if s.InFlightTo(v, b) {
-			return true
-		}
-		need = true
-		return false
-	})
-	return need
-}
-
-func (a *AsyncRandomized) pickBlock(rng *xrand.Rand, u, v int, s *State) int {
-	bu, bv := s.Blocks(u), s.Blocks(v)
-	// offered enumerates the blocks u can give v, ascending; a complete
-	// sender offers exactly v's complement (see Scheduler.pickBlock).
-	offered := func(fn func(b int) bool) {
-		if bu.Full() {
-			bv.IterateMissing(fn)
-		} else {
-			bu.IterDiff(bv, fn)
-		}
-	}
-	if a.RarestFirst {
-		best, bestFreq, ties := -1, int(^uint(0)>>1), 0
-		offered(func(b int) bool {
-			if s.InFlightTo(v, b) {
-				return true
-			}
-			switch {
-			case a.freq[b] < bestFreq:
-				best, bestFreq, ties = b, a.freq[b], 1
-			case a.freq[b] == bestFreq:
-				ties++
-				if rng.Intn(ties) == 0 {
-					best = b
-				}
-			}
-			return true
-		})
-		return best
-	}
-	count := 0
-	offered(func(b int) bool {
-		if !s.InFlightTo(v, b) {
-			count++
-		}
-		return true
-	})
-	if count == 0 {
-		return -1
-	}
-	target := rng.Intn(count)
-	chosen := -1
-	offered(func(b int) bool {
-		if s.InFlightTo(v, b) {
-			return true
-		}
-		if target == 0 {
-			chosen = b
-			return false
-		}
-		target--
-		return true
-	})
-	return chosen
 }
 
 // SnapshotState implements CheckpointableProtocol: the shard streams,
@@ -265,9 +189,9 @@ func (a *AsyncRandomized) SnapshotState(enc *checkpoint.Encoder) error {
 	for _, rng := range a.srng {
 		rng.Snapshot(enc)
 	}
-	enc.Bool(a.freq != nil)
-	if a.freq != nil {
-		enc.Ints(a.freq)
+	enc.Bool(a.counts.r.Count != nil)
+	if a.counts.r.Count != nil {
+		enc.Ints(a.counts.r.Count)
 	}
 	enc.Bool(a.guard != nil)
 	if a.guard != nil {
@@ -311,7 +235,7 @@ func (a *AsyncRandomized) RestoreState(dec *checkpoint.Decoder, s *State) error 
 			return checkpoint.Corruptf("asim: rarity count %d of block %d negative", f, b)
 		}
 	}
-	copy(a.freq, freq)
+	copy(a.counts.r.Count, freq)
 	if dec.Bool() != (a.guard != nil) {
 		if dec.Err() == nil {
 			return checkpoint.Corruptf("asim: guard presence mismatch (different adversary config?)")

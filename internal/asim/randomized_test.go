@@ -19,15 +19,15 @@ type freqChecked struct {
 func (f *freqChecked) check(s *State) {
 	f.t.Helper()
 	f.checks++
-	for b := range f.freq {
+	for b := range f.counts.r.Count {
 		want := 0
 		for v := 0; v < s.N(); v++ {
 			if s.Alive(v) && s.Has(v, b) {
 				want++
 			}
 		}
-		if f.freq[b] != want {
-			f.t.Fatalf("t=%v: block %d counted %d times, present holders %d", s.Now(), b, f.freq[b], want)
+		if f.counts.r.Count[b] != want {
+			f.t.Fatalf("t=%v: block %d counted %d times, present holders %d", s.Now(), b, f.counts.r.Count[b], want)
 		}
 	}
 }

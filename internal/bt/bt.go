@@ -28,6 +28,7 @@ import (
 
 	"barterdist/internal/asim"
 	"barterdist/internal/graph"
+	"barterdist/internal/swarm"
 	"barterdist/internal/xrand"
 )
 
@@ -55,7 +56,7 @@ type Protocol struct {
 	opts Options
 	rng  *xrand.Rand
 
-	freq []int // block replication counts (rarest-first)
+	counts asim.BlockCounts // block replication counts (rarest-first)
 	// recv[v][i] = blocks v received from its i-th neighbor during the
 	// current choke window.
 	recv [][]float64
@@ -122,10 +123,7 @@ func (p *Protocol) ensure(s *asim.State) {
 		return
 	}
 	n := s.N()
-	p.freq = make([]int, s.K())
-	for b := range p.freq {
-		p.freq[b] = 1
-	}
+	p.counts.Size(s)
 	p.recv = make([][]float64, n)
 	p.unchoked = make([][]int, n)
 	p.optimistic = make([]int, n)
@@ -152,7 +150,7 @@ func (p *Protocol) ensure(s *asim.State) {
 // and update rarity statistics.
 func (p *Protocol) OnDeliver(from, to, block int, s *asim.State) {
 	p.ensure(s)
-	p.freq[block]++
+	p.counts.Deliver(block)
 	if i, ok := p.nbrIndex[to][int32(from)]; ok {
 		p.recv[to][i]++
 	}
@@ -189,7 +187,7 @@ func (p *Protocol) recomputeChokes(v int, s *asim.State) {
 		return
 	}
 	interested := func(w int32) bool {
-		return s.Alive(int(w)) && s.Blocks(v).AnyMissingFrom(s.Blocks(int(w)))
+		return s.Alive(int(w)) && swarm.Offers(s.Blocks(v), s.Blocks(int(w)), nil)
 	}
 	p.unchoked[v] = p.unchoked[v][:0]
 	if v == 0 {
@@ -252,7 +250,7 @@ func (p *Protocol) rotateOptimistic(v int, s *asim.State) {
 		if w == 0 || !s.Alive(w) {
 			continue // never upload to the seed or a dead peer
 		}
-		if s.Blocks(v).AnyMissingFrom(s.Blocks(w)) || s.Blocks(v).Count() == 0 {
+		if swarm.Offers(s.Blocks(v), s.Blocks(w), nil) || s.Blocks(v).Count() == 0 {
 			p.optimistic[v] = i
 			break
 		}
@@ -287,7 +285,7 @@ func (p *Protocol) NextUpload(u int, s *asim.State) (asim.Upload, bool) {
 		if p.opts.DownloadPorts != asim.Unlimited && s.InFlightCount(v) >= p.opts.DownloadPorts {
 			continue
 		}
-		if b := p.rarestNeeded(u, v, s); b >= 0 {
+		if b := swarm.PickBlock(p.rng, s.Blocks(u), s.Blocks(v), s.Bound(v), p.counts.Rarity()); b >= 0 {
 			p.rr[u] = (slot + 1) % total
 			return asim.Upload{To: v, Block: b}, true
 		}
@@ -301,14 +299,14 @@ func (p *Protocol) NextUpload(u int, s *asim.State) (asim.Upload, bool) {
 // credit it earned simply ages out at the next choke window.
 func (p *Protocol) OnCrash(v int, s *asim.State) {
 	p.ensure(s)
-	s.Blocks(v).AccumulateCounts(p.freq, -1)
+	p.counts.Leave(v, s)
 }
 
 // OnRejoin implements asim.FaultAware: the returning peer's holdings
 // (none after a wipe) count again.
 func (p *Protocol) OnRejoin(v int, _ bool, s *asim.State) {
 	p.ensure(s)
-	s.Blocks(v).AccumulateCounts(p.freq, 1)
+	p.counts.Join(v, s)
 	// The returning peer starts from a clean slate: everything choked
 	// except a fresh optimistic unchoke, exactly like a cold start.
 	p.unchoked[v] = p.unchoked[v][:0]
@@ -322,34 +320,3 @@ func (p *Protocol) OnRejoin(v int, _ bool, s *asim.State) {
 // credit for a block that never verified, which OnDeliver not being
 // called already guarantees.
 func (p *Protocol) OnLoss(_, _, _ int, _ bool, _ *asim.State) {}
-
-// rarestNeeded returns the globally rarest block u can give v, or -1.
-func (p *Protocol) rarestNeeded(u, v int, s *asim.State) int {
-	bu, bv := s.Blocks(u), s.Blocks(v)
-	// A seeder offers exactly v's complement; IterateMissing scans it
-	// word-at-a-time without touching the seeder's words.
-	offered := func(fn func(b int) bool) {
-		if bu.Full() {
-			bv.IterateMissing(fn)
-		} else {
-			bu.IterDiff(bv, fn)
-		}
-	}
-	best, bestFreq, ties := -1, int(^uint(0)>>1), 0
-	offered(func(b int) bool {
-		if s.InFlightTo(v, b) {
-			return true
-		}
-		switch {
-		case p.freq[b] < bestFreq:
-			best, bestFreq, ties = b, p.freq[b], 1
-		case p.freq[b] == bestFreq:
-			ties++
-			if p.rng.Intn(ties) == 0 {
-				best = b
-			}
-		}
-		return true
-	})
-	return best
-}

@@ -58,11 +58,9 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).beginTick",
 	"(*MOD/internal/randomized.Scheduler).pickReceiver",
 	"(*MOD/internal/randomized.Scheduler).pickReceiverComplete",
-	"(*MOD/internal/randomized.Scheduler).pickBlock",
 	"(*MOD/internal/randomized.Scheduler).qualify",
 	"(*MOD/internal/randomized.Scheduler).qualifiedIndexed",
-	"(*MOD/internal/randomized.Scheduler).needsSomething",
-	"(*MOD/internal/randomized.Scheduler).blockFreq",
+	"(*MOD/internal/randomized.Scheduler).localFreq",
 	"(*MOD/internal/randomized.Scheduler).removeAvail",
 	// sharded tick: per-lane proposal pass + barrier merge
 	"(*MOD/internal/randomized.Scheduler).runLane",
@@ -95,11 +93,14 @@ var defaultEscapeGateTemplates = []string{
 	// bt protocol
 	"(*MOD/internal/bt.Protocol).NextUpload",
 	"(*MOD/internal/bt.Protocol).recomputeChokes",
-	"(*MOD/internal/bt.Protocol).rarestNeeded",
-	// shared swarm core on both engines' per-transfer path
+	// shared swarm core on both engines' per-transfer path, and the
+	// one block picker and interest test every scheduler and protocol
+	// calls
 	"(*MOD/internal/swarm.Core).Deliver",
 	"(*MOD/internal/swarm.Core).Resolve",
 	"(*MOD/internal/swarm.Peers).Alive",
+	"MOD/internal/swarm.PickBlock",
+	"MOD/internal/swarm.Offers",
 	// asynchronous engine + its randomized protocol
 	"(*MOD/internal/asim.engine).loop",
 	"(*MOD/internal/asim.engine).tryStartUpload",
@@ -107,8 +108,6 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/asim.engine).newEvent",
 	"(*MOD/internal/asim.AsyncRandomized).NextUpload",
 	"(*MOD/internal/asim.AsyncRandomized).pickTarget",
-	"(*MOD/internal/asim.AsyncRandomized).usefulFor",
-	"(*MOD/internal/asim.AsyncRandomized).pickBlock",
 	// bitset word scans
 	"(*MOD/internal/bitset.Set).Has",
 	"(*MOD/internal/bitset.Set).Add",

@@ -58,10 +58,10 @@ func TestLocalRareCountsSaturatedPeers(t *testing.T) {
 		sched.removeAvail(2)
 		sched.removeAvail(4)
 		ln := sched.lanes[0] // uploader 0's lane
-		if got := sched.blockFreq(ln, st, 6, 0); got != 2 {
+		if got := sched.localFreq(st, 6, 0); got != 2 {
 			return nil, errors.New("blockFreq(6, B0) changed")
 		}
-		if got := sched.blockFreq(ln, st, 6, 1); got != 3 {
+		if got := sched.localFreq(st, 6, 1); got != 3 {
 			// The buggy avail-based count reports 1 here.
 			return nil, errors.New("blockFreq(6, B1) ignores saturated holders")
 		}

@@ -48,6 +48,7 @@ import (
 	"barterdist/internal/mechanism"
 	"barterdist/internal/shard"
 	"barterdist/internal/simulate"
+	"barterdist/internal/swarm"
 	"barterdist/internal/xrand"
 )
 
@@ -1107,118 +1108,47 @@ func (s *Scheduler) qualify(ln *lane, st *simulate.State, u, v int) (interested,
 	return true, true
 }
 
-// needsSomething reports whether u holds a block v lacks, discounting
-// blocks already committed toward v this tick and this lane's in-round
-// proposals.
-func (s *Scheduler) needsSomething(ln *lane, st *simulate.State, u, v int) bool {
-	bu, bv := st.Blocks(u), st.Blocks(v)
+// bound returns the test for blocks already committed toward v this
+// tick or proposed to it by this lane this round, nil when there are
+// none.
+func (s *Scheduler) bound(ln *lane, v int) func(b int) bool {
 	if s.incomingStamp[v] != s.curTick && ln.resStamp[v] != s.roundStamp {
-		return bu.AnyMissingFrom(bv)
+		return nil
 	}
-	need := false
-	bu.IterDiff(bv, func(b int) bool {
-		if s.blockInFlight(ln, v, int32(b)) {
-			return true // already in flight or proposed; keep looking
-		}
-		need = true
-		return false
-	})
-	return need
+	return func(b int) bool { return s.blockInFlight(ln, v, int32(b)) }
+}
+
+// needsSomething reports whether u holds a block v lacks beyond the
+// blocks bound for v.
+func (s *Scheduler) needsSomething(ln *lane, st *simulate.State, u, v int) bool {
+	return swarm.Offers(st.Blocks(u), st.Blocks(v), s.bound(ln, v))
 }
 
 // pickBlock selects the block u uploads to v under the configured
-// policy. Returns -1 if no useful block remains (in-flight and
-// lane-proposed blocks are excluded).
+// policy through the shared rule (swarm.PickBlock). Returns -1 if no
+// block remains beyond the blocks bound for v. Rarest-First ranks by
+// the committed counts plus this lane's in-round proposals.
 func (s *Scheduler) pickBlock(ln *lane, st *simulate.State, u, v int) int {
-	bu, bv := st.Blocks(u), st.Blocks(v)
-	inflight := s.incomingStamp[v] == s.curTick || ln.resStamp[v] == s.roundStamp
-	useful := func(b int) bool {
-		return !inflight || !s.blockInFlight(ln, v, int32(b))
-	}
-	// offered enumerates the blocks u can give v, ascending. A complete
-	// sender (the server, or any finished peer that keeps seeding)
-	// offers exactly v's complement, which IterateMissing scans without
-	// touching the sender's words at all.
-	offered := func(fn func(b int) bool) {
-		if bu.Full() {
-			bv.IterateMissing(fn)
-		} else {
-			bu.IterDiff(bv, fn)
-		}
-	}
+	var rarity *swarm.Rarity
 	switch s.opts.Policy {
-	case RarestFirst, LocalRare:
-		best, bestFreq, ties := -1, int(^uint(0)>>1), 0
-		offered(func(b int) bool {
-			if !useful(b) {
-				return true
-			}
-			f := s.blockFreq(ln, st, v, b)
-			switch {
-			case f < bestFreq:
-				best, bestFreq, ties = b, f, 1
-			case f == bestFreq:
-				// Reservoir over ties keeps the choice unbiased.
-				ties++
-				if ln.rng.Intn(ties) == 0 {
-					best = b
-				}
-			}
-			return true
-		})
-		return best
-	default: // Random
-		// Count the useful blocks first, then index into them — one RNG
-		// draw per transfer instead of one per candidate block.
-		count := 0
-		switch {
-		case !inflight && bu.Full():
-			count = s.k - bv.Count() // |complement| without a scan
-		case !inflight:
-			count = bu.DiffCount(bv)
-		default:
-			offered(func(b int) bool {
-				if useful(b) {
-					count++
-				}
-				return true
-			})
-		}
-		if count == 0 {
-			return -1
-		}
-		target := ln.rng.Intn(count)
-		chosen := -1
-		offered(func(b int) bool {
-			if !useful(b) {
-				return true
-			}
-			if target == 0 {
-				chosen = b
-				return false
-			}
-			target--
-			return true
-		})
-		return chosen
+	case RarestFirst:
+		rarity = &swarm.Rarity{Count: s.freq, Add: ln.freqAdd}
+	case LocalRare:
+		rarity = &swarm.Rarity{Local: func(b int) int { return s.localFreq(st, v, b) }}
 	}
+	return swarm.PickBlock(ln.rng, st.Blocks(u), st.Blocks(v), s.bound(ln, v), rarity)
 }
 
-// blockFreq returns the replication count used for rarity comparisons:
-// the committed count plus this lane's in-round proposals.
-func (s *Scheduler) blockFreq(ln *lane, st *simulate.State, v, b int) int {
-	if s.opts.Policy == RarestFirst {
-		return s.freq[b] + int(ln.freqAdd[b])
-	}
-	// LocalRare: count holders among v's alive neighbors. On the
-	// complete graph the neighborhood estimate is taken over the
-	// tick-start snapshot of alive incomplete clients (localPeers) —
-	// counting over the live avail list would silently drop peers that
-	// saturated their download capacity earlier in the same tick,
-	// making the rarity estimate depend on intra-tick upload order.
-	// Complete nodes and the server hold every block, so leaving them
-	// out only shifts every count by the same constant and never
-	// changes which block is rarest.
+// localFreq is LocalRare's replication count of block b: holders among
+// v's alive neighbors. On the complete graph the neighborhood estimate
+// is taken over the tick-start snapshot of alive incomplete clients
+// (localPeers) — counting over the live avail list would silently drop
+// peers that saturated their download capacity earlier in the same
+// tick, making the rarity estimate depend on intra-tick upload order.
+// Complete nodes and the server hold every block, so leaving them out
+// only shifts every count by the same constant and never changes which
+// block is rarest.
+func (s *Scheduler) localFreq(st *simulate.State, v, b int) int {
 	count := 0
 	if g := s.opts.Graph; g != nil {
 		for _, w := range g.Neighbors(v) {

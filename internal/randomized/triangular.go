@@ -88,6 +88,7 @@ type TriangularScheduler struct {
 	// settlement order) and the next tick resets exactly these
 	// intent/approved entries.
 	intenders []int32
+	cycle     []int // findCycle's path, reused across calls
 }
 
 var _ simulate.Scheduler = (*TriangularScheduler)(nil)
@@ -133,7 +134,8 @@ func NewTriangular(opts TriangularOptions) (*TriangularScheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TriangularScheduler{opts: opts, s: s, ledger: ledger}, nil
+	return &TriangularScheduler{opts: opts, s: s, ledger: ledger,
+		cycle: make([]int, 0, opts.CycleLimit)}, nil
 }
 
 // Ledger exposes the credit ledger for inspection.
@@ -308,9 +310,10 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 
 // findCycle follows held intents from u; if it returns to u within
 // CycleLimit steps through exclusively held (unapproved) nodes, the
-// cycle's members are returned, else nil.
+// cycle's members are returned, else nil. The returned slice is the
+// scheduler's buffer, valid until the next call.
 func (ts *TriangularScheduler) findCycle(u int, approved []bool) []int {
-	path := make([]int, 0, ts.opts.CycleLimit)
+	path := ts.cycle[:0]
 	cur := u
 	for steps := 0; steps < ts.opts.CycleLimit; steps++ {
 		path = append(path, cur)

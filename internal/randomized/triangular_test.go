@@ -403,7 +403,8 @@ func TestSettlementFollowsVerifierOnSharedEdges(t *testing.T) {
 // intent table. Seeded runs rarely hold a short cycle of credit-blocked
 // intents, so the schedule goldens alone do not show that it settles
 // exactly the cycles through u of length <= CycleLimit whose members
-// are all held.
+// are all held, nor that it walks the scheduler's own buffer without
+// allocating.
 func TestFindCycleRespectsCycleLimit(t *testing.T) {
 	edges := map[int]int{
 		1: 2, 2: 3, 3: 1, // 3-cycle
@@ -438,6 +439,9 @@ func TestFindCycleRespectsCycleLimit(t *testing.T) {
 			if got := fmt.Sprint(ts.findCycle(u, approved)); got != want {
 				t.Errorf("cycle limit %d: findCycle(%d) = %s, want %s", tc.limit, u, got, want)
 			}
+		}
+		if n := testing.AllocsPerRun(50, func() { ts.findCycle(4, approved) }); n != 0 {
+			t.Errorf("cycle limit %d: findCycle allocates %v times per call", tc.limit, n)
 		}
 	}
 }
