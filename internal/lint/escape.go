@@ -52,7 +52,9 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/simulate.capScratch).reset",
 	"(*MOD/internal/simulate.capScratch).addUp",
 	"(*MOD/internal/simulate.capScratch).addDown",
-	// randomized scheduler + pickers
+	// randomized scheduler + pickers; pickBlock and needsSomething build
+	// the bound test and rarity they pass to swarm.PickBlock / Offers,
+	// which must stay on the stack
 	"(*MOD/internal/randomized.Scheduler).Tick",
 	"(*MOD/internal/randomized.Scheduler).pairRounds",
 	"(*MOD/internal/randomized.Scheduler).beginTick",
@@ -60,6 +62,8 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).pickReceiverComplete",
 	"(*MOD/internal/randomized.Scheduler).qualify",
 	"(*MOD/internal/randomized.Scheduler).qualifiedIndexed",
+	"(*MOD/internal/randomized.Scheduler).needsSomething",
+	"(*MOD/internal/randomized.Scheduler).pickBlock",
 	"(*MOD/internal/randomized.Scheduler).localFreq",
 	"(*MOD/internal/randomized.Scheduler).removeAvail",
 	// sharded tick: per-lane proposal pass + barrier merge

@@ -1068,13 +1068,10 @@ func (s *Scheduler) qualifiedIndexed(ln *lane, st *simulate.State, u, v int) boo
 		ln.stats.RejectGuard++
 		return false
 	}
-	if s.incomingStamp[v] == s.curTick || ln.resStamp[v] == s.roundStamp {
-		// Something is in flight or proposed to v: make sure u still
-		// offers a block beyond it.
-		if !s.needsSomething(ln, st, u, v) {
-			ln.stats.RejectInFlight++
-			return false
-		}
+	if bound := s.bound(ln, v); bound != nil && !swarm.Offers(st.Blocks(u), st.Blocks(v), bound) {
+		// Everything u offers v is already in flight or proposed to it.
+		ln.stats.RejectInFlight++
+		return false
 	}
 	return true
 }
