@@ -414,23 +414,36 @@ func BenchmarkPairLedger(b *testing.B) {
 	}
 }
 
+// cannedTableDGraph is the overlay of one Table D cell: random-regular,
+// n=1024, degree 30, built from the cell's rep-0 seed.
+var cannedTableDGraph = sync.OnceValue(func() *graph.Graph {
+	g, err := graph.RandomRegular(cannedTableDConfig.Nodes, 30, xrand.New(cannedTableDSeed))
+	if err != nil {
+		panic(err)
+	}
+	return g
+})
+
+const cannedTableDSeed = uint64(9000 + 1024*31)
+
+// tableDProtocols returns fresh instances of the cell's two protocols,
+// BitTorrent and async rarest-first, on g.
+func tableDProtocols(g *graph.Graph) [2]asim.Protocol {
+	proto, err := bt.New(bt.Options{Graph: g, DownloadPorts: 1, Seed: cannedTableDSeed})
+	if err != nil {
+		panic(err)
+	}
+	return [2]asim.Protocol{proto, asim.NewAsyncRandomized(g, true, 1, cannedTableDSeed)}
+}
+
 // cannedTableDCell records both runs of one Table D cell ONCE per
-// process — BitTorrent, then async rarest-first, on one random-regular
-// graph (n=1024, k=512, degree 30, the cell's rep-0 seed) — so
-// BenchmarkAsimAudit measures pure verification cost, not simulation.
+// process — BitTorrent, then async rarest-first, on cannedTableDGraph
+// (k=512) — so BenchmarkAsimAudit measures pure verification cost, not
+// simulation.
 var cannedTableDCell = sync.OnceValue(func() [2]*asim.Result {
-	const n, k, d = 1024, 512, 30
-	seed := uint64(9000 + n*31)
-	g, err := graph.RandomRegular(n, d, xrand.New(seed))
-	if err != nil {
-		panic(err)
-	}
-	proto, err := bt.New(bt.Options{Graph: g, DownloadPorts: 1, Seed: seed})
-	if err != nil {
-		panic(err)
-	}
 	var cell [2]*asim.Result
-	for i, p := range []asim.Protocol{proto, asim.NewAsyncRandomized(g, true, 1, seed)} {
+	for i, p := range tableDProtocols(cannedTableDGraph()) {
+		var err error
 		if cell[i], err = asim.Run(cannedTableDConfig, p); err != nil {
 			panic(err)
 		}
@@ -456,6 +469,41 @@ func BenchmarkAsimAudit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
+}
+
+// BenchmarkAsimRun is the asynchronous engine itself: one asim.Run of
+// each protocol of the canned Table D cell (fresh protocol, same graph,
+// seed and config, trace on), the runs the async-bt workload's run_s
+// times. transfers/s counts block deliveries per second of run.
+func BenchmarkAsimRun(b *testing.B) {
+	g := cannedTableDGraph()
+	for i, name := range []string{"bt", "rarest"} {
+		i := i
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			transfers := 0
+			for n := 0; n < b.N; n++ {
+				res, err := asim.Run(cannedTableDConfig, tableDProtocols(g)[i])
+				if err != nil {
+					b.Fatal(err)
+				}
+				transfers += res.Transfers
+			}
+			b.ReportMetric(float64(transfers)/b.Elapsed().Seconds(), "transfers/s")
+		})
+	}
+}
+
+// BenchmarkRandomRegular builds the Table D overlay (n=1024, d=30):
+// 200 failed pairing attempts, whose draws fix the generator stream,
+// then the circulant graph and its double-edge swaps.
+func BenchmarkRandomRegular(b *testing.B) {
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		if _, err := graph.RandomRegular(1024, 30, xrand.New(cannedTableDSeed)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTraceAppend is the recording hot path: append one synthetic

@@ -400,6 +400,12 @@ func (q *eventQueue) Pop() any {
 	return e
 }
 
+// push adds ev to the queue.
+func (q *eventQueue) push(ev *event) { heap.Push(q, ev) }
+
+// pop removes and returns the earliest event by (at, seq).
+func (q *eventQueue) pop() *event { return heap.Pop(q).(*event) }
+
 // Run executes the protocol to completion.
 func Run(cfg Config, p Protocol) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -518,7 +524,7 @@ func (e *engine) incomplete(where string) error {
 func (e *engine) loop() (*Result, error) {
 	eng, c, st, sw, p := e, e.cfg, e.st, e.sw, e.proto
 	for eng.queue.Len() > 0 {
-		ev := heap.Pop(&eng.queue).(*event)
+		ev := eng.queue.pop()
 		if ev.cancelled {
 			// Aborted by a crash; its inFlight/curUpload references were
 			// cleared at cancellation time.
@@ -664,7 +670,7 @@ func (e *engine) release(ev *event) { e.free = append(e.free, ev) }
 func (e *engine) schedule(ev *event) {
 	e.seq++
 	ev.seq = e.seq
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // scheduleNextCrash turns the plan's next Poisson arrival into an

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +388,186 @@ func TestNeighborListsSortedAndSeedDeterministic(t *testing.T) {
 					t.Fatalf("%s node %d: unsorted neighbors %v", g.Name(), v, nbrs)
 				}
 			}
+		}
+	}
+}
+
+// referenceRandomRegular is RandomRegular as it stood before the
+// pairing walk stopped drawing into discarded matchings and the swap
+// walk left its map edge set: a full Fisher–Yates shuffle of freshly
+// filled stubs per attempt, pairs checked afterwards, and a
+// map[[2]int32]struct{} edge set for the circulant swaps. It returns
+// the adjacency, or nil for an error.
+func referenceRandomRegular(n, d int, rng *xrand.Rand) [][]int32 {
+	if n < 1 || d < 0 || d >= n || n*d%2 != 0 {
+		return nil
+	}
+	if d == 0 {
+		return make([][]int32, n)
+	}
+	const maxAttempts = 200
+	stubs := make([]int, n*d)
+	deg := make([]int32, n)
+	nbr := make([]int32, n*d)
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		for i := range stubs {
+			stubs[i] = i / d
+		}
+		rng.Shuffle(stubs)
+		if adj, ok := referenceTryPairing(n, d, stubs, deg, nbr); ok {
+			return adj
+		}
+	}
+	return referenceCirculantWithSwaps(n, d, rng)
+}
+
+func referenceTryPairing(n, d int, stubs []int, deg, nbr []int32) ([][]int32, bool) {
+	for i := range deg {
+		deg[i] = 0
+	}
+	for i := 0; i < len(stubs); i += 2 {
+		u, v := stubs[i], stubs[i+1]
+		if u == v {
+			return nil, false
+		}
+		su, sv := u, v
+		if deg[sv] < deg[su] {
+			su, sv = sv, su
+		}
+		for _, w := range nbr[su*d : su*d+int(deg[su])] {
+			if w == int32(sv) {
+				return nil, false
+			}
+		}
+		nbr[u*d+int(deg[u])] = int32(v)
+		deg[u]++
+		nbr[v*d+int(deg[v])] = int32(u)
+		deg[v]++
+	}
+	backing := append([]int32(nil), nbr...)
+	adj := make([][]int32, n)
+	for v := 0; v < n; v++ {
+		adj[v] = backing[v*d : v*d+int(deg[v])]
+	}
+	sortAdj(adj)
+	return adj, true
+}
+
+func referenceCirculantWithSwaps(n, d int, rng *xrand.Rand) [][]int32 {
+	edges := make(map[[2]int32]struct{})
+	add := func(u, v int) {
+		a, b := int32(u), int32(v)
+		if a == b {
+			return
+		}
+		if a > b {
+			a, b = b, a
+		}
+		edges[[2]int32{a, b}] = struct{}{}
+	}
+	for v := 0; v < n; v++ {
+		for off := 1; off <= d/2; off++ {
+			add(v, (v+off)%n)
+		}
+	}
+	if d%2 == 1 {
+		if n%2 != 0 {
+			return nil
+		}
+		for v := 0; v < n/2; v++ {
+			add(v, v+n/2)
+		}
+	}
+	list := make([][2]int32, 0, len(edges))
+	for e := range edges { //lint:ordered the list is sorted below before any swap reads it
+		list = append(list, e)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		if list[i][0] != list[j][0] {
+			return list[i][0] < list[j][0]
+		}
+		return list[i][1] < list[j][1]
+	})
+	for iter := 0; iter < 10*len(list); iter++ {
+		i, j := rng.Intn(len(list)), rng.Intn(len(list))
+		if i == j {
+			continue
+		}
+		e1, e2 := list[i], list[j]
+		a, b := e1[0], e2[1]
+		c, dd := e2[0], e1[1]
+		if a == b || c == dd {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		if c > dd {
+			c, dd = dd, c
+		}
+		n1, n2 := [2]int32{a, b}, [2]int32{c, dd}
+		if n1 == n2 {
+			continue
+		}
+		if _, dup := edges[n1]; dup {
+			continue
+		}
+		if _, dup := edges[n2]; dup {
+			continue
+		}
+		delete(edges, e1)
+		delete(edges, e2)
+		edges[n1] = struct{}{}
+		edges[n2] = struct{}{}
+		list[i], list[j] = n1, n2
+	}
+	adj := make([][]int32, n)
+	for e := range edges { //lint:ordered sortAdj sorts every neighbor list below
+		adj[e[0]] = append(adj[e[0]], e[1])
+		adj[e[1]] = append(adj[e[1]], e[0])
+	}
+	sortAdj(adj)
+	return adj
+}
+
+// TestRandomRegularMatchesReference holds RandomRegular to the reference
+// construction above: the same adjacency and the same generator state
+// afterwards, so every seeded run on a random-regular overlay, and every
+// draw after the overlay is built, is unchanged. The shapes cover the
+// pairing model where it succeeds (d <= 4), the circulant fallback at
+// the experiments' degree 30 and at d = n-1, and odd d on even n.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	shapes := [][2]int{
+		{2, 1}, {4, 1}, {10, 2}, {7, 2}, {50, 2}, {10, 3}, {16, 3}, {40, 4}, {101, 4},
+		{64, 30}, {300, 30}, {1024, 30},
+		{8, 7}, {31, 30}, {32, 31},
+		{20, 5}, {64, 9}, {12, 11}, {100, 15},
+		{5, 0}, {1, 0},
+	}
+	for _, sh := range shapes {
+		n, d := sh[0], sh[1]
+		seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 9000 + 1024*31}
+		if n*d > 10000 {
+			seeds = seeds[len(seeds)-2:] // the big circulants cost ~0.1 s a build
+		}
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("n=%d,d=%d,seed=%d", n, d, seed), func(t *testing.T) {
+				ref := xrand.New(seed)
+				want := referenceRandomRegular(n, d, ref)
+				rng := xrand.New(seed)
+				g, err := RandomRegular(n, d, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := 0; v < n; v++ {
+					if got := g.Neighbors(v); !reflect.DeepEqual(append([]int32{}, got...), append([]int32{}, want[v]...)) {
+						t.Fatalf("node %d: neighbors %v, reference %v", v, got, want[v])
+					}
+				}
+				if got, want := rng.State(), ref.State(); got != want {
+					t.Fatalf("generator state %#x after the build, reference %#x", got, want)
+				}
+			})
 		}
 	}
 }
