@@ -66,18 +66,19 @@ func splitmix64(state uint64) (uint64, uint64) {
 	return state, z ^ (z >> 31)
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
-// Uint64 returns the next value in the xoshiro256** stream.
+// Uint64 returns the next value in the xoshiro256** stream. It works on
+// local copies of the state so that it stays within the inliner's
+// budget: every draw in the simulators goes through here.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -97,14 +98,25 @@ func (r *Rand) Intn(n int) int {
 }
 
 // boundedUint64 returns a uniform value in [0, bound) using Lemire's
-// nearly-divisionless multiply-shift rejection method.
+// nearly-divisionless multiply-shift rejection method. Only a draw
+// whose low word falls below bound can be rejected, so the common case
+// stays inline and the division and retry loop live in boundedSlow.
 func (r *Rand) boundedUint64(bound uint64) uint64 {
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), bound)
-		if lo >= bound || lo >= -bound%bound {
-			return hi
-		}
+	hi, lo := bits.Mul64(r.Uint64(), bound)
+	if lo >= bound {
+		return hi
 	}
+	return r.boundedSlow(bound, hi, lo)
+}
+
+// boundedSlow finishes a draw whose low word lo fell below bound: it is
+// accepted unless it lies in the biased band below 2^64 mod bound, and
+// redrawn until it does not.
+func (r *Rand) boundedSlow(bound, hi, lo uint64) uint64 {
+	for thresh := -bound % bound; lo < thresh; {
+		hi, lo = bits.Mul64(r.Uint64(), bound)
+	}
+	return hi
 }
 
 // Float64 returns a uniform value in [0, 1).
