@@ -12,15 +12,16 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"barterdist/internal/xrand"
 )
 
 // Graph is an undirected overlay network over nodes 0..N()-1.
-// Neighbor lists are sorted, duplicate-free, and never contain the node
-// itself; sorted order keeps seeded simulations reproducible across
-// processes.
+// Neighbor lists are duplicate-free, never contain the node itself, and
+// are sorted by every constructor but Hypercube, which lists them by
+// flipped bit, highest first; a fixed order keeps seeded simulations
+// reproducible across processes.
 type Graph struct {
 	adj  [][]int32
 	name string
@@ -112,7 +113,7 @@ func (b *builder) build(name string) *Graph {
 // seeded simulation runs reproducible.
 func sortAdj(adj [][]int32) {
 	for _, nbrs := range adj {
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+		slices.Sort(nbrs)
 	}
 }
 
@@ -282,21 +283,31 @@ func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 		return &Graph{adj: make([][]int32, n), name: name}, nil
 	}
 	const maxAttempts = 200
+	// Every attempt starts from the same stubs: node v's d half-edges
+	// are stubs v*d .. v*d+d-1.
+	template := make([]int, n*d)
+	for i := range template {
+		template[i] = i / d
+	}
 	stubs := make([]int, n*d)
 	// Arena shared by every attempt: deg[v] neighbors of v live at
 	// nbr[v*d : v*d+deg[v]]. Rejection sampling discards the vast
-	// majority of matchings, so per-attempt map allocation used to
-	// dominate the constructor's allocations; the flat arena costs one
-	// memclr per attempt instead.
+	// majority of matchings, so the arena costs one memclr per attempt
+	// instead of an allocation.
 	deg := make([]int32, n)
 	nbr := make([]int32, n*d)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		for i := range stubs {
-			stubs[i] = i / d
-		}
-		rng.Shuffle(stubs)
-		if g, ok := tryPairing(n, d, stubs, deg, nbr, name); ok {
-			return g, nil
+		copy(stubs, template)
+		if pairStubs(stubs, d, deg, nbr, rng) {
+			// Success: snapshot the arena into the graph's own backing array.
+			backing := make([]int32, n*d)
+			copy(backing, nbr)
+			adj := make([][]int32, n)
+			for v := range adj {
+				adj[v] = backing[v*d : v*d+int(deg[v])]
+			}
+			sortAdj(adj)
+			return &Graph{adj: adj, name: name}, nil
 		}
 	}
 	// Deterministic fallback: start from a circulant d-regular graph and
@@ -304,63 +315,67 @@ func RandomRegular(n, d int, rng *xrand.Rand) (*Graph, error) {
 	return circulantWithSwaps(n, d, rng, name)
 }
 
-// tryPairing matches consecutive stubs; fails on self-loops/multi-edges.
-// deg and nbr are the caller's reusable adjacency arena (len n and n*d);
-// duplicate detection is a linear scan over one endpoint's current
-// neighbors, which for the degrees where the pairing model is viable is
-// faster than any hashing and allocates nothing on the (overwhelmingly
-// common) failure path.
-func tryPairing(n, d int, stubs []int, deg, nbr []int32, name string) (*Graph, bool) {
-	for i := range deg {
-		deg[i] = 0
-	}
-	for i := 0; i < len(stubs); i += 2 {
-		u, v := stubs[i], stubs[i+1]
-		if u == v {
-			return nil, false
-		}
-		// Adjacency is symmetric, so scanning the sparser endpoint's
-		// list decides duplicates just as well.
-		su, sv := u, v
-		if deg[sv] < deg[su] {
-			su, sv = sv, su
-		}
-		row := nbr[su*d : su*d+int(deg[su])]
-		for _, w := range row {
-			if w == int32(sv) {
-				return nil, false
+// pairStubs is one attempt of the pairing model: it shuffles stubs by
+// xrand.Rand.Shuffle's descending Fisher–Yates walk and matches
+// stubs[2m] with stubs[2m+1], adding each pair to the deg/nbr arena as
+// soon as the walk has fixed both its stubs. At the first self-loop or
+// duplicate edge it makes only the draws the rest of the shuffle would
+// have made, so the generator ends where a full shuffle leaves it, and
+// reports false. Whether a matching is simple does not depend on the
+// order its pairs are checked in.
+func pairStubs(stubs []int, d int, deg, nbr []int32, rng *xrand.Rand) bool {
+	clear(deg)
+	for i := len(stubs) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		stubs[i], stubs[j] = stubs[j], stubs[i]
+		if i&1 == 0 && !addPair(stubs[i], stubs[i+1], d, deg, nbr) {
+			for i--; i > 0; i-- {
+				rng.Intn(i + 1)
 			}
+			return false
 		}
-		nbr[u*d+int(deg[u])] = int32(v)
-		deg[u]++
-		nbr[v*d+int(deg[v])] = int32(u)
-		deg[v]++
 	}
-	// Success: snapshot the arena into the graph's own backing array.
-	backing := make([]int32, n*d)
-	copy(backing, nbr)
-	adj := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		adj[v] = backing[v*d : v*d+int(deg[v])]
+	return addPair(stubs[0], stubs[1], d, deg, nbr)
+}
+
+// addPair adds edge u-v to the arena, or reports false if it is a
+// self-loop or already present. Duplicate detection is a linear scan
+// over the sparser endpoint's neighbors (adjacency is symmetric), which
+// for the degrees where the pairing model is viable is faster than any
+// hashing.
+func addPair(u, v, d int, deg, nbr []int32) bool {
+	if u == v {
+		return false
 	}
-	sortAdj(adj)
-	return &Graph{adj: adj, name: name}, true
+	su, sv := u, v
+	if deg[sv] < deg[su] {
+		su, sv = sv, su
+	}
+	for _, w := range nbr[su*d : su*d+int(deg[su])] {
+		if w == int32(sv) {
+			return false
+		}
+	}
+	nbr[u*d+int(deg[u])] = int32(v)
+	deg[u]++
+	nbr[v*d+int(deg[v])] = int32(u)
+	deg[v]++
+	return true
 }
 
 // circulantWithSwaps builds the circulant graph where node v connects to
 // v±1, v±2, ..., v±d/2 (plus the antipode if d is odd, requiring n even),
 // then applies random degree-preserving double-edge swaps.
 func circulantWithSwaps(n, d int, rng *xrand.Rand, name string) (*Graph, error) {
-	edges := make(map[[2]int32]struct{})
+	if d%2 == 1 && n%2 != 0 {
+		return nil, fmt.Errorf("graph: cannot build %d-regular graph on odd n=%d", d, n)
+	}
+	edges := newEdgeSet(n * d / 2)
+	list := make([]uint64, 0, n*d/2)
 	add := func(u, v int) {
-		a, b := int32(u), int32(v)
-		if a == b {
-			return
+		if k := edgeKey(int32(u), int32(v)); u != v && edges.add(k) {
+			list = append(list, k)
 		}
-		if a > b {
-			a, b = b, a
-		}
-		edges[[2]int32{a, b}] = struct{}{}
 	}
 	for v := 0; v < n; v++ {
 		for off := 1; off <= d/2; off++ {
@@ -368,26 +383,13 @@ func circulantWithSwaps(n, d int, rng *xrand.Rand, name string) (*Graph, error) 
 		}
 	}
 	if d%2 == 1 {
-		if n%2 != 0 {
-			return nil, fmt.Errorf("graph: cannot build %d-regular graph on odd n=%d", d, n)
-		}
 		for v := 0; v < n/2; v++ {
 			add(v, v+n/2)
 		}
 	}
-	list := make([][2]int32, 0, len(edges))
-	for e := range edges { //lint:ordered the list is sorted below before any swap reads it
-		list = append(list, e)
-	}
-	// Canonical order before the swap walk: the list was collected from a
-	// map, and the swaps index into it, so an unsorted list would make
-	// the output depend on map iteration order.
-	sort.Slice(list, func(i, j int) bool {
-		if list[i][0] != list[j][0] {
-			return list[i][0] < list[j][0]
-		}
-		return list[i][1] < list[j][1]
-	})
+	// Canonical (low, high) order before the swap walk, which indexes
+	// into the list.
+	slices.Sort(list)
 	// 10*|E| random double-edge swaps for mixing.
 	for iter := 0; iter < 10*len(list); iter++ {
 		i, j := rng.Intn(len(list)), rng.Intn(len(list))
@@ -395,41 +397,109 @@ func circulantWithSwaps(n, d int, rng *xrand.Rand, name string) (*Graph, error) 
 			continue
 		}
 		e1, e2 := list[i], list[j]
-		// Swap to (e1[0], e2[1]) and (e2[0], e1[1]).
-		a, b := e1[0], e2[1]
-		c, dd := e2[0], e1[1]
+		// Swap to (e1.low, e2.high) and (e2.low, e1.high).
+		a, b := int32(e1>>32), int32(uint32(e2))
+		c, dd := int32(e2>>32), int32(uint32(e1))
 		if a == b || c == dd {
 			continue
 		}
-		if a > b {
-			a, b = b, a
-		}
-		if c > dd {
-			c, dd = dd, c
-		}
-		n1, n2 := [2]int32{a, b}, [2]int32{c, dd}
-		if n1 == n2 {
+		n1, n2 := edgeKey(a, b), edgeKey(c, dd)
+		if n1 == n2 || edges.has(n1) || edges.has(n2) {
 			continue
 		}
-		if _, dup := edges[n1]; dup {
-			continue
-		}
-		if _, dup := edges[n2]; dup {
-			continue
-		}
-		delete(edges, e1)
-		delete(edges, e2)
-		edges[n1] = struct{}{}
-		edges[n2] = struct{}{}
+		edges.remove(e1)
+		edges.remove(e2)
+		edges.add(n1)
+		edges.add(n2)
 		list[i], list[j] = n1, n2
 	}
+	// The list holds exactly the edge set, each edge once.
+	deg := make([]int, n)
+	backing := make([]int32, n*d)
+	for _, e := range list {
+		a, b := int(e>>32), int(uint32(e))
+		backing[a*d+deg[a]] = int32(b)
+		deg[a]++
+		backing[b*d+deg[b]] = int32(a)
+		deg[b]++
+	}
 	adj := make([][]int32, n)
-	for e := range edges { //lint:ordered sortAdj sorts every neighbor list below
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
+	for v := range adj {
+		adj[v] = backing[v*d : (v+1)*d : (v+1)*d]
 	}
 	sortAdj(adj)
 	return &Graph{adj: adj, name: name}, nil
+}
+
+// edgeKey packs the undirected edge a-b as low<<32 | high. A key is
+// never 0: high > low >= 0.
+func edgeKey(a, b int32) uint64 {
+	return uint64(min(a, b))<<32 | uint64(max(a, b))
+}
+
+// edgeSet is an open-addressed set of edge keys: linear probing over a
+// power-of-two table at most half full, 0 marking an empty slot,
+// backward-shift deletion (no tombstones), and a multiplicative hash
+// taken from the product's high bits.
+type edgeSet struct {
+	slots []uint64
+	shift uint
+}
+
+// newEdgeSet returns a set sized for up to m keys.
+func newEdgeSet(m int) *edgeSet {
+	logSize := bits.Len(uint(2 * m))
+	return &edgeSet{slots: make([]uint64, 1<<logSize), shift: uint(64 - logSize)}
+}
+
+func (s *edgeSet) home(k uint64) int { return int(k * 0x9e3779b97f4a7c15 >> s.shift) }
+
+// has reports whether k is in the set.
+func (s *edgeSet) has(k uint64) bool {
+	mask := len(s.slots) - 1
+	for i := s.home(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// add inserts k and reports whether it was absent.
+func (s *edgeSet) add(k uint64) bool {
+	mask := len(s.slots) - 1
+	for i := s.home(k); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case k:
+			return false
+		case 0:
+			s.slots[i] = k
+			return true
+		}
+	}
+}
+
+// remove deletes k if present. Each later key of the probe run moves
+// back into the hole unless that would put it before its home slot, so
+// every remaining key stays reachable from its home.
+func (s *edgeSet) remove(k uint64) {
+	mask := len(s.slots) - 1
+	hole := s.home(k)
+	for s.slots[hole] != k {
+		if s.slots[hole] == 0 {
+			return
+		}
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		if h := s.home(s.slots[j]); (j-h)&mask >= (j-hole)&mask {
+			s.slots[hole] = s.slots[j]
+			hole = j
+		}
+	}
+	s.slots[hole] = 0
 }
 
 // GNP returns an Erdős–Rényi G(n, p) graph, used in tests exploring the
