@@ -47,7 +47,6 @@
 package asim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -192,8 +191,14 @@ func (c Config) withDefaults() Config {
 // shared swarm view plus the engine's clock and in-flight transfers.
 type State struct {
 	*swarm.Peers
-	inFlight []map[int32]*event // blocks currently being received, per node
-	now      float64
+	// arriving[v] holds the transfers in flight to v, in no particular
+	// order; its length is the number of v's busy download ports.
+	arriving [][]*event
+	// inBits has one bit per (node, block) in flight: node v's words
+	// are inBits[v*words : (v+1)*words].
+	inBits []uint64
+	words  int
+	now    float64
 }
 
 // Now returns the current simulation time.
@@ -201,21 +206,40 @@ func (s *State) Now() float64 { return s.now }
 
 // InFlightTo reports whether block b is currently being received by v.
 func (s *State) InFlightTo(v, b int) bool {
-	_, ok := s.inFlight[v][int32(b)]
-	return ok
+	return s.inBits[v*s.words+b>>6]&(1<<(b&63)) != 0
 }
 
 // InFlightCount returns the number of blocks currently arriving at v.
-func (s *State) InFlightCount(v int) int { return len(s.inFlight[v]) }
+func (s *State) InFlightCount(v int) int { return len(s.arriving[v]) }
 
 // Bound returns the test swarm.PickBlock and swarm.Offers take for the
 // blocks already arriving at v, nil when none is.
 func (s *State) Bound(v int) func(b int) bool {
-	in := s.inFlight[v]
-	if len(in) == 0 {
+	if len(s.arriving[v]) == 0 {
 		return nil
 	}
-	return func(b int) bool { _, ok := in[int32(b)]; return ok }
+	w := s.inBits[v*s.words : (v+1)*s.words]
+	return func(b int) bool { return w[b>>6]&(1<<(b&63)) != 0 }
+}
+
+// addInFlight records transfer ev as arriving at ev.to.
+func (s *State) addInFlight(ev *event) {
+	s.arriving[ev.to] = append(s.arriving[ev.to], ev)
+	s.inBits[ev.to*s.words+ev.block>>6] |= 1 << (ev.block & 63)
+}
+
+// removeInFlight drops transfer ev from ev.to's arrivals.
+func (s *State) removeInFlight(ev *event) {
+	in := s.arriving[ev.to]
+	for i, x := range in {
+		if x == ev {
+			last := len(in) - 1
+			in[i], in[last] = in[last], nil
+			s.arriving[ev.to] = in[:last]
+			break
+		}
+	}
+	s.inBits[ev.to*s.words+ev.block>>6] &^= 1 << (ev.block & 63)
 }
 
 // Upload is a protocol's answer to "what should this node send next".
@@ -380,31 +404,67 @@ type event struct {
 	node int
 }
 
+// eventQueue is a binary min-heap of pending events ordered by
+// (at, seq), a total order, so the pop sequence does not depend on the
+// heap's layout.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a is due before b.
+func before(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// push adds ev, whose at and seq are set, to the queue.
+func (q *eventQueue) push(ev *event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	h[i] = ev
+	*q = h
 }
 
-// push adds ev to the queue.
-func (q *eventQueue) push(ev *event) { heap.Push(q, ev) }
-
-// pop removes and returns the earliest event by (at, seq).
-func (q *eventQueue) pop() *event { return heap.Pop(q).(*event) }
+// pop removes and returns the earliest event. The queue must not be
+// empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	// x, the last leaf, is likely to belong near the bottom again, so
+	// the hole at the root walks down to a leaf along the earlier child
+	// first (one comparison per level) and x then sifts up from there.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && before(h[c+1], h[c]) {
+			c++
+		}
+		h[i] = h[c]
+		i = c
+	}
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(x, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	return top
+}
 
 // Run executes the protocol to completion.
 func Run(cfg Config, p Protocol) (*Result, error) {
@@ -437,9 +497,12 @@ func newEngine(c Config, p Protocol) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &State{Peers: sw.Peers, inFlight: make([]map[int32]*event, c.Nodes)}
-	for v := range st.inFlight {
-		st.inFlight[v] = make(map[int32]*event)
+	words := (c.Blocks + 63) / 64
+	st := &State{
+		Peers:    sw.Peers,
+		arriving: make([][]*event, c.Nodes),
+		inBits:   make([]uint64, c.Nodes*words),
+		words:    words,
 	}
 	res := &Result{ClientCompletion: make([]float64, c.Nodes)}
 	if c.RecordTrace {
@@ -468,7 +531,6 @@ func newEngine(c Config, p Protocol) (*engine, error) {
 		eng.advWakePending = make([]bool, c.Nodes)
 		res.Strategies = sw.Adv.Strategies()
 	}
-	heap.Init(&eng.queue)
 	for i, period := range p.Wakeups() {
 		if period <= 0 {
 			return nil, fmt.Errorf("asim: timer %d period %v must be positive", i, period)
@@ -523,10 +585,10 @@ func (e *engine) incomplete(where string) error {
 // event boundaries when configured.
 func (e *engine) loop() (*Result, error) {
 	eng, c, st, sw, p := e, e.cfg, e.st, e.sw, e.proto
-	for eng.queue.Len() > 0 {
+	for len(eng.queue) > 0 {
 		ev := eng.queue.pop()
 		if ev.cancelled {
-			// Aborted by a crash; its inFlight/curUpload references were
+			// Aborted by a crash; its arriving/curUpload references were
 			// cleared at cancellation time.
 			eng.release(ev)
 			continue
@@ -663,7 +725,7 @@ func (e *engine) newEvent() *event {
 }
 
 // release returns a popped, fully handled event to the free list. The
-// caller must ensure no queue, inFlight, or curUpload reference
+// caller must ensure no queue, arriving, or curUpload reference
 // remains.
 func (e *engine) release(ev *event) { e.free = append(e.free, ev) }
 
@@ -752,21 +814,25 @@ func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 		out.cancelled = true
 		e.curUpload[v] = nil
 		e.uploading[v] = false
-		delete(st.inFlight[out.to], int32(out.block))
+		st.removeInFlight(out)
 		freedReceiver = out.to
 	}
 	// Abort transfers in flight toward v: each sender's port frees. The
 	// per-sender mutations are independent (a sender has at most one
 	// upload in flight), and wakeSenders is sorted below before any
-	// order-sensitive use, so map order cannot leak into the trace.
-	for _, in := range st.inFlight[v] { //lint:ordered wakeSenders sorted before use
-		in.cancelled = true
-		e.uploading[in.from] = false
-		e.curUpload[in.from] = nil
-		wakeSenders = append(wakeSenders, in.from)
+	// order-sensitive use, so arrival-list order cannot leak into the
+	// trace.
+	in := st.arriving[v]
+	for _, ev := range in {
+		ev.cancelled = true
+		e.uploading[ev.from] = false
+		e.curUpload[ev.from] = nil
+		wakeSenders = append(wakeSenders, ev.from)
+		st.inBits[v*st.words+ev.block>>6] &^= 1 << (ev.block & 63)
 	}
 	sort.Ints(wakeSenders)
-	clear(st.inFlight[v])
+	clear(in)
+	st.arriving[v] = in[:0]
 	return wakeSenders, freedReceiver
 }
 
@@ -873,7 +939,7 @@ func (e *engine) tryStartUpload(u int) error {
 	ev.at, ev.kind = e.st.now+1/rate, evComplete
 	ev.from, ev.to, ev.block = u, up.To, up.Block
 	ev.start = e.st.now
-	e.st.inFlight[up.To][int32(up.Block)] = ev
+	e.st.addInFlight(ev)
 	e.curUpload[u] = ev
 	e.schedule(ev)
 	return nil
@@ -896,7 +962,7 @@ func (e *engine) validate(u int, up Upload) error {
 		return fmt.Errorf("asim: block %d already in flight to node %d", up.Block, up.To)
 	case !st.Alive(up.To):
 		return fmt.Errorf("asim: node %d uploads to dead node %d", u, up.To)
-	case e.cfg.DownloadPorts != Unlimited && len(st.inFlight[up.To]) >= e.cfg.DownloadPorts:
+	case e.cfg.DownloadPorts != Unlimited && st.InFlightCount(up.To) >= e.cfg.DownloadPorts:
 		return fmt.Errorf("asim: node %d has no free download port", up.To)
 	}
 	return nil
@@ -913,7 +979,7 @@ func (e *engine) validate(u int, up Upload) error {
 // restored, no block lands, and the same wake-ups apply.
 func (e *engine) finishTransfer(ev *event) error {
 	st, sw := e.st, e.sw
-	delete(st.inFlight[ev.to], int32(ev.block))
+	st.removeInFlight(ev)
 	e.uploading[ev.from] = false
 	e.curUpload[ev.from] = nil
 

@@ -1,7 +1,6 @@
 package asim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -84,12 +83,7 @@ func (e *engine) snapshot() (*checkpoint.Snapshot, error) {
 			pend = append(pend, ev)
 		}
 	}
-	sort.Slice(pend, func(i, j int) bool {
-		if pend[i].at != pend[j].at {
-			return pend[i].at < pend[j].at
-		}
-		return pend[i].seq < pend[j].seq
-	})
+	sort.Slice(pend, func(i, j int) bool { return before(pend[i], pend[j]) })
 	snap.Put(asecEngine, 64+40*len(pend), func(ee *checkpoint.Encoder) {
 		ee.Int(e.seq)
 		ee.Int(e.handled)
@@ -126,7 +120,7 @@ func (e *engine) snapshot() (*checkpoint.Snapshot, error) {
 
 // restore overwrites a freshly constructed engine (newEngine output,
 // nothing kicked) with the snapshot's state. The derived structures the
-// snapshot omits — inFlight maps, upload ports, advWakePending — are
+// snapshot omits — in-flight arrivals, upload ports, advWakePending — are
 // rebuilt from the decoded event queue, and every rebuilt invariant is
 // cross-checked so a corrupted snapshot is rejected rather than resumed
 // into a diverging run.
@@ -228,7 +222,7 @@ func (e *engine) restore(snap *checkpoint.Snapshot) error {
 }
 
 // restoreQueue decodes the pending events and rebuilds every structure
-// derived from them: inFlight maps, upload ports, curUpload references,
+// derived from them: in-flight arrivals, upload ports, curUpload references,
 // and advWakePending flags. It must run after the swarm sections are
 // restored — event validation reads the population and plan positions.
 func (e *engine) restoreQueue(ed *checkpoint.Decoder) error {
@@ -297,7 +291,7 @@ func (e *engine) restoreQueue(ed *checkpoint.Decoder) error {
 			if st.InFlightTo(to, block) {
 				return checkpoint.Corruptf("asim: block %d twice in flight to node %d", block, to)
 			}
-			if c.DownloadPorts != Unlimited && len(st.inFlight[to]) >= c.DownloadPorts {
+			if c.DownloadPorts != Unlimited && st.InFlightCount(to) >= c.DownloadPorts {
 				return checkpoint.Corruptf("asim: node %d exceeds its download ports", to)
 			}
 			rate := c.UploadRate[from]
@@ -308,7 +302,7 @@ func (e *engine) restoreQueue(ed *checkpoint.Decoder) error {
 				return checkpoint.Corruptf("asim: transfer event %d duration inconsistent with rates", i)
 			}
 			ev.from, ev.to, ev.block, ev.start = from, to, block, start
-			st.inFlight[to][int32(block)] = ev
+			st.addInFlight(ev)
 			e.curUpload[from] = ev
 			e.uploading[from] = true
 		case evTimer:
@@ -352,9 +346,8 @@ func (e *engine) restoreQueue(ed *checkpoint.Decoder) error {
 		default:
 			return checkpoint.Corruptf("asim: unknown event kind %d", kind)
 		}
-		e.queue = append(e.queue, ev)
+		e.queue.push(ev)
 	}
-	heap.Init(&e.queue)
 
 	for _, tm := range timerSeen {
 		if !tm {
