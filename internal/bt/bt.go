@@ -24,6 +24,7 @@ package bt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"barterdist/internal/asim"
@@ -65,10 +66,8 @@ type Protocol struct {
 	// optimistic[v] = neighbor index of v's optimistic unchoke, -1 none.
 	optimistic []int
 	// rr[v] = round-robin cursor over v's unchoke set.
-	rr []int
-	// nbrIndex[v] maps neighbor node id -> index in v's neighbor list.
-	nbrIndex []map[int32]int
-	ready    bool
+	rr    []int
+	ready bool
 }
 
 var (
@@ -128,15 +127,9 @@ func (p *Protocol) ensure(s *asim.State) {
 	p.unchoked = make([][]int, n)
 	p.optimistic = make([]int, n)
 	p.rr = make([]int, n)
-	p.nbrIndex = make([]map[int32]int, n)
 	for v := 0; v < n; v++ {
-		nbrs := p.opts.Graph.Neighbors(v)
-		p.recv[v] = make([]float64, len(nbrs))
+		p.recv[v] = make([]float64, p.opts.Graph.Degree(v))
 		p.optimistic[v] = -1
-		p.nbrIndex[v] = make(map[int32]int, len(nbrs))
-		for i, w := range nbrs {
-			p.nbrIndex[v][w] = i
-		}
 	}
 	// Initial state: everything choked except a bootstrap optimistic
 	// unchoke per node, so the first choke window has data to rank.
@@ -151,7 +144,9 @@ func (p *Protocol) ensure(s *asim.State) {
 func (p *Protocol) OnDeliver(from, to, block int, s *asim.State) {
 	p.ensure(s)
 	p.counts.Deliver(block)
-	if i, ok := p.nbrIndex[to][int32(from)]; ok {
+	// A scan of to's few neighbors: not every overlay sorts its lists
+	// (Hypercube orders them by flipped bit).
+	if i := slices.Index(p.opts.Graph.Neighbors(to), int32(from)); i >= 0 {
 		p.recv[to][i]++
 	}
 }
