@@ -296,16 +296,19 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 // The zero value is an empty tick. Reset starts the next one and keeps
 // the allocations.
 type Settlement struct {
-	count  map[uint64]int // count[u<<32|v] = uncancelled u -> v transfers
-	outs   map[int32][]int32
-	edges  []uint64 // directed edges, first-appearance order
-	thirds []int32
+	count map[uint64]int // count[u<<32|v] = uncancelled u -> v transfers
+	edges []uint64       // directed edges, first-appearance order
+	// sorted holds the edges as v<<32 | w^signBit in ascending order, so
+	// v's out-edges are one run in ascending (signed) w.
+	sorted []uint64
 }
+
+// signBit flips a node id's sign so that unsigned order is signed order.
+const signBit = 1 << 31
 
 // Reset empties the tick.
 func (st *Settlement) Reset() {
 	clear(st.count)
-	clear(st.outs)
 	st.edges = st.edges[:0]
 }
 
@@ -317,12 +320,10 @@ func (st *Settlement) Add(u, v int32) {
 	}
 	if st.count == nil {
 		st.count = make(map[uint64]int)
-		st.outs = make(map[int32][]int32)
 	}
 	key := uint64(uint32(u))<<32 | uint64(uint32(v))
 	if st.count[key] == 0 {
 		st.edges = append(st.edges, key)
-		st.outs[u] = append(st.outs[u], v)
 	}
 	st.count[key]++
 }
@@ -344,15 +345,24 @@ func (st *Settlement) Settle(maxCycle int, charge func(u, v int32, c int)) {
 		}
 	}
 	if maxCycle >= 3 {
+		st.sorted = st.sorted[:0]
+		for _, key := range st.edges {
+			st.sorted = append(st.sorted, key^signBit)
+		}
+		slices.Sort(st.sorted)
 		for _, key := range st.edges {
 			if count[key] == 0 {
 				continue
 			}
 			u, v := key>>32, key&(1<<32-1)
-			st.thirds = append(st.thirds[:0], st.outs[int32(v)]...)
-			slices.Sort(st.thirds)
-			for _, w := range st.thirds {
-				vw, wu := v<<32|uint64(uint32(w)), uint64(uint32(w))<<32|u
+			// v's out-edges v -> w, ascending w.
+			first, _ := slices.BinarySearch(st.sorted, v<<32)
+			for _, e := range st.sorted[first:] {
+				if e>>32 != v {
+					break
+				}
+				vw := e ^ signBit
+				wu := vw<<32 | u
 				for count[key] > 0 && count[vw] > 0 && count[wu] > 0 {
 					count[key]--
 					count[vw]--
