@@ -110,6 +110,10 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/asim.engine).tryStartUpload",
 	"(*MOD/internal/asim.engine).finishTransfer",
 	"(*MOD/internal/asim.engine).newEvent",
+	"(*MOD/internal/asim.eventQueue).push",
+	"(*MOD/internal/asim.eventQueue).pop",
+	"(*MOD/internal/asim.State).addInFlight",
+	"(*MOD/internal/asim.State).removeInFlight",
 	"(*MOD/internal/asim.AsyncRandomized).NextUpload",
 	"(*MOD/internal/asim.AsyncRandomized).pickTarget",
 	// bitset word scans
@@ -143,7 +147,8 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/checkpoint.Encoder).Int32s",
 	"MOD/internal/checkpoint.appendU64",
 	// graph pairing arena
-	"MOD/internal/graph.tryPairing",
+	"MOD/internal/graph.pairStubs",
+	"MOD/internal/graph.addPair",
 	// rng hot path
 	"(*MOD/internal/xrand.Rand).Uint64",
 	"(*MOD/internal/xrand.Rand).Intn",
