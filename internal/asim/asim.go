@@ -228,17 +228,16 @@ func (s *State) addInFlight(ev *event) {
 	s.inBits[ev.to*s.words+ev.block>>6] |= 1 << (ev.block & 63)
 }
 
-// removeInFlight drops transfer ev from ev.to's arrivals.
+// removeInFlight drops transfer ev, which must be arriving, from
+// ev.to's arrivals.
 func (s *State) removeInFlight(ev *event) {
 	in := s.arriving[ev.to]
-	for i, x := range in {
-		if x == ev {
-			last := len(in) - 1
-			in[i], in[last] = in[last], nil
-			s.arriving[ev.to] = in[:last]
-			break
-		}
+	i, last := 0, len(in)-1
+	for in[i] != ev {
+		i++
 	}
+	in[i], in[last] = in[last], nil
+	s.arriving[ev.to] = in[:last]
 	s.inBits[ev.to*s.words+ev.block>>6] &^= 1 << (ev.block & 63)
 }
 
@@ -828,11 +827,11 @@ func (e *engine) teardown(v int) (wakeSenders []int, freedReceiver int) {
 		e.uploading[ev.from] = false
 		e.curUpload[ev.from] = nil
 		wakeSenders = append(wakeSenders, ev.from)
-		st.inBits[v*st.words+ev.block>>6] &^= 1 << (ev.block & 63)
 	}
 	sort.Ints(wakeSenders)
 	clear(in)
 	st.arriving[v] = in[:0]
+	clear(st.inBits[v*st.words : (v+1)*st.words])
 	return wakeSenders, freedReceiver
 }
 
