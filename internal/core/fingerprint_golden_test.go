@@ -41,6 +41,9 @@ var goldenFingerprints = map[string]string{
 	"randomized+rarest+open":         "6ceaf725b27b134a876ce56b747eddd11620c610a214d1ab2053f01a1cb4a8ad",
 	"randomized+local":               "2a0712afbf3f53ae102f54af79322d8b0e1d0676e75f4fb610f5e085925cd363",
 	"randomized+local+regular":       "70719325c432df7df8bd480ea8a7deb81a8a00e03ea4d4fd0d0e694b1ae1f27b",
+	"sampler+credit+k96+shard2":      "c82590f244971ba1bd66a0d8c73157ddcf12b1c49d37a3592d5f0f958a47de2e",
+	"sampler+rarest+open":            "5b39c29d5c8d3e7612bddee88907dc47904cb4302de0d157998e1075d6936a2a",
+	"sampler+credit+guard+shard3":    "5fffebd2921e1ad31eaf507f11dc5866de053b3fc0ffe8d8d070126901a94a66",
 }
 
 func goldenScenario(name string) Config {
@@ -117,6 +120,21 @@ func goldenScenario(name string) Config {
 		return Config{Nodes: 40, Blocks: 16, Algorithm: AlgoRandomized,
 			Overlay: OverlayRandomRegular, Degree: 8, Policy: randomized.LocalRare,
 			Seed: 27}
+	// The sampler scenarios have more than 64 candidate receivers, so
+	// the complete graph's rejection sampler runs before the exact pass;
+	// k = 96 gives two-word block sets.
+	case "sampler+credit+k96+shard2":
+		return Config{Nodes: 300, Blocks: 96, Algorithm: AlgoRandomized,
+			CreditLimit: 1, ShardWorkers: 2, Seed: 61}
+	case "sampler+rarest+open":
+		return Config{Nodes: 300, Blocks: 32, Algorithm: AlgoRandomized,
+			Policy: randomized.RarestFirst, Seed: 37,
+			Arrivals: &arrival.Options{
+				Seed: 9, Rate: 24, EarlyExit: 0.1, Linger: 2,
+			}}
+	case "sampler+credit+guard+shard3":
+		return Config{Nodes: 200, Blocks: 24, Algorithm: AlgoRandomized,
+			CreditLimit: 1, ShardWorkers: 3, Seed: 53, Fault: faultOpts, Adversary: advOpts}
 	case "hypercube+verify-triangular":
 		return Config{Nodes: 32, Blocks: 16, Algorithm: AlgoTriangular,
 			Overlay: OverlayHypercube, CreditLimit: 2, Seed: 12,

@@ -237,3 +237,23 @@ func TestEligIndexCompactMatchesPartition(t *testing.T) {
 		}
 	}
 }
+
+// TestPassStatsGolden pins the exact-pass counters of one run of the
+// benchmark's closed-credit shape (n = 2048, k = 64, credit s = 1,
+// download cap 1, seed 46000). The counters follow every draw of the
+// rejection sampler and every election of the exact pass, so a change
+// that only makes a try cheaper must leave them exactly as they are.
+func TestPassStatsGolden(t *testing.T) {
+	sched, err := New(Options{Seed: 46000, CreditLimit: 1, DownloadCap: 1, ShardWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := simulate.Run(simulate.Config{Nodes: 2048, Blocks: 64, DownloadCap: 1}, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := PassStats{Passes: 46831, Visited: 4975182, Skipped: 3821029, RejectCap: 557416, RejectCredit: 552}
+	if got := sched.PassStats(); got != want || res.CompletionTime != 96 {
+		t.Fatalf("T = %d, PassStats = %#v\nwant %#v", res.CompletionTime, got, want)
+	}
+}
