@@ -23,9 +23,9 @@
 package bt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"barterdist/internal/asim"
 	"barterdist/internal/graph"
@@ -68,6 +68,10 @@ type Protocol struct {
 	// rr[v] = round-robin cursor over v's unchoke set.
 	rr    []int
 	ready bool
+
+	// order is the neighbor-index buffer recomputeChokes ranks and
+	// rotateOptimistic permutes, reused across nodes and windows.
+	order []int
 }
 
 var (
@@ -187,8 +191,7 @@ func (p *Protocol) recomputeChokes(v int, s *asim.State) {
 	p.unchoked[v] = p.unchoked[v][:0]
 	if v == 0 {
 		// Seed policy: rotate uniformly over interested peers.
-		perm := p.rng.Perm(len(nbrs))
-		for _, i := range perm {
+		for _, i := range p.perm(len(nbrs)) {
 			if len(p.unchoked[v]) == p.opts.UnchokeSlots {
 				break
 			}
@@ -197,14 +200,12 @@ func (p *Protocol) recomputeChokes(v int, s *asim.State) {
 			}
 		}
 	} else {
-		idx := make([]int, len(nbrs))
-		for i := range idx {
-			idx[i] = i
-		}
-		// Shuffle before the stable sort so ties break randomly.
-		p.rng.Shuffle(idx)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return p.recv[v][idx[a]] > p.recv[v][idx[b]]
+		// Shuffle before the stable sort so ties break randomly; the
+		// rank is by data received, most first.
+		idx := p.perm(len(nbrs))
+		recv := p.recv[v]
+		slices.SortStableFunc(idx, func(a, b int) int {
+			return cmp.Compare(recv[b], recv[a])
 		})
 		for _, i := range idx {
 			if len(p.unchoked[v]) == p.opts.UnchokeSlots {
@@ -235,9 +236,8 @@ func (p *Protocol) rotateOptimistic(v int, s *asim.State) {
 		}
 		return false
 	}
-	perm := p.rng.Perm(len(nbrs))
 	p.optimistic[v] = -1
-	for _, i := range perm {
+	for _, i := range p.perm(len(nbrs)) {
 		if inSet(i) {
 			continue
 		}
@@ -250,6 +250,21 @@ func (p *Protocol) rotateOptimistic(v int, s *asim.State) {
 			break
 		}
 	}
+}
+
+// perm returns a uniform permutation of [0, n) in the protocol's order
+// buffer, drawn exactly as xrand's Perm draws it: an identity fill,
+// then a Fisher–Yates shuffle. It is valid until the next call.
+func (p *Protocol) perm(n int) []int {
+	if cap(p.order) < n {
+		p.order = make([]int, n)
+	}
+	idx := p.order[:n]
+	for i := range idx {
+		idx[i] = i
+	}
+	p.rng.Shuffle(idx)
+	return idx
 }
 
 // NextUpload implements asim.Protocol: serve the next unchoked,

@@ -150,3 +150,43 @@ func TestBitTorrentDeterministicBySeed(t *testing.T) {
 		t.Fatalf("same seed, different T: %v vs %v", a, b)
 	}
 }
+
+// allocProbe measures the allocations of a warm choke window and
+// optimistic rotation over every node, then lets the run go on.
+type allocProbe struct {
+	*Protocol
+	allocs  float64
+	checked bool
+}
+
+func (a *allocProbe) OnTimer(idx int, s *asim.State) {
+	if !a.checked {
+		a.checked = true
+		a.allocs = testing.AllocsPerRun(5, func() {
+			a.Protocol.OnTimer(0, s)
+			a.Protocol.OnTimer(1, s)
+		})
+	}
+	a.Protocol.OnTimer(idx, s)
+}
+
+// TestChokeWindowAllocatesNothing checks that once every node's unchoke
+// set and the protocol's order buffer have grown, a choke window and an
+// optimistic rotation over the whole swarm allocate nothing.
+func TestChokeWindowAllocatesNothing(t *testing.T) {
+	const n, k = 64, 32
+	p, err := New(Options{Graph: peerGraph(t, n, 12, 3), DownloadPorts: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &allocProbe{Protocol: p}
+	if _, err := asim.Run(asim.Config{Nodes: n, Blocks: k, DownloadPorts: 1}, probe); err != nil {
+		t.Fatal(err)
+	}
+	if !probe.checked {
+		t.Fatal("no timer fired")
+	}
+	if probe.allocs != 0 {
+		t.Fatalf("a warm choke window and rotation allocate %.1f times", probe.allocs)
+	}
+}

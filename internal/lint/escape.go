@@ -70,7 +70,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).runLane",
 	"(*MOD/internal/randomized.Scheduler).attempt",
 	"(*MOD/internal/randomized.Scheduler).merge",
-	"(*MOD/internal/randomized.Scheduler).interestSize",
+	"(*MOD/internal/randomized.Scheduler).mergeRound",
 	"(*MOD/internal/randomized.Scheduler).laneRes",
 	"(*MOD/internal/randomized.Scheduler).blockInFlight",
 	"(*MOD/internal/randomized.Scheduler).blockInFlightGlobal",
@@ -79,11 +79,13 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.lane).reserve",
 	"MOD/internal/randomized.mix64",
 	"MOD/internal/randomized.prioBase",
+	"MOD/internal/randomized.anyMissing",
 	// incremental eligibility index (the O(n) scan replacement)
 	"(*MOD/internal/randomized.eligIndex).add",
 	"(*MOD/internal/randomized.eligIndex).remove",
 	"(*MOD/internal/randomized.eligIndex).has",
 	"(*MOD/internal/randomized.eligIndex).compact",
+	"(*MOD/internal/randomized.eligIndex).missesAny",
 	// shard decomposition helpers on the lane path
 	"MOD/internal/shard.Of",
 	"MOD/internal/shard.Shuffle32",
@@ -97,6 +99,8 @@ var defaultEscapeGateTemplates = []string{
 	// bt protocol
 	"(*MOD/internal/bt.Protocol).NextUpload",
 	"(*MOD/internal/bt.Protocol).recomputeChokes",
+	"(*MOD/internal/bt.Protocol).rotateOptimistic",
+	"(*MOD/internal/bt.Protocol).perm",
 	// shared swarm core on both engines' per-transfer path, and the
 	// one block picker and interest test every scheduler and protocol
 	// calls
@@ -134,6 +138,7 @@ var defaultEscapeGateTemplates = []string{
 	// barter mechanisms on the pairing path
 	"(*MOD/internal/mechanism.Ledger).CanSend",
 	"(*MOD/internal/mechanism.Ledger).Record",
+	"(*MOD/internal/mechanism.Ledger).TrySend",
 	"(*MOD/internal/mechanism.Ledger).Unrecord",
 	"MOD/internal/mechanism.pairKey",
 	// quarantine guard on the pairing path

@@ -77,14 +77,40 @@ func (t *pairTable) add(key uint64, d int32) int {
 	}
 	i := t.find(key)
 	if t.slots[i].lo == 0 {
-		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
-			t.resize(2 * len(t.slots))
-			i = t.find(key)
-		}
-		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
-		t.count++
+		i = t.insert(i, key)
 	}
 	t.slots[i].net += d
+	return i
+}
+
+// addWithin adds d (1 or -1) to key's balance unless d times the new
+// balance would exceed lim, in one probe, and reports whether it did.
+// A refused pair is left as it was: a pair never booked stays absent.
+func (t *pairTable) addWithin(key uint64, d, lim int32) bool {
+	if t.slots == nil {
+		t.alloc(minSlots)
+	}
+	i := t.find(key)
+	if (t.slots[i].net+d)*d > lim {
+		return false
+	}
+	if t.slots[i].lo == 0 {
+		i = t.insert(i, key)
+	}
+	t.slots[i].net += d
+	return true
+}
+
+// insert books key with balance 0 in slot i, the empty slot find
+// returned for it, growing the table first if the pair would take it
+// over the load cap, and returns the pair's slot.
+func (t *pairTable) insert(i int, key uint64) int {
+	if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
+		t.resize(2 * len(t.slots))
+		i = t.find(key)
+	}
+	t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
+	t.count++
 	return i
 }
 

@@ -14,9 +14,10 @@ import (
 //
 //   - update: a delivery, crash, or rejoin moves one (block, node) pair
 //     in or out in constant time (swap-remove through pos);
-//   - interest: an uploader's tick-start audience size is the sum of
-//     |missing(b)| over its holdings — k cached counts — and the exact
-//     fallback pass enumerates exactly those members instead of
+//   - interest: an uploader has an audience exactly when one of its
+//     blocks has a non-empty list — one AND per word of its block set
+//     against the nonEmpty mask — and the exact fallback pass
+//     enumerates exactly those lists' members instead of
 //     subset-testing every incomplete client (the O(n)
 //     bitset.AnyMissingFrom scan that DESIGN.md §11.3 measured at ~40%
 //     of CPU on the credit-limited path).
@@ -44,6 +45,10 @@ type eligIndex struct {
 	open    []int32 // open[b] ≤ count[b]: list b's unsaturated prefix this tick
 	members []int32 // k·n slab; list b is members[b·n : b·n+count[b]]
 	pos     []int32 // k·n slab; pos[b·n+v] = index of v in list b, -1 if absent
+
+	// nonEmpty is the k-bit set {b : count[b] > 0}, in bitset word
+	// layout; add and remove keep it on each 0↔1 count transition.
+	nonEmpty []uint64
 }
 
 // newEligIndex returns an empty index for n nodes and k blocks.
@@ -56,6 +61,7 @@ func newEligIndex(n, k int) *eligIndex {
 		members: make([]int32, k*n),
 		pos:     make([]int32, k*n),
 	}
+	ix.nonEmpty = make([]uint64, (k+63)/64)
 	for i := range ix.pos {
 		ix.pos[i] = -1
 	}
@@ -70,6 +76,9 @@ func (ix *eligIndex) add(b, v int) {
 	}
 	ix.pos[base+v] = ix.count[b]
 	ix.members[base+int(ix.count[b])] = int32(v)
+	if ix.count[b] == 0 {
+		ix.nonEmpty[b/64] |= 1 << (uint(b) % 64)
+	}
 	ix.count[b]++
 }
 
@@ -87,6 +96,21 @@ func (ix *eligIndex) remove(b, v int) {
 	ix.pos[base+int(moved)] = p
 	ix.count[b] = last
 	ix.pos[base+v] = -1
+	if last == 0 {
+		ix.nonEmpty[b/64] &^= 1 << (uint(b) % 64)
+	}
+}
+
+// missesAny reports whether some candidate misses a block of the set
+// whose words are given: whether a list of one of its blocks is
+// non-empty.
+func (ix *eligIndex) missesAny(words []uint64) bool {
+	for i, w := range words {
+		if w&ix.nonEmpty[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // compact moves list b's saturated members (availPos[v] < 0) from its

@@ -82,12 +82,14 @@ func TestEligIndexMatchesScan(t *testing.T) {
 		if ix.has(0, 0) {
 			t.Fatalf("tick %d: server indexed as a receiver", tick)
 		}
+		checkNonEmpty(t, ix)
 		out, err := sched.pairRounds(st, dst)
 		if err != nil {
 			return nil, err
 		}
 		// Compaction only reorders lists: everything behind an open
 		// prefix must be saturated this tick.
+		checkNonEmpty(t, ix)
 		for b := 0; b < st.K(); b++ {
 			checkListPositions(t, ix, b)
 			base := b * st.N()
@@ -121,6 +123,18 @@ func checkListPositions(t *testing.T, ix *eligIndex, b int) {
 		v := ix.members[base+i]
 		if p := ix.pos[base+int(v)]; int(p) != i {
 			t.Fatalf("block %d: members[%d]=%d but pos=%d", b, i, v, p)
+		}
+	}
+}
+
+// checkNonEmpty checks the nonEmpty mask against the counts: bit b is
+// set exactly when list b has a member, and no bit past k is set.
+func checkNonEmpty(t *testing.T, ix *eligIndex) {
+	t.Helper()
+	for b := 0; b < 64*len(ix.nonEmpty); b++ {
+		got := ix.nonEmpty[b/64]&(1<<(uint(b)%64)) != 0
+		if want := b < ix.k && ix.count[b] > 0; got != want {
+			t.Fatalf("block %d: nonEmpty bit %v, count > 0 is %v", b, got, want)
 		}
 	}
 }
@@ -229,6 +243,7 @@ func TestEligIndexCompactMatchesPartition(t *testing.T) {
 			}
 		}
 		ix.reopen()
+		checkNonEmpty(t, ix)
 		for b := 0; b < k; b++ {
 			checkListPositions(t, ix, b)
 			if ix.open[b] != ix.count[b] {

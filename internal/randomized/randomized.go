@@ -40,6 +40,7 @@ package randomized
 
 import (
 	"fmt"
+	"math/bits"
 
 	"barterdist/internal/adversary"
 	"barterdist/internal/bitset"
@@ -227,6 +228,17 @@ type Scheduler struct {
 	avail         []int32
 	availPos      []int32 // availPos[v] = index of v in avail, -1 if absent
 	removedInTick int     // saturated receivers dropped this tick
+	// availWords is the tick-start snapshot of the block sets of avail's
+	// members (complete-graph mode only): row i, availWords[i·W :
+	// (i+1)·W], holds avail[i]'s W = ⌈k/64⌉ block words, and
+	// removeAvail moves rows as it moves avail entries. Block sets change only when the engine
+	// applies a tick, so a row equals st.Blocks(avail[i]) for the whole
+	// tick; the rejection sampler rejects a drawn receiver that already
+	// holds all of the uploader's blocks from its row alone, without
+	// touching the receiver's set. Only the coordinator writes it
+	// (beginTick and the merge); lanes only read it.
+	availWords []uint64
+	words      int // W: block words per availWords row
 	// localPeers is the tick-start snapshot of avail used by the
 	// LocalRare policy on the complete graph: rarity must be estimated
 	// over every alive incomplete client, not over the shrinking avail
@@ -384,6 +396,8 @@ func (s *Scheduler) setup(st *simulate.State) error {
 	}
 	if s.opts.Graph == nil {
 		s.index = newEligIndex(s.n, s.k)
+		s.words = len(st.Blocks(0).Words())
+		s.availWords = make([]uint64, 0, s.n*s.words)
 		s.compactStamp = make([]int32, s.k)
 		s.candidates.Iter(func(v int) bool {
 			s.index.addNode(st, v)
@@ -471,25 +485,32 @@ func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]s
 		if proposals == 0 {
 			break
 		}
-		dst = s.merge(dst)
-		if s.index != nil && s.removedInTick > 0 {
-			// Move the receivers saturated so far out of the open
-			// prefixes the round's passes read, so the next round's
-			// passes stop visiting them. Each list is compacted once,
-			// and one scan of it costs no more than the pass that read
-			// it.
-			for _, ln := range s.lanes {
-				for _, b := range ln.read {
-					if s.compactStamp[b] != s.roundStamp {
-						s.compactStamp[b] = s.roundStamp
-						s.index.compact(int(b), s.availPos)
-					}
+		dst = s.mergeRound(dst)
+	}
+	s.curState = nil
+	return dst, nil
+}
+
+// mergeRound merges a round's proposals and then compacts the index
+// lists the round's exact passes read.
+func (s *Scheduler) mergeRound(dst []simulate.Transfer) []simulate.Transfer {
+	dst = s.merge(dst)
+	if s.index != nil && s.removedInTick > 0 {
+		// Move the receivers saturated so far out of the open
+		// prefixes the round's passes read, so the next round's
+		// passes stop visiting them. Each list is compacted once,
+		// and one scan of it costs no more than the pass that read
+		// it.
+		for _, ln := range s.lanes {
+			for _, b := range ln.read {
+				if s.compactStamp[b] != s.roundStamp {
+					s.compactStamp[b] = s.roundStamp
+					s.index.compact(int(b), s.availPos)
 				}
 			}
 		}
 	}
-	s.curState = nil
-	return dst, nil
+	return dst
 }
 
 // proposeRound runs one concurrent phase: every lane resolves its
@@ -598,7 +619,9 @@ func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
 				ln.pend = append(ln.pend, it.u)
 				continue
 			}
-			if s.ledger != nil && !s.ledger.CanSend(it.u, it.v) {
+			// TrySend books the credit as it grants it: everything
+			// below commits the proposal.
+			if s.ledger != nil && !s.ledger.TrySend(it.u, it.v) {
 				ln.pend = append(ln.pend, it.u)
 				continue
 			}
@@ -610,9 +633,6 @@ func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
 			used := s.bumpDownUsed(v)
 			s.addIncoming(v, it.b)
 			s.freq[it.b]++
-			if s.ledger != nil {
-				s.ledger.Record(it.u, it.v)
-			}
 			if s.opts.DownloadCap != simulate.Unlimited && used >= s.opts.DownloadCap {
 				s.removeAvail(v)
 			}
@@ -730,10 +750,14 @@ func (s *Scheduler) beginTick(st *simulate.State) {
 	// is only ever called for a node that was just handed a transfer,
 	// which means it came out of avail this tick.
 	s.avail = s.avail[:0]
+	s.availWords = s.availWords[:0]
 	s.removedInTick = 0
 	s.candidates.Iter(func(v int) bool {
 		s.availPos[v] = int32(len(s.avail))
 		s.avail = append(s.avail, int32(v))
+		if s.index != nil {
+			s.availWords = append(s.availWords, st.Blocks(v).Words()...)
+		}
 		return true
 	})
 	if s.opts.Graph == nil && s.opts.Policy == LocalRare {
@@ -806,7 +830,8 @@ func (s *Scheduler) pickReceiver(ln *lane, st *simulate.State, u int) (int, bool
 }
 
 // removeAvail drops a saturated receiver from the complete-graph
-// candidate list (swap-remove, O(1)).
+// candidate list (swap-remove, O(1)), moving the last entry's
+// block-word row into the freed row as it moves the entry.
 func (s *Scheduler) removeAvail(v int) {
 	pos := s.availPos[v]
 	if pos < 0 {
@@ -819,6 +844,10 @@ func (s *Scheduler) removeAvail(v int) {
 	s.avail = s.avail[:last]
 	s.availPos[v] = -1
 	s.removedInTick++
+	if w := s.words; w > 0 {
+		copy(s.availWords[int(pos)*w:int(pos+1)*w], s.availWords[int(last)*w:])
+		s.availWords = s.availWords[:int(last)*w]
+	}
 }
 
 // downUsedOf returns v's download budget committed this tick; entries
@@ -897,18 +926,6 @@ func (s *Scheduler) blockInFlight(ln *lane, v int, b int32) bool {
 	return false
 }
 
-// interestSize is the uploader's tick-start audience size Σ_{b∈Bu}
-// |missing(b)| — zero iff no alive incomplete client misses anything u
-// holds, in which case (and only then) the no-peer cache may be primed.
-func (s *Scheduler) interestSize(bu *bitset.Set) int {
-	total := 0
-	bu.Iter(func(b int) bool {
-		total += int(s.index.count[b])
-		return true
-	})
-	return total
-}
-
 // pickReceiverComplete is the complete-graph fast path: candidates are
 // drawn from the per-tick available list (incomplete clients with
 // download capacity left), since complete nodes and the server want no
@@ -925,8 +942,9 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 		return -1, s.removedInTick > 0
 	}
 	bu := st.Blocks(u)
+	uw := bu.Words()
 	full := bu.Full()
-	if !full && s.interestSize(bu) == 0 {
+	if !full && !s.index.missesAny(uw) {
 		// Nobody misses anything u holds — now or later this tick
 		// (block sets only change at the tick boundary), so the result
 		// may safely prime the no-peer cache.
@@ -935,15 +953,36 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// Rejection-sample while the population is large. Capacity against
 	// the committed budget is guaranteed by the avail list; the lane's
 	// own reservations and credit are re-checked per draw.
+	//
+	// A draw whose snapshot row already holds every block u holds is
+	// rejected from the row alone: qualify would find no interest in it
+	// (and the row of u itself is such a row). Every other draw goes
+	// through qualify as before, so the draws and the choice are those
+	// of a sampler that qualifies every draw.
 	const maxTries = 40
 	if m > 64 {
-		for try := 0; try < maxTries; try++ {
-			v := int(s.avail[ln.rng.Intn(m)])
-			if v == u {
-				continue
+		if w := s.words; w == 1 {
+			u0, avail, rows := uw[0], s.avail[:m], s.availWords[:m]
+			for try := 0; try < maxTries; try++ {
+				i := ln.rng.Intn(m)
+				if u0&^rows[i] == 0 {
+					continue
+				}
+				v := int(avail[i])
+				if _, qualified := s.qualify(ln, st, u, v); qualified {
+					return v, true
+				}
 			}
-			if _, qualified := s.qualify(ln, st, u, v); qualified {
-				return v, true
+		} else {
+			for try := 0; try < maxTries; try++ {
+				i := ln.rng.Intn(m)
+				if !anyMissing(uw, s.availWords[i*w:(i+1)*w]) {
+					continue
+				}
+				v := int(s.avail[i])
+				if _, qualified := s.qualify(ln, st, u, v); qualified {
+					return v, true
+				}
 			}
 		}
 	}
@@ -985,8 +1024,8 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// audience in a different order and still elects the same receiver
 	// (duplicate appearances across block lists don't even need
 	// deduplication, since max is idempotent). Interest is already
-	// established (interestSize > 0), so the no-peer cache is never
-	// primed from here.
+	// established (some list of u's blocks is non-empty), so the no-peer
+	// cache is never primed from here.
 	//
 	// The pass reads only each list's open prefix and skips members the
 	// merge has saturated this tick (availPos < 0). Both fail the
@@ -995,38 +1034,56 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// list the pass reads goes on the lane's read list, and after the
 	// merge the coordinator moves saturated members behind its prefix,
 	// so later rounds' passes stop visiting them.
+	//
+	// The pass walks only the lists of u's blocks that are non-empty: an
+	// empty list has an empty open prefix, so leaving it out changes
+	// neither the election nor the counters nor the read list.
 	ln.stats.Passes++
 	base := prioBase(s.opts.Seed, u, s.curTick, s.curRound)
 	chosen := -1
 	var best uint64
-	bu.Iter(func(b int) bool {
-		off := b * s.n
-		cnt := int(s.index.open[b])
-		skipped := 0
-		for i := 0; i < cnt; i++ {
-			v := int(s.index.members[off+i])
-			if s.availPos[v] < 0 {
-				skipped++
-				continue
+	for wi, word := range uw {
+		for word &= s.index.nonEmpty[wi]; word != 0; word &= word - 1 {
+			b := wi*64 + bits.TrailingZeros64(word)
+			off := b * s.n
+			cnt := int(s.index.open[b])
+			skipped := 0
+			for i := 0; i < cnt; i++ {
+				v := int(s.index.members[off+i])
+				if s.availPos[v] < 0 {
+					skipped++
+					continue
+				}
+				p := mix64(base ^ uint64(uint32(v)))
+				if chosen >= 0 && p <= best {
+					continue // cheap reject before the qualification checks
+				}
+				if v == chosen || !s.qualifiedIndexed(ln, st, u, v) {
+					continue
+				}
+				chosen, best = v, p
 			}
-			p := mix64(base ^ uint64(uint32(v)))
-			if chosen >= 0 && p <= best {
-				continue // cheap reject before the qualification checks
+			ln.stats.Visited += int64(cnt)
+			ln.stats.Skipped += int64(skipped)
+			if cnt > 0 && ln.readStamp[b] != s.roundStamp {
+				ln.readStamp[b] = s.roundStamp
+				ln.read = append(ln.read, int32(b))
 			}
-			if v == chosen || !s.qualifiedIndexed(ln, st, u, v) {
-				continue
-			}
-			chosen, best = v, p
 		}
-		ln.stats.Visited += int64(cnt)
-		ln.stats.Skipped += int64(skipped)
-		if cnt > 0 && ln.readStamp[b] != s.roundStamp {
-			ln.readStamp[b] = s.roundStamp
-			ln.read = append(ln.read, int32(b))
-		}
-		return true
-	})
+	}
 	return chosen, true
+}
+
+// anyMissing reports whether have lacks a block of want, two rows of
+// block words of the same width: whether the holder of want has
+// something for the holder of have.
+func anyMissing(want, have []uint64) bool {
+	for j, w := range want {
+		if w&^have[j] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // mix64 is the 64-bit avalanche finalizer (Murmur3/SplitMix style): a
