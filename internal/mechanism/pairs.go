@@ -77,7 +77,12 @@ func (t *pairTable) add(key uint64, d int32) int {
 	}
 	i := t.find(key)
 	if t.slots[i].lo == 0 {
-		i = t.insert(i, key)
+		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
+			t.resize(2 * len(t.slots))
+			i = t.find(key)
+		}
+		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
+		t.count++
 	}
 	t.slots[i].net += d
 	return i
@@ -86,6 +91,9 @@ func (t *pairTable) add(key uint64, d int32) int {
 // addWithin adds d (1 or -1) to key's balance unless d times the new
 // balance would exceed lim, in one probe, and reports whether it did.
 // A refused pair is left as it was: a pair never booked stays absent.
+// It books a new pair as add does; the booking is written out in both
+// rather than shared, since a call on add's path slowed the credit
+// walk measurably.
 func (t *pairTable) addWithin(key uint64, d, lim int32) bool {
 	if t.slots == nil {
 		t.alloc(minSlots)
@@ -95,23 +103,15 @@ func (t *pairTable) addWithin(key uint64, d, lim int32) bool {
 		return false
 	}
 	if t.slots[i].lo == 0 {
-		i = t.insert(i, key)
+		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
+			t.resize(2 * len(t.slots))
+			i = t.find(key)
+		}
+		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
+		t.count++
 	}
 	t.slots[i].net += d
 	return true
-}
-
-// insert books key with balance 0 in slot i, the empty slot find
-// returned for it, growing the table first if the pair would take it
-// over the load cap, and returns the pair's slot.
-func (t *pairTable) insert(i int, key uint64) int {
-	if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
-		t.resize(2 * len(t.slots))
-		i = t.find(key)
-	}
-	t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
-	t.count++
-	return i
 }
 
 // book adds d blocks sent from u to v to the pair's balance and returns
