@@ -18,10 +18,11 @@ const (
 // Snapshot appends the log's full column state to enc: the sealed
 // frames verbatim (each with its tick-range metadata), the open tail
 // raw (a tail Compact sealed is decoded, so the bytes do not depend on
-// whether it was), and the tick/drop offset columns. Restore re-validates every
-// structural invariant — including a full decode of every frame and a
-// cross-check of the frame tick ranges against tickEnd — so a
-// corrupted payload can never yield a Log whose cursors misbehave.
+// whether it was), and the tick/drop offset columns. Restore
+// re-validates every structural invariant — including a full decode of
+// every frame and a cross-check of the frame tick ranges against
+// tickEnd — so a corrupted payload can never yield a Log whose cursors
+// misbehave.
 func (l *Log) Snapshot(enc *checkpoint.Encoder) {
 	enc.U8(snapVersion)
 	enc.Bool(l.kinded)

@@ -93,6 +93,12 @@ const (
 type Log struct {
 	frames                      []frame  // sealed 64Ki-entry blocks
 	openFrom, openTo, openBlock []uint32 // raw tail, < frameLen entries
+	tickEnd                     []uint32
+	dropPos                     []uint32
+	dropKind                    []uint8 // two kinds per byte, low nibble first
+	kindLen                     int     // kinds stored in dropKind
+	dropTickEnd                 []uint32
+	kinded                      bool
 
 	// tail is the open tail as Compact sealed it, a short frame of
 	// tailLen (0 < tailLen < frameLen) entries; the raw tail columns
@@ -100,13 +106,6 @@ type Log struct {
 	// decodes it back.
 	tail    frame
 	tailLen int
-
-	tickEnd     []uint32
-	dropPos     []uint32
-	dropKind    []uint8 // two kinds per byte, low nibble first
-	kindLen     int     // kinds stored in dropKind
-	dropTickEnd []uint32
-	kinded      bool
 
 	enc *encScratch // seal workspace, lazily allocated
 	win *Win        // At/Set decode window; not for concurrent readers
