@@ -82,22 +82,6 @@ func (l *Ledger) Record(u, v int32) {
 	l.pairs.book(u, v, 1)
 }
 
-// TrySend records a one-block transfer from u to v if CanSend allows
-// it, and reports whether it did: CanSend and Record in one probe of
-// the pair table. Server transfers are always allowed and never
-// recorded.
-func (l *Ledger) TrySend(u, v int32) bool {
-	if u == 0 || v == 0 {
-		return true
-	}
-	key, swapped := pairKey(u, v)
-	d := int32(1)
-	if swapped {
-		d = -1
-	}
-	return l.pairs.addWithin(key, d, int32(min(l.limit, math.MaxInt32)))
-}
-
 // Unrecord reverses a Record for a transfer from u to v that never
 // actually delivered — the clawback schedulers apply when the
 // adversary layer reports a sender's block as withheld or garbled, so

@@ -88,32 +88,6 @@ func (t *pairTable) add(key uint64, d int32) int {
 	return i
 }
 
-// addWithin adds d (1 or -1) to key's balance unless d times the new
-// balance would exceed lim, in one probe, and reports whether it did.
-// A refused pair is left as it was: a pair never booked stays absent.
-// It books a new pair as add does; the booking is written out in both
-// rather than shared, since a call on add's path slowed the credit
-// walk measurably.
-func (t *pairTable) addWithin(key uint64, d, lim int32) bool {
-	if t.slots == nil {
-		t.alloc(minSlots)
-	}
-	i := t.find(key)
-	if (t.slots[i].net+d)*d > lim {
-		return false
-	}
-	if t.slots[i].lo == 0 {
-		if (t.count+1)*maxLoadDen > len(t.slots)*maxLoadNum {
-			t.resize(2 * len(t.slots))
-			i = t.find(key)
-		}
-		t.slots[i].hi, t.slots[i].lo = uint32(key>>32), uint32(key)
-		t.count++
-	}
-	t.slots[i].net += d
-	return true
-}
-
 // book adds d blocks sent from u to v to the pair's balance and returns
 // the pair's slot.
 func (t *pairTable) book(u, v, d int32) int {

@@ -105,54 +105,6 @@ func TestLedgerMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestLedgerTrySendMatchesCanSendRecord drives one ledger with TrySend
-// and another with CanSend followed by Record through the same random
-// sequence, Unrecords and server pairs included, at limits 1 and 3 and
-// across table growths. The answers, the pair counts (a refused send
-// books no pair) and the snapshot bytes must match throughout.
-func TestLedgerTrySendMatchesCanSendRecord(t *testing.T) {
-	for _, limit := range []int{1, 3} {
-		a, _ := NewLedger(limit)
-		b, _ := NewLedger(limit)
-		rng := xrand.New(uint64(70 + limit))
-		refused := 0
-		for i := 0; i < 100000; i++ {
-			u, v := int32(rng.Intn(400)), int32(rng.Intn(399))
-			if v >= u {
-				v++
-			}
-			if rng.Intn(5) == 0 {
-				a.Unrecord(u, v)
-				b.Unrecord(u, v)
-				continue
-			}
-			got := a.TrySend(u, v)
-			want := b.CanSend(u, v)
-			if want {
-				b.Record(u, v)
-			} else {
-				refused++
-			}
-			if got != want {
-				t.Fatalf("limit %d op %d: TrySend(%d, %d) = %v, CanSend %v", limit, i, u, v, got, want)
-			}
-			if a.pairs.count != b.pairs.count || a.Net(u, v) != b.Net(u, v) {
-				t.Fatalf("limit %d op %d: %d pairs, net %d; CanSend+Record gave %d pairs, net %d",
-					limit, i, a.pairs.count, a.Net(u, v), b.pairs.count, b.Net(u, v))
-			}
-		}
-		if refused == 0 || len(a.pairs.slots) < 1<<14 {
-			t.Fatalf("limit %d: %d refusals, %d slots; the sequence must refuse sends and grow the table", limit, refused, len(a.pairs.slots))
-		}
-		ea, eb := checkpoint.NewEncoder(0), checkpoint.NewEncoder(0)
-		a.Snapshot(ea)
-		b.Snapshot(eb)
-		if string(ea.Bytes()) != string(eb.Bytes()) {
-			t.Fatalf("limit %d: TrySend ledger snapshots to different bytes", limit)
-		}
-	}
-}
-
 // TestPairTableReserve checks that after reserve(n) the table takes n
 // new pairs without growing, so the slots a credit walk records during
 // a tick stay put, and that a table already large enough is left alone.

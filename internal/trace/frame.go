@@ -87,12 +87,11 @@ type encScratch struct {
 	delta []uint32
 }
 
-// newEncScratch returns a workspace for frames of up to n entries.
-func newEncScratch(n int) *encScratch {
+func newEncScratch() *encScratch {
 	return &encScratch{
 		// 3 columns × (header + 32-bit worst-case bitpack).
-		buf:   make([]byte, 0, 3*(16+4*n)),
-		delta: make([]uint32, n),
+		buf:   make([]byte, 0, 3*(16+4*frameLen)),
+		delta: make([]uint32, frameLen),
 	}
 }
 
@@ -209,9 +208,9 @@ func unpackOr(dst []uint32, src []byte, count int, shift, w uint) {
 }
 
 // encodeCol appends the cheapest encoding of vals (at least one entry;
-// exactly frameLen when sealing a frame, fewer for a sealed tail) to
-// s.buf. Costs are compared with a strict < in the order raw, delta,
-// split lb = 1..4, so the first cheapest mode wins a tie.
+// exactly frameLen when sealing) to s.buf. Costs are compared with a
+// strict < in the order raw, delta, split lb = 1..4, so the first
+// cheapest mode wins a tie.
 //
 // One pass over vals gathers everything the costs need: the OR of the
 // values (its bit length is bits(max)), the zigzag deltas and their OR,
@@ -433,128 +432,88 @@ func decodeCol(dst []uint32, buf []byte, count int) (int, error) {
 // sealed frame.
 func (l *Log) sealOpen() {
 	if l.enc == nil {
-		l.enc = newEncScratch(frameLen)
+		l.enc = newEncScratch()
 	}
-	l.frames = append(l.frames, l.enc.encodeFrame(l.openFrom, l.openTo, l.openBlock))
-	l.openFrom = l.openFrom[:0]
-	l.openTo = l.openTo[:0]
-	l.openBlock = l.openBlock[:0]
-}
-
-// encodeFrame encodes three equal-length columns into a frame with an
-// exact-size copy of the bytes.
-func (s *encScratch) encodeFrame(from, to, block []uint32) frame {
+	s := l.enc
 	s.buf = s.buf[:0]
 	var off [3]uint32
-	for c, col := range [3][]uint32{from, to, block} {
+	for c, col := range [3][]uint32{l.openFrom, l.openTo, l.openBlock} {
 		off[c] = uint32(len(s.buf))
 		s.encodeCol(col)
 	}
 	data := make([]byte, len(s.buf))
 	copy(data, s.buf)
-	return frame{data: data, off: off}
+	l.frames = append(l.frames, frame{data: data, off: off})
+	l.openFrom = l.openFrom[:0]
+	l.openTo = l.openTo[:0]
+	l.openBlock = l.openBlock[:0]
 }
 
 // reencodeFrame replaces sealed frame f's data with the (modified)
 // columns in w. Only the doctoring helpers (Set, TruncateTicks) use it.
 func (l *Log) reencodeFrame(f int, w *Win) {
 	if l.enc == nil {
-		l.enc = newEncScratch(frameLen)
+		l.enc = newEncScratch()
 	}
-	l.frames[f] = l.enc.encodeFrame(w.col[0], w.col[1], w.col[2])
-}
-
-// sealTail compresses the raw open tail into the short frame l.tail,
-// the way sealOpen seals a full one, and releases the raw columns.
-// Compact calls it once recording ends, so a run's last partial frame
-// is stored compressed too.
-func (l *Log) sealTail() {
-	if n := len(l.openFrom); n > 0 {
-		s := l.enc
-		if s == nil {
-			s = newEncScratch(n)
-		}
-		l.tail, l.tailLen = s.encodeFrame(l.openFrom, l.openTo, l.openBlock), n
+	s := l.enc
+	s.buf = s.buf[:0]
+	var off [3]uint32
+	for c, col := range w.col {
+		off[c] = uint32(len(s.buf))
+		s.encodeCol(col)
 	}
-	l.openFrom, l.openTo, l.openBlock = nil, nil, nil
-	l.win = nil
-}
-
-// unsealTail decodes a tail sealTail compressed back into the raw open
-// columns, so appends and the doctoring helpers work on raw entries
-// again, and reports whether there was one.
-func (l *Log) unsealTail() bool {
-	n := l.tailLen
-	if n == 0 {
-		return false
-	}
-	for c, col := range [3]*[]uint32{&l.openFrom, &l.openTo, &l.openBlock} {
-		if cap(*col) < n {
-			*col = make([]uint32, n)
-		}
-		*col = (*col)[:n]
-		if _, err := decodeCol(*col, l.tail.data[l.tail.off[c]:], n); err != nil {
-			panic("trace: sealed tail no longer decodes: " + err.Error())
-		}
-	}
-	l.tail, l.tailLen = frame{}, 0
-	l.win = nil
-	return true
+	data := make([]byte, len(s.buf))
+	copy(data, s.buf)
+	l.frames[f] = frame{data: data, off: off}
 }
 
 // FrameOf returns the index of the frame that holds transfer i. A
 // reader that keeps several Wins open picks one per frame with it.
 func FrameOf(i int) int { return i >> frameShift }
 
-// sealedLen returns the number of transfers held in full sealed
-// frames; a sealed tail is not counted.
+// sealedLen returns the number of transfers held in sealed frames.
 func (l *Log) sealedLen() int { return len(l.frames) << frameShift }
 
 // Window positions w over global transfer index i and returns direct
 // decoded column views plus the window's [base, end) global span:
 // entry j of the returned slices is transfer base+j. Columns w does not
-// ask for (Win.Only) come back nil. For indices in the raw open tail
-// the views alias the raw tail columns; a tail sealed by Compact
-// decodes like a frame, into columns of the tail's length. The views
-// are valid until w is repositioned or the Log is mutated. Concurrent
-// readers must use distinct Wins; the Log itself is never written.
+// ask for (Win.Only) come back nil. For indices in the open tail the
+// views alias the raw tail columns. The views are valid until w is
+// repositioned or the Log is mutated. Concurrent readers must use
+// distinct Wins; the Log itself is never written.
 //
 // Window is the one place a sealed frame is decoded. The data was
-// either produced by sealOpen or sealTail or validated by Restore, so a decode
+// either produced by sealOpen or validated by Restore, so a decode
 // error here is impossible without unsafe mutation; it panics rather
 // than propagates.
 func (l *Log) Window(w *Win, i int) (from, to, block []uint32, base, end int) {
 	want := w.cols()
 	var cols [3][]uint32
-	if s := l.sealedLen(); i >= s && l.tailLen == 0 {
+	if s := l.sealedLen(); i >= s {
 		cols = [3][]uint32{l.openFrom, l.openTo, l.openBlock}
 		base, end = s, s+len(l.openFrom)
 	} else {
-		f, fr, n := i>>frameShift, &l.tail, l.tailLen
-		if i < s {
-			fr, n = &l.frames[f], frameLen
-		}
+		f := i >> frameShift
 		if w.idx != f {
 			w.idx, w.have = f, 0
 		}
 		if miss := want &^ w.have; miss != 0 {
+			fr := &l.frames[f]
 			for c := range w.col {
 				if miss&(1<<c) == 0 {
 					continue
 				}
-				if cap(w.col[c]) < n {
-					w.col[c] = make([]uint32, n)
+				if w.col[c] == nil {
+					w.col[c] = make([]uint32, frameLen)
 				}
-				w.col[c] = w.col[c][:n]
-				if _, err := decodeCol(w.col[c], fr.data[fr.off[c]:], n); err != nil {
+				if _, err := decodeCol(w.col[c], fr.data[fr.off[c]:], frameLen); err != nil {
 					panic("trace: sealed frame no longer decodes: " + err.Error())
 				}
 			}
 			w.have |= miss
 		}
 		cols = w.col
-		base = f << frameShift
-		end = base + n
+		base, end = f<<frameShift, (f+1)<<frameShift
 	}
 	for c := range cols {
 		if want&(1<<c) == 0 {

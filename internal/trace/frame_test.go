@@ -356,7 +356,7 @@ func TestDecodeColRejectsCorruptSplit(t *testing.T) {
 	for i := range vals {
 		vals[i] = uint32(i/997%8) + 8*uint32(i%12500)
 	}
-	s := newEncScratch(frameLen)
+	s := newEncScratch()
 	s.encodeCol(vals)
 	if s.buf[0] != encSplit {
 		t.Fatalf("fixture column encoded as mode %d, want split", s.buf[0])
@@ -532,7 +532,7 @@ func splitTie(rng *rand.Rand) func(i int) uint32 {
 // consuming all of them. It returns the encoding.
 func checkEncodeCol(t testing.TB, name string, vals []uint32) []byte {
 	t.Helper()
-	s := newEncScratch(frameLen)
+	s := newEncScratch()
 	s.encodeCol(vals)
 	if want, _ := referenceEncodeCol(vals); !bytes.Equal(s.buf, want) {
 		t.Fatalf("%s: encodeCol wrote %d bytes (mode %d), reference %d bytes (mode %d)",
@@ -869,7 +869,7 @@ func FuzzDecodeCol(f *testing.F) {
 	f.Add([]byte{8, 0, encDelta, 3, 40, 0x91, 0x22, 0x7f})
 	f.Add([]byte{9, 0, encSplit, 2, 3, 2, 1, 4, 3, 6, 0xaa, 0xbb, 0xcc, 0xdd})
 	f.Add([]byte{0xff, 0xff, encRaw, 32})
-	s := newEncScratch(frameLen)
+	s := newEncScratch()
 	col := make([]uint32, 300)
 	for i := range col {
 		col[i] = uint32(i/37%8) + 8*uint32(i*i%1000)

@@ -16,13 +16,11 @@ const (
 )
 
 // Snapshot appends the log's full column state to enc: the sealed
-// frames verbatim (each with its tick-range metadata), the open tail
-// raw (a tail Compact sealed is decoded, so the bytes do not depend on
-// whether it was), and the tick/drop offset columns. Restore
-// re-validates every structural invariant — including a full decode of
-// every frame and a cross-check of the frame tick ranges against
-// tickEnd — so a corrupted payload can never yield a Log whose cursors
-// misbehave.
+// frames verbatim (each with its tick-range metadata), the raw open
+// tail, and the tick/drop offset columns. Restore re-validates every
+// structural invariant — including a full decode of every frame and a
+// cross-check of the frame tick ranges against tickEnd — so a
+// corrupted payload can never yield a Log whose cursors misbehave.
 func (l *Log) Snapshot(enc *checkpoint.Encoder) {
 	enc.U8(snapVersion)
 	enc.Bool(l.kinded)
@@ -33,13 +31,9 @@ func (l *Log) Snapshot(enc *checkpoint.Encoder) {
 		enc.U32(uint32(last))
 		enc.Bytes8(l.frames[f].data)
 	}
-	from, to, block := l.openFrom, l.openTo, l.openBlock
-	if l.tailLen > 0 {
-		from, to, block, _, _ = l.Window(&Win{}, l.sealedLen())
-	}
-	enc.Uint32s(from)
-	enc.Uint32s(to)
-	enc.Uint32s(block)
+	enc.Uint32s(l.openFrom)
+	enc.Uint32s(l.openTo)
+	enc.Uint32s(l.openBlock)
 	enc.Uint32s(l.tickEnd)
 	enc.Uint32s(l.dropPos)
 	enc.Bytes8(l.dropKind)

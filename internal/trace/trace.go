@@ -27,13 +27,9 @@
 // low-bit-RLE encodings (frame.go), which measures under 5 B/transfer
 // on the Table Scale runs. The seal runs on the tick that fills the
 // frame, not on every tick: one pass per column estimates every
-// encoding's cost, so it amortizes to a few tens of ns per transfer.
-// When recording ends, Compact seals the last partial frame the same
-// way, as a short frame of fewer than 64Ki entries, so a run's tail is
-// stored compressed too; the first append after Compact decodes it
-// back, and Snapshot writes it raw. The tick and drop offset columns
-// stay raw: they are per-tick, not per-transfer, and the auditors
-// index them directly.
+// encoding's cost, so it amortizes to a few tens of ns per transfer. The tick and drop offset columns stay raw: they
+// are per-tick, not per-transfer, and the auditors index them
+// directly.
 //
 // Appending a tick touches only the open tail, so steady-state
 // recording is allocation-free once the columns are Reserved; sealing
@@ -100,13 +96,6 @@ type Log struct {
 	dropTickEnd                 []uint32
 	kinded                      bool
 
-	// tail is the open tail as Compact sealed it, a short frame of
-	// tailLen (0 < tailLen < frameLen) entries; the raw tail columns
-	// are empty while it is set. The first append after Compact
-	// decodes it back.
-	tail    frame
-	tailLen int
-
 	enc *encScratch // seal workspace, lazily allocated
 	win *Win        // At/Set decode window; not for concurrent readers
 }
@@ -148,7 +137,6 @@ func (l *Log) Reserve(transfers, ticks, drops int) {
 		return out
 	}
 	if transfers > 0 {
-		l.unsealTail()
 		// The open tail seals at frameLen entries, so it never needs
 		// more capacity than one frame regardless of the hint.
 		t := transfers
@@ -166,7 +154,7 @@ func (l *Log) Reserve(transfers, ticks, drops int) {
 			l.frames = out
 		}
 		if transfers >= frameLen && l.enc == nil {
-			l.enc = newEncScratch(frameLen)
+			l.enc = newEncScratch()
 		}
 	}
 	if ticks > 0 {
@@ -189,9 +177,6 @@ func (l *Log) Reserve(transfers, ticks, drops int) {
 // for kinded logs, ignored otherwise). The slices are copied; callers
 // reuse them across ticks.
 func (l *Log) AppendTick(ts []Transfer, dropIdx []int32, dropKinds []uint8) {
-	if l.tailLen > 0 {
-		l.unsealTail()
-	}
 	base := uint32(l.Len())
 	for _, tr := range ts {
 		l.openFrom = append(l.openFrom, uint32(tr.From))
@@ -247,7 +232,7 @@ func (l *Log) kindAt(j int) uint8 {
 func (l *Log) Ticks() int { return len(l.tickEnd) }
 
 // Len returns the total number of scheduled transfers.
-func (l *Log) Len() int { return l.sealedLen() + len(l.openFrom) + l.tailLen }
+func (l *Log) Len() int { return l.sealedLen() + len(l.openFrom) }
 
 // Drops returns the total number of recorded drops.
 func (l *Log) Drops() int { return len(l.dropPos) }
@@ -269,9 +254,8 @@ func (l *Log) At(i int) Transfer {
 
 // Set overwrites transfer i. It exists for the audit tests, which
 // doctor recorded traces to prove the auditors catch tampering; a Set
-// inside a sealed frame or a sealed tail re-encodes it.
+// inside a sealed frame re-encodes that frame.
 func (l *Log) Set(i int, tr Transfer) {
-	resealTail := i >= l.sealedLen() && l.unsealTail()
 	if l.win == nil {
 		l.win = &Win{}
 	}
@@ -281,22 +265,17 @@ func (l *Log) Set(i int, tr Transfer) {
 	if i < l.sealedLen() {
 		l.reencodeFrame(i>>frameShift, l.win)
 	}
-	if resealTail {
-		l.sealTail()
-	}
 }
 
 // TruncateTicks discards every tick at or after t (0-based), keeping
 // the first t ticks. Like Set, it exists for the audit tests, which
 // doctor recorded traces to prove the auditors catch tampering. A cut
 // inside a sealed frame reopens that frame: its surviving prefix
-// becomes the raw open tail again. A log whose tail Compact sealed has
-// its new tail sealed again.
+// becomes the raw open tail again.
 func (l *Log) TruncateTicks(t int) {
 	if t >= l.Ticks() {
 		return
 	}
-	resealTail := l.unsealTail()
 	var end, dend uint32
 	if t > 0 {
 		end, dend = l.tickEnd[t-1], l.dropTickEnd[t-1]
@@ -328,9 +307,6 @@ func (l *Log) TruncateTicks(t int) {
 		if dend%2 == 1 {
 			l.dropKind[dend/2] &= 0x0f // clear the stale high nibble
 		}
-	}
-	if resealTail {
-		l.sealTail()
 	}
 }
 
@@ -383,12 +359,11 @@ func (l *Log) AppendTickDrops(t int, idx []int32, kinds []uint8) ([]int32, []uin
 
 // MemSize returns the approximate heap footprint of the columns in
 // bytes, for capacity reporting in scale experiments: the compressed
-// sealed frames, the open tail (raw, or sealed by Compact), and the
-// tick/drop offset columns. Decode windows and the seal scratch are
-// transient per-reader workspace (one frame's worth each) and are not
-// counted.
+// sealed frames, the raw open tail, and the tick/drop offset columns.
+// Decode windows and the seal scratch are transient per-reader
+// workspace (one frame's worth each) and are not counted.
 func (l *Log) MemSize() int {
-	sz := len(l.tail.data)
+	sz := 0
 	for i := range l.frames {
 		sz += len(l.frames[i].data)
 	}
@@ -398,15 +373,23 @@ func (l *Log) MemSize() int {
 		cap(l.dropKind)
 }
 
-// Compact seals the open tail into a short frame, encoded like a full
-// one, releases the raw tail columns (reserved at frame granularity
-// for the append path), and drops the seal and decode workspaces. The
-// engines call it once recording ends, so MemSize and resident memory
-// reflect compressed columns alone, the run's last partial frame
-// included. Appending after Compact is correct: the first append
-// decodes the tail back into raw columns.
+// Compact trims the open tail's spare capacity (reserved at frame
+// granularity for the append path) and drops the seal and decode
+// workspaces. The engines call it once recording ends, so MemSize and
+// resident memory reflect the compressed columns alone; appending
+// after Compact is correct but re-allocates.
 func (l *Log) Compact() {
-	l.sealTail()
+	trim := func(s []uint32) []uint32 {
+		if cap(s) == len(s) {
+			return s
+		}
+		out := make([]uint32, len(s))
+		copy(out, s)
+		return out
+	}
+	l.openFrom = trim(l.openFrom)
+	l.openTo = trim(l.openTo)
+	l.openBlock = trim(l.openBlock)
 	l.enc = nil
 	l.win = nil
 }
