@@ -253,17 +253,13 @@ func (p *Protocol) rotateOptimistic(v int, s *asim.State) {
 }
 
 // perm returns a uniform permutation of [0, n) in the protocol's order
-// buffer, drawn exactly as xrand's Perm draws it: an identity fill,
-// then a Fisher–Yates shuffle. It is valid until the next call.
+// buffer, valid until the next call.
 func (p *Protocol) perm(n int) []int {
 	if cap(p.order) < n {
 		p.order = make([]int, n)
 	}
 	idx := p.order[:n]
-	for i := range idx {
-		idx[i] = i
-	}
-	p.rng.Shuffle(idx)
+	p.rng.PermInto(idx)
 	return idx
 }
 

@@ -70,7 +70,6 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.Scheduler).runLane",
 	"(*MOD/internal/randomized.Scheduler).attempt",
 	"(*MOD/internal/randomized.Scheduler).merge",
-	"(*MOD/internal/randomized.Scheduler).mergeRound",
 	"(*MOD/internal/randomized.Scheduler).laneRes",
 	"(*MOD/internal/randomized.Scheduler).blockInFlight",
 	"(*MOD/internal/randomized.Scheduler).blockInFlightGlobal",
@@ -79,7 +78,6 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.lane).reserve",
 	"MOD/internal/randomized.mix64",
 	"MOD/internal/randomized.prioBase",
-	"MOD/internal/randomized.anyMissing",
 	// incremental eligibility index (the O(n) scan replacement)
 	"(*MOD/internal/randomized.eligIndex).add",
 	"(*MOD/internal/randomized.eligIndex).remove",
@@ -138,7 +136,6 @@ var defaultEscapeGateTemplates = []string{
 	// barter mechanisms on the pairing path
 	"(*MOD/internal/mechanism.Ledger).CanSend",
 	"(*MOD/internal/mechanism.Ledger).Record",
-	"(*MOD/internal/mechanism.Ledger).TrySend",
 	"(*MOD/internal/mechanism.Ledger).Unrecord",
 	"MOD/internal/mechanism.pairKey",
 	// quarantine guard on the pairing path
@@ -158,6 +155,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/xrand.Rand).Uint64",
 	"(*MOD/internal/xrand.Rand).Intn",
 	"(*MOD/internal/xrand.Rand).Shuffle",
+	"(*MOD/internal/xrand.Rand).PermInto",
 }
 
 // DefaultEscapeGates returns the gated hot-path function list for the

@@ -231,12 +231,13 @@ type Scheduler struct {
 	// availWords is the tick-start snapshot of the block sets of avail's
 	// members (complete-graph mode only): row i, availWords[i·W :
 	// (i+1)·W], holds avail[i]'s W = ⌈k/64⌉ block words, and
-	// removeAvail moves rows as it moves avail entries. Block sets change only when the engine
-	// applies a tick, so a row equals st.Blocks(avail[i]) for the whole
-	// tick; the rejection sampler rejects a drawn receiver that already
-	// holds all of the uploader's blocks from its row alone, without
-	// touching the receiver's set. Only the coordinator writes it
-	// (beginTick and the merge); lanes only read it.
+	// removeAvail moves rows as it moves avail entries. Block sets
+	// change only when the engine applies a tick, so a row equals
+	// st.Blocks(avail[i]) for the whole tick; the rejection sampler
+	// rejects a drawn receiver that already holds all of the uploader's
+	// blocks from its row alone, without touching the receiver's set.
+	// Only the coordinator writes it (beginTick and the merge); lanes
+	// only read it.
 	availWords []uint64
 	words      int // W: block words per availWords row
 	// localPeers is the tick-start snapshot of avail used by the
@@ -485,32 +486,25 @@ func (s *Scheduler) pairRounds(st *simulate.State, dst []simulate.Transfer) ([]s
 		if proposals == 0 {
 			break
 		}
-		dst = s.mergeRound(dst)
-	}
-	s.curState = nil
-	return dst, nil
-}
-
-// mergeRound merges a round's proposals and then compacts the index
-// lists the round's exact passes read.
-func (s *Scheduler) mergeRound(dst []simulate.Transfer) []simulate.Transfer {
-	dst = s.merge(dst)
-	if s.index != nil && s.removedInTick > 0 {
-		// Move the receivers saturated so far out of the open
-		// prefixes the round's passes read, so the next round's
-		// passes stop visiting them. Each list is compacted once,
-		// and one scan of it costs no more than the pass that read
-		// it.
-		for _, ln := range s.lanes {
-			for _, b := range ln.read {
-				if s.compactStamp[b] != s.roundStamp {
-					s.compactStamp[b] = s.roundStamp
-					s.index.compact(int(b), s.availPos)
+		dst = s.merge(dst)
+		if s.index != nil && s.removedInTick > 0 {
+			// Move the receivers saturated so far out of the open
+			// prefixes the round's passes read, so the next round's
+			// passes stop visiting them. Each list is compacted once,
+			// and one scan of it costs no more than the pass that read
+			// it.
+			for _, ln := range s.lanes {
+				for _, b := range ln.read {
+					if s.compactStamp[b] != s.roundStamp {
+						s.compactStamp[b] = s.roundStamp
+						s.index.compact(int(b), s.availPos)
+					}
 				}
 			}
 		}
 	}
-	return dst
+	s.curState = nil
+	return dst, nil
 }
 
 // proposeRound runs one concurrent phase: every lane resolves its
@@ -619,9 +613,7 @@ func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
 				ln.pend = append(ln.pend, it.u)
 				continue
 			}
-			// TrySend books the credit as it grants it: everything
-			// below commits the proposal.
-			if s.ledger != nil && !s.ledger.TrySend(it.u, it.v) {
+			if s.ledger != nil && !s.ledger.CanSend(it.u, it.v) {
 				ln.pend = append(ln.pend, it.u)
 				continue
 			}
@@ -633,6 +625,9 @@ func (s *Scheduler) merge(dst []simulate.Transfer) []simulate.Transfer {
 			used := s.bumpDownUsed(v)
 			s.addIncoming(v, it.b)
 			s.freq[it.b]++
+			if s.ledger != nil {
+				s.ledger.Record(it.u, it.v)
+			}
 			if s.opts.DownloadCap != simulate.Unlimited && used >= s.opts.DownloadCap {
 				s.removeAvail(v)
 			}
@@ -961,28 +956,21 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 	// of a sampler that qualifies every draw.
 	const maxTries = 40
 	if m > 64 {
-		if w := s.words; w == 1 {
-			u0, avail, rows := uw[0], s.avail[:m], s.availWords[:m]
-			for try := 0; try < maxTries; try++ {
-				i := ln.rng.Intn(m)
-				if u0&^rows[i] == 0 {
-					continue
-				}
-				v := int(avail[i])
-				if _, qualified := s.qualify(ln, st, u, v); qualified {
-					return v, true
-				}
+		w := s.words
+		avail, rows := s.avail[:m], s.availWords[:m*w]
+		for try := 0; try < maxTries; try++ {
+			i := ln.rng.Intn(m)
+			row := rows[i*w:][:len(uw)]
+			var missing uint64
+			for j, x := range uw {
+				missing |= x &^ row[j]
 			}
-		} else {
-			for try := 0; try < maxTries; try++ {
-				i := ln.rng.Intn(m)
-				if !anyMissing(uw, s.availWords[i*w:(i+1)*w]) {
-					continue
-				}
-				v := int(s.avail[i])
-				if _, qualified := s.qualify(ln, st, u, v); qualified {
-					return v, true
-				}
+			if missing == 0 {
+				continue
+			}
+			v := int(avail[i])
+			if _, qualified := s.qualify(ln, st, u, v); qualified {
+				return v, true
 			}
 		}
 	}
@@ -1072,18 +1060,6 @@ func (s *Scheduler) pickReceiverComplete(ln *lane, st *simulate.State, u int) (i
 		}
 	}
 	return chosen, true
-}
-
-// anyMissing reports whether have lacks a block of want, two rows of
-// block words of the same width: whether the holder of want has
-// something for the holder of have.
-func anyMissing(want, have []uint64) bool {
-	for j, w := range want {
-		if w&^have[j] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // mix64 is the 64-bit avalanche finalizer (Murmur3/SplitMix style): a

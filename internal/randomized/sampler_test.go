@@ -11,8 +11,8 @@ import (
 )
 
 // TestAvailWordsMatchBlocks pins the rejection sampler's block-word
-// snapshot to ground truth: at the tick boundary and after every merge
-// round, row i of availWords must equal the block words of avail[i].
+// snapshot to ground truth: at the end of every tick, row i of
+// availWords must equal the block words of avail[i].
 // Credit, open-system and churn runs at k = 64 (one word) and k = 96
 // (two words) cover the rebuild in beginTick, the row moves in
 // removeAvail, arrivals, departures, crashes and wiped rejoins.
@@ -49,9 +49,11 @@ func TestAvailWordsMatchBlocks(t *testing.T) {
 	}
 }
 
-// checkAvailWords runs one simulation through a probe that drives the
-// scheduler's tick step by step and compares the snapshot with the
-// block sets at the tick boundary and after each merge round.
+// checkAvailWords runs one simulation through a probe that compares
+// the snapshot with the block sets after each of the scheduler's ticks.
+// Rows move only in removeAvail, and block sets change only when the
+// engine applies the tick, so one check after Tick sees the rebuild
+// and every row move of the tick.
 func checkAvailWords(t *testing.T, cfg simulate.Config, opts Options) {
 	t.Helper()
 	sched, err := New(opts)
@@ -59,43 +61,24 @@ func checkAvailWords(t *testing.T, cfg simulate.Config, opts Options) {
 		t.Fatal(err)
 	}
 	checks, removed := 0, 0
-	check := func(st *simulate.State, when string) {
+	probe := simulate.SchedulerFunc(func(tick int, st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
+		dst, err := sched.Tick(tick, st, dst)
+		if err != nil {
+			return nil, err
+		}
 		s := sched
 		if len(s.availWords) != len(s.avail)*s.words {
-			t.Fatalf("tick %d %s: %d snapshot words for %d candidates of %d words",
-				st.Tick()+1, when, len(s.availWords), len(s.avail), s.words)
+			t.Fatalf("tick %d: %d snapshot words for %d candidates of %d words",
+				tick, len(s.availWords), len(s.avail), s.words)
 		}
 		for i, v := range s.avail {
 			row := s.availWords[i*s.words : (i+1)*s.words]
 			if want := st.Blocks(int(v)).Words(); !slices.Equal(row, want) {
-				t.Fatalf("tick %d %s: row %d (node %d) = %x, block set %x", st.Tick()+1, when, i, v, row, want)
+				t.Fatalf("tick %d: row %d (node %d) = %x, block set %x", tick, i, v, row, want)
 			}
 		}
 		checks++
-	}
-	probe := simulate.SchedulerFunc(func(tick int, st *simulate.State, dst []simulate.Transfer) ([]simulate.Transfer, error) {
-		if !sched.init {
-			if err := sched.setup(st); err != nil {
-				return nil, err
-			}
-		}
-		sched.beginTick(st)
-		check(st, "at the boundary")
-		// pairRounds, one round at a time.
-		sched.curState = st
-		defer func() { sched.curState = nil }()
-		for round := int32(0); ; round++ {
-			proposals, err := sched.proposeRound(round)
-			if err != nil {
-				return nil, err
-			}
-			if proposals == 0 {
-				break
-			}
-			dst = sched.mergeRound(dst)
-			check(st, fmt.Sprintf("after round %d", round))
-		}
-		removed += sched.removedInTick
+		removed += s.removedInTick
 		return dst, nil
 	})
 	if _, err := simulate.Run(cfg, probe); err != nil {

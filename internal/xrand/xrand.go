@@ -127,11 +127,17 @@ func (r *Rand) Float64() float64 {
 // Perm returns a uniform random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a uniform random permutation of [0, len(p)),
+// drawn exactly as Perm draws one: an identity fill, then Shuffle.
+func (r *Rand) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
 	r.Shuffle(p)
-	return p
 }
 
 // Shuffle permutes p in place (Fisher–Yates).
