@@ -41,12 +41,25 @@ func StreamSeed(base uint64, sg int) uint64 {
 	return base + uint64(sg+1)*parallel.SeedStride
 }
 
+// laneStream is one lane's generator state padded out to 128 bytes, two
+// cache lines (x86 prefetches lines in pairs). Lanes draw concurrently
+// on different workers and every draw writes the state back, so eight
+// bare 32-byte states allocated side by side would share lines, and
+// each draw by one worker would steal the line another worker draws
+// from next.
+type laneStream struct {
+	r xrand.Rand
+	_ [128 - 32]byte
+}
+
 // Streams returns Slots freshly seeded lane streams for the given base
-// seed.
+// seed, each in its own 128-byte block.
 func Streams(base uint64) [Slots]*xrand.Rand {
+	ls := new([Slots]laneStream)
 	var st [Slots]*xrand.Rand
 	for sg := range st {
-		st[sg] = xrand.New(StreamSeed(base, sg))
+		ls[sg].r = *xrand.New(StreamSeed(base, sg))
+		st[sg] = &ls[sg].r
 	}
 	return st
 }

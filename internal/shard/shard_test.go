@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -111,5 +112,30 @@ func TestShuffle32MatchesIntShuffle(t *testing.T) {
 		if int(got[i]) != want[i] {
 			t.Fatalf("permutation diverges at %d: %d vs %d", i, got[i], want[i])
 		}
+	}
+}
+
+// TestStreamsOwnTheirLines pins that Streams hands out the same draws as
+// bare xrand.New streams and that no two lane states share a 128-byte
+// block, so lanes drawing on different workers never write one line.
+func TestStreamsOwnTheirLines(t *testing.T) {
+	if size := reflect.TypeOf(laneStream{}).Size(); size != 128 {
+		t.Fatalf("laneStream is %d bytes, want 128", size)
+	}
+	const base = 46000
+	st := Streams(base)
+	blocks := map[uintptr]int{}
+	for sg, r := range st {
+		want := xrand.New(StreamSeed(base, sg))
+		for i := 0; i < 8; i++ {
+			if got, w := r.Uint64(), want.Uint64(); got != w {
+				t.Fatalf("lane %d draw %d: %#x, want %#x", sg, i, got, w)
+			}
+		}
+		block := reflect.ValueOf(r).Pointer() / 128
+		if other, ok := blocks[block]; ok {
+			t.Fatalf("lanes %d and %d share a 128-byte block", other, sg)
+		}
+		blocks[block] = sg
 	}
 }
