@@ -30,6 +30,11 @@
 // its place and records none. A benchmark's worker count is the N of a
 // /wN sub-benchmark, else the -shardworkers width.
 //
+// After the reps, cdbench lists the top-level benchmarks the pattern
+// selects (go test -list) and fails, naming them, when one reported no
+// result: under a two-level pattern go test runs a benchmark without
+// sub-benchmarks but never reports it.
+//
 // -cpuprofile/-memprofile are forwarded to the underlying `go test`
 // invocation on the FINAL repetition only, so profile collection never
 // perturbs the reps that feed the medians. -compare skips running
@@ -168,6 +173,21 @@ func main() {
 		runs = append(runs, results)
 	}
 	results := medianResults(runs)
+	// A top-level benchmark the pattern selects can still report
+	// nothing: under a two-level pattern, go test runs one with no
+	// sub-benchmarks but never reports it.
+	list := exec.Command("go", "test", "-run", "^$", "-list", listPattern(*bench), ".")
+	list.Stderr = os.Stderr
+	listed, err := list.Output()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cdbench: listing benchmarks failed: %v\n%s", err, listed)
+		os.Exit(1)
+	}
+	if missing := missingBenchmarks(string(listed), results); len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "cdbench: -bench %q reported no result for %s; a benchmark without sub-benchmarks needs an alternative it matches at the first level\n",
+			*bench, strings.Join(missing, ", "))
+		os.Exit(1)
+	}
 	warnings := hostWarnings(runs, *reps)
 	if *shardW > runtime.GOMAXPROCS(0) {
 		// Oversubscribed lanes time-slice one another, so wall-clock
@@ -405,6 +425,61 @@ func medianResults(runs [][]result) []result {
 		out = append(out, median(name))
 	}
 	return out
+}
+
+// listPattern returns the go test -list regexp that selects the
+// top-level benchmarks a -bench pattern runs: the first level of each
+// top-level alternative, split where go test splits it (at a '/' or
+// '|' outside brackets and parentheses).
+func listPattern(bench string) string {
+	var firsts []string
+	start, level, brackets, parens := 0, 0, 0, 0
+	for i := 0; i <= len(bench); i++ {
+		c := byte('|')
+		if i < len(bench) {
+			c = bench[i]
+		}
+		switch {
+		case c == '\\':
+			i++
+		case c == '[':
+			brackets++
+		case c == ']' && brackets > 0:
+			brackets--
+		case brackets > 0:
+		case c == '(':
+			parens++
+		case c == ')' && parens > 0:
+			parens--
+		case parens > 0:
+		case c == '/' || c == '|':
+			if level == 0 {
+				firsts = append(firsts, "(?:"+bench[start:i]+")")
+			}
+			level++
+			if c == '|' {
+				level = 0
+			}
+			start = i + 1
+		}
+	}
+	return strings.Join(firsts, "|")
+}
+
+// missingBenchmarks returns the benchmarks in list (go test -list
+// output) that have no result of their own or of a sub-benchmark.
+func missingBenchmarks(list string, results []result) []string {
+	have := make(map[string]bool, len(results))
+	for _, r := range results {
+		have[strings.SplitN(r.Name, "/", 2)[0]] = true
+	}
+	var missing []string
+	for _, name := range strings.Fields(list) {
+		if strings.HasPrefix(name, "Benchmark") && !have[name] {
+			missing = append(missing, name)
+		}
+	}
+	return missing
 }
 
 // parseBenchOutput extracts one result per "Benchmark..." line of `go

@@ -241,3 +241,35 @@ func TestCompareMarksOversubscribedDeltas(t *testing.T) {
 		t.Errorf("w1 delta missing:\n%s", out)
 	}
 }
+
+// The -list pattern keeps the first level of every top-level
+// alternative and splits nowhere go test would not.
+func TestListPattern(t *testing.T) {
+	for _, tc := range []struct{ bench, want string }{
+		{".", "(?:.)"},
+		{"AuditReplay", "(?:AuditReplay)"},
+		{"Scale20kCreditSmoke|ExactPass/closed-credit", "(?:Scale20kCreditSmoke)|(?:ExactPass)"},
+		{"^Benchmark(ExactPass|Scale20kCreditSmoke)$/^(closed-credit|bt)$", "(?:^Benchmark(ExactPass|Scale20kCreditSmoke)$)"},
+		{"A/b/c|D", "(?:A)|(?:D)"},
+		{`[/|]x/y`, "(?:[/|]x)"},
+		{`a\/b/c`, `(?:a\/b)`},
+	} {
+		if got := listPattern(tc.bench); got != tc.want {
+			t.Errorf("listPattern(%q) = %q, want %q", tc.bench, got, tc.want)
+		}
+	}
+}
+
+// A listed benchmark with neither a result nor a sub-benchmark result
+// is missing; test, fuzz and example names and go test's trailer are
+// ignored.
+func TestMissingBenchmarks(t *testing.T) {
+	list := "TestX\nBenchmarkExactPass\nBenchmarkScale20kCreditSmoke\nBenchmarkPairLedger\nFuzzY\nok  \tbarterdist\t0.012s\n"
+	results := []result{{Name: "BenchmarkExactPass/closed-credit"}, {Name: "BenchmarkPairLedger"}, {Name: "BenchmarkScale20kCreditSmokeX"}}
+	if got := missingBenchmarks(list, results); len(got) != 1 || got[0] != "BenchmarkScale20kCreditSmoke" {
+		t.Fatalf("missing = %v, want [BenchmarkScale20kCreditSmoke]", got)
+	}
+	if got := missingBenchmarks(list, append(results, result{Name: "BenchmarkScale20kCreditSmoke"})); got != nil {
+		t.Fatalf("missing = %v, want none", got)
+	}
+}

@@ -98,17 +98,6 @@ func (s *Set) Fill() {
 	s.count = s.n
 }
 
-// AndWith intersects s with o in place (s &= o).
-func (s *Set) AndWith(o *Set) {
-	s.sameCap(o)
-	count := 0
-	for i := range s.words {
-		s.words[i] &= o.words[i]
-		count += bits.OnesCount64(s.words[i])
-	}
-	s.count = count
-}
-
 // Clear removes all bits.
 func (s *Set) Clear() {
 	for i := range s.words {
@@ -121,17 +110,6 @@ func (s *Set) sameCap(o *Set) {
 	if s.n != o.n {
 		panic("bitset: capacity mismatch")
 	}
-}
-
-// ContainsAll reports whether every bit of o is also in s.
-func (s *Set) ContainsAll(o *Set) bool {
-	s.sameCap(o)
-	for i, w := range o.words {
-		if w&^s.words[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // AnyMissingFrom reports whether s holds at least one bit that o lacks,
@@ -161,20 +139,6 @@ func (s *Set) DiffCount(o *Set) int {
 		total += bits.OnesCount64(w &^ o.words[i])
 	}
 	return total
-}
-
-// Diff overwrites dst with s \ o and returns dst. dst may be s or o.
-func (s *Set) Diff(o, dst *Set) *Set {
-	s.sameCap(o)
-	s.sameCap(dst)
-	count := 0
-	for i, w := range s.words {
-		d := w &^ o.words[i]
-		dst.words[i] = d
-		count += bits.OnesCount64(d)
-	}
-	dst.count = count
-	return dst
 }
 
 // IterDiff calls fn for each bit in s \ o, in ascending order, until fn

@@ -60,30 +60,33 @@ var goldenScenarios = map[string]Config{
 type tamper func(r *simulate.Result, sc simulate.Config) bool
 
 // goldenTampers are the doctored-trace modes: the six of
-// TestAuditWorkerInvarianceDoctored, then one per RunAudit check site.
+// TestAuditWorkerInvarianceDoctored, one per RunAudit check site, and
+// two that pin how the replay reads a tick (same-tick relay,
+// frame-straddling tick).
 var goldenTampers = map[string]tamper{
 	"inflated useful count":   func(r *simulate.Result, _ simulate.Config) bool { r.UsefulTransfers++; return true },
 	"understated total count": func(r *simulate.Result, _ simulate.Config) bool { r.TotalTransfers--; return true },
 	"claimed earlier completion": func(r *simulate.Result, _ simulate.Config) bool {
-		r.Trace.TruncateTicks(r.Trace.Ticks() - 1)
+		drops, kinds := r.Trace.MaterializeDrops()
+		r.Trace = trace.FromTicks(r.Trace.Materialize()[:r.Trace.Ticks()-1], drops, kinds, r.Trace.Kinded())
 		return true
 	},
 	"swapped block id": func(r *simulate.Result, sc simulate.Config) bool {
-		start, _ := r.Trace.TickSpan(1)
-		tr := r.Trace.At(start)
-		if tr.Block == int32(sc.Blocks-1) {
-			return false // nothing to swap
-		}
-		tr.Block = int32(sc.Blocks - 1)
-		r.Trace.Set(start, tr)
-		return true
+		return doctor(r, func(ticks [][]trace.Transfer, _ [][]int) bool {
+			tr := &ticks[1][0]
+			if tr.Block == int32(sc.Blocks-1) {
+				return false // nothing to swap
+			}
+			tr.Block = int32(sc.Blocks - 1)
+			return true
+		})
 	},
 	"forged transfer target": func(r *simulate.Result, _ simulate.Config) bool {
-		start, _ := r.Trace.TickSpan(2)
-		tr := r.Trace.At(start)
-		tr.To = tr.From
-		r.Trace.Set(start, tr)
-		return true
+		return doctor(r, func(ticks [][]trace.Transfer, _ [][]int) bool {
+			tr := &ticks[2][0]
+			tr.To = tr.From
+			return true
+		})
 	},
 	"shifted client completion": func(r *simulate.Result, _ simulate.Config) bool { r.ClientCompletion[3]++; return true },
 
@@ -116,16 +119,65 @@ var goldenTampers = map[string]tamper{
 		sort.SliceStable(done, func(i, j int) bool { return r.ClientCompletion[done[i]] < r.ClientCompletion[done[j]] })
 		v := done[len(done)/2]
 		tick := r.ClientCompletion[v]
-		drop := dropped(r.Trace, tick-1)
-		start, end := r.Trace.TickSpan(tick - 1)
-		for i := end - 1; i >= start; i-- {
-			if tr := r.Trace.At(i); int(tr.To) == v && !drop[i-start] {
-				tr.From, tr.To = tr.To, tr.From
-				r.Trace.Set(i, tr)
-				return true
+		return doctor(r, func(ticks [][]trace.Transfer, drops [][]int) bool {
+			ts, lost := ticks[tick-1], lostSet(drops[tick-1])
+			for i := len(ts) - 1; i >= 0; i-- {
+				if tr := &ts[i]; int(tr.To) == v && !lost[i] {
+					tr.From, tr.To = tr.To, tr.From
+					return true
+				}
 			}
-		}
-		return false
+			return false
+		})
+	},
+	"same-tick relay": func(r *simulate.Result, _ simulate.Config) bool {
+		// From the middle tick on, a later transfer of a tick forwards
+		// a block that an earlier one delivered to its sender in the
+		// same tick. The sender never received the block before, so it
+		// did not hold it when the tick began.
+		mid := midTick(r)
+		return doctor(r, func(ticks [][]trace.Transfer, drops [][]int) bool {
+			held := map[[2]int32]bool{} // (node, block) delivered in an earlier tick
+			for t, ts := range ticks {
+				lost := lostSet(drops[t])
+				for i, a := range ts {
+					if t+1 < mid || lost[i] || a.To == 0 || held[[2]int32{a.To, a.Block}] {
+						continue
+					}
+					for j := i + 1; j < len(ts); j++ {
+						if ts[j].To != a.To {
+							ts[j].From, ts[j].Block = a.To, a.Block
+							return true
+						}
+					}
+				}
+				for i, a := range ts {
+					if !lost[i] {
+						held[[2]int32{a.To, a.Block}] = true
+					}
+				}
+			}
+			return false
+		})
+	},
+	"frame-straddling tick": func(r *simulate.Result, _ simulate.Config) bool {
+		// The first transfer of the second sealed frame, when the tick
+		// holding it began in the first frame.
+		const frameLen = 1 << 16 // transfers per sealed trace frame
+		return doctor(r, func(ticks [][]trace.Transfer, _ [][]int) bool {
+			start := 0
+			for _, ts := range ticks {
+				if i := frameLen - start; i < len(ts) {
+					if i <= 0 {
+						return false // the tick begins on the boundary
+					}
+					ts[i].To = ts[i].From
+					return true
+				}
+				start += len(ts)
+			}
+			return false
+		})
 	},
 	"upload cap": func(r *simulate.Result, _ simulate.Config) bool {
 		// A second transfer by a client sender, of a block it sends anyway.
@@ -282,12 +334,24 @@ var goldenTampers = map[string]tamper{
 // midTick is the 1-based tick in the middle of the recorded run.
 func midTick(r *simulate.Result) int { return (r.Trace.Ticks() + 1) / 2 }
 
-// dropped marks tick t's (0-based) dropped transfers by local index.
-func dropped(l *trace.Log, t int) []bool {
-	idx, _ := l.AppendTickDrops(t, nil, nil)
-	start, end := l.TickSpan(t)
-	out := make([]bool, end-start)
-	for _, j := range idx {
+// doctor tampers with r's trace through its nested form: edit rewrites
+// the per-tick transfer lists in place (drops, by local index, are for
+// reading) and reports whether it changed anything, and the trace is
+// rebuilt from the result. A recorded Log is never written to.
+func doctor(r *simulate.Result, edit func(ticks [][]trace.Transfer, drops [][]int) bool) bool {
+	ticks := r.Trace.Materialize()
+	drops, kinds := r.Trace.MaterializeDrops()
+	if !edit(ticks, drops) {
+		return false
+	}
+	r.Trace = trace.FromTicks(ticks, drops, kinds, r.Trace.Kinded())
+	return true
+}
+
+// lostSet marks a tick's dropped transfers by local index.
+func lostSet(drops []int) map[int]bool {
+	out := make(map[int]bool, len(drops))
+	for _, j := range drops {
 		out[j] = true
 	}
 	return out
@@ -295,30 +359,32 @@ func dropped(l *trace.Log, t int) []bool {
 
 // editMid rewrites the last transfer of the middle tick.
 func editMid(r *simulate.Result, edit func(tr *trace.Transfer)) bool {
-	start, end := r.Trace.TickSpan(midTick(r) - 1)
-	if end == start {
-		return false
-	}
-	tr := r.Trace.At(end - 1)
-	edit(&tr)
-	r.Trace.Set(end-1, tr)
-	return true
+	return doctor(r, func(ticks [][]trace.Transfer, _ [][]int) bool {
+		ts := ticks[midTick(r)-1]
+		if len(ts) == 0 {
+			return false
+		}
+		edit(&ts[len(ts)-1])
+		return true
+	})
 }
 
 // pairMid hands edit the first pair (a, b), a before b, of the middle
 // tick that it accepts, and stores the rewritten b.
 func pairMid(r *simulate.Result, edit func(a, b *trace.Transfer) bool) bool {
-	start, end := r.Trace.TickSpan(midTick(r) - 1)
-	for i := start; i < end; i++ {
-		for j := i + 1; j < end; j++ {
-			a, b := r.Trace.At(i), r.Trace.At(j)
-			if edit(&a, &b) {
-				r.Trace.Set(j, b)
-				return true
+	return doctor(r, func(ticks [][]trace.Transfer, _ [][]int) bool {
+		ts := ticks[midTick(r)-1]
+		for i := range ts {
+			for j := i + 1; j < len(ts); j++ {
+				a, b := ts[i], ts[j]
+				if edit(&a, &b) {
+					ts[j] = b
+					return true
+				}
 			}
 		}
-	}
-	return false
+		return false
+	})
 }
 
 // killMid logs the departure (crash, in a closed run) of a client at
@@ -328,11 +394,10 @@ func pairMid(r *simulate.Result, edit func(a, b *trace.Transfer) bool) bool {
 // transfer of the tick touches, so the replay trips on exactly that
 // transfer.
 func killMid(r *simulate.Result, uploader bool) bool {
-	for t := midTick(r); t <= r.Trace.Ticks(); t++ {
-		start, end := r.Trace.TickSpan(t - 1)
+	ticks := r.Trace.Materialize()
+	for t := midTick(r); t <= len(ticks); t++ {
 		seen := map[int32]bool{}
-		for i := start; i < end; i++ {
-			tr := r.Trace.At(i)
+		for _, tr := range ticks[t-1] {
 			v := tr.To
 			if uploader {
 				v = tr.From

@@ -99,8 +99,11 @@ type Config struct {
 	// VirtualServers is the multi-server split m (default 2); the engine
 	// gives the server m upload slots per tick.
 	VirtualServers int
-	// RiffleOverlap selects the D >= 2U overlapped riffle (default true;
-	// set DownloadCap >= 2 or leave it 0 to have Run pick it).
+	// RiffleNoOverlap selects the riffle pipeline that shifts each
+	// block group N + 1 ticks, so D = U suffices at the cost of k/N
+	// extra ticks. The default (false) is the overlapped riffle, which
+	// needs D >= 2U; with DownloadCap 0, Run sets D to 2 for the
+	// overlapped riffle and to 1 for this one.
 	RiffleNoOverlap bool
 
 	// Overlay selects the randomized algorithm's overlay; default

@@ -23,11 +23,9 @@ func fingerprint(res *Result) string {
 	fmt.Fprintf(&b, "clients=%v lost=%d corrupt=%d useful=%d total=%d\n",
 		sim.ClientCompletion, sim.LostTransfers, sim.CorruptTransfers,
 		sim.UsefulTransfers, sim.TotalTransfers)
-	cur := sim.Trace.Cursor()
-	for cur.NextTick() {
-		fmt.Fprintf(&b, "t%d:", cur.Tick()-1)
-		for cur.Next() {
-			tr := cur.Transfer()
+	for t, ts := range sim.Trace.Materialize() {
+		fmt.Fprintf(&b, "t%d:", t)
+		for _, tr := range ts {
 			fmt.Fprintf(&b, " %d->%d#%d", tr.From, tr.To, tr.Block)
 		}
 		b.WriteByte('\n')
@@ -35,16 +33,14 @@ func fingerprint(res *Result) string {
 	for _, ev := range sim.FaultLog {
 		fmt.Fprintf(&b, "fault t=%.17g node=%d kind=%d\n", ev.Time, ev.Node, ev.Kind)
 	}
-	var lostIdx []int32
-	var lostKinds []uint8
-	for t := 0; t < sim.Trace.Ticks(); t++ {
-		lostIdx, lostKinds = sim.Trace.AppendTickDrops(t, lostIdx[:0], lostKinds[:0])
-		if len(lostIdx) == 0 {
+	drops, kinds := sim.Trace.MaterializeDrops()
+	for t, lost := range drops {
+		if len(lost) == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "lost t%d:%v", t, lostIdx)
-		if sim.Trace.Kinded() {
-			fmt.Fprintf(&b, " kinds=%v", lostKinds)
+		fmt.Fprintf(&b, "lost t%d:%v", t, lost)
+		if kinds != nil {
+			fmt.Fprintf(&b, " kinds=%v", kinds[t])
 		}
 		b.WriteByte('\n')
 	}
@@ -248,28 +244,32 @@ func TestColumnarMatchesNestedRepresentation(t *testing.T) {
 		nested := b.String()
 
 		b.Reset()
+		var lost strings.Builder
 		cur := sim.Trace.Cursor()
 		for cur.NextTick() {
 			fmt.Fprintf(&b, "t%d:", cur.Tick()-1)
-			for cur.Next() {
-				tr := cur.Transfer()
-				fmt.Fprintf(&b, " %d->%d#%d", tr.From, tr.To, tr.Block)
+			var li []int
+			var lk []uint8
+			for cur.NextSpan() {
+				s := cur.Span()
+				for j := range s.From {
+					fmt.Fprintf(&b, " %d->%d#%d", int32(s.From[j]), int32(s.To[j]), int32(s.Block[j]))
+				}
+				if s.Dropped {
+					li, lk = append(li, s.Index), append(lk, s.Kind)
+				}
 			}
 			b.WriteByte('\n')
-		}
-		var li []int32
-		var lk []uint8
-		for ti := 0; ti < sim.Trace.Ticks(); ti++ {
-			li, lk = sim.Trace.AppendTickDrops(ti, li[:0], lk[:0])
 			if len(li) == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "lost t%d:%v", ti, li)
+			fmt.Fprintf(&lost, "lost t%d:%v", cur.Tick()-1, li)
 			if sim.Trace.Kinded() {
-				fmt.Fprintf(&b, " kinds=%v", lk)
+				fmt.Fprintf(&lost, " kinds=%v", lk)
 			}
-			b.WriteByte('\n')
+			lost.WriteByte('\n')
 		}
+		b.WriteString(lost.String())
 		if got := b.String(); got != nested {
 			t.Fatalf("cfg %d: cursor view diverges from materialized view:\n--- nested ---\n%s\n--- cursor ---\n%s",
 				i, head(nested, 20), head(got, 20))

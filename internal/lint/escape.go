@@ -131,7 +131,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/trace.Log).Reserve",
 	"(*MOD/internal/trace.Log).AppendTick",
 	"(*MOD/internal/trace.Log).appendKind",
-	"(*MOD/internal/trace.Cursor).Next",
+	"(*MOD/internal/trace.Cursor).NextSpan",
 	"(*MOD/internal/trace.Cursor).NextTick",
 	// barter mechanisms on the pairing path
 	"(*MOD/internal/mechanism.Ledger).CanSend",

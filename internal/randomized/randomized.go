@@ -652,7 +652,7 @@ func (s *Scheduler) mergeLane(i int) *lane {
 // contributes nothing — the engine already cleared its set, and its
 // pre-wipe holdings were subtracted at crash time, which is why the
 // delta form agrees with a from-scratch recount; TestIncrementalFreq*
-// pins the equivalence against recomputeFreq). Fault events still
+// pins the equivalence against the test oracle freqOracle). Fault events still
 // flush the no-peer cache, which is keyed to the old population.
 // Fault-free runs see empty event and loss lists, take no branch, and
 // consume exactly the pre-fault RNG stream.
@@ -758,24 +758,6 @@ func (s *Scheduler) beginTick(st *simulate.State) {
 	if s.opts.Graph == nil && s.opts.Policy == LocalRare {
 		// Snapshot before any mid-tick saturation removals.
 		s.localPeers = append(s.localPeers[:0], s.avail...)
-	}
-}
-
-// recomputeFreq rebuilds the global replication counts from the block
-// sets of the currently alive nodes, one word-parallel
-// AccumulateCounts per node. The hot path no longer calls it —
-// beginTick maintains freq incrementally across crashes, rejoins, and
-// in-flight losses — but it remains the oracle the incremental
-// accounting is verified against in tests.
-func (s *Scheduler) recomputeFreq(st *simulate.State) {
-	for b := range s.freq {
-		s.freq[b] = 0
-	}
-	for v := 0; v < s.n; v++ {
-		if !st.Alive(v) {
-			continue
-		}
-		st.Blocks(v).AccumulateCounts(s.freq, 1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package randomized
 
 import (
+	"reflect"
 	"testing"
 
 	"barterdist/internal/analysis"
@@ -136,10 +137,8 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	if a.Trace.Len() != b.Trace.Len() || a.Trace.Ticks() != b.Trace.Ticks() {
 		t.Fatalf("trace shape differs between identical seeds")
 	}
-	for i := 0; i < a.Trace.Len(); i++ {
-		if a.Trace.At(i) != b.Trace.At(i) {
-			t.Fatalf("transfer %d differs between identical seeds", i)
-		}
+	if !reflect.DeepEqual(a.Trace.Materialize(), b.Trace.Materialize()) {
+		t.Fatal("transfers differ between identical seeds")
 	}
 	c := runRandomized(t, cfg, Options{Seed: 43})
 	if c.CompletionTime == a.CompletionTime && c.TotalTransfers == a.TotalTransfers {
@@ -252,11 +251,10 @@ func TestServerNeverReceives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := res.Trace.Cursor()
-	for cur.NextTick() {
-		for cur.Next() {
-			if cur.Transfer().To == 0 {
-				t.Fatalf("tick %d: transfer to the server", cur.Tick())
+	for ti, ts := range res.Trace.Materialize() {
+		for _, tr := range ts {
+			if tr.To == 0 {
+				t.Fatalf("tick %d: transfer to the server", ti+1)
 			}
 		}
 	}
@@ -277,14 +275,12 @@ func TestNoDuplicateDeliveriesWithinTick(t *testing.T) {
 		t.Fatalf("redundant transfers occurred: total=%d useful=%d",
 			res.TotalTransfers, res.UsefulTransfers)
 	}
-	cur := res.Trace.Cursor()
-	for cur.NextTick() {
+	for ti, ts := range res.Trace.Materialize() {
 		seen := map[[2]int32]bool{}
-		for cur.Next() {
-			tr := cur.Transfer()
+		for _, tr := range ts {
 			key := [2]int32{tr.To, tr.Block}
 			if seen[key] {
-				t.Fatalf("tick %d: block %d delivered twice to node %d", cur.Tick(), tr.Block, tr.To)
+				t.Fatalf("tick %d: block %d delivered twice to node %d", ti+1, tr.Block, tr.To)
 			}
 			seen[key] = true
 		}

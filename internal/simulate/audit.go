@@ -28,14 +28,10 @@ type replay struct {
 	pop  *swarm.Replay[int]
 	caps *capScratch
 
-	// wins is the decode window: one Win per frame a single tick can
-	// span (two for any tick shorter than a frame), picked by frame
-	// index. A tick's delivery half re-reads exactly the frames its
-	// validation half decoded, and the next tick starts in the last of
-	// them, so every sealed frame is decoded once per replay.
-	wins      []trace.Win
-	dropIdx   []int32
-	dropKinds []uint8
+	// lands is the current tick's transfers in trace order, appended by
+	// the validation half and landed by the delivery half; reused
+	// across ticks.
+	lands []landing
 
 	ei int // fault-log cursor
 
@@ -44,27 +40,15 @@ type replay struct {
 	honestUseful, honestWasted int
 }
 
-func newReplay(c Config, res *Result, honest []bool) *replay {
-	rp := &replay{
-		c: c, res: res, honest: honest,
-		pop:  swarm.NewReplay[int](c.Nodes, c.Blocks, res.Open != nil),
-		caps: newCapScratch(c.Nodes),
-	}
-	l := res.Trace
-	span := 1
-	for t := 0; t < l.Ticks(); t++ {
-		if start, end := l.TickSpan(t); end > start {
-			span = max(span, trace.FrameOf(end-1)-trace.FrameOf(start)+1)
-		}
-	}
-	rp.wins = make([]trace.Win, span)
-	return rp
+// landing is one validated transfer awaiting delivery.
+type landing struct {
+	to, block int32
+	kind      uint8 // drop kind, or delivered
 }
 
-// window returns the decoded columns around transfer i; see wins.
-func (rp *replay) window(i int) (from, to, block []uint32, base, end int) {
-	return rp.res.Trace.Window(&rp.wins[trace.FrameOf(i)%len(rp.wins)], i)
-}
+// delivered marks a landing that arrived; recorded drop kinds are
+// nibbles, so it never collides with one.
+const delivered uint8 = 0xff
 
 // events applies the fault-log events due at the start of tick t, in
 // log order. The engine stamps each event with the tick it fires at, so
@@ -122,56 +106,51 @@ func (rp *replay) check(f, v, b int) error {
 	return nil
 }
 
-// tick replays tick t in two halves: every transfer is validated
-// against the start-of-tick state, then the drop-aware delivery lands
-// the ones that arrived.
-func (rp *replay) tick(t int) error {
-	l := rp.res.Trace
-	start, end := l.TickSpan(t - 1)
+// tick replays the cursor's current tick in two halves: every
+// transfer is validated against the start-of-tick state as its span is
+// read, then the drop-aware delivery lands the ones that arrived, so a
+// block received in a tick cannot be forwarded in the same tick.
+func (rp *replay) tick(c *trace.Cursor) error {
+	t := c.Tick()
 	rp.caps.reset(t)
-	for i := start; i < end; {
-		from, to, block, base, wend := rp.window(i)
-		for stop := min(end, wend); i < stop; i++ {
-			j := i - base
-			if err := rp.check(int(int32(from[j])), int(int32(to[j])), int(int32(block[j]))); err != nil {
+	rp.lands = rp.lands[:0]
+	for c.NextSpan() {
+		s := c.Span()
+		kind := delivered
+		if s.Dropped {
+			kind = s.Kind
+		}
+		for j, f := range s.From {
+			v, b := int32(s.To[j]), int32(s.Block[j])
+			if err := rp.check(int(int32(f)), int(v), int(b)); err != nil {
 				return auditErr("tick %d: %v", t, err)
 			}
+			rp.lands = append(rp.lands, landing{to: v, block: b, kind: kind})
 		}
 	}
 
-	rp.dropIdx, rp.dropKinds = l.AppendTickDrops(t-1, rp.dropIdx[:0], rp.dropKinds[:0])
-	dp := 0
-	for i := start; i < end; {
-		_, to, block, base, wend := rp.window(i)
-		for stop := min(end, wend); i < stop; i++ {
-			j := i - base
-			v := int(int32(to[j]))
-			rp.total++
-			if dp < len(rp.dropIdx) && int(rp.dropIdx[dp]) == i-start {
-				kind := LostKindFault
-				if dp < len(rp.dropKinds) {
-					kind = rp.dropKinds[dp]
+	for _, ld := range rp.lands {
+		v := int(ld.to)
+		rp.total++
+		if ld.kind != delivered {
+			if rp.honest != nil {
+				if int(ld.kind) >= len(rp.kind) {
+					return auditErr("tick %d: unknown drop kind %d", t, ld.kind)
 				}
-				dp++
-				if rp.honest != nil {
-					if int(kind) >= len(rp.kind) {
-						return auditErr("tick %d: unknown drop kind %d", t, kind)
-					}
-					rp.kind[kind]++
-					if kind != LostKindFault && kind != LostKindFaultCorrupt && rp.honest[v] {
-						rp.honestWasted++
-					}
+				rp.kind[ld.kind]++
+				if ld.kind != LostKindFault && ld.kind != LostKindFaultCorrupt && rp.honest[v] {
+					rp.honestWasted++
 				}
-				rp.lost++ // the lost/corrupt split is checked in aggregate
-				continue
 			}
-			if !rp.pop.Deliver(v, int(int32(block[j])), t) {
-				continue
-			}
-			rp.useful++
-			if rp.honest != nil && rp.honest[v] {
-				rp.honestUseful++
-			}
+			rp.lost++ // the lost/corrupt split is checked in aggregate
+			continue
+		}
+		if !rp.pop.Deliver(v, int(ld.block), t) {
+			continue
+		}
+		rp.useful++
+		if rp.honest != nil && rp.honest[v] {
+			rp.honestUseful++
 		}
 	}
 	return nil
@@ -204,12 +183,13 @@ func (rp *replay) tick(t int) error {
 // completion criterion and honest stall accounting are re-derived from
 // the trace.
 //
-// The replay is one sequential pass that decodes each sealed trace
-// frame once, rebuilding the population through swarm.Replay. It
-// reports the first violation in replay order: a tick's fault events,
-// then its transfers' validation in trace order, then their delivery;
-// after the last tick the completion rule, the counts, and the final
-// per-node state in ascending node order.
+// The replay is one sequential pass: a single trace.Cursor reads the
+// trace span by span, so each sealed frame is decoded once, and
+// swarm.Replay rebuilds the population. It reports the first violation
+// in replay order: a tick's fault events, then its transfers'
+// validation in trace order, then their delivery; after the last tick
+// the completion rule, the counts, and the final per-node state in
+// ascending node order.
 func RunAudit(cfg Config, res *Result) error {
 	cfg.Fault = nil
 	cfg.Adversary = nil
@@ -240,12 +220,16 @@ func RunAudit(cfg Config, res *Result) error {
 		return auditErr("adversarial result's trace records no drop kinds")
 	}
 
-	rp := newReplay(c, res, honest)
-	for t := 1; t <= ticks; t++ {
-		if err := rp.events(t); err != nil {
+	rp := &replay{
+		c: c, res: res, honest: honest,
+		pop:  swarm.NewReplay[int](c.Nodes, c.Blocks, res.Open != nil),
+		caps: newCapScratch(c.Nodes),
+	}
+	for cur := res.Trace.Cursor(); cur.NextTick(); {
+		if err := rp.events(cur.Tick()); err != nil {
 			return err
 		}
-		if err := rp.tick(t); err != nil {
+		if err := rp.tick(cur); err != nil {
 			return err
 		}
 	}

@@ -216,10 +216,9 @@ func TestTraceReplaysToFinalState(t *testing.T) {
 	for b := 0; b < cfg.Blocks; b++ {
 		have[0].Add(b)
 	}
-	cur := res.Trace.Cursor()
-	for cur.NextTick() {
-		for cur.Next() {
-			have[cur.Transfer().To].Add(int(cur.Transfer().Block))
+	for _, ts := range res.Trace.Materialize() {
+		for _, tr := range ts {
+			have[tr.To].Add(int(tr.Block))
 		}
 	}
 	for v := range have {
@@ -348,13 +347,13 @@ func TestAuditCatchesDoctoredResults(t *testing.T) {
 		{"inflated useful count", func(r *Result) { r.UsefulTransfers++ }},
 		{"understated total count", func(r *Result) { r.TotalTransfers-- }},
 		{"claimed earlier completion", func(r *Result) {
-			r.Trace.TruncateTicks(r.Trace.Ticks() - 1)
+			ticks := r.Trace.Materialize()
+			r.Trace = trace.FromTicks(ticks[:len(ticks)-1], nil, nil, false)
 		}},
 		{"swapped block id", func(r *Result) {
-			start, _ := r.Trace.TickSpan(1)
-			tr := r.Trace.At(start)
-			tr.Block = int32(cfg.Blocks - 1)
-			r.Trace.Set(start, tr)
+			ticks := r.Trace.Materialize()
+			ticks[1][0].Block = int32(cfg.Blocks - 1)
+			r.Trace = trace.FromTicks(ticks, nil, nil, false)
 		}},
 		{"forged final snapshot", func(r *Result) {
 			r.FinalHave[2] = bitset.New(cfg.Blocks)

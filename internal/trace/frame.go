@@ -449,28 +449,6 @@ func (l *Log) sealOpen() {
 	l.openBlock = l.openBlock[:0]
 }
 
-// reencodeFrame replaces sealed frame f's data with the (modified)
-// columns in w. Only the doctoring helpers (Set, TruncateTicks) use it.
-func (l *Log) reencodeFrame(f int, w *Win) {
-	if l.enc == nil {
-		l.enc = newEncScratch()
-	}
-	s := l.enc
-	s.buf = s.buf[:0]
-	var off [3]uint32
-	for c, col := range w.col {
-		off[c] = uint32(len(s.buf))
-		s.encodeCol(col)
-	}
-	data := make([]byte, len(s.buf))
-	copy(data, s.buf)
-	l.frames[f] = frame{data: data, off: off}
-}
-
-// FrameOf returns the index of the frame that holds transfer i. A
-// reader that keeps several Wins open picks one per frame with it.
-func FrameOf(i int) int { return i >> frameShift }
-
 // sealedLen returns the number of transfers held in sealed frames.
 func (l *Log) sealedLen() int { return len(l.frames) << frameShift }
 

@@ -67,19 +67,24 @@ func FuzzTraceCursor(f *testing.F) {
 		c := l.Cursor()
 		for c.NextTick() {
 			tlen := 0
-			for c.Next() {
-				tr := c.Transfer()
-				_ = tr
-				if c.Index() < 0 || c.Index() >= c.TickLen() {
-					t.Fatalf("index %d outside tick of %d", c.Index(), c.TickLen())
+			for c.NextSpan() {
+				s := c.Span()
+				if s.Index < 0 || s.Index+len(s.From) > c.TickLen() {
+					t.Fatalf("span [%d, %d) outside tick of %d", s.Index, s.Index+len(s.From), c.TickLen())
 				}
-				if c.Dropped() {
+				if s.Index != tlen {
+					t.Fatalf("span starts at %d after %d transfers", s.Index, tlen)
+				}
+				if s.Dropped {
 					seenDrops++
-					if int(c.Kind()) >= NumKinds {
-						t.Fatalf("invalid kind %d from cursor", c.Kind())
+					if len(s.From) != 1 {
+						t.Fatalf("dropped span of %d transfers", len(s.From))
+					}
+					if int(s.Kind) >= NumKinds {
+						t.Fatalf("invalid kind %d from cursor", s.Kind)
 					}
 				}
-				tlen++
+				tlen += len(s.From)
 			}
 			if tlen != c.TickLen() {
 				t.Fatalf("cursor visited %d transfers in tick of %d", tlen, c.TickLen())
@@ -92,12 +97,16 @@ func FuzzTraceCursor(f *testing.F) {
 		if seenDrops != l.Drops() {
 			t.Fatalf("cursor saw %d drops, log has %d", seenDrops, l.Drops())
 		}
-		// The released view must visit a subset and never panic.
+		// The released view must visit a subset, skip only adversary
+		// drops, and never panic.
 		rc := l.ReleasedCursor()
 		released := 0
 		for rc.NextTick() {
-			for rc.Next() {
-				released++
+			for rc.NextSpan() {
+				if s := rc.Span(); s.Dropped && s.Kind >= KindRefused {
+					t.Fatalf("released view yielded an adversary drop (kind %d)", s.Kind)
+				}
+				released += len(rc.Span().From)
 			}
 		}
 		if released > seenTransfers {

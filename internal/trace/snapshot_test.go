@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"barterdist/internal/checkpoint"
@@ -44,15 +45,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if !b.NextTick() {
 				t.Fatal("restored log has fewer ticks")
 			}
-			for a.Next() {
-				if !b.Next() {
-					t.Fatal("restored log has fewer transfers")
+			for a.NextSpan() {
+				if !b.NextSpan() {
+					t.Fatal("restored log has fewer spans")
 				}
-				if a.Transfer() != b.Transfer() || a.Dropped() != b.Dropped() || a.Kind() != b.Kind() {
-					t.Fatalf("kinded=%v stream diverged at tick %d index %d", kinded, a.Tick(), a.Index())
+				if sa, sb := a.Span(), b.Span(); !reflect.DeepEqual(sa, sb) {
+					t.Fatalf("kinded=%v stream diverged at tick %d index %d", kinded, a.Tick(), sa.Index)
 				}
 			}
-			if b.Next() {
+			if b.NextSpan() {
 				t.Fatal("restored log has extra transfers")
 			}
 		}

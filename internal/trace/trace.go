@@ -27,9 +27,9 @@
 // low-bit-RLE encodings (frame.go), which measures under 5 B/transfer
 // on the Table Scale runs. The seal runs on the tick that fills the
 // frame, not on every tick: one pass per column estimates every
-// encoding's cost, so it amortizes to a few tens of ns per transfer. The tick and drop offset columns stay raw: they
-// are per-tick, not per-transfer, and the auditors index them
-// directly.
+// encoding's cost, so it amortizes to a few tens of ns per transfer.
+// The tick and drop offset columns stay raw: they are per-tick, not
+// per-transfer, and the cursor indexes them directly.
 //
 // Appending a tick touches only the open tail, so steady-state
 // recording is allocation-free once the columns are Reserved; sealing
@@ -97,7 +97,6 @@ type Log struct {
 	kinded                      bool
 
 	enc *encScratch // seal workspace, lazily allocated
-	win *Win        // At/Set decode window; not for concurrent readers
 }
 
 // New returns an empty log. kinded selects whether per-drop kinds are
@@ -240,76 +239,6 @@ func (l *Log) Drops() int { return len(l.dropPos) }
 // Kinded reports whether per-drop kinds are recorded.
 func (l *Log) Kinded() bool { return l.kinded }
 
-// At returns transfer i (a global index in [0, Len())). Sealed frames
-// are decoded through the Log's shared window, so At is for
-// single-goroutine use; concurrent readers take a Cursor or Window.
-func (l *Log) At(i int) Transfer {
-	if l.win == nil {
-		l.win = &Win{}
-	}
-	from, to, block, base, _ := l.Window(l.win, i)
-	j := i - base
-	return Transfer{From: int32(from[j]), To: int32(to[j]), Block: int32(block[j])}
-}
-
-// Set overwrites transfer i. It exists for the audit tests, which
-// doctor recorded traces to prove the auditors catch tampering; a Set
-// inside a sealed frame re-encodes that frame.
-func (l *Log) Set(i int, tr Transfer) {
-	if l.win == nil {
-		l.win = &Win{}
-	}
-	from, to, block, base, _ := l.Window(l.win, i)
-	j := i - base
-	from[j], to[j], block[j] = uint32(tr.From), uint32(tr.To), uint32(tr.Block)
-	if i < l.sealedLen() {
-		l.reencodeFrame(i>>frameShift, l.win)
-	}
-}
-
-// TruncateTicks discards every tick at or after t (0-based), keeping
-// the first t ticks. Like Set, it exists for the audit tests, which
-// doctor recorded traces to prove the auditors catch tampering. A cut
-// inside a sealed frame reopens that frame: its surviving prefix
-// becomes the raw open tail again.
-func (l *Log) TruncateTicks(t int) {
-	if t >= l.Ticks() {
-		return
-	}
-	var end, dend uint32
-	if t > 0 {
-		end, dend = l.tickEnd[t-1], l.dropTickEnd[t-1]
-	}
-	n := int(end)
-	if s := l.sealedLen(); n >= s {
-		keep := n - s
-		l.openFrom = l.openFrom[:keep]
-		l.openTo = l.openTo[:keep]
-		l.openBlock = l.openBlock[:keep]
-	} else {
-		var w Win
-		from, to, block, base, _ := l.Window(&w, n)
-		keep := n - base
-		l.frames = l.frames[:n>>frameShift]
-		l.openFrom = append(l.openFrom[:0], from[:keep]...)
-		l.openTo = append(l.openTo[:0], to[:keep]...)
-		l.openBlock = append(l.openBlock[:0], block[:keep]...)
-		if l.win != nil {
-			l.win.have = 0
-		}
-	}
-	l.tickEnd = l.tickEnd[:t]
-	l.dropPos = l.dropPos[:dend]
-	l.dropTickEnd = l.dropTickEnd[:t]
-	if l.kinded {
-		l.kindLen = int(dend)
-		l.dropKind = l.dropKind[:(dend+1)/2]
-		if dend%2 == 1 {
-			l.dropKind[dend/2] &= 0x0f // clear the stale high nibble
-		}
-	}
-}
-
 // TickSpan returns the global index range [start, end) of tick t
 // (0-based).
 func (l *Log) TickSpan(t int) (start, end int) {
@@ -333,30 +262,6 @@ func (l *Log) dropSpan(t int) (start, end int) {
 	return start, int(l.dropTickEnd[t])
 }
 
-// AppendTickTransfers appends tick t's transfers to dst and returns it.
-func (l *Log) AppendTickTransfers(t int, dst []Transfer) []Transfer {
-	start, end := l.TickSpan(t)
-	for i := start; i < end; i++ {
-		dst = append(dst, l.At(i))
-	}
-	return dst
-}
-
-// AppendTickDrops appends tick t's drop indices (local to the tick) and
-// kinds to idx and kinds and returns both. For unkinded logs kinds is
-// returned unchanged.
-func (l *Log) AppendTickDrops(t int, idx []int32, kinds []uint8) ([]int32, []uint8) {
-	tickStart, _ := l.TickSpan(t)
-	ds, de := l.dropSpan(t)
-	for j := ds; j < de; j++ {
-		idx = append(idx, int32(int(l.dropPos[j])-tickStart))
-		if l.kinded {
-			kinds = append(kinds, l.kindAt(j))
-		}
-	}
-	return idx, kinds
-}
-
 // MemSize returns the approximate heap footprint of the columns in
 // bytes, for capacity reporting in scale experiments: the compressed
 // sealed frames, the raw open tail, and the tick/drop offset columns.
@@ -374,10 +279,10 @@ func (l *Log) MemSize() int {
 }
 
 // Compact trims the open tail's spare capacity (reserved at frame
-// granularity for the append path) and drops the seal and decode
-// workspaces. The engines call it once recording ends, so MemSize and
-// resident memory reflect the compressed columns alone; appending
-// after Compact is correct but re-allocates.
+// granularity for the append path) and drops the seal workspace. The
+// engines call it once recording ends, so MemSize and resident memory
+// reflect the compressed columns alone; appending after Compact is
+// correct but re-allocates.
 func (l *Log) Compact() {
 	trim := func(s []uint32) []uint32 {
 		if cap(s) == len(s) {
@@ -391,7 +296,6 @@ func (l *Log) Compact() {
 	l.openTo = trim(l.openTo)
 	l.openBlock = trim(l.openBlock)
 	l.enc = nil
-	l.win = nil
 }
 
 // Cursor returns a streaming cursor over every scheduled transfer.
@@ -429,10 +333,6 @@ type Span struct {
 //		}
 //	}
 //
-// Next and Transfer step through the same spans one transfer at a time,
-// for readers that want a Transfer value. A tick is read either by
-// spans or by Next, not both.
-//
 // A cursor is single-use and must not outlive mutation of the Log.
 // Each cursor owns its decode window, so any number of cursors may
 // stream the same (no longer appended-to) Log concurrently.
@@ -446,14 +346,12 @@ type Cursor struct {
 	i          int // next transfer not yet in a span
 
 	span Span
-	n, j int // span length; Next's position in it
 
 	win Win // per-cursor decode window over sealed frames
 }
 
 // Only restricts the cursor to the columns in cols, so sealed frames
-// decode nothing else; the other Span columns read nil, and Transfer
-// needs all three. It returns c.
+// decode nothing else; the other Span columns read nil. It returns c.
 func (c *Cursor) Only(cols Cols) *Cursor {
 	c.win.Only(cols)
 	return c
@@ -469,7 +367,6 @@ func (c *Cursor) NextTick() bool {
 	c.start, c.end = c.l.TickSpan(c.t)
 	c.di, c.de = c.l.dropSpan(c.t)
 	c.i = c.start
-	c.n, c.j = 0, -1
 	return true
 }
 
@@ -522,40 +419,10 @@ func (c *Cursor) setSpan(i, stop int, dropped bool, kind uint8) {
 	}
 	c.span = Span{From: cut(from), To: cut(to), Block: cut(block), Index: i - c.start, Dropped: dropped, Kind: kind}
 	c.i = stop
-	c.n, c.j = stop-i, -1
 }
 
 // Span returns the current span.
 func (c *Cursor) Span() Span { return c.span }
-
-// Next advances to the next transfer within the current tick.
-func (c *Cursor) Next() bool {
-	if c.j+1 < c.n {
-		c.j++
-		return true
-	}
-	if !c.NextSpan() {
-		return false
-	}
-	c.j = 0
-	return true
-}
-
-// Transfer returns the current transfer.
-func (c *Cursor) Transfer() Transfer {
-	s, j := &c.span, c.j
-	return Transfer{From: int32(s.From[j]), To: int32(s.To[j]), Block: int32(s.Block[j])}
-}
-
-// Index returns the current transfer's local index within its tick.
-func (c *Cursor) Index() int { return c.span.Index + c.j }
-
-// Dropped reports whether the current transfer never delivered.
-func (c *Cursor) Dropped() bool { return c.span.Dropped }
-
-// Kind returns the current transfer's drop kind; meaningful only when
-// Dropped() is true and the log is kinded (KindFault otherwise).
-func (c *Cursor) Kind() uint8 { return c.span.Kind }
 
 // FromTicks builds a Log from the nested representation: per-tick
 // transfer lists, per-tick drop index lists (local, strictly
@@ -588,37 +455,42 @@ func FromTicks(ticks [][]Transfer, drops [][]int, kinds [][]uint8, kinded bool) 
 
 // Materialize returns the nested [][]Transfer representation — the
 // historical in-memory form, used by tests to prove the columnar log
-// round-trips and by small-scale debugging output.
+// round-trips and to doctor recorded traces, and by small-scale
+// debugging output.
 func (l *Log) Materialize() [][]Transfer {
 	out := make([][]Transfer, l.Ticks())
-	for t := range out {
-		out[t] = l.AppendTickTransfers(t, nil)
+	c := l.Cursor()
+	for c.NextTick() {
+		t := c.Tick() - 1
+		for c.NextSpan() {
+			s := c.Span()
+			for j, u := range s.From {
+				out[t] = append(out[t], Transfer{From: int32(u), To: int32(s.To[j]), Block: int32(s.Block[j])})
+			}
+		}
 	}
 	return out
 }
 
 // MaterializeDrops returns the nested per-tick drop indices and (for
 // kinded logs) kinds, mirroring the historical LostTrace/LostKindTrace
-// shape: one row per tick, empty rows for tick without drops.
+// shape: one row per tick, nil rows for ticks without drops.
 func (l *Log) MaterializeDrops() ([][]int, [][]uint8) {
 	drops := make([][]int, l.Ticks())
 	var kinds [][]uint8
 	if l.kinded {
 		kinds = make([][]uint8, l.Ticks())
 	}
-	var idx []int32
-	var kk []uint8
-	for t := range drops {
-		idx, kk = l.AppendTickDrops(t, idx[:0], kk[:0])
-		if len(idx) > 0 {
-			row := make([]int, len(idx))
-			for j, v := range idx {
-				row[j] = int(v)
+	c := l.Cursor()
+	for c.NextTick() {
+		t := c.Tick() - 1
+		for c.NextSpan() {
+			if s := c.Span(); s.Dropped {
+				drops[t] = append(drops[t], s.Index)
+				if l.kinded {
+					kinds[t] = append(kinds[t], s.Kind)
+				}
 			}
-			drops[t] = row
-		}
-		if l.kinded && len(kk) > 0 {
-			kinds[t] = append([]uint8(nil), kk...)
 		}
 	}
 	return drops, kinds

@@ -35,6 +35,26 @@ func randomNested(rng *rand.Rand, ticks int, kinded bool) ([][]Transfer, [][]int
 	return trs, drops, kinds
 }
 
+// eachTransfer reads the rest of c's current tick span by span and
+// calls fn with every transfer, its tick-local index and its span.
+func eachTransfer(c *Cursor, fn func(i int, tr Transfer, s Span)) {
+	for c.NextSpan() {
+		s := c.Span()
+		for j := range s.From {
+			fn(s.Index+j, Transfer{From: int32(s.From[j]), To: int32(s.To[j]), Block: int32(s.Block[j])}, s)
+		}
+	}
+}
+
+// flatten returns every transfer of l in trace order.
+func flatten(l *Log) []Transfer {
+	var out []Transfer
+	for _, ts := range l.Materialize() {
+		out = append(out, ts...)
+	}
+	return out
+}
+
 func TestRoundTrip(t *testing.T) {
 	for _, kinded := range []bool{false, true} {
 		t.Run(fmt.Sprintf("kinded=%v", kinded), func(t *testing.T) {
@@ -113,23 +133,22 @@ func TestCursorAgainstNested(t *testing.T) {
 					dropAt[d] = k
 				}
 				visited := 0
-				for c.Next() {
-					i := c.Index()
-					if c.Transfer() != trs[ti][i] {
-						t.Fatalf("tick %d idx %d: transfer %v, want %v", ti, i, c.Transfer(), trs[ti][i])
+				eachTransfer(c, func(i int, tr Transfer, s Span) {
+					if tr != trs[ti][i] {
+						t.Fatalf("tick %d idx %d: transfer %v, want %v", ti, i, tr, trs[ti][i])
 					}
 					k, dropped := dropAt[i]
 					if released && dropped && k >= KindRefused {
 						t.Fatalf("tick %d idx %d: released cursor yielded an adversary drop (kind %d)", ti, i, k)
 					}
-					if c.Dropped() != dropped {
-						t.Fatalf("tick %d idx %d: Dropped = %v, want %v", ti, i, c.Dropped(), dropped)
+					if s.Dropped != dropped {
+						t.Fatalf("tick %d idx %d: Dropped = %v, want %v", ti, i, s.Dropped, dropped)
 					}
-					if dropped && kinded && c.Kind() != k {
-						t.Fatalf("tick %d idx %d: Kind = %d, want %d", ti, i, c.Kind(), k)
+					if dropped && kinded && s.Kind != k {
+						t.Fatalf("tick %d idx %d: Kind = %d, want %d", ti, i, s.Kind, k)
 					}
 					visited++
-				}
+				})
 				want := len(trs[ti])
 				if released {
 					for _, k := range dropAt {
@@ -163,13 +182,14 @@ func TestCursorSkipTick(t *testing.T) {
 	if !c.NextTick() {
 		t.Fatal("no second tick")
 	}
-	if !c.Next() {
+	if !c.NextSpan() {
 		t.Fatal("no transfer in tick 2")
 	}
-	if got := c.Transfer(); got != trs[1][0] {
+	s := c.Span()
+	if got := (Transfer{From: int32(s.From[0]), To: int32(s.To[0]), Block: int32(s.Block[0])}); got != trs[1][0] {
 		t.Fatalf("transfer = %v, want %v", got, trs[1][0])
 	}
-	if !c.Dropped() {
+	if !s.Dropped {
 		t.Fatal("tick 2's only transfer is recorded dropped; cursor says delivered")
 	}
 }
@@ -178,14 +198,10 @@ func TestCursorSkipTick(t *testing.T) {
 // tests doctor traces with negative node ids, which must survive the
 // columnar encoding so the auditors can reject them.
 func TestNegativeFieldsRoundTrip(t *testing.T) {
-	tr := Transfer{From: -1, To: -7, Block: -3}
-	l := FromTicks([][]Transfer{{tr}}, nil, nil, false)
-	if got := l.At(0); got != tr {
-		t.Fatalf("At(0) = %v, want %v", got, tr)
-	}
-	l.Set(0, Transfer{From: -100, To: 5, Block: -2})
-	if got := l.At(0); got != (Transfer{From: -100, To: 5, Block: -2}) {
-		t.Fatalf("after Set: %v", got)
+	want := []Transfer{{From: -1, To: -7, Block: -3}, {From: -100, To: 5, Block: -2}}
+	l := FromTicks([][]Transfer{want}, nil, nil, false)
+	if got := flatten(l); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip = %v, want %v", got, want)
 	}
 }
 
@@ -226,10 +242,8 @@ func TestReserveGrowPath(t *testing.T) {
 	if l.Ticks() != 8 || l.Len() != 16 {
 		t.Fatalf("past-reservation log holds %d ticks / %d transfers, want 8/16", l.Ticks(), l.Len())
 	}
-	for i, tr := range want {
-		if got := l.At(i); got != tr {
-			t.Fatalf("transfer %d = %v after grow, want %v", i, got, tr)
-		}
+	if got := flatten(l); !reflect.DeepEqual(got, want) {
+		t.Fatalf("transfers after grow = %v, want %v", got, want)
 	}
 	// Re-reserving mid-stream preserves content and is zero-alloc again.
 	l.Reserve(2048, 128, 0)
