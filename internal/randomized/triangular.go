@@ -261,20 +261,9 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		}
 	}
 
-	// Phase 2b: settle held intents around short cycles. Each node has
-	// at most one outgoing intent, so held intents form a functional
-	// graph; walk it from each held node looking for a cycle of length
-	// <= CycleLimit consisting solely of held nodes.
+	// Phase 2b: settle held intents around short cycles.
 	if held > 0 {
-		for _, ui := range ts.intenders {
-			u := int(ui)
-			if approved[u] {
-				continue
-			}
-			for _, w := range ts.findCycle(u, approved) {
-				approved[w] = true
-			}
-		}
+		ts.settleHeld()
 	}
 
 	// Emit transfers for approved intents, ascending uploader order
@@ -306,6 +295,23 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		}
 	})
 	return dst, nil
+}
+
+// settleHeld approves the held (credit-blocked) intents that close a
+// short cycle. Each node has at most one outgoing intent, so held
+// intents form a functional graph; walk it from each held node looking
+// for a cycle of length <= CycleLimit consisting solely of held nodes.
+func (ts *TriangularScheduler) settleHeld() {
+	approved := ts.approved
+	for _, ui := range ts.intenders {
+		u := int(ui)
+		if approved[u] {
+			continue
+		}
+		for _, w := range ts.findCycle(u, approved) {
+			approved[w] = true
+		}
+	}
 }
 
 // findCycle follows held intents from u; if it returns to u within

@@ -399,14 +399,13 @@ func TestSettlementFollowsVerifierOnSharedEdges(t *testing.T) {
 	}
 }
 
-// TestFindCycleRespectsCycleLimit drives findCycle over a hand-built
-// intent table. Seeded runs rarely hold a short cycle of credit-blocked
-// intents, so the schedule goldens alone do not show that it settles
-// exactly the cycles through u of length <= CycleLimit whose members
-// are all held, nor that it walks the scheduler's own buffer without
-// allocating.
-func TestFindCycleRespectsCycleLimit(t *testing.T) {
-	edges := map[int]int{
+// TestSettleHeldApprovesShortHeldCycles drives the held-intent
+// settlement over a hand-built intent table. Seeded runs rarely hold a
+// short cycle of credit-blocked intents, so the schedule goldens alone
+// do not show that it approves exactly the 2- and 3-cycles whose
+// members are all held, nor that a warm call allocates nothing.
+func TestSettleHeldApprovesShortHeldCycles(t *testing.T) {
+	edges := map[int32]int32{
 		1: 2, 2: 3, 3: 1, // 3-cycle
 		4: 5, 5: 6, 6: 7, 7: 4, // 4-cycle
 		8: 9, 9: 8, // 2-cycle
@@ -414,34 +413,48 @@ func TestFindCycleRespectsCycleLimit(t *testing.T) {
 		12: 13, 13: 12, // 13 is approved
 		14: 15, 15: 16, 16: 15, // a cycle that misses 14
 	}
+	ts, err := NewTriangular(TriangularOptions{Graph: graph.Complete(17)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.intent = make([]int32, 17)
+	ts.approved = make([]bool, 17)
+	for u := range ts.intent {
+		ts.intent[u] = -1
+		if v, ok := edges[int32(u)]; ok {
+			ts.intent[u] = v
+			ts.intenders = append(ts.intenders, int32(u))
+		}
+	}
+	settle := func() {
+		clear(ts.approved)
+		ts.approved[13] = true
+		ts.settleHeld()
+	}
+	settle()
 	for _, tc := range []struct {
-		limit int
-		want  map[int]string
+		name    string
+		members []int
+		settles bool
 	}{
-		{2, map[int]string{1: "[]", 4: "[]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
-		{3, map[int]string{1: "[1 2 3]", 4: "[]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
-		{4, map[int]string{1: "[1 2 3]", 4: "[4 5 6 7]", 8: "[8 9]", 10: "[]", 12: "[]", 14: "[]"}},
+		{"3-cycle", []int{1, 2, 3}, true},
+		{"2-cycle", []int{8, 9}, true},
+		{"4-cycle", []int{4, 5, 6, 7}, false},
+		{"cycle through an approved node", []int{12}, false},
+		{"chain into a node with no intent", []int{10, 11}, false},
+		{"cycle that misses its start node", []int{14}, false},
+		{"cycle the missed start node runs into", []int{15, 16}, true},
 	} {
-		ts, err := NewTriangular(TriangularOptions{Graph: graph.Complete(17), CycleLimit: tc.limit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts.intent = make([]int32, 17)
-		for u := range ts.intent {
-			ts.intent[u] = -1
-		}
-		for u, v := range edges { //lint:ordered each key writes its own entry
-			ts.intent[u] = int32(v)
-		}
-		approved := make([]bool, 17)
-		approved[13] = true
-		for u, want := range tc.want { //lint:ordered each key is checked on its own
-			if got := fmt.Sprint(ts.findCycle(u, approved)); got != want {
-				t.Errorf("cycle limit %d: findCycle(%d) = %s, want %s", tc.limit, u, got, want)
+		for _, u := range tc.members {
+			if ts.approved[u] != tc.settles {
+				t.Errorf("%s: node %d approved = %v, want %v", tc.name, u, ts.approved[u], tc.settles)
 			}
 		}
-		if n := testing.AllocsPerRun(50, func() { ts.findCycle(4, approved) }); n != 0 {
-			t.Errorf("cycle limit %d: findCycle allocates %v times per call", tc.limit, n)
-		}
+	}
+	if !ts.approved[13] {
+		t.Error("the node approved on credit lost its approval")
+	}
+	if n := testing.AllocsPerRun(50, settle); n != 0 {
+		t.Errorf("settleHeld allocates %v times per warm call", n)
 	}
 }
