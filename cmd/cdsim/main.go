@@ -51,7 +51,6 @@ func main() {
 		degree  = flag.Int("degree", 0, "random-regular overlay degree")
 		policy  = flag.String("policy", "random", "block selection: random | rarest-first | local-rare")
 		credit  = flag.Int("credit", 0, "credit limit s (> 0 enables credit-limited barter)")
-		cycles  = flag.Int("cycles", 0, "triangular barter cycle limit (default 3)")
 		rewire  = flag.Int("rewire", 0, "rebuild the random regular overlay every N ticks")
 		down    = flag.Int("D", 0, "download capacity (0 = algorithm default, -1 = unlimited)")
 		seed    = flag.Uint64("seed", 1, "random seed")
@@ -87,7 +86,6 @@ func main() {
 		Degree:         *degree,
 		Policy:         pol,
 		CreditLimit:    *credit,
-		CycleLimit:     *cycles,
 		RewireEvery:    *rewire,
 		Seed:           *seed,
 		ShardWorkers:   *shardW,

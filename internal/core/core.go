@@ -49,7 +49,7 @@ const (
 	AlgoRandomized Algorithm = "randomized"
 	// AlgoTriangular is the randomized algorithm under triangular barter
 	// (Section 3.3, the paper's future work): blocked transfers settle
-	// around simultaneous cycles of length <= CycleLimit.
+	// around simultaneous 2- and 3-cycles.
 	AlgoTriangular Algorithm = "randomized-triangular"
 )
 
@@ -117,9 +117,6 @@ type Config struct {
 	// CreditLimit > 0 runs the randomized algorithm under credit-limited
 	// barter; it is also the limit used by MechanismCredit verification.
 	CreditLimit int
-	// CycleLimit is the longest settlement cycle for AlgoTriangular
-	// (default 3; 2 degenerates to credit-limited barter).
-	CycleLimit int
 	// RewireEvery > 0 rebuilds the randomized algorithm's random regular
 	// overlay every RewireEvery ticks (the paper's "change neighbors
 	// periodically" variant).
@@ -474,7 +471,6 @@ func buildScheduler(cfg *Config, simCfg *simulate.Config) (simulate.Scheduler, s
 			Graph:        g,
 			Policy:       cfg.Policy,
 			CreditLimit:  cfg.CreditLimit,
-			CycleLimit:   cfg.CycleLimit,
 			DownloadCap:  simCfg.DownloadCap,
 			Seed:         cfg.Seed,
 			ShardWorkers: cfg.ShardWorkers,

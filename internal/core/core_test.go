@@ -66,7 +66,7 @@ func TestRunEveryAlgorithmCompletes(t *testing.T) {
 		{Nodes: 10, Blocks: 6, Algorithm: AlgoTriangular, Seed: 1},
 		// Tiny sparse overlays sit below the credit cliff at s=1, so give
 		// the hypercube case some slack.
-		{Nodes: 10, Blocks: 6, Algorithm: AlgoTriangular, Overlay: OverlayHypercube, CycleLimit: 4, CreditLimit: 3, Seed: 1},
+		{Nodes: 10, Blocks: 6, Algorithm: AlgoTriangular, Overlay: OverlayHypercube, CreditLimit: 3, Seed: 1},
 		{Nodes: 16, Blocks: 8, Algorithm: AlgoRandomized, Overlay: OverlayRandomRegular, Degree: 4, RewireEvery: 3, Seed: 1},
 	}
 	for _, cfg := range cases {

@@ -90,7 +90,6 @@ func TestCrossEngineDeterminism(t *testing.T) {
 			Algorithm:   AlgoTriangular,
 			Overlay:     OverlayRandomRegular,
 			Degree:      6,
-			CycleLimit:  3,
 			CreditLimit: 2,
 			Seed:        7,
 			Fault:       faultOpts,
@@ -116,7 +115,6 @@ func TestCrossEngineDeterminism(t *testing.T) {
 		"triangular+adversary+fault": {
 			Nodes: 20, Blocks: 10,
 			Algorithm:   AlgoTriangular,
-			CycleLimit:  3,
 			CreditLimit: 1,
 			Seed:        17,
 			Fault:       faultOpts,

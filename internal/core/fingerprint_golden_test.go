@@ -31,7 +31,6 @@ var goldenFingerprints = map[string]string{
 	"binomial-pipeline+selfheal":     "7d5f593de0fd4a8a0f5479a597d299b5ef3d59ce5c948ac5b8e64696a1d1b2b2",
 	"triangular+rarest+regular":      "a3a62f930648184b3882c6e15b6380c5ce8ad197a0f25dbf6a54b07e074f6f78",
 	"triangular+local+regular":       "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
-	"triangular+cycle2":              "98303ba1188c73fbd5bee0e5cff2e244e0b4b5f217caa0c5e65c6505281ef4de",
 	"triangular+cycle4":              "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
 	"triangular+shard3+cap2":         "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
 	"triangular+regular+faults":      "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
@@ -61,7 +60,7 @@ func goldenScenario(name string) Config {
 			Overlay: OverlayRandomRegular, Degree: 6, Seed: 42, Fault: faultOpts}
 	case "triangular+adversary":
 		return Config{Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 17, Fault: faultOpts, Adversary: advOpts}
+			CreditLimit: 1, Seed: 17, Fault: faultOpts, Adversary: advOpts}
 	case "randomized+credit+shard":
 		return Config{Nodes: 48, Blocks: 16, Algorithm: AlgoRandomized,
 			CreditLimit: 1, Seed: 13, ShardWorkers: 4, Fault: faultOpts, Adversary: advOpts}
@@ -82,14 +81,10 @@ func goldenScenario(name string) Config {
 		return Config{Nodes: 36, Blocks: 12, Algorithm: AlgoTriangular,
 			Overlay: OverlayRandomRegular, Degree: 10, Policy: randomized.LocalRare,
 			CreditLimit: 1, Seed: 21}
-	case "triangular+cycle2":
-		return Config{Nodes: 32, Blocks: 12, Algorithm: AlgoTriangular,
-			Overlay: OverlayRandomRegular, Degree: 12, CreditLimit: 1,
-			CycleLimit: 2, Seed: 8}
 	case "triangular+cycle4":
 		return Config{Nodes: 32, Blocks: 12, Algorithm: AlgoTriangular,
 			Overlay: OverlayRandomRegular, Degree: 6, CreditLimit: 2,
-			CycleLimit: 4, Seed: 8}
+			Seed: 8}
 	case "triangular+shard3+cap2":
 		return Config{Nodes: 48, Blocks: 16, Algorithm: AlgoTriangular,
 			Policy: randomized.RarestFirst, CreditLimit: 1, DownloadCap: 2,

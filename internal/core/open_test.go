@@ -99,7 +99,6 @@ func TestOpenTriangularDrains(t *testing.T) {
 		Blocks:      8,
 		Algorithm:   AlgoTriangular,
 		Policy:      randomized.RarestFirst,
-		CycleLimit:  3,
 		CreditLimit: 1,
 		Seed:        11,
 		Arrivals: &arrival.Options{
@@ -168,7 +167,7 @@ func TestOpenAudit(t *testing.T) {
 		},
 		"selfish": {
 			Nodes: 65, Blocks: 8, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 11,
+			CreditLimit: 1, Seed: 11,
 			Arrivals: &arrival.Options{Seed: 3, Rate: 0.4, EarlyExit: 0.3, Linger: 2},
 		},
 		"unstable": {
@@ -207,7 +206,7 @@ func TestOpenResumeMatchesUninterruptedRun(t *testing.T) {
 		}},
 		{"triangular-open", Config{
 			Nodes: 65, Blocks: 8, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 11,
+			CreditLimit: 1, Seed: 11,
 			Arrivals: &arrival.Options{Seed: 3, Rate: 0.6, SeedPolicy: arrival.SeedStay},
 		}},
 		{"randomized-open-unstable", Config{

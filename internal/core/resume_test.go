@@ -52,7 +52,7 @@ func resumeScenarios() []struct {
 		{"triangular", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
 			Overlay: OverlayRandomRegular, Degree: 6,
-			CycleLimit: 3, CreditLimit: 2, Seed: 7,
+			CreditLimit: 2, Seed: 7,
 		}},
 		{"randomized+overlay+fault", Config{
 			Nodes: 24, Blocks: 12, Algorithm: AlgoRandomized,
@@ -66,7 +66,7 @@ func resumeScenarios() []struct {
 		}},
 		{"triangular+adversary+fault", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 17,
+			CreditLimit: 1, Seed: 17,
 			Fault: faultOpts, Adversary: advOpts,
 		}},
 		{"binomial-pipeline", Config{
@@ -155,7 +155,7 @@ func TestResumeRejectsConfigDrift(t *testing.T) {
 // the per-section checksums leave no silently decodable corruption.
 func TestResumeRejectsBitFlips(t *testing.T) {
 	cfg := Config{Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-		CycleLimit: 3, CreditLimit: 1, Seed: 17, RecordTrace: true}
+		CreditLimit: 1, Seed: 17, RecordTrace: true}
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	ck := cfg
 	ck.Checkpoint = &checkpoint.Policy{Path: path, Every: 2}

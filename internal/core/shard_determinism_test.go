@@ -62,20 +62,20 @@ func shardMatrixScenarios() []struct {
 		}},
 		{"triangular+clean", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 2, Seed: 7,
+			CreditLimit: 2, Seed: 7,
 		}},
 		{"triangular+fault", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
 			Overlay: OverlayRandomRegular, Degree: 6,
-			CycleLimit: 3, CreditLimit: 2, Seed: 7, Fault: faultOpts,
+			CreditLimit: 2, Seed: 7, Fault: faultOpts,
 		}},
 		{"triangular+adversary", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 17, Adversary: advOpts,
+			CreditLimit: 1, Seed: 17, Adversary: advOpts,
 		}},
 		{"triangular+credit1", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 17,
+			CreditLimit: 1, Seed: 17,
 		}},
 	}
 }
@@ -135,7 +135,7 @@ func TestResumeShardWorkerMatrix(t *testing.T) {
 		}},
 		{"triangular+adversary+fault", Config{
 			Nodes: 20, Blocks: 10, Algorithm: AlgoTriangular,
-			CycleLimit: 3, CreditLimit: 1, Seed: 17,
+			CreditLimit: 1, Seed: 17,
 			Fault: faultOpts, Adversary: advOpts,
 		}},
 	}

@@ -91,7 +91,7 @@ var defaultEscapeGateTemplates = []string{
 	// Scheduler's, gated above)
 	"(*MOD/internal/randomized.TriangularScheduler).Tick",
 	"(*MOD/internal/randomized.TriangularScheduler).pickIntent",
-	"(*MOD/internal/randomized.TriangularScheduler).findCycle",
+	"(*MOD/internal/randomized.TriangularScheduler).settleHeld",
 	"(*MOD/internal/randomized.TriangularScheduler).runIntentLane",
 	"(*MOD/internal/randomized.TriangularScheduler).proposeIntent",
 	// bt protocol

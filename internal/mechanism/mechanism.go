@@ -265,7 +265,7 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 				tick.Add(int32(u), int32(to[j]))
 			}
 		}
-		tick.Settle(3, charge)
+		tick.Settle(charge)
 		for _, pk := range touched {
 			if n := int(pairs.get(pk)); n > s || -n > s {
 				u, v := int32(pk>>32), int32(uint32(pk))
@@ -285,8 +285,7 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 
 // Settlement is triangular barter's per-tick cycle rule: of one tick's
 // simultaneous client-to-client transfers, those that close a 2-cycle
-// (a direct exchange) or, when allowed, a 3-cycle (u→v, v→w, w→u)
-// settle credit-free, and the rest are charged. Cancellation is greedy,
+// (a direct exchange) or a 3-cycle (u→v, v→w, w→u) settle credit-free, and the rest are charged. Cancellation is greedy,
 // 2-cycles first, then 3-cycles, over the tick's directed edges in
 // first-appearance order, with a 3-cycle's third party w tried in
 // ascending id; the outcome therefore depends only on the order the
@@ -328,11 +327,10 @@ func (st *Settlement) Add(u, v int32) {
 	st.count[key]++
 }
 
-// Settle cancels the tick's 2-cycles and, when maxCycle >= 3, its
-// 3-cycles (longer cycles are never settled), then calls charge with
-// each directed edge that has uncancelled transfers left, c of them, in
-// first-appearance order.
-func (st *Settlement) Settle(maxCycle int, charge func(u, v int32, c int)) {
+// Settle cancels the tick's 2-cycles, then its 3-cycles (longer cycles
+// are never settled), then calls charge with each directed edge that
+// has uncancelled transfers left, c of them, in first-appearance order.
+func (st *Settlement) Settle(charge func(u, v int32, c int)) {
 	// The cancellations step one cycle at a time: a doctored trace may
 	// hold a self-transfer u -> u, which is its own reverse, so each step
 	// takes two from it and it can end at -1, which is charged as is.
@@ -344,33 +342,31 @@ func (st *Settlement) Settle(maxCycle int, charge func(u, v int32, c int)) {
 			count[rev]--
 		}
 	}
-	if maxCycle >= 3 {
-		st.sorted = st.sorted[:0]
-		for _, key := range st.edges {
-			st.sorted = append(st.sorted, key^signBit)
+	st.sorted = st.sorted[:0]
+	for _, key := range st.edges {
+		st.sorted = append(st.sorted, key^signBit)
+	}
+	slices.Sort(st.sorted)
+	for _, key := range st.edges {
+		if count[key] == 0 {
+			continue
 		}
-		slices.Sort(st.sorted)
-		for _, key := range st.edges {
-			if count[key] == 0 {
-				continue
+		u, v := key>>32, key&(1<<32-1)
+		// v's out-edges v -> w, ascending w.
+		first, _ := slices.BinarySearch(st.sorted, v<<32)
+		for _, e := range st.sorted[first:] {
+			if e>>32 != v {
+				break
 			}
-			u, v := key>>32, key&(1<<32-1)
-			// v's out-edges v -> w, ascending w.
-			first, _ := slices.BinarySearch(st.sorted, v<<32)
-			for _, e := range st.sorted[first:] {
-				if e>>32 != v {
-					break
-				}
-				vw := e ^ signBit
-				wu := vw<<32 | u
-				for count[key] > 0 && count[vw] > 0 && count[wu] > 0 {
-					count[key]--
-					count[vw]--
-					count[wu]--
-				}
-				if count[key] == 0 {
-					break
-				}
+			vw := e ^ signBit
+			wu := vw<<32 | u
+			for count[key] > 0 && count[vw] > 0 && count[wu] > 0 {
+				count[key]--
+				count[vw]--
+				count[wu]--
+			}
+			if count[key] == 0 {
+				break
 			}
 		}
 	}

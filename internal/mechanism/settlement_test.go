@@ -7,13 +7,13 @@ import (
 
 // settleTick runs one tick of transfers through st and returns the
 // charges in order.
-func settleTick(st *Settlement, tick [][2]int32, maxCycle int) string {
+func settleTick(st *Settlement, tick [][2]int32) string {
 	st.Reset()
 	for _, e := range tick {
 		st.Add(e[0], e[1])
 	}
 	var got []string
-	st.Settle(maxCycle, func(u, v int32, c int) { got = append(got, fmt.Sprintf("%d->%d:%d", u, v, c)) })
+	st.Settle(func(u, v int32, c int) { got = append(got, fmt.Sprintf("%d->%d:%d", u, v, c)) })
 	return fmt.Sprint(got)
 }
 
@@ -23,11 +23,11 @@ func settleTick(st *Settlement, tick [][2]int32, maxCycle int) string {
 func TestSettlementTriesThirdsInSignedOrder(t *testing.T) {
 	var st Settlement
 	tick := [][2]int32{{1, 2}, {2, 4}, {2, -3}, {-3, 1}, {4, 1}}
-	if got, want := settleTick(&st, tick, 3), "[2->4:1 4->1:1]"; got != want {
+	if got, want := settleTick(&st, tick), "[2->4:1 4->1:1]"; got != want {
 		t.Errorf("charges %s, want %s (the triangle through -3 settles)", got, want)
 	}
 	tick = [][2]int32{{1, 2}, {2, 4}, {2, 3}, {3, 1}, {4, 1}}
-	if got, want := settleTick(&st, tick, 3), "[2->4:1 4->1:1]"; got != want {
+	if got, want := settleTick(&st, tick), "[2->4:1 4->1:1]"; got != want {
 		t.Errorf("charges %s, want %s (the triangle through 3 settles)", got, want)
 	}
 }
@@ -52,7 +52,7 @@ func TestSettlementWarmTickAllocatesNothing(t *testing.T) {
 		for _, e := range tick {
 			st.Add(e[0], e[1])
 		}
-		st.Settle(3, charge)
+		st.Settle(charge)
 	}
 	run()
 	if charged == 0 || charged == len(tick) {

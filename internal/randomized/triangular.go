@@ -21,11 +21,6 @@ type TriangularOptions struct {
 	// CreditLimit is the per-pair credit s for transfers that are not
 	// settled by a cycle. Default 1.
 	CreditLimit int
-	// CycleLimit is the longest settlement cycle accepted: 2 admits only
-	// direct exchanges, 3 is the paper's triangular barter, larger
-	// values approach the "cyclic barter" generalization the paper notes
-	// is nearly a cash economy. Default 3.
-	CycleLimit int
 	// DownloadCap mirrors the engine configuration (0 = unlimited; a
 	// negative cap is rejected).
 	DownloadCap int
@@ -57,18 +52,17 @@ type TriangularOptions struct {
 //     round with fresh draws.
 //  2. Settlement: intents a node can afford under its per-pair credit
 //     are approved directly. The remaining intents form a functional
-//     graph (one outgoing intent per node); every directed cycle of
-//     length <= CycleLimit in that graph is approved credit-free — all
-//     participants upload simultaneously, so the exchange is
-//     self-enforcing exactly as in the paper's description ("u uploads
-//     to v if v is simultaneously uploading to w and w to u"). Unsettled
-//     intents are dropped and the node stays silent for the tick. The
-//     emitted transfers are charged to the ledger by
-//     mechanism.Settlement, the verifier's own cycle rule.
+//     graph (one outgoing intent per node); every 2- or 3-cycle in that
+//     graph is approved credit-free — all participants upload
+//     simultaneously, so the exchange is self-enforcing exactly as in
+//     the paper's description ("u uploads to v if v is simultaneously
+//     uploading to w and w to u"). Unsettled intents are dropped and the
+//     node stays silent for the tick. Both the approval and the ledger
+//     charge for the emitted transfers go through mechanism.Settlement,
+//     the verifier's own cycle rule.
 //
 // The resulting trace always passes mechanism.VerifyTriangular with the
-// same credit limit (asserted in tests), and for CycleLimit = 2 it
-// degenerates to credit-limited barter.
+// same credit limit (asserted in tests).
 type TriangularScheduler struct {
 	opts TriangularOptions
 	// s is the inner cooperative scheduler. It has no credit limit, so
@@ -88,25 +82,18 @@ type TriangularScheduler struct {
 	// settlement order) and the next tick resets exactly these
 	// intent/approved entries.
 	intenders []int32
-	cycle     []int // findCycle's path, reused across calls
 }
 
 var _ simulate.Scheduler = (*TriangularScheduler)(nil)
 
 // Validate checks the options without mutating them. Zero values with
-// documented defaults (Policy, CreditLimit, CycleLimit) are accepted.
+// documented defaults (Policy, CreditLimit) are accepted.
 func (o *TriangularOptions) Validate() error {
 	if o.Graph == nil {
 		return fmt.Errorf("randomized: triangular barter requires an overlay graph")
 	}
 	inner := Options{Policy: o.Policy, CreditLimit: o.CreditLimit, DownloadCap: o.DownloadCap, ShardWorkers: o.ShardWorkers}
-	if err := inner.Validate(); err != nil {
-		return err
-	}
-	if o.CycleLimit != 0 && o.CycleLimit < 2 {
-		return fmt.Errorf("randomized: cycle limit %d must be >= 2", o.CycleLimit)
-	}
-	return nil
+	return inner.Validate()
 }
 
 // NewTriangular returns a triangular-barter scheduler.
@@ -120,9 +107,6 @@ func NewTriangular(opts TriangularOptions) (*TriangularScheduler, error) {
 	if opts.CreditLimit == 0 {
 		opts.CreditLimit = 1
 	}
-	if opts.CycleLimit == 0 {
-		opts.CycleLimit = 3
-	}
 	ledger, err := mechanism.NewLedger(opts.CreditLimit)
 	if err != nil {
 		return nil, err
@@ -134,8 +118,7 @@ func NewTriangular(opts TriangularOptions) (*TriangularScheduler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TriangularScheduler{opts: opts, s: s, ledger: ledger,
-		cycle: make([]int, 0, opts.CycleLimit)}, nil
+	return &TriangularScheduler{opts: opts, s: s, ledger: ledger}, nil
 }
 
 // Ledger exposes the credit ledger for inspection.
@@ -261,7 +244,7 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		}
 	}
 
-	// Phase 2b: settle held intents around short cycles.
+	// Phase 2b: approve the held intents that close a 2- or 3-cycle.
 	if held > 0 {
 		ts.settleHeld()
 	}
@@ -289,7 +272,7 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 	}
 	// Charge the ledger: transfers the tick settles in a 2- or 3-cycle
 	// are credit-free, everything else consumes credit.
-	ts.tick.Settle(ts.opts.CycleLimit, func(u, v int32, c int) {
+	ts.tick.Settle(func(u, v int32, c int) {
 		for ; c > 0; c-- {
 			ts.ledger.Record(u, v)
 		}
@@ -298,47 +281,23 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 }
 
 // settleHeld approves the held (credit-blocked) intents that close a
-// short cycle. Each node has at most one outgoing intent, so held
-// intents form a functional graph; walk it from each held node looking
-// for a cycle of length <= CycleLimit consisting solely of held nodes.
+// cycle mechanism.Settlement cancels, the rule VerifyTriangular audits
+// by. Each node files at most one intent and the server is never held
+// or targeted, so the held intents form a functional graph of client
+// edges whose cycles are disjoint; on such a graph Settlement cancels
+// exactly the 2- and 3-cycles of held nodes. All held intents are
+// approved, then each one Settlement charges is withdrawn. The tick's
+// Settlement is reset again before the emitted transfers are charged.
 func (ts *TriangularScheduler) settleHeld() {
 	approved := ts.approved
-	for _, ui := range ts.intenders {
-		u := int(ui)
-		if approved[u] {
-			continue
-		}
-		for _, w := range ts.findCycle(u, approved) {
-			approved[w] = true
+	ts.tick.Reset()
+	for _, u := range ts.intenders {
+		if !approved[u] {
+			ts.tick.Add(u, ts.intent[u])
+			approved[u] = true
 		}
 	}
-}
-
-// findCycle follows held intents from u; if it returns to u within
-// CycleLimit steps through exclusively held (unapproved) nodes, the
-// cycle's members are returned, else nil. The returned slice is the
-// scheduler's buffer, valid until the next call.
-func (ts *TriangularScheduler) findCycle(u int, approved []bool) []int {
-	path := ts.cycle[:0]
-	cur := u
-	for steps := 0; steps < ts.opts.CycleLimit; steps++ {
-		path = append(path, cur)
-		nxt := ts.intent[cur]
-		if nxt < 0 || approved[cur] {
-			return nil
-		}
-		if int(nxt) == u {
-			return path
-		}
-		cur = int(nxt)
-		// Stop if we already visited cur (a cycle not through u).
-		for _, p := range path {
-			if p == cur {
-				return nil
-			}
-		}
-	}
-	return nil
+	ts.tick.Settle(func(u, _ int32, _ int) { approved[u] = false })
 }
 
 // pickIntent returns a random interested neighbor with download

@@ -22,9 +22,6 @@ func TestNewTriangularValidation(t *testing.T) {
 	if _, err := NewTriangular(TriangularOptions{Graph: g, Policy: Policy(42)}); err == nil {
 		t.Error("bad policy should error")
 	}
-	if _, err := NewTriangular(TriangularOptions{Graph: g, CycleLimit: 1}); err == nil {
-		t.Error("cycle limit < 2 should error")
-	}
 	if err := (&TriangularOptions{Graph: g, DownloadCap: -1}).Validate(); err == nil {
 		t.Error("negative download cap should error")
 	}
@@ -37,9 +34,6 @@ func TestNewTriangularValidation(t *testing.T) {
 	}
 	if ts.Ledger() == nil || ts.Ledger().Limit() != 1 {
 		t.Error("default credit limit should be 1")
-	}
-	if ts.opts.CycleLimit != 3 {
-		t.Errorf("default cycle limit = %d, want 3", ts.opts.CycleLimit)
 	}
 }
 
@@ -92,31 +86,6 @@ func TestTriangularCompletesAndVerifies(t *testing.T) {
 		if err := mechanism.VerifyTriangular(res.Trace.Cursor(), tc.credit); err != nil {
 			t.Errorf("%s: trace violates triangular barter: %v", tc.name, err)
 		}
-	}
-}
-
-func TestTriangularCycleLimit2IsCreditLimited(t *testing.T) {
-	// With CycleLimit 2 only direct exchanges settle credit-free, so the
-	// trace must pass the PLAIN credit-limited verifier.
-	rng := xrand.New(9)
-	g, err := graph.RandomRegular(32, 16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := NewTriangular(TriangularOptions{
-		Graph: g, CreditLimit: 2, CycleLimit: 2, DownloadCap: 1, Seed: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := simulate.Run(simulate.Config{
-		Nodes: 32, Blocks: 32, DownloadCap: 1, MaxTicks: 30000, RecordTrace: true,
-	}, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mechanism.VerifyCreditLimited(res.Trace.Cursor(), 2); err != nil {
-		t.Errorf("cycle-limit-2 trace violates credit barter: %v", err)
 	}
 }
 
@@ -238,10 +207,10 @@ func TestRewireHelpsCreditBarterOnSparseOverlay(t *testing.T) {
 
 // referenceSettle is the triangular scheduler's former per-tick ledger
 // charge, kept as the oracle for mechanism.Settlement: 2-cycles cancel
-// over the tick's pairs in lexicographic order, then (for cycleLimit
-// >= 3) 3-cycles, with third parties tried in the order their edges
-// appeared; every transfer left is charged to record.
-func referenceSettle(tick []simulate.Transfer, cycleLimit int, record func(u, v int32)) {
+// over the tick's pairs in lexicographic order, then 3-cycles, with
+// third parties tried in the order their edges appeared; every transfer
+// left is charged to record.
+func referenceSettle(tick []simulate.Transfer, record func(u, v int32)) {
 	remaining := make(map[[2]int32]int, len(tick))
 	next := make(map[int32][]int32, len(tick))
 	for _, tr := range tick {
@@ -278,20 +247,18 @@ func referenceSettle(tick []simulate.Transfer, cycleLimit int, record func(u, v 
 			c = remaining[key]
 		}
 	}
-	if cycleLimit >= 3 {
-		for _, key := range keys {
-			u, v := key[0], key[1]
-			if remaining[key] == 0 {
+	for _, key := range keys {
+		u, v := key[0], key[1]
+		if remaining[key] == 0 {
+			continue
+		}
+		for _, w := range next[v] {
+			if w == u || remaining[key] == 0 {
 				continue
 			}
-			for _, w := range next[v] {
-				if w == u || remaining[key] == 0 {
-					continue
-				}
-				for remaining[key] > 0 && remaining[[2]int32{v, w}] > 0 && remaining[[2]int32{w, u}] > 0 {
-					if !use(u, v) || !use(v, w) || !use(w, u) {
-						break
-					}
+			for remaining[key] > 0 && remaining[[2]int32{v, w}] > 0 && remaining[[2]int32{w, u}] > 0 {
+				if !use(u, v) || !use(v, w) || !use(w, u) {
+					break
 				}
 			}
 		}
@@ -305,20 +272,20 @@ func referenceSettle(tick []simulate.Transfer, cycleLimit int, record func(u, v 
 
 // settleCharges returns what mechanism.Settlement charges for tick, as
 // a count per directed edge.
-func settleCharges(tick []simulate.Transfer, cycleLimit int) map[[2]int32]int {
+func settleCharges(tick []simulate.Transfer) map[[2]int32]int {
 	var st mechanism.Settlement
 	for _, tr := range tick {
 		st.Add(tr.From, tr.To)
 	}
 	got := make(map[[2]int32]int)
-	st.Settle(cycleLimit, func(u, v int32, c int) { got[[2]int32{u, v}] += c })
+	st.Settle(func(u, v int32, c int) { got[[2]int32{u, v}] += c })
 	return got
 }
 
 // referenceCharges is settleCharges for referenceSettle.
-func referenceCharges(tick []simulate.Transfer, cycleLimit int) map[[2]int32]int {
+func referenceCharges(tick []simulate.Transfer) map[[2]int32]int {
 	want := make(map[[2]int32]int)
-	referenceSettle(tick, cycleLimit, func(u, v int32) { want[[2]int32{u, v}]++ })
+	referenceSettle(tick, func(u, v int32) { want[[2]int32{u, v}]++ })
 	return want
 }
 
@@ -331,47 +298,44 @@ func referenceCharges(tick []simulate.Transfer, cycleLimit int) map[[2]int32]int
 func TestSettlementMatchesReferenceSettle(t *testing.T) {
 	rng := xrand.New(23)
 	cycles := 0
-	for _, cycleLimit := range []int{2, 3, 4} {
-		for trial := 0; trial < 2000; trial++ {
-			n := 2 + rng.Intn(14) // nodes, the server included
-			var tick []simulate.Transfer
-			for u := 1; u < n; u++ {
-				if rng.Intn(4) == 0 {
-					continue // u stays silent this tick
-				}
-				v := rng.Intn(n - 1) // any node but u, the server included
-				if v >= u {
-					v++
-				}
-				tick = append(tick, simulate.Transfer{From: int32(u), To: int32(v)})
+	for trial := 0; trial < 6000; trial++ {
+		n := 2 + rng.Intn(14) // nodes, the server included
+		var tick []simulate.Transfer
+		for u := 1; u < n; u++ {
+			if rng.Intn(4) == 0 {
+				continue // u stays silent this tick
 			}
-			for i := rng.Intn(3); i > 0; i-- {
-				tick = append(tick, simulate.Transfer{From: 0, To: int32(1 + rng.Intn(n-1))})
+			v := rng.Intn(n - 1) // any node but u, the server included
+			if v >= u {
+				v++
 			}
-			// The scheduler emits in ascending uploader order; any order
-			// must do, so shuffle.
-			for i := len(tick) - 1; i > 0; i-- {
-				j := rng.Intn(i + 1)
-				tick[i], tick[j] = tick[j], tick[i]
+			tick = append(tick, simulate.Transfer{From: int32(u), To: int32(v)})
+		}
+		for i := rng.Intn(3); i > 0; i-- {
+			tick = append(tick, simulate.Transfer{From: 0, To: int32(1 + rng.Intn(n-1))})
+		}
+		// The scheduler emits in ascending uploader order; any order
+		// must do, so shuffle.
+		for i := len(tick) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			tick[i], tick[j] = tick[j], tick[i]
+		}
+		got, want := settleCharges(tick), referenceCharges(tick)
+		if !maps.Equal(got, want) {
+			t.Fatalf("tick %v: Settlement charges %v, reference charges %v", tick, got, want)
+		}
+		clients := 0
+		for _, tr := range tick {
+			if tr.From != 0 && tr.To != 0 {
+				clients++
 			}
-			got, want := settleCharges(tick, cycleLimit), referenceCharges(tick, cycleLimit)
-			if !maps.Equal(got, want) {
-				t.Fatalf("cycle limit %d, tick %v: Settlement charges %v, reference charges %v",
-					cycleLimit, tick, got, want)
-			}
-			clients := 0
-			for _, tr := range tick {
-				if tr.From != 0 && tr.To != 0 {
-					clients++
-				}
-			}
-			charged := 0
-			for _, c := range got {
-				charged += c
-			}
-			if charged < clients {
-				cycles++
-			}
+		}
+		charged := 0
+		for _, c := range got {
+			charged += c
+		}
+		if charged < clients {
+			cycles++
 		}
 	}
 	if cycles == 0 {
@@ -389,11 +353,11 @@ func TestSettlementFollowsVerifierOnSharedEdges(t *testing.T) {
 	// 1->2 closes the triangle through 4 and the one through 3; 2's
 	// edge to 4 appears first.
 	tick := []simulate.Transfer{{From: 1, To: 2}, {From: 2, To: 4}, {From: 2, To: 3}, {From: 3, To: 1}, {From: 4, To: 1}}
-	got := fmt.Sprint(settleCharges(tick, 3))
+	got := fmt.Sprint(settleCharges(tick))
 	if want := fmt.Sprint(map[[2]int32]int{{2, 4}: 1, {4, 1}: 1}); got != want {
 		t.Errorf("Settlement charges %s, want %s (the triangle through 3 settles)", got, want)
 	}
-	ref := fmt.Sprint(referenceCharges(tick, 3))
+	ref := fmt.Sprint(referenceCharges(tick))
 	if want := fmt.Sprint(map[[2]int32]int{{2, 3}: 1, {3, 1}: 1}); ref != want {
 		t.Errorf("reference charges %s, want %s (the triangle through 4 settles)", ref, want)
 	}
