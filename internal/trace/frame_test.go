@@ -161,82 +161,18 @@ func TestFrameCompressionRatio(t *testing.T) {
 		perTransfer, l.Len(), len(l.frames))
 }
 
-// legacyBytes encodes the pre-compression snapshot layout for the
-// given nested trace, byte for byte as the old Snapshot wrote it.
-func legacyBytes(ticks [][]Transfer, drops [][]int, kinds [][]uint8, kinded bool) []byte {
-	var from, to, block, tickEnd, dropPos, dropTickEnd []uint32
-	var dropKind []uint8
-	kindLen := 0
-	for t, ts := range ticks {
-		base := uint32(len(from))
-		for _, tr := range ts {
-			from = append(from, uint32(tr.From))
-			to = append(to, uint32(tr.To))
-			block = append(block, uint32(tr.Block))
-		}
-		tickEnd = append(tickEnd, uint32(len(from)))
-		if t < len(drops) {
-			for j, d := range drops[t] {
-				dropPos = append(dropPos, base+uint32(d))
-				if kinded {
-					k := uint8(KindFault)
-					if t < len(kinds) && j < len(kinds[t]) {
-						k = kinds[t][j]
-					}
-					if kindLen%2 == 0 {
-						dropKind = append(dropKind, k&0x0f)
-					} else {
-						dropKind[kindLen/2] |= (k & 0x0f) << 4
-					}
-					kindLen++
-				}
+// TestRestoreRejectsPreV2Layout: the pre-compression layout began with
+// its kinded Bool, 0 or 1, where v2 writes its version byte. That layout
+// is no longer read, so either first byte fails as corrupt.
+func TestRestoreRejectsPreV2Layout(t *testing.T) {
+	for _, kinded := range []bool{false, true} {
+		for _, first := range []byte{0, 1} {
+			b := snapshotBytes(sampleLog(kinded))
+			b[0] = first
+			if _, err := Restore(checkpoint.NewDecoder(b)); !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Errorf("kinded=%v first byte %d: Restore error %v, want ErrCorrupt", kinded, first, err)
 			}
 		}
-		dropTickEnd = append(dropTickEnd, uint32(len(dropPos)))
-	}
-	e := checkpoint.NewEncoder(256)
-	e.Bool(kinded)
-	e.Uint32s(from)
-	e.Uint32s(to)
-	e.Uint32s(block)
-	e.Uint32s(tickEnd)
-	e.Uint32s(dropPos)
-	e.Bytes8(dropKind)
-	e.Int(kindLen)
-	e.Uint32s(dropTickEnd)
-	return e.Bytes()
-}
-
-// TestRestoreLegacyLayout proves checkpoints written before the frame
-// compression still restore, including ones large enough to re-seal
-// into multiple frames, and stream identically to a natively built log.
-func TestRestoreLegacyLayout(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, kinded := range []bool{false, true} {
-		trs, drops, kinds := randomNested(rng, 12, kinded)
-		want := FromTicks(trs, drops, kinds, kinded)
-		got, err := Restore(checkpoint.NewDecoder(legacyBytes(trs, drops, kinds, kinded)))
-		if err != nil {
-			t.Fatalf("kinded=%v legacy Restore: %v", kinded, err)
-		}
-		if string(snapshotBytes(got)) != string(snapshotBytes(want)) {
-			t.Fatalf("kinded=%v legacy restore does not re-encode to the native v2 form", kinded)
-		}
-	}
-	// A legacy payload spanning multiple frames re-seals on restore.
-	big := [][]Transfer{{}}
-	for i := 0; i < frameLen+1000; i++ {
-		big[0] = append(big[0], Transfer{From: int32(i % 977), To: int32(i % 499), Block: int32(i % 64)})
-	}
-	got, err := Restore(checkpoint.NewDecoder(legacyBytes(big, nil, nil, false)))
-	if err != nil {
-		t.Fatalf("big legacy Restore: %v", err)
-	}
-	if len(got.frames) != 1 || got.Len() != frameLen+1000 {
-		t.Fatalf("big legacy restore: %d frames, %d transfers", len(got.frames), got.Len())
-	}
-	if !reflect.DeepEqual(flatten(got), big[0]) {
-		t.Fatal("big legacy restore does not read back its transfers")
 	}
 }
 

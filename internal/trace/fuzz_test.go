@@ -31,10 +31,10 @@ func sealedSeed() *Log {
 // contract: never panic, and every decoded log satisfies the cursor
 // invariants (transfer indices in range, drop counts consistent), so a
 // corrupted snapshot can never produce a silently-wrong trace walk.
-// The seeds cover both snapshot layouts (legacy flat columns and
-// frame-compressed v2) plus targeted frame corruptions: mangled
-// headers, truncated varint/bitpack tails, inconsistent tick-range
-// metadata.
+// The seeds cover the frame-compressed v2 layout, a first byte of the
+// rejected pre-compression layout, and targeted frame corruptions:
+// mangled headers, truncated varint/bitpack tails, inconsistent
+// tick-range metadata.
 func FuzzTraceCursor(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(snapshotBytes(New(false)))
@@ -43,9 +43,10 @@ func FuzzTraceCursor(f *testing.F) {
 	mut := snapshotBytes(sampleLog(true))
 	mut[len(mut)/2] ^= 0x40
 	f.Add(mut)
-	// Legacy flat-column layout.
-	f.Add(legacyBytes([][]Transfer{{{1, 2, 3}, {2, 0, 1}}, {{0, 1, 2}}},
-		[][]int{{1}, {0}}, [][]uint8{{KindRefused}, {KindFault}}, true))
+	// The pre-compression layout's first byte (its kinded Bool).
+	old := snapshotBytes(sampleLog(true))
+	old[0] = 1
+	f.Add(old)
 	// Frame-compressed seeds: pristine, corrupt header, corrupt
 	// tick-range metadata, truncated mid-frame.
 	sealed := snapshotBytes(sealedSeed())

@@ -6,14 +6,11 @@ import (
 	"barterdist/internal/checkpoint"
 )
 
-// Snapshot layout versions. Version 1 (the pre-compression layout)
-// never wrote a version byte: its first byte was the kinded Bool (0 or
-// 1), so the v2 tag of 2 is unambiguous and old snapshots stay
-// restorable forever.
-const (
-	snapVersionLegacy = 1
-	snapVersion       = 2
-)
+// snapVersion tags the frame-compressed snapshot layout. The
+// pre-compression layout wrote no version byte (its first byte was the
+// kinded Bool, 0 or 1), so the tag starts at 2; Restore rejects the old
+// layout as corrupt.
+const snapVersion = 2
 
 // Snapshot appends the log's full column state to enc: the sealed
 // frames verbatim (each with its tick-range metadata), the raw open
@@ -53,37 +50,29 @@ func (l *Log) tickOf(i int) int {
 	return sort.Search(len(l.tickEnd), func(t int) bool { return int(l.tickEnd[t]) > i })
 }
 
-// Restore decodes a Log previously written by Snapshot — either the
-// current frame-compressed v2 layout or the legacy flat-column one —
-// validating the structural invariants AppendTick maintains:
+// Restore decodes a Log previously written by Snapshot in the
+// frame-compressed v2 layout, validating the structural invariants
+// AppendTick maintains:
 //
-//   - the per-transfer columns have equal lengths (for v2: every frame
-//     decodes exactly, the open tail is shorter than a frame, and the
-//     recorded per-frame tick ranges match tickEnd)
+//   - every frame decodes exactly, the open tail is shorter than a
+//     frame and its columns have equal lengths, and the recorded
+//     per-frame tick ranges match tickEnd
 //   - tickEnd is monotone non-decreasing and ends exactly at Len
 //   - dropPos is strictly ascending and every entry falls inside its
 //     tick's transfer span
 //   - dropTickEnd parallels tickEnd and ends exactly at len(dropPos)
 //   - kinded logs carry exactly one valid kind nibble per drop
 //
-// Any violation returns an error wrapping checkpoint.ErrCorrupt.
+// Any violation, and any version other than v2, returns an error
+// wrapping checkpoint.ErrCorrupt.
 func Restore(dec *checkpoint.Decoder) (*Log, error) {
 	version := dec.U8()
 	if err := dec.Err(); err != nil {
 		return nil, err
 	}
-	switch version {
-	case 0, snapVersionLegacy:
-		// Legacy layout: the byte we consumed was the kinded Bool.
-		return restoreLegacy(dec, version == 1)
-	case snapVersion:
-		return restoreV2(dec)
-	default:
+	if version != snapVersion {
 		return nil, corruptf("trace: unknown snapshot version %d", version)
 	}
-}
-
-func restoreV2(dec *checkpoint.Decoder) (*Log, error) {
 	l := &Log{kinded: dec.Bool()}
 	nFrames := dec.Int()
 	if err := dec.Err(); err != nil {
@@ -146,51 +135,8 @@ func restoreV2(dec *checkpoint.Decoder) (*Log, error) {
 	return l, nil
 }
 
-// restoreLegacy decodes the pre-compression flat-column layout, whose
-// kinded flag has already been consumed, and re-seals it into frames.
-func restoreLegacy(dec *checkpoint.Decoder, kinded bool) (*Log, error) {
-	from := dec.Uint32s()
-	to := dec.Uint32s()
-	block := dec.Uint32s()
-	l := &Log{
-		kinded:      kinded,
-		tickEnd:     dec.Uint32s(),
-		dropPos:     dec.Uint32s(),
-		dropKind:    dec.Bytes8(),
-		kindLen:     dec.Int(),
-		dropTickEnd: dec.Uint32s(),
-	}
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	if len(to) != len(from) || len(block) != len(from) {
-		return nil, corruptf("trace: column lengths differ: from=%d to=%d block=%d",
-			len(from), len(to), len(block))
-	}
-	// Re-seal the flat columns into the framed layout before the
-	// structural validation, which runs on the framed form.
-	for base := 0; base < len(from); base += frameLen {
-		end := base + frameLen
-		if end > len(from) {
-			end = len(from)
-		}
-		l.openFrom = append(l.openFrom, from[base:end]...)
-		l.openTo = append(l.openTo, to[base:end]...)
-		l.openBlock = append(l.openBlock, block[base:end]...)
-		if len(l.openFrom) == frameLen {
-			l.sealOpen()
-		}
-	}
-	l.enc = nil // restore is one-shot; don't hold the seal scratch
-	if err := l.validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
-// validate checks the tick/drop offset invariants shared by both
-// snapshot layouts. Frame payload validation is v2-specific and
-// happens in restoreV2.
+// validate checks the tick/drop offset invariants. Frame payload
+// validation happens in Restore.
 func (l *Log) validate() error {
 	fail := func(format string, args ...any) error {
 		return corruptf("trace: "+format, args...)
