@@ -86,6 +86,9 @@ type Config struct {
 	// is no intra-run phase to parallelize. Protocols still draw from
 	// per-shard streams (see AsyncRandomized), keeping the RNG
 	// derivation identical across both engines.
+	//
+	// Deprecated: the field does nothing; it remains only so existing
+	// callers compile.
 	ShardWorkers int
 	// AuditWorkers is ignored: RunAudit is one sequential pass.
 	//

@@ -33,6 +33,8 @@ var goldenFingerprints = map[string]string{
 	"triangular+local+regular":       "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
 	"triangular+cycle4":              "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
 	"triangular+shard3+cap2":         "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
+	"triangular+held-cycle":          "b38233d39739fa1f74f7ec5ead36835a178a4e17b460bb3c242551214c0992df",
+	"triangular+held-cycle+uncapped": "4172dc690822a422934e5f8d1d26a81b333d39b161bffb805427283bbce6efc8",
 	"triangular+regular+faults":      "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
 	"triangular+open":                "a8a3d14237b2f4ac6071cbf5ec72b3c3136ce28e0d3504632be353576901b104",
 	"hypercube+verify-triangular":    "ce0044921c099d4d7aafed84c135affcd01411f066add102f4c1ecaedcc12a79",
@@ -85,6 +87,15 @@ func goldenScenario(name string) Config {
 		return Config{Nodes: 32, Blocks: 12, Algorithm: AlgoTriangular,
 			Overlay: OverlayRandomRegular, Degree: 6, CreditLimit: 2,
 			Seed: 8}
+	// Held (credit-blocked) intents close a 3-cycle that settles; see
+	// TestTriangularHeldCycleSettles.
+	case "triangular+held-cycle":
+		return Config{Nodes: 6, Blocks: 12, Algorithm: AlgoTriangular,
+			CreditLimit: 1, DownloadCap: 1, Seed: 54}
+	case "triangular+held-cycle+uncapped":
+		return Config{Nodes: 6, Blocks: 12, Algorithm: AlgoTriangular,
+			Policy: randomized.RarestFirst, CreditLimit: 1, DownloadCap: DownloadUnlimited,
+			Seed: 135, Adversary: advOpts}
 	case "triangular+shard3+cap2":
 		return Config{Nodes: 48, Blocks: 16, Algorithm: AlgoTriangular,
 			Policy: randomized.RarestFirst, CreditLimit: 1, DownloadCap: 2,

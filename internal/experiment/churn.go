@@ -39,8 +39,9 @@ const churnLoss = 0.02
 //   - the randomized algorithm under credit-limited barter (s = 1),
 //     where a wiped peer also loses its ability to reciprocate — the
 //     strictest mechanism and the expected worst degrader;
-//   - triangular barter (Section 3.3), whose settlement cycles restore
-//     some of the lost liquidity;
+//   - triangular barter (Section 3.3). Why it collapses under churn is
+//     not yet measured: a probe of nine runs of this column settled
+//     zero held cycles, so settlement cycles do not explain it;
 //   - the deterministic Binomial and Riffle Pipelines wrapped in
 //     schedule.SelfHeal (survivor re-embedding with chain fallback).
 //

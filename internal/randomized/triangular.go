@@ -82,7 +82,15 @@ type TriangularScheduler struct {
 	// settlement order) and the next tick resets exactly these
 	// intent/approved entries.
 	intenders []int32
+	// settled lists this tick's held intents that settleHeld approved
+	// (ascending uploader), each with the block claimed for it before
+	// the other approved intents emit.
+	settled []settledIntent
 }
+
+// settledIntent is one approved held intent and its claimed block (-1
+// if the uploader had nothing left to offer).
+type settledIntent struct{ u, b int32 }
 
 var _ simulate.Scheduler = (*TriangularScheduler)(nil)
 
@@ -195,6 +203,7 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		ts.approved[u] = false
 	}
 	ts.intenders = ts.intenders[:0]
+	ts.settled = ts.settled[:0]
 
 	// Phase 1: intents, as sharded rounds. The merge re-validates only
 	// download capacity — the one shared budget lanes consume from each
@@ -249,25 +258,41 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		ts.settleHeld()
 	}
 
+	// The settled held intents claim their blocks before any other
+	// intent: an earlier uploader to the same receiver could otherwise
+	// take the only block a cycle member offers, and the cycle's other
+	// legs would then be charged past the credit limit. No two of them
+	// share a receiver, and nothing else is in flight yet, so each finds
+	// the block its receiver wanted at intent time.
+	for i := range ts.settled {
+		u := ts.settled[i].u
+		ts.settled[i].b = int32(ts.claim(st, int(u), int(ts.intent[u])))
+	}
+
 	// Emit transfers for approved intents, ascending uploader order
 	// (intenders are already sorted). No lane holds a live reservation
-	// now, so pickBlock sees only the transfers already emitted this
-	// tick; its draws come from the uploader's lane stream, so every
-	// draw for u stays on one stream.
+	// now, so pickBlock sees only the blocks already claimed this tick;
+	// its draws come from the uploader's lane stream, so every draw for u
+	// stays on one stream.
 	ts.tick.Reset()
+	settled := ts.settled
 	for _, ui := range ts.intenders {
 		u := int(ui)
 		if !approved[u] {
 			continue
 		}
 		v := int(ts.intent[u])
-		b := s.pickBlock(s.lanes[shard.Of(u)], st, u, v)
+		var b int
+		if len(settled) > 0 && settled[0].u == ui {
+			b = int(settled[0].b)
+			settled = settled[1:]
+		} else {
+			b = ts.claim(st, u, v)
+		}
 		if b < 0 {
 			continue // everything useful is already in flight
 		}
 		dst = append(dst, simulate.Transfer{From: int32(u), To: int32(v), Block: int32(b)})
-		s.addIncoming(v, int32(b))
-		s.freq[b]++
 		ts.tick.Add(int32(u), int32(v))
 	}
 	// Charge the ledger: transfers the tick settles in a 2- or 3-cycle
@@ -295,9 +320,29 @@ func (ts *TriangularScheduler) settleHeld() {
 		if !approved[u] {
 			ts.tick.Add(u, ts.intent[u])
 			approved[u] = true
+			ts.settled = append(ts.settled, settledIntent{u: u})
 		}
 	}
 	ts.tick.Settle(func(u, _ int32, _ int) { approved[u] = false })
+	kept := ts.settled[:0]
+	for _, si := range ts.settled {
+		if approved[si.u] {
+			kept = append(kept, si)
+		}
+	}
+	ts.settled = kept
+}
+
+// claim picks the block u uploads to v and marks it in flight, or
+// returns -1 when everything useful is already in flight.
+func (ts *TriangularScheduler) claim(st *simulate.State, u, v int) int {
+	s := ts.s
+	b := s.pickBlock(s.lanes[shard.Of(u)], st, u, v)
+	if b >= 0 {
+		s.addIncoming(v, int32(b))
+		s.freq[b]++
+	}
+	return b
 }
 
 // pickIntent returns a random interested neighbor with download
