@@ -33,8 +33,8 @@ var goldenFingerprints = map[string]string{
 	"triangular+local+regular":       "ae0e03e38937a6860060f4da7f7120666d69d6d85fc2db44f4733d4091ed0d85",
 	"triangular+cycle4":              "be78486fc88d8e700fe36553cdabda310cca0480dea374c4674aee8bfb1887ef",
 	"triangular+shard3+cap2":         "6794fe7a1b782c63554eab13e951398bb0e1d04f717d5002eca51a5989ae9edb",
-	"triangular+held-cycle":          "b38233d39739fa1f74f7ec5ead36835a178a4e17b460bb3c242551214c0992df",
-	"triangular+held-cycle+uncapped": "4172dc690822a422934e5f8d1d26a81b333d39b161bffb805427283bbce6efc8",
+	"triangular+held-cycle":          "cbdba6c535881f72f5b7ce2668ebc950535f4288a086eb1afd32254422b4d890",
+	"triangular+held-cycle+uncapped": "847d34459d95cca5f350d87cbdc834cdb1da5e69e0194353630a2a6be79dcbdb",
 	"triangular+regular+faults":      "6d2078f3e1bae8da7190df7a44491711ed5ff26ec83fc60539065cbecf54ef57",
 	"triangular+open":                "a8a3d14237b2f4ac6071cbf5ec72b3c3136ce28e0d3504632be353576901b104",
 	"hypercube+verify-triangular":    "ce0044921c099d4d7aafed84c135affcd01411f066add102f4c1ecaedcc12a79",

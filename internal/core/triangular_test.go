@@ -47,8 +47,8 @@ func heldTransfers(t *testing.T, l *trace.Log, s int) int {
 // rare; these were found by a seed search over n <= 8. In the uncapped
 // instance a cycle member's receiver also downloads from an earlier
 // uploader, which could take the only block the member offers and
-// leave the cycle's other legs charged past s; the settled legs claim
-// their blocks first, so the cycle closes.
+// leave the cycle's other legs charged past s; the settled legs emit
+// first, so the cycle closes.
 func TestTriangularHeldCycleSettles(t *testing.T) {
 	for _, name := range []string{"triangular+held-cycle", "triangular+held-cycle+uncapped"} {
 		cfg := goldenScenario(name)

@@ -92,7 +92,7 @@ var defaultEscapeGateTemplates = []string{
 	"(*MOD/internal/randomized.TriangularScheduler).Tick",
 	"(*MOD/internal/randomized.TriangularScheduler).pickIntent",
 	"(*MOD/internal/randomized.TriangularScheduler).settleHeld",
-	"(*MOD/internal/randomized.TriangularScheduler).claim",
+	"(*MOD/internal/randomized.TriangularScheduler).emit",
 	"(*MOD/internal/randomized.TriangularScheduler).runIntentLane",
 	"(*MOD/internal/randomized.TriangularScheduler).proposeIntent",
 	// bt protocol

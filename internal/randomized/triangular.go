@@ -82,15 +82,7 @@ type TriangularScheduler struct {
 	// settlement order) and the next tick resets exactly these
 	// intent/approved entries.
 	intenders []int32
-	// settled lists this tick's held intents that settleHeld approved
-	// (ascending uploader), each with the block claimed for it before
-	// the other approved intents emit.
-	settled []settledIntent
 }
-
-// settledIntent is one approved held intent and its claimed block (-1
-// if the uploader had nothing left to offer).
-type settledIntent struct{ u, b int32 }
 
 var _ simulate.Scheduler = (*TriangularScheduler)(nil)
 
@@ -203,7 +195,6 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 		ts.approved[u] = false
 	}
 	ts.intenders = ts.intenders[:0]
-	ts.settled = ts.settled[:0]
 
 	// Phase 1: intents, as sharded rounds. The merge re-validates only
 	// download capacity — the one shared budget lanes consume from each
@@ -254,46 +245,28 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 	}
 
 	// Phase 2b: approve the held intents that close a 2- or 3-cycle.
+	// They emit first: an earlier uploader to a member's receiver could
+	// otherwise take the only block the member offers, and the cycle's
+	// other legs would be charged past the credit limit. No two of them
+	// share a receiver, so each finds a block its receiver wanted at
+	// intent time.
+	ts.tick.Reset()
 	if held > 0 {
 		ts.settleHeld()
+		for _, u := range ts.intenders {
+			if approved[u] && !ts.ledger.CanSend(u, ts.intent[u]) {
+				approved[u] = false // emitted now, not again below
+				dst = ts.emit(dst, st, int(u))
+			}
+		}
 	}
 
-	// The settled held intents claim their blocks before any other
-	// intent: an earlier uploader to the same receiver could otherwise
-	// take the only block a cycle member offers, and the cycle's other
-	// legs would then be charged past the credit limit. No two of them
-	// share a receiver, and nothing else is in flight yet, so each finds
-	// the block its receiver wanted at intent time.
-	for i := range ts.settled {
-		u := ts.settled[i].u
-		ts.settled[i].b = int32(ts.claim(st, int(u), int(ts.intent[u])))
-	}
-
-	// Emit transfers for approved intents, ascending uploader order
-	// (intenders are already sorted). No lane holds a live reservation
-	// now, so pickBlock sees only the blocks already claimed this tick;
-	// its draws come from the uploader's lane stream, so every draw for u
-	// stays on one stream.
-	ts.tick.Reset()
-	settled := ts.settled
-	for _, ui := range ts.intenders {
-		u := int(ui)
-		if !approved[u] {
-			continue
+	// Emit the other approved intents in ascending uploader order
+	// (intenders are already sorted).
+	for _, u := range ts.intenders {
+		if approved[u] {
+			dst = ts.emit(dst, st, int(u))
 		}
-		v := int(ts.intent[u])
-		var b int
-		if len(settled) > 0 && settled[0].u == ui {
-			b = int(settled[0].b)
-			settled = settled[1:]
-		} else {
-			b = ts.claim(st, u, v)
-		}
-		if b < 0 {
-			continue // everything useful is already in flight
-		}
-		dst = append(dst, simulate.Transfer{From: int32(u), To: int32(v), Block: int32(b)})
-		ts.tick.Add(int32(u), int32(v))
 	}
 	// Charge the ledger: transfers the tick settles in a 2- or 3-cycle
 	// are credit-free, everything else consumes credit.
@@ -312,37 +285,35 @@ func (ts *TriangularScheduler) Tick(_ int, st *simulate.State, dst []simulate.Tr
 // edges whose cycles are disjoint; on such a graph Settlement cancels
 // exactly the 2- and 3-cycles of held nodes. All held intents are
 // approved, then each one Settlement charges is withdrawn. The tick's
-// Settlement is reset again before the emitted transfers are charged.
+// Settlement is left empty for the emitted transfers.
 func (ts *TriangularScheduler) settleHeld() {
 	approved := ts.approved
-	ts.tick.Reset()
 	for _, u := range ts.intenders {
 		if !approved[u] {
 			ts.tick.Add(u, ts.intent[u])
 			approved[u] = true
-			ts.settled = append(ts.settled, settledIntent{u: u})
 		}
 	}
 	ts.tick.Settle(func(u, _ int32, _ int) { approved[u] = false })
-	kept := ts.settled[:0]
-	for _, si := range ts.settled {
-		if approved[si.u] {
-			kept = append(kept, si)
-		}
-	}
-	ts.settled = kept
+	ts.tick.Reset()
 }
 
-// claim picks the block u uploads to v and marks it in flight, or
-// returns -1 when everything useful is already in flight.
-func (ts *TriangularScheduler) claim(st *simulate.State, u, v int) int {
+// emit appends u's approved transfer to dst and the tick's settlement,
+// unless everything useful is already in flight to its receiver. No
+// lane holds a live reservation now, so pickBlock sees only the
+// transfers already emitted this tick; its draws come from the
+// uploader's lane stream, so every draw for u stays on one stream.
+func (ts *TriangularScheduler) emit(dst []simulate.Transfer, st *simulate.State, u int) []simulate.Transfer {
 	s := ts.s
+	v := int(ts.intent[u])
 	b := s.pickBlock(s.lanes[shard.Of(u)], st, u, v)
-	if b >= 0 {
-		s.addIncoming(v, int32(b))
-		s.freq[b]++
+	if b < 0 {
+		return dst
 	}
-	return b
+	s.addIncoming(v, int32(b))
+	s.freq[b]++
+	ts.tick.Add(int32(u), int32(v))
+	return append(dst, simulate.Transfer{From: int32(u), To: int32(v), Block: int32(b)})
 }
 
 // pickIntent returns a random interested neighbor with download
