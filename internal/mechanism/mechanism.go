@@ -285,7 +285,8 @@ func VerifyTriangular(cur *trace.Cursor, s int) error {
 
 // Settlement is triangular barter's per-tick cycle rule: of one tick's
 // simultaneous client-to-client transfers, those that close a 2-cycle
-// (a direct exchange) or a 3-cycle (u→v, v→w, w→u) settle credit-free, and the rest are charged. Cancellation is greedy,
+// (a direct exchange) or a 3-cycle (u→v, v→w, w→u) settle
+// credit-free, and the rest are charged. Cancellation is greedy,
 // 2-cycles first, then 3-cycles, over the tick's directed edges in
 // first-appearance order, with a 3-cycle's third party w tried in
 // ascending id; the outcome therefore depends only on the order the
